@@ -62,7 +62,8 @@ def _add_common(p, *, rewrites: bool = False, out: bool = False, as_json: bool =
             "--max-rewrites",
             type=int,
             default=None,
-            help="override the rewrite step cap (or set WONDER_MAX_REWRITES)",
+            help="cap on the rewrite steps of one normal-form call "
+            "(or set WONDER_MAX_REWRITES)",
         )
     if out:
         p.add_argument("--out", default="-", help="output file or - for stdout")

@@ -5,21 +5,33 @@ reduction through the monic rewrite rules.
 
 Coefficients are carried as ambient classes during rewriting (restriction
 maps are ring maps, so restricting once at the end agrees with restricting
-eagerly) and land in the burrow of the final support."""
+eagerly) and land in the burrow of the final support.
+
+Every step of the reduction is linear in the ambient coefficient: the
+rewrite chosen for coeff * E^e depends only on the exponent pattern e. So
+each ring keeps a memo from (exponent pattern, ambient basis index) to
+sparse ring coordinates, filled children first along the termination
+measure, and a basis product is one ambient product of two cached lifts
+followed by memo lookups. The rewrite cap (``max_rewrites``,
+``WONDER_MAX_REWRITES``) counts the rewrite steps one normal-form call
+actually performs, that is its memo misses."""
 
 from __future__ import annotations
 
 import os
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
+from types import MappingProxyType
 
 from wonder.algebra import Element, GradedAlgebra, GradedMap, section_of
 from wonder.diagram import BurrowDiagram
 from wonder.errors import ComputationError, InputError, InvariantViolation
 from wonder.exact_linalg import ONE, ZERO, format_rat
-from wonder.nests import Summand, li_decomposition, standard_bound
+from wonder.nests import Summand, enclosing_burrow, li_decomposition, standard_bound
 
 DEFAULT_MAX_REWRITES = 10_000
+_EMPTY: Mapping = MappingProxyType({})
 
 
 def _default_cap() -> int:
@@ -44,12 +56,6 @@ class RewriteRule:
     w_burrow: str
     degree: int
     terms: tuple  # ((exponent pattern), ambient Element) pairs
-
-
-@dataclass
-class _Term:
-    exps: dict
-    coeff: Element  # ambient
 
 
 class WonderElement:
@@ -161,7 +167,10 @@ class WonderRing:
         self._sections: dict[str, GradedMap] = {}
         self._chern_amb: dict[tuple, list] = {}
         self._rules: dict[tuple, RewriteRule] = {}
-        self._cache: dict[tuple, dict] = {}
+        self._lifts: dict[int, Element] = {}
+        # (exponent pattern, ambient basis index) -> sparse ring coordinates
+        self._memo: dict[tuple, dict] = {}
+        self._cache: dict[tuple, Mapping] = {}
         self._algebra: GradedAlgebra | None = None
         self._amb = amb
 
@@ -217,8 +226,6 @@ class WonderRing:
     def rewrite_rule(self, support: frozenset, x: str) -> RewriteRule:
         """The reduction rule for element x inside the given support; the
         expansion terms exclude the lead monomial."""
-        from wonder.nests import enclosing_burrow
-
         key = (tuple(sorted(support)), x)
         rule = self._rules.get(key)
         if rule is not None:
@@ -266,119 +273,168 @@ class WonderRing:
         self._rules[key] = rule
         return rule
 
-    def _rewrite(self, t: _Term, x: str) -> list[_Term]:
-        support = frozenset(t.exps)
+    def _normalize(
+        self, exps: dict, coeff: Element, trace=None, memo=None
+    ) -> dict[int, Fraction]:
+        """Sparse ring coordinates of coeff * prod E_x^k, coeff ambient.
+
+        The normal form is linear in the ambient coefficient, so it is the
+        sum of the coefficients of coeff times the memoized normal forms
+        NF(exponent pattern, ambient basis index); ``memo`` defaults to the
+        ring's own. Rewrite steps performed by this call (memo misses) count
+        against the rewrite cap."""
+        memo = self._memo if memo is None else memo
+        pattern = tuple(sorted(exps.items()))
+        coords: dict[int, Fraction] = {}
+        steps = [0]
+        for g, q in coeff.coeffs.items():
+            key = (pattern, g)
+            nf = memo.get(key)
+            if nf is None:
+                nf = self._fill(key, memo, trace, steps)
+            for k, c in nf.items():
+                coords[k] = coords.get(k, ZERO) + q * c
+        return {k: c for k, c in coords.items() if c}
+
+    def _fill(self, root: tuple, memo: dict, trace, steps: list) -> dict:
+        """Compute NF(root) and every entry it depends on, children first
+        (the termination measure orders them). An entry is stored only once
+        its normal form is complete, so an error leaves no partial entry."""
+        plans: dict[tuple, tuple] = {}
+        stack = [root]
+        while stack:
+            key = stack[-1]
+            if key in memo:
+                stack.pop()
+                continue
+            plan = plans.get(key)
+            if plan is None:
+                plan = plans[key] = self._expand(key, trace, steps)
+            base, children = plan
+            missing = [c for c, _ in children if c not in memo]
+            if missing:
+                stack.extend(missing)
+                continue
+            out = dict(base)
+            for child, q in children:
+                for k, c in memo[child].items():
+                    out[k] = out.get(k, ZERO) + q * c
+            memo[key] = {k: c for k, c in out.items() if c}
+            stack.pop()
+        return memo[root]
+
+    def _expand(self, key: tuple, trace, steps: list) -> tuple:
+        """One step on E^pattern * (ambient basis class g): either its
+        coordinates when the pattern is standard (or not a nest), or one
+        rewrite as ((child key, coefficient), ...)."""
+        pattern, g = key
+        dia = self.diagram
+        exps = dict(pattern)
+        support = frozenset(exps)
+        if support and not dia.is_nest(support):
+            return {}, ()
+        burrow = dia.burrow_of(support) if support else dia.ambient_id
+        if burrow is None:
+            raise InputError(
+                f"support {sorted(support)} passes the nest rule but has an "
+                "empty intersection; inconsistent input"
+            )
+        violations = [x for x in support if exps[x] >= standard_bound(dia, x, support)]
+        if not violations:
+            return self._coordinates(pattern, g, burrow), ()
+        steps[0] += 1
+        if steps[0] > self.max_rewrites:
+            raise ComputationError(
+                f"rewrite cap {self.max_rewrites} exceeded on monomial {list(pattern)}"
+            )
+        x = max(violations, key=lambda e: (dia.elements[e].codim, e))
+        before = self._measure(exps)
         rule = self.rewrite_rule(support, x)
         p = rule.degree
-        if p == 0:
-            return []
-        out = []
+        amb = self._amb
+        cls = amb.basis_element(g)
+        children = []
+        after = []
         for ek, cf in rule.terms:
-            exps = dict(t.exps)
-            exps[x] -= p
-            for s, k in ek:
-                exps[s] = exps.get(s, 0) + k
-            exps = {s: k for s, k in exps.items() if k}
-            coeff = self._amb.multiply(t.coeff, cf)
+            coeff = amb.multiply(cls, cf)
             if coeff.is_zero():
                 continue
-            out.append(_Term(exps, coeff))
-        return out
-
-    def _normalize(self, terms, trace=None) -> dict[int, Fraction]:
-        dia = self.diagram
-        coords: dict[int, Fraction] = {}
-        stack = list(terms)
-        steps = 0
-        while stack:
-            t = stack.pop()
-            if t.coeff.is_zero():
-                continue
-            support = frozenset(t.exps)
-            if support and not dia.is_nest(support):
-                continue
-            burrow = dia.burrow_of(support) if support else dia.ambient_id
-            if burrow is None:
-                raise InputError(
-                    f"support {sorted(support)} passes the nest rule but has an "
-                    "empty intersection; inconsistent input"
+            e2 = dict(exps)
+            e2[x] -= p
+            for s, k in ek:
+                e2[s] = e2.get(s, 0) + k
+            e2 = {s: k for s, k in e2.items() if k}
+            m = self._measure(e2)
+            if not m < before:
+                raise InvariantViolation(
+                    "termination measure failed to decrease at a rewrite"
                 )
-            violations = [
-                x for x in support if t.exps[x] >= standard_bound(dia, x, support)
-            ]
-            if violations:
-                steps += 1
-                if steps > self.max_rewrites:
-                    raise ComputationError(
-                        f"rewrite cap {self.max_rewrites} exceeded on monomial "
-                        f"{sorted(t.exps.items())}"
-                    )
-                x = max(violations, key=lambda e: (dia.elements[e].codim, e))
-                before = self._measure(t.exps)
-                new_terms = self._rewrite(t, x)
-                after = []
-                for nt in new_terms:
-                    m = self._measure(nt.exps)
-                    if not m < before:
-                        raise InvariantViolation(
-                            "termination measure failed to decrease at a rewrite"
-                        )
-                    after.append(m)
-                if trace is not None:
-                    trace.append((before, tuple(after)))
-                stack.extend(new_terms)
-                continue
-            self._accumulate(coords, t, burrow)
-        return coords
+            after.append(m)
+            child = tuple(sorted(e2.items()))
+            children.extend(((child, h), q) for h, q in coeff.coeffs.items())
+        if trace is not None:
+            trace.append((before, tuple(after)))
+        return {}, tuple(children)
 
-    def _accumulate(self, coords: dict, t: _Term, burrow: str):
+    def _coordinates(self, pattern: tuple, g: int, burrow: str) -> dict[int, Fraction]:
+        """Ring coordinates of a standard monomial with ambient coefficient
+        the basis class g, restricted to the burrow of its support."""
         dia = self.diagram
-        nest_ids = tuple(sorted(t.exps))
-        mu = tuple(sorted(t.exps.items()))
-        if burrow == dia.ambient_id and not nest_ids:
-            restricted = t.coeff
+        if burrow == dia.ambient_id:
+            restricted = self._amb.basis_element(g)
         else:
-            restricted = dia.pullback(dia.ambient_id, burrow).apply(t.coeff)
-        for g, q in restricted.coeffs.items():
-            key = (nest_ids, mu, g)
-            idx = self.index.get(key)
+            restricted = dia.pullback(dia.ambient_id, burrow).apply_basis(g)
+        nest_ids = tuple(x for x, _ in pattern)
+        coords = {}
+        for h, q in restricted.coeffs.items():
+            basis_key = (nest_ids, pattern, h)
+            idx = self.index.get(basis_key)
             if idx is None:
                 raise InvariantViolation(
-                    f"normal form produced an unknown basis key {key}"
+                    f"normal form produced an unknown basis key {basis_key}"
                 )
-            coords[idx] = coords.get(idx, ZERO) + q
+            coords[idx] = q
+        return coords
 
     # -- products ----------------------------------------------------------------
 
-    def _pair_term(self, i: int, j: int) -> _Term:
-        dia = self.diagram
-        _, si, gi, key_i, _ = self.basis[i]
-        _, sj, gj, key_j, _ = self.basis[j]
-        sa, sb = self.summands[si], self.summands[sj]
+    def _lift(self, i: int) -> Element:
+        """Ambient lift of the burrow class of basis index i (cached)."""
+        lift = self._lifts.get(i)
+        if lift is None:
+            g = self.basis[i][2]
+            lift = self.section(self.summand_of(i).burrow).apply_basis(g)
+            self._lifts[i] = lift
+        return lift
+
+    def _pair_term(self, i: int, j: int) -> tuple[dict, Element]:
+        """Exponents and ambient coefficient of the product of two basis
+        vectors before reduction."""
+        sa, sb = self.summand_of(i), self.summand_of(j)
         exps: dict = dict(sa.mu.assignment)
         for x, k in sb.mu.assignment:
             exps[x] = exps.get(x, 0) + k
-        ca = self.section(sa.burrow).apply_basis(gi)
-        cb = self.section(sb.burrow).apply_basis(gj)
-        return _Term(exps, self._amb.multiply(ca, cb))
+        return exps, self._amb.multiply(self._lift(i), self._lift(j))
 
-    def basis_product(self, i: int, j: int) -> dict[int, Fraction]:
+    def basis_product(self, i: int, j: int) -> Mapping[int, Fraction]:
+        """Coordinates of the product of two basis vectors; nonzero
+        coefficients only. Zero products are one shared read-only mapping."""
         a, b = (i, j) if i <= j else (j, i)
         cached = self._cache.get((a, b))
         if cached is None:
             if self.degree_of(a) + self.degree_of(b) > self.diagram.socle_degree:
-                cached = {}
-            else:
-                cached = self._normalize([self._pair_term(a, b)])
+                return _EMPTY
+            cached = self._normalize(*self._pair_term(a, b)) or _EMPTY
             self._cache[(a, b)] = cached
         return cached
 
     def product_trace(self, i: int, j: int):
-        """Recompute one basis product with a rewrite trace (uncached)."""
+        """Recompute one basis product with a rewrite trace. It uses a fresh
+        memo, so the trace lists every rewrite the product needs."""
         trace: list = []
         if self.degree_of(i) + self.degree_of(j) > self.diagram.socle_degree:
             return {}, trace
-        coords = self._normalize([self._pair_term(i, j)], trace=trace)
+        coords = self._normalize(*self._pair_term(i, j), trace=trace, memo={})
         return coords, trace
 
     def multiply(self, x: WonderElement, y: WonderElement) -> WonderElement:
@@ -418,7 +474,7 @@ class WonderRing:
         for x in exps:
             if x not in self.diagram.elements:
                 raise InputError(f"unknown element id {x!r}")
-        return WonderElement(self, self._normalize([_Term(exps, coeff)]))
+        return WonderElement(self, self._normalize(exps, coeff))
 
     def exceptional_class(self, x: str) -> WonderElement:
         return self.monomial({x: 1})

@@ -47,25 +47,6 @@ class Summand:
             raise InputError("summand shift below nest size")
 
 
-def standard_bound(diagram: BurrowDiagram, x: str, support) -> int:
-    """Exclusive upper bound for the exponent of x inside the given support:
-    codim(x) minus the codim of the intersection of the members strictly
-    containing x (the ambient burrow when there are none)."""
-    bigger = [
-        z
-        for z in support
-        if z != x and diagram.element_contains(z, x)
-    ]
-    if bigger:
-        w = diagram.burrow_of(bigger)
-        if w is None:
-            raise InputError(f"support {sorted(support)} has empty sub-intersection")
-        w_codim = diagram.burrows[w].codim
-    else:
-        w_codim = 0
-    return diagram.elements[x].codim - w_codim
-
-
 def enclosing_burrow(diagram: BurrowDiagram, x: str, support) -> str:
     """The burrow cut out by the members of the support strictly containing
     x; the ambient burrow when there are none."""
@@ -76,6 +57,13 @@ def enclosing_burrow(diagram: BurrowDiagram, x: str, support) -> str:
     if w is None:
         raise InputError(f"support {sorted(support)} has empty sub-intersection")
     return w
+
+
+def standard_bound(diagram: BurrowDiagram, x: str, support) -> int:
+    """Exclusive upper bound for the exponent of x inside the given support:
+    codim(x) minus the codim of its enclosing burrow."""
+    w = enclosing_burrow(diagram, x, support)
+    return diagram.elements[x].codim - diagram.burrows[w].codim
 
 
 def enumerate_nests(diagram: BurrowDiagram) -> list[Nest]:

@@ -29,6 +29,11 @@ def fm4_ring(fm4_diagram):
 
 
 @pytest.fixture(scope="session")
+def fm5_ring():
+    return build_ring(fm_power("p1", 5), validate=False)
+
+
+@pytest.fixture(scope="session")
 def keel2_diagram():
     diagram = keel_model(2)
     diagram.validate().raise_if_failed()

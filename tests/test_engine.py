@@ -7,7 +7,7 @@ from wonder.engine import build_ring, presentation_report
 from wonder.errors import ComputationError, InputError
 from wonder.models import _PowerAlg, fm_power
 from wonder.oracle import compare_with_oracle
-from wonder.fixtures import fm_p1_3_oracle, keel_2_oracle
+from wonder.fixtures import fm_p1_3_oracle, keel_2_oracle, keel_3_oracle
 
 F = Fraction
 
@@ -115,6 +115,55 @@ def test_rewrite_cap(fm3_diagram):
         ring.exceptional_class("D12")
 
 
+def test_rewrite_cap_leaves_no_partial_memo(fm3_diagram):
+    # a cap error must not leave incomplete normal forms in the ring's memo:
+    # after raising the cap, the same ring agrees with a fresh one
+    fresh = build_ring(fm3_diagram, validate=False, eager=False)
+    ring = build_ring(fm3_diagram, validate=False, eager=False, max_rewrites=0)
+    with pytest.raises(ComputationError, match="rewrite cap"):
+        ring.exceptional_class("D12")
+    ring.max_rewrites = fresh.max_rewrites
+    assert ring.exceptional_class("D12").coords == fresh.exceptional_class("D12").coords
+
+    # D12^3 needs a dozen rewrites; caps below that stop it part way
+    exps = {"D12": 3}
+    want = fresh.monomial(exps).coords
+    assert want
+    for cap in range(16):
+        ring = build_ring(fm3_diagram, validate=False, eager=False, max_rewrites=cap)
+        try:
+            got = ring.monomial(exps).coords
+        except ComputationError:
+            ring.max_rewrites = fresh.max_rewrites
+            got = ring.monomial(exps).coords
+        assert got == want
+
+
+def test_product_trace_agrees_with_memo(fm3_ring, keel2_ring):
+    # product_trace runs on a private memo; the shared one must agree, and
+    # the trace must not shrink once the shared memo holds the product
+    for ring in (fm3_ring, keel2_ring):
+        n = len(ring.basis)
+        steps = 0
+        for i in range(n):
+            for j in range(i, n):
+                coords, trace = ring.product_trace(i, j)
+                assert coords == dict(ring.basis_product(i, j)), (i, j)
+                assert ring.product_trace(i, j)[1] == trace, (i, j)
+                steps += len(trace)
+        assert steps > 0
+
+
+def test_basis_products_hold_no_zero_coefficients(fm3_ring, keel3_ring, fm5_ring):
+    # on fm-p1 n=5, 105 products have coefficients that cancel to zero during
+    # the reduction; they must be dropped, not stored
+    for ring in (fm3_ring, keel3_ring, fm5_ring):
+        n = len(ring.basis)
+        for i in range(n):
+            for j in range(i, n):
+                assert all(ring.basis_product(i, j).values()), (i, j)
+
+
 def test_env_cap_override(fm3_diagram, monkeypatch):
     monkeypatch.setenv("WONDER_MAX_REWRITES", "1")
     ring = build_ring(fm3_diagram, validate=False, eager=False)
@@ -156,6 +205,23 @@ def test_presentation_pair_sums_reported(curve3_ring):
 def test_compare_with_oracle(fm3_ring, keel2_ring):
     assert compare_with_oracle(fm3_ring, fm_p1_3_oracle(), samples=200).ok
     assert compare_with_oracle(keel2_ring, keel_2_oracle(), samples=200).ok
+
+
+@pytest.mark.parametrize(
+    "ring_name, fixture",
+    [
+        ("fm3_ring", fm_p1_3_oracle),
+        ("keel2_ring", keel_2_oracle),
+        ("keel3_ring", keel_3_oracle),
+    ],
+)
+def test_compare_with_oracle_every_product(request, ring_name, fixture):
+    ring = request.getfixturevalue(ring_name)
+    n = len(ring.basis)
+    pairs = n * (n + 1) // 2
+    report = compare_with_oracle(ring, fixture(), samples=pairs)
+    assert report.ok, report.summary()
+    assert report.products_checked == pairs
 
 
 def test_compare_detects_corruption(fm3_ring):
