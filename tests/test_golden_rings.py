@@ -1,15 +1,17 @@
-"""Byte-identical gate on the ring text of the shipped models.
+"""Byte-identical gate on the ring text and the reports of the shipped models.
 
-Each digest is the sha256 of ``io.dump_ring`` of the built ring, the text
-``wonder build`` writes. A change to the engine, the nest decomposition or
-the ring writer that alters any structure constant, basis label or ordering
-changes the digest."""
+Each ring digest is the sha256 of ``io.dump_ring`` of the built ring, the
+text ``wonder build`` writes. A change to the engine, the nest decomposition
+or the ring writer that alters any structure constant, basis label or
+ordering changes the digest. Each report digest pins the stdout and the exit
+code of one CLI command on one model."""
 
 import hashlib
 
 import pytest
 
 from wonder import io
+from wonder.cli import main
 from wonder.engine import build_ring
 from wonder.models import fm_power, keel_model
 
@@ -56,3 +58,75 @@ def test_ring_text_digest(name):
     ring = build_ring(diagram, validate=False)
     text = io.dump_ring(ring.as_algebra(), diagram.socle_degree)
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+
+
+# sha256 of "<exit code>\n<stdout>"; `pd` reads the ring `wonder build` writes,
+# the other commands read the diagram.
+REPORT_MODELS = {
+    "fm-p1-3": ["fm-p1", "--n", "3"],
+    "fm-p1-4": ["fm-p1", "--n", "4"],
+    "fm-p2-3": ["fm-p2", "--n", "3"],
+    "keel-2": ["keel", "--n", "2"],
+    "keel-3": ["keel", "--n", "3"],
+}
+REPORT_COMMANDS = ("validate", "decompose", "presentation", "discrepancy", "blocks", "pd")
+GOLDEN_REPORTS = {
+    ("fm-p1-3", "validate"): "0d2ba16d3a935d6ad2f93c9edcf6e262e7d438584b131e6fdc95c5499955cd57",
+    ("fm-p1-3", "decompose"): "c5d19360856eb0944e7134742dd8e56c94bda547e73259114cfb995232c7be3e",
+    ("fm-p1-3", "presentation"): "d27f6a93a471a4c83319f2f2187fac4b94e6c9ae8bb849018bf689050c59d834",
+    ("fm-p1-3", "discrepancy"): "36ca1cf94ff16f211e800ab1e83af6fee9ecf641a3d32c7b98fad1cb622282f3",
+    ("fm-p1-3", "blocks"): "d8c536963046204de4ebda09bec08fba73698530bd1ee303f21b7bfd7338ee4e",
+    ("fm-p1-3", "pd"): "1f34a67ff195393818f11216aaae100b8429a7067d1a677c85a2e5cf65183cbe",
+    ("fm-p1-4", "validate"): "a14b77894ddbc68b02d520d69b415d1d956513b6d1cf676d2fc5fedf4efd7fdc",
+    ("fm-p1-4", "decompose"): "c6615ab1e8736f232b5e0c15d3de1f034f17cb9a72a04a733ea840be297ee9e1",
+    ("fm-p1-4", "presentation"): "1e60462b2da68207a06f696d3afb96c9c845e3edf9977c9f9bb02c4e60ca7586",
+    ("fm-p1-4", "discrepancy"): "92be448f3d00b7d517010b50c4a92530e2824e743dc746859048c42451edbf20",
+    ("fm-p1-4", "blocks"): "576efb5bc61f734806b0c7375059c42eb46f3c57214e1ed076b150c67e88e1a6",
+    ("fm-p1-4", "pd"): "d9812d415f76b508f2c3250caecccfecdacc01e1b8a851b7d101c8be367dbaad",
+    ("fm-p2-3", "validate"): "0d2ba16d3a935d6ad2f93c9edcf6e262e7d438584b131e6fdc95c5499955cd57",
+    ("fm-p2-3", "decompose"): "03a138c84a39bc2d3235a9be78698f0876eddfc0ad0e98b24fa97b2c7b84c5fe",
+    ("fm-p2-3", "presentation"): "32ff5320bb5059d82c954d5e74131839257940f989a2249072d05197afe7b503",
+    ("fm-p2-3", "discrepancy"): "154336608ee20566aa4e8879cc57bbe281be59b3caa4c5de19db4cb26cad0364",
+    ("fm-p2-3", "blocks"): "0ea7421da07de0b91c6e65cf7da7bbf1c62087dd1ab592a96aa915c9594f2de9",
+    ("fm-p2-3", "pd"): "d346ff8722f43079b6e216ff8d33363df065a15515c7c3779fad1a31279faaa9",
+    ("keel-2", "validate"): "42b7a99a504208c7793cb3bb5ee4d5b6f6f7663eabbb97ce888aa3cab8026074",
+    ("keel-2", "decompose"): "f6a7fedbe272801e442b7b3a72aee51c647434d0cc92aa993e205f98a9aec946",
+    ("keel-2", "presentation"): "2f15567262dd65c2a4199db5bc417f1380d1713199b5325533ad173fbaa17381",
+    ("keel-2", "discrepancy"): "abafe9412132ab83d4ef9b0c72358e0abc2371e9d73c8bd2ab0a3118a05c1e44",
+    ("keel-2", "blocks"): "b1f7bdfa181d6e88d61ba9bd3e137a11c24147187e0c5d108a0d2299929b59b0",
+    ("keel-2", "pd"): "f9b9cca707581b03a646fc23f4549c21b0594aa15c8968bdbdb205247164ade4",
+    ("keel-3", "validate"): "8f54cee35f5c36a43ecb8a8e9cf21ea1a61eb56f74975fd19ae5f9b4d04a2fce",
+    ("keel-3", "decompose"): "964c4bfdb5ceb7e7bd9aaa03ecddfeba58433b3eeb91a029e888b15618eeafc1",
+    ("keel-3", "presentation"): "9185e21d66e198b204f5f35d7ee01f6ecc5bb4c4f12a53cee71f4d9af0239e98",
+    ("keel-3", "discrepancy"): "36ca1cf94ff16f211e800ab1e83af6fee9ecf641a3d32c7b98fad1cb622282f3",
+    ("keel-3", "blocks"): "731d666dc2a504eeb3494017e029082bb198022691d95eb4951a3de44eb4a9a8",
+    ("keel-3", "pd"): "1f34a67ff195393818f11216aaae100b8429a7067d1a677c85a2e5cf65183cbe",
+}
+
+
+@pytest.fixture(scope="module")
+def model_files(tmp_path_factory):
+    """Diagram and ring file of each report model, written once."""
+    made = {}
+
+    def files(model):
+        if model not in made:
+            diagram = tmp_path_factory.mktemp(model) / "d.json"
+            ring = diagram.with_name("r.json")
+            assert main(["model", *REPORT_MODELS[model], "--out", str(diagram)]) == 0
+            assert main(["build", str(diagram), "--out", str(ring)]) == 0
+            made[model] = diagram, ring
+        return made[model]
+
+    return files
+
+
+@pytest.mark.parametrize("model", sorted(REPORT_MODELS))
+@pytest.mark.parametrize("command", REPORT_COMMANDS)
+def test_report_digest(model_files, capsys, model, command):
+    diagram, ring = model_files(model)
+    capsys.readouterr()
+    code = main([command, str(ring if command == "pd" else diagram)])
+    out = capsys.readouterr().out
+    digest = hashlib.sha256(f"{code}\n{out}".encode("utf-8")).hexdigest()
+    assert digest == GOLDEN_REPORTS[(model, command)]
