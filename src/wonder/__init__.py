@@ -6,8 +6,6 @@ pushforward maps, Chern data), decomposes it additively, and runs complete
 duality / discrepancy analyses.  All arithmetic is exact.
 """
 
-from wonder.kernels import KERNEL_BACKEND
-
 __version__ = "0.1.0"
 
-__all__ = ["KERNEL_BACKEND", "__version__"]
+__all__ = ["__version__"]

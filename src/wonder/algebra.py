@@ -24,8 +24,10 @@ from wonder.exact_linalg import (
 
 
 class Element:
-    """Element of a GradedAlgebra, stored as a sparse coefficient vector
-    over the global basis.  Treated as immutable."""
+    """Element of a GradedAlgebra or of an ``engine.WonderRing`` (any
+    algebra with ``degree_of``, ``label_of`` and ``multiply``), stored as a
+    sparse coefficient vector over the global basis.  Treated as immutable;
+    ``to_vector`` needs a GradedAlgebra."""
 
     __slots__ = ("alg", "coeffs")
 

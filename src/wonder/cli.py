@@ -14,7 +14,6 @@ import sys
 from wonder import duality, fixtures, io, models, oracle
 from wonder.engine import build_ring, presentation_report
 from wonder.errors import WonderError
-from wonder.kernels import KERNEL_BACKEND
 
 
 class _Parser(argparse.ArgumentParser):
@@ -336,7 +335,7 @@ def main(argv=None) -> int:
     if args.version:
         from wonder import __version__
 
-        print(f"wonder {__version__} (kernel: {KERNEL_BACKEND})")
+        print(f"wonder {__version__}")
         return 0
     if not args.command:
         parser.print_help()

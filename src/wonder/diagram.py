@@ -449,7 +449,7 @@ class BurrowDiagram:
                     break
             rep.add("nest-downward-closed", "explicit list", closed, detail)
         bad = None
-        for s in self._iter_nests() if deep else []:
+        for s in self.iter_nests() if deep else []:
             if s and self.burrow_of(s) is None:
                 bad = s
                 break
@@ -461,9 +461,9 @@ class BurrowDiagram:
         )
         return rep
 
-    def _iter_nests(self):
-        """All nests by depth-first extension (downward closure makes the
-        sorted-prefix traversal exhaustive)."""
+    def iter_nests(self):
+        """All nests, the empty nest first, by depth-first extension
+        (downward closure makes the sorted-prefix traversal exhaustive)."""
         ids = sorted(self.elements)
         yield frozenset()
         stack = [(frozenset(), 0)]

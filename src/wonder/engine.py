@@ -27,7 +27,7 @@ from types import MappingProxyType
 from wonder.algebra import Element, GradedAlgebra, GradedMap, section_of
 from wonder.diagram import BurrowDiagram
 from wonder.errors import ComputationError, InputError, InvariantViolation
-from wonder.exact_linalg import ONE, ZERO, format_rat
+from wonder.exact_linalg import ONE, ZERO
 from wonder.nests import Summand, enclosing_burrow, li_decomposition, standard_bound
 
 DEFAULT_MAX_REWRITES = 10_000
@@ -58,78 +58,10 @@ class RewriteRule:
     terms: tuple  # ((exponent pattern), ambient Element) pairs
 
 
-class WonderElement:
-    """Element of a WonderRing on the additive basis; sparse coordinates."""
-
-    __slots__ = ("ring", "coords")
-
-    def __init__(self, ring: "WonderRing", coords: dict[int, Fraction]):
-        self.ring = ring
-        self.coords = {i: q for i, q in coords.items() if q}
-
-    def is_zero(self) -> bool:
-        return not self.coords
-
-    def degree(self) -> int | None:
-        degs = {self.ring.degree_of(i) for i in self.coords}
-        if not degs:
-            return None
-        if len(degs) > 1:
-            raise ValueError("element is not homogeneous")
-        return degs.pop()
-
-    def __add__(self, other: "WonderElement") -> "WonderElement":
-        self._same(other)
-        out = dict(self.coords)
-        for i, q in other.coords.items():
-            out[i] = out.get(i, ZERO) + q
-        return WonderElement(self.ring, out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return WonderElement(self.ring, {i: -q for i, q in self.coords.items()})
-
-    def scale(self, q) -> "WonderElement":
-        q = Fraction(q)
-        return WonderElement(self.ring, {i: v * q for i, v in self.coords.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, WonderElement):
-            return self.ring.multiply(self, other)
-        return self.scale(other)
-
-    def __rmul__(self, other):
-        return self.scale(other)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, WonderElement)
-            and other.ring is self.ring
-            and other.coords == self.coords
-        )
-
-    def __hash__(self):
-        return hash((id(self.ring), tuple(sorted(self.coords.items()))))
-
-    def _same(self, other):
-        if other.ring is not self.ring:
-            raise InputError("elements belong to different rings")
-
-    def __repr__(self):
-        if not self.coords:
-            return "0"
-        parts = []
-        for i in sorted(self.coords):
-            q = self.coords[i]
-            lbl = self.ring.labels_flat[i]
-            parts.append(lbl if q == 1 else f"{format_rat(q)}*{lbl}")
-        return " + ".join(parts)
-
-
 class WonderRing:
-    """Graded ring of the compactification, built on the additive basis."""
+    """Graded ring of the compactification, built on the additive basis.
+    Its elements are ``algebra.Element`` instances whose algebra is the
+    ring."""
 
     def __init__(self, diagram: BurrowDiagram, *, max_rewrites: int | None = None):
         self.diagram = diagram
@@ -188,6 +120,9 @@ class WonderRing:
 
     def degree_of(self, i: int) -> int:
         return self.basis[i][0]
+
+    def label_of(self, i: int) -> str:
+        return self.labels_flat[i]
 
     def summand_of(self, i: int) -> Summand:
         return self.summands[self.basis[i][1]]
@@ -437,46 +372,46 @@ class WonderRing:
         coords = self._normalize(*self._pair_term(i, j), trace=trace, memo={})
         return coords, trace
 
-    def multiply(self, x: WonderElement, y: WonderElement) -> WonderElement:
-        if x.ring is not self or y.ring is not self:
+    def multiply(self, x: Element, y: Element) -> Element:
+        if x.alg is not self or y.alg is not self:
             raise InputError("elements belong to a different ring")
         out: dict[int, Fraction] = {}
-        for i, qi in x.coords.items():
-            for j, qj in y.coords.items():
+        for i, qi in x.coeffs.items():
+            for j, qj in y.coeffs.items():
                 q = qi * qj
                 for k, c in self.basis_product(i, j).items():
                     out[k] = out.get(k, ZERO) + q * c
-        return WonderElement(self, out)
+        return Element(self, out)
 
     # -- element constructors ------------------------------------------------------
 
-    def zero(self) -> WonderElement:
-        return WonderElement(self, {})
+    def zero(self) -> Element:
+        return Element(self, {})
 
-    def one(self) -> WonderElement:
+    def one(self) -> Element:
         return self.from_ambient(self._amb.unit())
 
-    def basis_vector(self, i: int) -> WonderElement:
-        return WonderElement(self, {i: ONE})
+    def basis_vector(self, i: int) -> Element:
+        return Element(self, {i: ONE})
 
-    def from_ambient(self, elem: Element) -> WonderElement:
+    def from_ambient(self, elem: Element) -> Element:
         if elem.alg is not self._amb:
             raise InputError("not an ambient class")
         coords = {}
         for g, q in elem.coeffs.items():
             coords[self.index[(tuple(), tuple(), g)]] = q
-        return WonderElement(self, coords)
+        return Element(self, coords)
 
-    def monomial(self, exps: dict, coeff: Element | None = None) -> WonderElement:
+    def monomial(self, exps: dict, coeff: Element | None = None) -> Element:
         """Normal form of coeff * prod E_x^k for an arbitrary exponent map."""
         coeff = coeff if coeff is not None else self._amb.unit()
         exps = {x: int(k) for x, k in exps.items() if k}
         for x in exps:
             if x not in self.diagram.elements:
                 raise InputError(f"unknown element id {x!r}")
-        return WonderElement(self, self._normalize(exps, coeff))
+        return Element(self, self._normalize(exps, coeff))
 
-    def exceptional_class(self, x: str) -> WonderElement:
+    def exceptional_class(self, x: str) -> Element:
         return self.monomial({x: 1})
 
     # -- export -----------------------------------------------------------------------

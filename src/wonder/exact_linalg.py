@@ -1,20 +1,15 @@
-"""Exact rational linear algebra: rank, nullspace and solve.
+"""Exact rational linear algebra: rank, nullspace and solve on dense rows.
 
 Rational scalars are ``fractions.Fraction`` (always in lowest terms with a
 positive denominator).  Matrices are reduced by clearing denominators
-row-wise and running the fraction-free integer kernel; back-substitution is
-done over the rationals.  No floating point anywhere.
+row-wise and running the fraction-free (Bareiss) integer kernel;
+back-substitution is done over the rationals.  No floating point anywhere.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-
-from wonder.kernels import bareiss_echelon
-
-Rat = Fraction
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -32,52 +27,46 @@ def format_rat(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-@dataclass(frozen=True)
-class SparseMat:
-    """Immutable sparse rational matrix in triplet form.
+def bareiss_echelon(rows, ncols):
+    """Fraction-free (Bareiss) row reduction of an integer matrix.
 
-    No duplicate positions and no explicitly stored zeros.
+    ``rows`` is a sequence of equal-length integer rows; the input is not
+    mutated.  Returns ``(rank, pivot_cols, echelon)`` where ``echelon`` holds
+    the first ``rank`` rows of an integer row-echelon form with the same row
+    space as the input.
     """
-
-    rows: int
-    cols: int
-    entries: tuple[tuple[int, int, Fraction], ...]
-
-    def __post_init__(self):
-        seen = set()
-        for r, c, v in self.entries:
-            if not (0 <= r < self.rows and 0 <= c < self.cols):
-                raise ValueError(f"entry ({r},{c}) out of range")
-            if (r, c) in seen:
-                raise ValueError(f"duplicate entry at ({r},{c})")
-            if v == 0:
-                raise ValueError(f"explicit zero stored at ({r},{c})")
-            seen.add((r, c))
-
-    @classmethod
-    def from_dense(cls, dense) -> "SparseMat":
-        rows = len(dense)
-        cols = len(dense[0]) if rows else 0
-        entries = []
-        for r, row in enumerate(dense):
-            if len(row) != cols:
-                raise ValueError("ragged rows")
-            for c, v in enumerate(row):
-                v = Fraction(v)
-                if v:
-                    entries.append((r, c, v))
-        return cls(rows, cols, tuple(entries))
-
-    def to_dense(self) -> list[list[Fraction]]:
-        dense = [[ZERO] * self.cols for _ in range(self.rows)]
-        for r, c, v in self.entries:
-            dense[r][c] = v
-        return dense
-
-    def transpose(self) -> "SparseMat":
-        return SparseMat(
-            self.cols, self.rows, tuple((c, r, v) for r, c, v in self.entries)
-        )
+    m = [list(r) for r in rows]
+    nrows = len(m)
+    rank = 0
+    prev = 1
+    pivots = []
+    for col in range(ncols):
+        pr = -1
+        for r in range(rank, nrows):
+            if m[r][col]:
+                pr = r
+                break
+        if pr < 0:
+            continue
+        if pr != rank:
+            m[rank], m[pr] = m[pr], m[rank]
+        top = m[rank]
+        piv = top[col]
+        for r in range(rank + 1, nrows):
+            mr = m[r]
+            f = mr[col]
+            if f:
+                for c in range(col, ncols):
+                    mr[c] = (piv * mr[c] - f * top[c]) // prev
+            elif prev != 1 or piv != 1:
+                for c in range(col, ncols):
+                    mr[c] = (piv * mr[c]) // prev
+        prev = piv
+        pivots.append(col)
+        rank += 1
+        if rank == nrows:
+            break
+    return rank, pivots, m[:rank]
 
 
 def _scaled_int_rows(dense) -> list[list[int]]:
@@ -153,18 +142,3 @@ def solve_rows(dense, rhs, cols: int | None = None) -> tuple[Fraction, ...] | No
                 s += Fraction(row[c]) * v[c]
         v[p] = -s / row[p]
     return tuple(v[:cols])
-
-
-def rank(m: SparseMat) -> int:
-    """Exact rank over the rationals."""
-    return rank_rows(m.to_dense())
-
-
-def nullspace_basis(m: SparseMat) -> list[tuple[Fraction, ...]]:
-    """Exact basis of the right kernel; size is cols - rank."""
-    return nullspace_rows(m.to_dense(), m.cols)
-
-
-def solve(m: SparseMat, rhs) -> tuple[Fraction, ...] | None:
-    """Exact solution of ``m x = rhs`` or ``None`` if inconsistent."""
-    return solve_rows(m.to_dense(), rhs, cols=m.cols)

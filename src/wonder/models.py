@@ -31,7 +31,7 @@ from wonder.diagram import (
     ChernPolynomial,
 )
 from wonder.errors import InputError
-from wonder.exact_linalg import ONE, ZERO
+from wonder.exact_linalg import ONE, ZERO, bareiss_echelon, solve_rows
 
 FIBERS = {"p1": 1, "p2": 2}  # fiber name -> projective dimension
 MARKERS = ("0", "1", "inf")
@@ -777,8 +777,6 @@ def synthetic_gorenstein(dim_vector, seed: int, *, retries: int = 40) -> GradedA
 
 
 def _apolar_algebra(f_coeffs, r, d) -> GradedAlgebra | None:
-    from wonder.kernels import bareiss_echelon
-
     chosen = []  # per degree: (alpha list, image vectors)
     for k in range(d + 1):
         alphas, vectors = _apolar_images(f_coeffs, r, d, k)
@@ -803,8 +801,6 @@ def _apolar_algebra(f_coeffs, r, d) -> GradedAlgebra | None:
         for a, _ in sel:
             index[a] = g
             g += 1
-
-    from wonder.exact_linalg import solve_rows
 
     def express(k, alpha):
         """Coefficients of the class of x^alpha over the chosen basis."""

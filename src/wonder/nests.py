@@ -69,16 +69,7 @@ def standard_bound(diagram: BurrowDiagram, x: str, support) -> int:
 def enumerate_nests(diagram: BurrowDiagram) -> list[Nest]:
     """All nests with nonempty intersection, the empty nest included,
     sorted by size then lexicographically."""
-    ids = sorted(diagram.elements)
-    found = [frozenset()]
-    stack = [(frozenset(), 0)]
-    while stack:
-        base, start = stack.pop()
-        for i in range(start, len(ids)):
-            cand = base | {ids[i]}
-            if diagram.is_nest(cand) and diagram.burrow_of(cand) is not None:
-                found.append(cand)
-                stack.append((cand, i + 1))
+    found = [s for s in diagram.iter_nests() if diagram.burrow_of(s) is not None]
     found.sort(key=lambda s: (len(s), tuple(sorted(s))))
     return [Nest(s) for s in found]
 

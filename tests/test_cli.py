@@ -1,3 +1,4 @@
+from wonder import __version__
 from wonder.cli import main
 from wonder.errors import ComputationError, InputError, InvariantViolation
 
@@ -137,7 +138,7 @@ def test_validate_ok(tmp_path, capsys):
 def test_version(capsys):
     code, out, _ = run(capsys, "--version")
     assert code == 0
-    assert out.startswith("wonder ")
+    assert out == f"wonder {__version__}\n"
 
 
 def test_outputs_byte_stable(tmp_path):

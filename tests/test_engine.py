@@ -80,7 +80,7 @@ def test_deep_exceptional_square(fm3_ring):
     # center
     e = fm3_ring.exceptional_class("D123")
     square = e * e
-    coords = {fm3_ring.labels_flat[i]: q for i, q in square.coords.items()}
+    coords = {fm3_ring.labels_flat[i]: q for i, q in square.coeffs.items()}
     assert coords == {
         "h123*E[D123]": F(4),
         "h1*h2": F(-1),
@@ -123,19 +123,19 @@ def test_rewrite_cap_leaves_no_partial_memo(fm3_diagram):
     with pytest.raises(ComputationError, match="rewrite cap"):
         ring.exceptional_class("D12")
     ring.max_rewrites = fresh.max_rewrites
-    assert ring.exceptional_class("D12").coords == fresh.exceptional_class("D12").coords
+    assert ring.exceptional_class("D12").coeffs == fresh.exceptional_class("D12").coeffs
 
     # D12^3 needs a dozen rewrites; caps below that stop it part way
     exps = {"D12": 3}
-    want = fresh.monomial(exps).coords
+    want = fresh.monomial(exps).coeffs
     assert want
     for cap in range(16):
         ring = build_ring(fm3_diagram, validate=False, eager=False, max_rewrites=cap)
         try:
-            got = ring.monomial(exps).coords
+            got = ring.monomial(exps).coeffs
         except ComputationError:
             ring.max_rewrites = fresh.max_rewrites
-            got = ring.monomial(exps).coords
+            got = ring.monomial(exps).coeffs
         assert got == want
 
 
@@ -242,6 +242,22 @@ def test_ambient_grading_guard(fm3_ring):
 def test_unknown_element_rejected(fm3_ring):
     with pytest.raises(InputError):
         fm3_ring.monomial({"bogus": 1})
+
+
+def test_ring_and_ambient_elements_do_not_mix(fm3_ring):
+    unit = fm3_ring.diagram.ambient.algebra.unit()
+    one = fm3_ring.one()
+    mixes = [
+        lambda: one * unit,
+        lambda: unit * one,
+        lambda: one + unit,
+        lambda: unit - one,
+        lambda: fm3_ring.multiply(one, unit),
+    ]
+    for mix in mixes:
+        with pytest.raises(InputError) as err:
+            mix()
+        assert err.value.exit_code == 1
 
 
 def test_nest_with_empty_intersection_is_input_error():

@@ -1,77 +1,68 @@
+import copy
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wonder import _kernel_py
 from wonder.exact_linalg import (
-    SparseMat,
+    bareiss_echelon,
     format_rat,
-    nullspace_basis,
+    nullspace_rows,
     parse_rat,
-    rank,
-    solve,
+    rank_rows,
+    solve_rows,
 )
 
 F = Fraction
 
 
-def dense(rows):
-    return SparseMat.from_dense(rows)
+def q(rows):
+    return [[F(v) for v in row] for row in rows]
 
 
 def test_rank_empty():
-    assert rank(SparseMat(0, 0, ())) == 0
+    assert rank_rows([]) == 0
 
 
 def test_rank_identity():
-    assert rank(dense([[1, 0], [0, 1]])) == 2
+    assert rank_rows(q([[1, 0], [0, 1]])) == 2
 
 
 def test_rank_proportional_rows():
-    assert rank(dense([[1, 2], [2, 4]])) == 1
+    assert rank_rows(q([[1, 2], [2, 4]])) == 1
 
 
 def test_nullspace_identity():
-    assert nullspace_basis(dense([[1, 0, 0], [0, 1, 0], [0, 0, 1]])) == []
+    assert nullspace_rows(q([[1, 0, 0], [0, 1, 0], [0, 0, 1]]), 3) == []
 
 
 def test_nullspace_zero_matrix():
-    basis = nullspace_basis(SparseMat(2, 3, ()))
+    basis = nullspace_rows(q([[0, 0, 0], [0, 0, 0]]), 3)
     assert len(basis) == 3
 
 
 def test_nullspace_one_relation():
-    (v,) = nullspace_basis(dense([[1, 1]]))
+    (v,) = nullspace_rows(q([[1, 1]]), 2)
     assert v[0] == -v[1] and v[1] != 0
 
 
 def test_solve_identity():
-    assert solve(dense([[1, 0], [0, 1]]), [F(1), F(2)]) == (F(1), F(2))
+    assert solve_rows(q([[1, 0], [0, 1]]), [F(1), F(2)]) == (F(1), F(2))
 
 
 def test_solve_underdetermined():
-    sol = solve(dense([[1, 1]]), [F(3)])
+    sol = solve_rows(q([[1, 1]]), [F(3)])
     assert sol is not None and sol[0] + sol[1] == 3
 
 
 def test_solve_inconsistent():
-    assert solve(dense([[0]]), [F(1)]) is None
+    assert solve_rows(q([[0]]), [F(1)]) is None
 
 
 def test_solve_dimension_mismatch():
     with pytest.raises(ValueError):
-        solve(dense([[1, 0]]), [F(1), F(2)])
-
-
-def test_sparse_mat_rejects_bad_entries():
-    with pytest.raises(ValueError):
-        SparseMat(1, 1, ((0, 0, F(0)),))
-    with pytest.raises(ValueError):
-        SparseMat(1, 1, ((0, 1, F(1)),))
-    with pytest.raises(ValueError):
-        SparseMat(2, 2, ((0, 0, F(1)), (0, 0, F(2))))
+        solve_rows(q([[1, 0]]), [F(1), F(2)])
 
 
 rationals = st.builds(
@@ -89,43 +80,77 @@ matrices = st.integers(min_value=1, max_value=5).flatmap(
 @settings(max_examples=60, deadline=None)
 @given(matrices)
 def test_rank_nullity(rows):
-    m = SparseMat.from_dense(rows)
-    assert rank(m) + len(nullspace_basis(m)) == m.cols
+    cols = len(rows[0])
+    assert rank_rows(rows) + len(nullspace_rows(rows, cols)) == cols
 
 
 @settings(max_examples=60, deadline=None)
 @given(matrices)
 def test_nullspace_vectors_annihilate(rows):
-    m = SparseMat.from_dense(rows)
-    d = m.to_dense()
-    for v in nullspace_basis(m):
+    for v in nullspace_rows(rows, len(rows[0])):
         assert all(isinstance(x, Fraction) for x in v)
-        for row in d:
+        for row in rows:
             assert sum(a * b for a, b in zip(row, v)) == 0
 
 
 @settings(max_examples=60, deadline=None)
 @given(matrices, st.lists(rationals, min_size=1, max_size=5))
 def test_solve_solves(rows, rhs):
-    m = SparseMat.from_dense(rows)
-    rhs = (rhs * m.rows)[: m.rows]
-    sol = solve(m, rhs)
+    rhs = (rhs * len(rows))[: len(rows)]
+    sol = solve_rows(rows, rhs)
     if sol is None:
         return
-    d = m.to_dense()
-    for row, b in zip(d, rhs):
+    for row, b in zip(rows, rhs):
         assert sum(a * x for a, x in zip(row, sol)) == b
 
 
-@settings(max_examples=40, deadline=None)
-@given(matrices)
-def test_kernel_backends_agree(rows):
-    compiled = pytest.importorskip("wonder._kernel")
-    ints = [[int(x * 210) for x in row] for row in rows]
-    ncols = len(ints[0])
-    rank_c, piv_c, ech_c = compiled.bareiss_echelon(ints, ncols)
-    rank_p, piv_p, ech_p = _kernel_py.bareiss_echelon(ints, ncols)
-    assert (rank_c, piv_c, ech_c) == (rank_p, piv_p, ech_p)
+def gauss_jordan(rows, ncols):
+    """Reduced row-echelon form over the rationals: (pivot columns, rows)."""
+    m = [[F(v) for v in row] for row in rows]
+    pivots = []
+    for col in range(ncols):
+        r = next((i for i in range(len(pivots), len(m)) if m[i][col]), None)
+        if r is None:
+            continue
+        top = len(pivots)
+        m[top], m[r] = m[r], m[top]
+        m[top] = [v / m[top][col] for v in m[top]]
+        for i in range(len(m)):
+            if i != top and m[i][col]:
+                f = m[i][col]
+                m[i] = [a - f * b for a, b in zip(m[i], m[top])]
+        pivots.append(col)
+    return pivots, m[: len(pivots)]
+
+
+int_matrices = st.integers(min_value=1, max_value=6).flatmap(
+    lambda m: st.tuples(
+        st.just(m),
+        st.lists(
+            st.lists(st.integers(min_value=-9, max_value=9), min_size=m, max_size=m),
+            max_size=6,
+        ),
+    )
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(int_matrices)
+def test_bareiss_matches_gauss_jordan(case):
+    ncols, rows = case
+    before = copy.deepcopy(rows)
+    rank, pivots, ech = bareiss_echelon(rows, ncols)
+    assert rows == before
+    want_pivots, rref = gauss_jordan(rows, ncols)
+    assert rank == len(want_pivots) == len(ech)
+    assert pivots == want_pivots
+    for row, p in zip(ech, pivots):
+        assert all(isinstance(v, int) for v in row)
+        assert not any(row[:p]) and row[p]
+        rest = [F(v) for v in row]
+        for c, basis_row in zip(want_pivots, rref):
+            rest = [a - rest[c] * b for a, b in zip(rest, basis_row)]
+        assert not any(rest), "echelon row outside the input row space"
 
 
 def test_rat_round_trip():
