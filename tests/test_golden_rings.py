@@ -4,7 +4,8 @@ Each ring digest is the sha256 of ``io.dump_ring`` of the built ring, the
 text ``wonder build`` writes. A change to the engine, the nest decomposition
 or the ring writer that alters any structure constant, basis label or
 ordering changes the digest. Each report digest pins the stdout and the exit
-code of one CLI command on one model."""
+code of one CLI command on one model. The synthetic digests pin the
+algebras ``synthetic_gorenstein`` and ``synthetic_broken`` build."""
 
 import hashlib
 
@@ -13,7 +14,7 @@ import pytest
 from wonder import io
 from wonder.cli import main
 from wonder.engine import build_ring
-from wonder.models import fm_power, keel_model
+from wonder.models import fm_power, keel_model, synthetic_broken, synthetic_gorenstein
 
 GOLDEN = {
     "fm-p1-3": (
@@ -130,3 +131,31 @@ def test_report_digest(model_files, capsys, model, command):
     out = capsys.readouterr().out
     digest = hashlib.sha256(f"{code}\n{out}".encode("utf-8")).hexdigest()
     assert digest == GOLDEN_REPORTS[(model, command)]
+
+
+# sha256 of ``io.dump_ring`` of the synthetic algebras: (dims, break degree or
+# None for a Gorenstein algebra, seed) -> digest.
+GOLDEN_SYNTH = {
+    ((1, 6, 21, 6, 1), None, 0): "6c3488b18a98176b71b18ba131b7828c5c380eaab1f100961993ae7039e4bbbc",
+    ((1, 6, 21, 6, 1), None, 1): "deb1301bd03f4e9d6e4218041fcc553b15e164222a3623893e6a38d2addb4ca7",
+    ((1, 6, 21, 6, 1), None, 2): "2e7423ca0a1427bebaff09f7111a2e974596a2e665a7b5ddeb5d0f03c42b0bb7",
+    ((1, 5, 15, 15, 5, 1), None, 0): "a9f87743da7363ef905722ca271a1eedb345ebd4f06c83b99d45d575b1393d8b",
+    ((1, 5, 15, 15, 5, 1), None, 1): "df6302126efc2a4ce047ce0a2a64277495f7f10e11c8838a1155d8113f2e0173",
+    ((1, 5, 15, 15, 5, 1), None, 2): "0f6dc36e8beae96a5ed530c2abceb6e89f53ec680bb18d65d263587d8771345a",
+    ((1, 6, 22, 6, 1), 2, 0): "b2848245bab082f9829ba1575425764cb39acdb380f94b764b846823b8241e03",
+    ((1, 6, 22, 6, 1), 2, 1): "6583efe0ced868c0d12a64a3421a3d7db0e1ff8b6dfa7d18df7d22ebeaf814f0",
+    ((1, 6, 22, 6, 1), 2, 2): "fc0f37cbd24ec788971aa359173e6c4d694aaad655be6ca32385f42f724a77c7",
+    ((1, 5, 16, 16, 5, 1), 2, 0): "e944d4d0dac299ae59f14f2aae725b8e36083098b7a7f46a748f133d18869d07",
+    ((1, 5, 16, 16, 5, 1), 2, 1): "80ad095dd96e9677642cfd7080278d8016894a70a5552a45279f702db3b5dbd2",
+    ((1, 5, 16, 16, 5, 1), 2, 2): "31d0565c9536b6773c9af9e567f9ec1b89ce2dae87b1a4dcf14f862cbb975c2b",
+}
+
+
+@pytest.mark.parametrize("dims,k,seed", sorted(GOLDEN_SYNTH, key=repr))
+def test_synthetic_ring_digest(dims, k, seed):
+    if k is None:
+        alg = synthetic_gorenstein(dims, seed)
+    else:
+        alg = synthetic_broken(dims, k, seed)
+    text = io.dump_ring(alg, len(dims) - 1)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == GOLDEN_SYNTH[(dims, k, seed)]
