@@ -120,7 +120,7 @@ class GradedAlgebra:
     """Graded commutative rational algebra with unit, described by bases and
     structure constants.  Immutable after construction."""
 
-    def __init__(self, dims, labels, mult_entries, *, check: bool = True):
+    def __init__(self, dims, labels, mult_entries):
         self.dims = tuple(int(d) for d in dims)
         if not self.dims or self.dims[0] != 1:
             raise InputError("degree 0 must be one-dimensional (the unit)")
@@ -148,7 +148,18 @@ class GradedAlgebra:
         self._flat_labels = flat
 
         table: dict[tuple[int, int], dict[int, Fraction]] = {}
+        n = self.total_dim
         for gi, gj, gk, q in mult_entries:
+            if not (
+                type(gi) is type(gj) is type(gk) is int
+                and 0 <= gi < n
+                and 0 <= gj < n
+                and 0 <= gk < n
+            ):
+                raise InputError(
+                    f"structure constant index outside 0..{n - 1}: "
+                    f"({gi!r},{gj!r},{gk!r})"
+                )
             q = Fraction(q)
             if not q:
                 continue
@@ -165,8 +176,6 @@ class GradedAlgebra:
                 raise InputError(f"conflicting structure constants at ({a},{b})")
             row[gk] = q
         self._table = table
-        if check:
-            self._check_unit_degrees()
 
     # -- basic lookups ----------------------------------------------------
 
@@ -236,12 +245,6 @@ class GradedAlgebra:
 
     # -- invariant checks ---------------------------------------------------
 
-    def _check_unit_degrees(self):
-        for (a, b), row in self._table.items():
-            for gk in row:
-                if self._degree_of[gk] > self.top_degree:
-                    raise InputError("structure constant above top degree")
-
     def check_associativity(self) -> list[tuple[int, int, int]]:
         """Exact associativity check on all basis triples; returns failures."""
         bad = []
@@ -282,7 +285,10 @@ class GradedAlgebra:
             mult = payload["mult"]
         except KeyError as e:
             raise InputError(f"algebra payload missing section {e}") from None
-        entries = [(a, b, k, parse_rat(q)) for a, b, k, q in mult]
+        try:
+            entries = [(a, b, k, parse_rat(q)) for a, b, k, q in mult]
+        except (TypeError, ValueError, ZeroDivisionError) as e:
+            raise InputError(f"malformed structure constant: {e}") from None
         return cls(dims, labels, entries)
 
     def __repr__(self):
@@ -292,7 +298,7 @@ class GradedAlgebra:
 def algebra_from_products(dims, labels, products) -> GradedAlgebra:
     """Build an algebra from a callable ``products(gi, gj) -> dict`` defined
     on non-unit basis pairs gi <= gj."""
-    probe = GradedAlgebra(dims, labels, [], check=False)
+    probe = GradedAlgebra(dims, labels, [])
     entries = []
     for gi in range(1, probe.total_dim):
         for gj in range(gi, probe.total_dim):
@@ -498,7 +504,8 @@ class SocleReport:
 
 def socle_check(alg: GradedAlgebra, expected_degree: int) -> SocleReport:
     """Verify a 1-dimensional socle at the expected degree and vanishing
-    above it, then build all Gram matrices."""
+    above it, then read the Gram matrices off the structure constants:
+    gram(k) for k <= d-k, and gram(d-k) as its transpose."""
     problems = []
     if expected_degree < 0 or expected_degree > alg.top_degree:
         if expected_degree != 0 or alg.top_degree != 0:
@@ -514,18 +521,15 @@ def socle_check(alg: GradedAlgebra, expected_degree: int) -> SocleReport:
     if problems:
         return SocleReport(False, None, problems)
     socle_index = alg.offset(d)
-    grams = []
-    for k in range(d + 1):
-        rows = []
-        for gi in alg.global_indices(k):
-            bi = alg.basis_element(gi)
-            row = []
-            for gj in alg.global_indices(d - k):
-                row.append(
-                    alg.multiply(bi, alg.basis_element(gj)).coefficient(socle_index)
-                )
-            rows.append(row)
-        grams.append(rows)
+    grams = [None] * (d + 1)
+    for k in range(d // 2 + 1):
+        cols = alg.global_indices(d - k)
+        gram = [
+            [alg.product_basis(gi, gj).get(socle_index, ZERO) for gj in cols]
+            for gi in alg.global_indices(k)
+        ]
+        grams[d - k] = [[row[j] for row in gram] for j in range(alg.dim(d - k))]
+        grams[k] = gram
     return SocleReport(True, SoclePairing(alg, d, socle_index, tuple(grams)), [])
 
 
@@ -561,10 +565,8 @@ def socle_kernel_elements(sp: SoclePairing, k: int) -> list[Element]:
     in complementary degree."""
     if k < 0 or k > sp.degree:
         raise InputError(f"degree {k} out of range 0..{sp.degree}")
-    gram = sp.gram(k)
     alg = sp.algebra
-    cols = [[gram[i][j] for i in range(alg.dim(k))] for j in range(alg.dim(sp.degree - k))]
-    vecs = nullspace_rows(cols, alg.dim(k))
+    vecs = nullspace_rows(sp.gram(sp.degree - k), alg.dim(k))
     return [alg.from_vector(k, v) for v in vecs]
 
 
@@ -587,12 +589,7 @@ def adjoint_pushforward(
         rhs = []
         for gy in big.global_indices(comp):
             rhs.append(sp_small.pair(z, pullback.apply_basis(gy)))
-        gram = sp_big.gram(tk)  # rows: deg tk, cols: deg comp
-        sol = solve_rows(
-            [[gram[i][j] for i in range(big.dim(tk))] for j in range(big.dim(comp))],
-            rhs,
-            cols=big.dim(tk),
-        )
+        sol = solve_rows(sp_big.gram(comp), rhs, cols=big.dim(tk))
         if sol is None:
             raise InputError("pairing is not perfect; adjoint pushforward undefined")
         images.append(big.from_vector(tk, sol))

@@ -54,7 +54,6 @@ def blow_up(
     chern,
     *,
     name: str = "E",
-    check: bool = True,
 ) -> BlowupResult:
     """Construct the blow-up ring of ``y`` along a center ``z``.
 
@@ -82,20 +81,19 @@ def blow_up(
             "constant Chern term differs from the pushforward of the unit: "
             f"{chern[-1]!r} vs {fc!r}"
         )
-    if check:
-        # the reduction built from the pushforward must agree with the one
-        # obtained by lifting and multiplying with the constant term
-        section = section_of(pullback)
-        for gz in range(z.total_dim):
-            u = z.basis_element(gz)
-            via_push = pushforward.apply(u)
-            via_lift = y.multiply(section.apply(u), chern[-1])
-            if via_push != via_lift:
-                raise InputError(
-                    "inconsistent center data: pushforward and lifted "
-                    f"reduction disagree on {z.label_of(gz)!r} "
-                    f"({via_push!r} vs {via_lift!r})"
-                )
+    # the reduction built from the pushforward must agree with the one
+    # obtained by lifting and multiplying with the constant term
+    section = section_of(pullback)
+    for gz in range(z.total_dim):
+        u = z.basis_element(gz)
+        via_push = pushforward.apply(u)
+        via_lift = y.multiply(section.apply(u), chern[-1])
+        if via_push != via_lift:
+            raise InputError(
+                "inconsistent center data: pushforward and lifted "
+                f"reduction disagree on {z.label_of(gz)!r} "
+                f"({via_push!r} vs {via_lift!r})"
+            )
 
     if c == 1:
         return BlowupResult(
@@ -210,8 +208,7 @@ def blow_up(
         for k in range(1, c)
     }
     result = BlowupResult(algebra, e_class, c, tuple(blocks), y_embed, z_embeds, name)
-    if check:
-        _verify_blowup_relations(result, y, z, pullback, chern)
+    _verify_blowup_relations(result, y, z, pullback, chern)
     return result
 
 

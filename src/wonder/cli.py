@@ -47,11 +47,7 @@ def _load_diagram(path: str):
 
 def _build(args):
     diagram = _load_diagram(args.file)
-    report = diagram.validate()
-    report.raise_if_failed()
-    return diagram, build_ring(
-        diagram, max_rewrites=args.max_rewrites, validate=False
-    )
+    return diagram, build_ring(diagram, max_rewrites=args.max_rewrites)
 
 
 def _add_common(p, *, rewrites: bool = False, out: bool = False, as_json: bool = False):
@@ -72,9 +68,7 @@ def _add_common(p, *, rewrites: bool = False, out: bool = False, as_json: bool =
 
 def make_parser() -> _Parser:
     parser = _Parser(prog="wonder", description=__doc__)
-    parser.add_argument(
-        "--version", action="store_true", help="print version and kernel backend"
-    )
+    parser.add_argument("--version", action="store_true", help="print version")
     sub = parser.add_subparsers(dest="command")
 
     p = sub.add_parser("validate", help="check every hypothesis of a diagram")
@@ -303,8 +297,7 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_compare(args) -> int:
     diagram = _load_diagram(args.diagram)
-    diagram.validate().raise_if_failed()
-    ring = build_ring(diagram, max_rewrites=args.max_rewrites, validate=False)
+    ring = build_ring(diagram, max_rewrites=args.max_rewrites)
     payload = io.load_oracle(_read(args.oracle))
     report = oracle.compare_with_oracle(ring, payload, samples=args.samples)
     print(report.summary())

@@ -259,7 +259,7 @@ class BurrowDiagram:
 
     # -- validation ----------------------------------------------------------------
 
-    def validate(self, *, deep: bool = True) -> ValidationReport:
+    def validate(self) -> ValidationReport:
         rep = ValidationReport()
         d = self.socle_degree
 
@@ -298,26 +298,25 @@ class BurrowDiagram:
                 rep.add("table-meets", "&".join(names), False, "unknown burrow id")
 
         # meets must be associative on element triples (closure consistency)
-        if deep:
-            ids = sorted(self.elements)
-            ok = True
-            detail = ""
-            for i, x in enumerate(ids):
-                for y in ids[i:]:
-                    bxy = self.meet(self.singles[x], self.singles[y])
-                    for z in ids:
-                        left = self.meet(bxy, self.singles[z]) if bxy else None
-                        byz = self.meet(self.singles[y], self.singles[z])
-                        right = self.meet(self.singles[x], byz) if byz else None
-                        if left != right:
-                            ok = False
-                            detail = f"({x},{y},{z}): {left!r} != {right!r}"
-                            break
-                    if not ok:
+        ids = sorted(self.elements)
+        ok = True
+        detail = ""
+        for i, x in enumerate(ids):
+            for y in ids[i:]:
+                bxy = self.meet(self.singles[x], self.singles[y])
+                for z in ids:
+                    left = self.meet(bxy, self.singles[z]) if bxy else None
+                    byz = self.meet(self.singles[y], self.singles[z])
+                    right = self.meet(self.singles[x], byz) if byz else None
+                    if left != right:
+                        ok = False
+                        detail = f"({x},{y},{z}): {left!r} != {right!r}"
                         break
                 if not ok:
                     break
-            rep.add("table-consistency", "elements", ok, detail)
+            if not ok:
+                break
+        rep.add("table-consistency", "elements", ok, detail)
 
         for b in self.burrows.values():
             folded = self.burrow_of(b.defining_set) if b.defining_set else (
@@ -408,30 +407,29 @@ class BurrowDiagram:
             )
 
         # functoriality: composite pullback along a chain equals the edge map
-        if deep:
-            ok = True
-            detail = ""
-            for (small, big) in self.edges:
-                for mid in self.burrows:
-                    if mid in (small, big):
-                        continue
-                    if not (
-                        self.burrow_contains(big, mid)
-                        and self.burrow_contains(mid, small)
-                    ):
-                        continue
-                    direct = self.pullback(big, small)
-                    chained = compose(self.pullback(mid, small), self.pullback(big, mid))
-                    if any(
-                        direct.mats[k] != chained.mats[k]
-                        for k in range(len(direct.mats))
-                    ):
-                        ok = False
-                        detail = f"{big} -> {mid} -> {small}"
-                        break
-                if not ok:
+        ok = True
+        detail = ""
+        for (small, big) in self.edges:
+            for mid in self.burrows:
+                if mid in (small, big):
+                    continue
+                if not (
+                    self.burrow_contains(big, mid)
+                    and self.burrow_contains(mid, small)
+                ):
+                    continue
+                direct = self.pullback(big, small)
+                chained = compose(self.pullback(mid, small), self.pullback(big, mid))
+                if any(
+                    direct.mats[k] != chained.mats[k]
+                    for k in range(len(direct.mats))
+                ):
+                    ok = False
+                    detail = f"{big} -> {mid} -> {small}"
                     break
-            rep.add("pullback-functorial", "chains", ok, detail)
+            if not ok:
+                break
+        rep.add("pullback-functorial", "chains", ok, detail)
 
         # nests: singletons, nonempty burrows, downward closure for explicit lists
         ok = all(self.is_nest({x}) for x in self.elements)
@@ -449,7 +447,7 @@ class BurrowDiagram:
                     break
             rep.add("nest-downward-closed", "explicit list", closed, detail)
         bad = None
-        for s in self.iter_nests() if deep else []:
+        for s in self.iter_nests():
             if s and self.burrow_of(s) is None:
                 bad = s
                 break

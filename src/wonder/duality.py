@@ -54,11 +54,7 @@ def pd_equivalence_report(diagram: BurrowDiagram, ring: WonderRing) -> Equivalen
         if not rep.ok:
             raise InputError(f"burrow {b.id} fails its socle check: {rep.problems}")
         burrow_verdicts[b.id] = pd_verdict(rep.pairing)
-    alg = ring.as_algebra()
-    rep = socle_check(alg, d)
-    if not rep.ok:
-        raise InputError(f"ring fails its socle check: {rep.problems}")
-    ring_v = pd_verdict(rep.pairing)
+    ring_v = pd_verdict(ring.pairing())
     all_burrows_pd = all(v.is_pd for v in burrow_verdicts.values())
     ok = ring_v.is_pd == all_burrows_pd
     failing = sorted(b for b, v in burrow_verdicts.items() if not v.is_pd)
@@ -98,25 +94,20 @@ def block_structure_check(diagram: BurrowDiagram, ring: WonderRing) -> BlockRepo
     """Every nonzero pairing block must join two summands over the same nest
     with exponents summing to at least the codimension bound; reports the
     triangularizing order (nest, then norm descending on the far side)."""
-    alg = ring.as_algebra()
+    sp = ring.pairing()
+    alg = sp.algebra
     d = diagram.socle_degree
-    rep = socle_check(alg, d)
-    if not rep.ok:
-        raise InputError(f"ring fails its socle check: {rep.problems}")
-    sp = rep.pairing
     nonzero = []
     violations = []
     for k in range(d + 1):
-        gram = sp.gram(k)
-        rows = [i for i in range(len(ring.basis)) if ring.degree_of(i) == k]
-        cols = [i for i in range(len(ring.basis)) if ring.degree_of(i) == d - k]
+        cols = alg.global_indices(d - k)
         seen = set()
-        for ri, gi in enumerate(rows):
+        for gi, row in zip(alg.global_indices(k), sp.gram(k)):
             si = ring.basis[gi][1]
-            for ci, gj in enumerate(cols):
-                sj = ring.basis[gj][1]
-                if gram[ri][ci] == 0:
+            for gj, q in zip(cols, row):
+                if q == 0:
                     continue
+                sj = ring.basis[gj][1]
                 pair = (si, sj)
                 sa, sb = ring.summands[si], ring.summands[sj]
                 if pair not in seen:
@@ -184,12 +175,9 @@ def discrepancy_table(diagram: BurrowDiagram, ring: WonderRing) -> DiscrepancyRe
     """Per-degree discrepancies of the ring and of the diagonal pairing
     blocks; under a certified block-triangular structure the ring numbers
     must equal the block sums degree by degree."""
-    alg = ring.as_algebra()
+    sp = ring.pairing()
+    alg = sp.algebra
     d = diagram.socle_degree
-    rep = socle_check(alg, d)
-    if not rep.ok:
-        raise InputError(f"ring fails its socle check: {rep.problems}")
-    sp = rep.pairing
     ring_v = pd_verdict(sp)
 
     try:
@@ -199,29 +187,26 @@ def discrepancy_table(diagram: BurrowDiagram, ring: WonderRing) -> DiscrepancyRe
         certified = False
 
     # partner of (N, mu) is (N, bound - mu); diagonal blocks pair them
+    by_key = {
+        (s.nest.elements, s.mu.assignment): si for si, s in enumerate(ring.summands)
+    }
     partner = {}
     for si, s in enumerate(ring.summands):
         comp = tuple(
-            (x, standard_bound(diagram, x, s.nest.elements) - k)
-            for x, k in s.mu.assignment
+            sorted(
+                (x, standard_bound(diagram, x, s.nest.elements) - k)
+                for x, k in s.mu.assignment
+            )
         )
-        partner[si] = None
-        for sj, t in enumerate(ring.summands):
-            if t.nest.elements == s.nest.elements and t.mu.assignment == tuple(
-                sorted(comp)
-            ):
-                partner[si] = sj
-                break
+        partner[si] = by_key.get((s.nest.elements, comp))
 
     block_disc = {}
     sums = [0] * (d + 1)
     details = []
     for k in range(d + 1):
         gram = sp.gram(k)
-        rows = [i for i in range(len(ring.basis)) if ring.degree_of(i) == k]
-        cols = [i for i in range(len(ring.basis)) if ring.degree_of(i) == d - k]
-        row_pos = {g: i for i, g in enumerate(rows)}
-        col_pos = {g: i for i, g in enumerate(cols)}
+        rows = alg.global_indices(k)
+        cols = alg.global_indices(d - k)
         for si in set(ring.basis[g][1] for g in rows):
             sj = partner[si]
             sub_rows = [g for g in rows if ring.basis[g][1] == si]
@@ -233,7 +218,8 @@ def discrepancy_table(diagram: BurrowDiagram, ring: WonderRing) -> DiscrepancyRe
                 continue
             sub_cols = [g for g in cols if ring.basis[g][1] == sj]
             sub = [
-                [gram[row_pos[g]][col_pos[h]] for h in sub_cols] for g in sub_rows
+                [gram[g - rows.start][h - cols.start] for h in sub_cols]
+                for g in sub_rows
             ]
             disc = len(sub_rows) - rank_rows(sub)
             block_disc[(_summand_key(ring, si), k)] = disc

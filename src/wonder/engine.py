@@ -24,7 +24,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from types import MappingProxyType
 
-from wonder.algebra import Element, GradedAlgebra, GradedMap, section_of
+from wonder.algebra import (
+    Element,
+    GradedAlgebra,
+    GradedMap,
+    SoclePairing,
+    section_of,
+    socle_check,
+)
 from wonder.diagram import BurrowDiagram
 from wonder.errors import ComputationError, InputError, InvariantViolation
 from wonder.exact_linalg import ONE, ZERO
@@ -104,6 +111,7 @@ class WonderRing:
         self._memo: dict[tuple, dict] = {}
         self._cache: dict[tuple, Mapping] = {}
         self._algebra: GradedAlgebra | None = None
+        self._pairing: SoclePairing | None = None
         self._amb = amb
 
     @staticmethod
@@ -436,6 +444,15 @@ class WonderRing:
                         entries.append((i, j, k, q))
             self._algebra = GradedAlgebra(self.dims, labels, entries)
         return self._algebra
+
+    def pairing(self) -> SoclePairing:
+        """Socle pairing of ``as_algebra()``, shared by every duality report."""
+        if self._pairing is None:
+            rep = socle_check(self.as_algebra(), self.diagram.socle_degree)
+            if not rep.ok:
+                raise InputError(f"ring fails its socle check: {rep.problems}")
+            self._pairing = rep.pairing
+        return self._pairing
 
 
 def build_ring(

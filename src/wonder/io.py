@@ -71,10 +71,13 @@ def _map_from(source, target, shift, triples) -> GradedMap:
         tdim = target.dim(tk) if tk >= 0 else 0
         mats.append([[0] * source.dim(k) for _ in range(tdim)])
     for k, i, j, v in triples:
-        try:
-            mats[k][i][j] = parse_rat(v)
-        except IndexError:
-            raise InputError(f"map entry ({k},{i},{j}) out of range") from None
+        if type(k) is type(i) is type(j) is int and min(k, i, j) >= 0:
+            try:
+                mats[k][i][j] = parse_rat(v)
+                continue
+            except IndexError:
+                pass
+        raise InputError(f"map entry ({k},{i},{j}) out of range")
     return GradedMap(source, target, shift, mats)
 
 

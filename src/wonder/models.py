@@ -722,24 +722,20 @@ def _falling(n, k):
     return out
 
 
-def _apolar_images(f_coeffs, r, d, k):
-    """For every degree-k differential monomial, its action on the dual
-    generator, as a vector over degree-(d-k) monomials."""
-    alphas = _monomials(r, k)
-    gammas = _monomials(r, d - k)
+def _apolar_image(f_coeffs, r, d, alpha):
+    """Action of the differential monomial x^alpha on the dual generator, as
+    a vector over the monomials of degree d - |alpha|."""
+    gammas = _monomials(r, d - sum(alpha))
     gamma_index = {g: i for i, g in enumerate(gammas)}
-    vectors = []
-    for a in alphas:
-        vec = [0] * len(gammas)
-        for beta, coeff in f_coeffs.items():
-            if all(b >= x for b, x in zip(beta, a)):
-                gamma = tuple(b - x for b, x in zip(beta, a))
-                scale = 1
-                for b, x in zip(beta, a):
-                    scale *= _falling(b, x)
-                vec[gamma_index[gamma]] += coeff * scale
-        vectors.append(vec)
-    return alphas, vectors
+    vec = [0] * len(gammas)
+    for beta, coeff in f_coeffs.items():
+        if all(b >= x for b, x in zip(beta, alpha)):
+            gamma = tuple(b - x for b, x in zip(beta, alpha))
+            scale = 1
+            for b, x in zip(beta, alpha):
+                scale *= _falling(b, x)
+            vec[gamma_index[gamma]] += coeff * scale
+    return vec
 
 
 def _monomial_label(alpha):
@@ -779,7 +775,8 @@ def synthetic_gorenstein(dim_vector, seed: int, *, retries: int = 40) -> GradedA
 def _apolar_algebra(f_coeffs, r, d) -> GradedAlgebra | None:
     chosen = []  # per degree: (alpha list, image vectors)
     for k in range(d + 1):
-        alphas, vectors = _apolar_images(f_coeffs, r, d, k)
+        alphas = _monomials(r, k)
+        vectors = [_apolar_image(f_coeffs, r, d, a) for a in alphas]
         cols = len(vectors)
         rows = len(vectors[0]) if vectors else 0
         mat = [[vectors[j][i] for j in range(cols)] for i in range(rows)]
@@ -804,11 +801,11 @@ def _apolar_algebra(f_coeffs, r, d) -> GradedAlgebra | None:
 
     def express(k, alpha):
         """Coefficients of the class of x^alpha over the chosen basis."""
-        _, vectors = _apolar_images_single(f_coeffs, r, d, alpha)
+        image = _apolar_image(f_coeffs, r, d, alpha)
         basis_vecs = [v for _, v in chosen[k]]
         rows = len(basis_vecs[0])
         mat = [[Fraction(basis_vecs[j][i]) for j in range(len(basis_vecs))] for i in range(rows)]
-        sol = solve_rows(mat, [Fraction(x) for x in vectors], cols=len(basis_vecs))
+        sol = solve_rows(mat, [Fraction(x) for x in image], cols=len(basis_vecs))
         return sol
 
     def products(gi, gj):
@@ -841,21 +838,6 @@ def _apolar_algebra(f_coeffs, r, d) -> GradedAlgebra | None:
         return flat[g2][1]
 
     return algebra_from_products(dims, labels, products)
-
-
-def _apolar_images_single(f_coeffs, r, d, alpha):
-    k = sum(alpha)
-    gammas = _monomials(r, d - k)
-    gamma_index = {g: i for i, g in enumerate(gammas)}
-    vec = [0] * len(gammas)
-    for beta, coeff in f_coeffs.items():
-        if all(b >= x for b, x in zip(beta, alpha)):
-            gamma = tuple(b - x for b, x in zip(beta, alpha))
-            scale = 1
-            for b, x in zip(beta, alpha):
-                scale *= _falling(b, x)
-            vec[gamma_index[gamma]] += coeff * scale
-    return alpha, vec
 
 
 def synthetic_broken(dim_vector, k: int, seed: int) -> GradedAlgebra:

@@ -1,6 +1,11 @@
-from wonder import __version__
+import json
+
+import pytest
+
+from wonder import __version__, io
 from wonder.cli import main
 from wonder.errors import ComputationError, InputError, InvariantViolation
+from wonder.models import _PowerAlg
 
 
 def run(capsys, *argv):
@@ -36,8 +41,6 @@ def test_keel_pd_pipeline(tmp_path, capsys):
 
 
 def test_pd_json(tmp_path, capsys):
-    import json
-
     d = tmp_path / "d.json"
     r = tmp_path / "r.json"
     main(["model", "fm-p1", "--n", "2", "--out", str(d)])
@@ -154,3 +157,43 @@ def test_outputs_byte_stable(tmp_path):
     main(["model", "synth", "--dims", "1,2,2,1", "--seed", "3", "--out", str(sa)])
     main(["model", "synth", "--dims", "1,2,2,1", "--seed", "3", "--out", str(sb)])
     assert sa.read_bytes() == sb.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "triple,message",
+    [
+        ([1, 1, 7, "1"], "structure constant index outside 0..2"),
+        ([1, 1, -1, "1"], "structure constant index outside 0..2"),
+        ([-2, 1, 2, "1"], "structure constant index outside 0..2"),
+        ([1, 1, 2.0, "1"], "structure constant index outside 0..2"),
+        ([1, 1, 2], "malformed structure constant"),
+        ([1, 1, 2, "1/0"], "malformed structure constant"),
+    ],
+)
+def test_pd_rejects_bad_structure_constant(tmp_path, capsys, triple, message):
+    payload = json.loads(io.dump_ring(_PowerAlg(["1"], 2).alg, 2))
+    payload["mult"] = [triple]
+    r = tmp_path / "r.json"
+    r.write_text(json.dumps(payload))
+    code, out, err = run(capsys, "pd", str(r))
+    assert code == 1 and out == ""
+    assert message in err
+
+
+@pytest.mark.parametrize("pos", [0, 1, 2])
+def test_validate_rejects_negative_map_index(tmp_path, capsys, pos):
+    """A negative degree, row or column index of a pullback entry would wrap
+    to a valid entry; it is rejected instead."""
+    d = tmp_path / "d.json"
+    main(["model", "fm-p1", "--n", "2", "--out", str(d)])
+    payload = json.loads(d.read_text())
+    dims = {b["id"]: b["degrees"] for b in payload["burrows"]}
+    edge = payload["edges"][0]
+    entry = edge["pullback"][0]
+    k = entry[0]
+    wrap = [len(dims[edge["big"]]), dims[edge["small"]][k], dims[edge["big"]][k]]
+    entry[pos] -= wrap[pos]
+    d.write_text(json.dumps(payload))
+    code, out, err = run(capsys, "validate", str(d))
+    assert code == 1 and out == ""
+    assert "out of range" in err

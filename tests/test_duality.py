@@ -1,4 +1,9 @@
-from wonder.algebra import GradedMap, socle_check, tensor_algebra
+import pytest
+
+import wonder.algebra
+import wonder.duality
+import wonder.engine
+from wonder.algebra import GradedAlgebra, GradedMap, socle_check, tensor_algebra
 from wonder.diagram import BurrowDiagram, BurrowNode
 from wonder.duality import (
     block_structure_check,
@@ -7,6 +12,7 @@ from wonder.duality import (
     pullback_transfer_check,
 )
 from wonder.engine import build_ring
+from wonder.errors import InputError
 from wonder.models import _PowerAlg, corrupt_burrow, synthetic_broken
 
 
@@ -155,3 +161,58 @@ def test_keel3_duality(keel3_diagram, keel3_ring):
     assert blocks.ok
     table = discrepancy_table(keel3_diagram, keel3_ring)
     assert table.sums_match and table.certified
+
+
+@pytest.fixture(scope="module")
+def fm3_dead_ring(fm3_diagram):
+    """fm3 with a dead class in burrow 12|3: dims 1 5 4 1, so the Grams of
+    degrees 1 and 2 are not square and a missed transpose shows."""
+    return build_ring(corrupt_burrow(fm3_diagram, "12|3", 1), validate=False)
+
+
+@pytest.mark.parametrize("name", ["fm3_ring", "keel3_ring", "curve3_ring", "fm3_dead_ring"])
+def test_ring_gram_matches_multiplication(request, name):
+    """Every Gram entry is the socle coefficient of the product of the two
+    basis classes, computed here through full multiplication."""
+    sp = request.getfixturevalue(name).pairing()
+    alg, d = sp.algebra, sp.degree
+    for k in range(d + 1):
+        rows, cols = alg.global_indices(k), alg.global_indices(d - k)
+        assert [len(row) for row in sp.gram(k)] == [len(cols)] * len(rows)
+        for i, gi in enumerate(rows):
+            for j, gj in enumerate(cols):
+                product = alg.multiply(alg.basis_element(gi), alg.basis_element(gj))
+                assert sp.gram(k)[i][j] == product.coefficient(sp.socle_index)
+
+
+def test_reports_share_one_socle_check(fm3_diagram, monkeypatch):
+    ring = build_ring(fm3_diagram, validate=False)
+    real = wonder.algebra.socle_check
+    checked = []
+
+    def counting(alg, degree):
+        checked.append(alg)
+        return real(alg, degree)
+
+    for module in (wonder.algebra, wonder.duality, wonder.engine):
+        monkeypatch.setattr(module, "socle_check", counting)
+    pd_equivalence_report(fm3_diagram, ring)
+    discrepancy_table(fm3_diagram, ring)
+    block_structure_check(fm3_diagram, ring)
+    assert sum(alg is ring.as_algebra() for alg in checked) == 1
+
+
+def test_ring_pairing_rejects_failed_socle_check():
+    two_tops = GradedAlgebra([1, 2], [["1"], ["a", "b"]], [])
+    diagram = BurrowDiagram(
+        socle_degree=1,
+        elements=[],
+        burrows=[BurrowNode("Y", frozenset(), 0, two_tops)],
+        edges=[],
+        singles={},
+        meets={},
+        nests=[],
+    )
+    ring = build_ring(diagram, validate=False)
+    with pytest.raises(InputError, match="ring fails its socle check"):
+        ring.pairing()
