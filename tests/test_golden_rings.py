@@ -67,10 +67,10 @@ REPORT_MODELS = {
     "fm-p1-3": ["fm-p1", "--n", "3"],
     "fm-p1-4": ["fm-p1", "--n", "4"],
     "fm-p2-3": ["fm-p2", "--n", "3"],
+    "fm-curve-3-g2": ["fm-curve", "--n", "3", "--genus", "2"],
     "keel-2": ["keel", "--n", "2"],
     "keel-3": ["keel", "--n", "3"],
 }
-REPORT_COMMANDS = ("validate", "decompose", "presentation", "discrepancy", "blocks", "pd")
 GOLDEN_REPORTS = {
     ("fm-p1-3", "validate"): "0d2ba16d3a935d6ad2f93c9edcf6e262e7d438584b131e6fdc95c5499955cd57",
     ("fm-p1-3", "decompose"): "c5d19360856eb0944e7134742dd8e56c94bda547e73259114cfb995232c7be3e",
@@ -90,6 +90,11 @@ GOLDEN_REPORTS = {
     ("fm-p2-3", "discrepancy"): "154336608ee20566aa4e8879cc57bbe281be59b3caa4c5de19db4cb26cad0364",
     ("fm-p2-3", "blocks"): "0ea7421da07de0b91c6e65cf7da7bbf1c62087dd1ab592a96aa915c9594f2de9",
     ("fm-p2-3", "pd"): "d346ff8722f43079b6e216ff8d33363df065a15515c7c3779fad1a31279faaa9",
+    ("fm-curve-3-g2", "validate"): "0d2ba16d3a935d6ad2f93c9edcf6e262e7d438584b131e6fdc95c5499955cd57",
+    ("fm-curve-3-g2", "decompose"): "a0f8f5fa52b26dded3a212a70c674030004a72b00522efb7e029c116a3bbdcc9",
+    ("fm-curve-3-g2", "discrepancy"): "36ca1cf94ff16f211e800ab1e83af6fee9ecf641a3d32c7b98fad1cb622282f3",
+    ("fm-curve-3-g2", "blocks"): "d8c536963046204de4ebda09bec08fba73698530bd1ee303f21b7bfd7338ee4e",
+    ("fm-curve-3-g2", "pd"): "1f34a67ff195393818f11216aaae100b8429a7067d1a677c85a2e5cf65183cbe",
     ("keel-2", "validate"): "42b7a99a504208c7793cb3bb5ee4d5b6f6f7663eabbb97ce888aa3cab8026074",
     ("keel-2", "decompose"): "f6a7fedbe272801e442b7b3a72aee51c647434d0cc92aa993e205f98a9aec946",
     ("keel-2", "presentation"): "2f15567262dd65c2a4199db5bc417f1380d1713199b5325533ad173fbaa17381",
@@ -122,8 +127,7 @@ def model_files(tmp_path_factory):
     return files
 
 
-@pytest.mark.parametrize("model", sorted(REPORT_MODELS))
-@pytest.mark.parametrize("command", REPORT_COMMANDS)
+@pytest.mark.parametrize("command,model", sorted((c, m) for m, c in GOLDEN_REPORTS))
 def test_report_digest(model_files, capsys, model, command):
     diagram, ring = model_files(model)
     capsys.readouterr()
