@@ -385,12 +385,6 @@ class GradedMap:
             out = out + self.apply_basis(g).scale(q)
         return out
 
-    def __call__(self, x: Element) -> Element:
-        return self.apply(x)
-
-    def matrix(self, k: int):
-        return self.mats[k]
-
     def surjective_degrees(self) -> list[bool]:
         out = []
         for k in range(self.source.top_degree + 1):
@@ -538,9 +532,6 @@ class PdVerdict:
     is_pd: bool
     kernels: tuple  # per degree k: (dim left kernel, dim right kernel)
     discrepancies: tuple  # per degree k: dim A^k - rank gram(k)
-
-    def __iter__(self):
-        return iter((self.is_pd, self.kernels))
 
 
 def pd_verdict(sp: SoclePairing) -> PdVerdict:

@@ -122,7 +122,7 @@ class BurrowDiagram:
         singles: dict[str, str],
         meets: dict[frozenset, str | None],
         nests,  # NESTED_OR_DISJOINT or an explicit collection of id-sets
-        named_classes: dict[str, Element] | None = None,
+        relations: list[tuple[str, str, Element]] = (),
     ):
         self.socle_degree = int(socle_degree)
         self.elements = {e.id: e for e in elements}
@@ -154,7 +154,11 @@ class BurrowDiagram:
         else:
             self.nest_rule = "explicit"
             self.explicit_nests = {frozenset(s) for s in nests}
-        self.named_classes = dict(named_classes or {})
+        # (element id x, name, ambient class): E[x] annihilates the class
+        self.relations = [tuple(r) for r in relations]
+        for x, name, _ in self.relations:
+            if x not in self.elements:
+                raise InputError(f"relation {name!r} on unknown element id {x!r}")
         self._nest_cache: dict[frozenset, bool] = {}
 
     # -- intersection table --------------------------------------------------
@@ -234,14 +238,6 @@ class BurrowDiagram:
             return GradedMap.identity(self.burrows[big].algebra)
         try:
             return self.edges[(small, big)].pullback
-        except KeyError:
-            raise InputError(f"no edge for burrow pair {small!r} inside {big!r}")
-
-    def pushforward(self, small: str, big: str) -> GradedMap:
-        if big == small:
-            return GradedMap.identity(self.burrows[big].algebra)
-        try:
-            return self.edges[(small, big)].pushforward
         except KeyError:
             raise InputError(f"no edge for burrow pair {small!r} inside {big!r}")
 

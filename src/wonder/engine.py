@@ -460,7 +460,6 @@ def build_ring(
     *,
     max_rewrites: int | None = None,
     validate: bool = True,
-    eager: bool = True,
 ) -> WonderRing:
     """Construct the full ring of a diagram; the dimension vector always
     matches the additive decomposition, and all basis products are reduced
@@ -468,8 +467,7 @@ def build_ring(
     if validate:
         diagram.validate().raise_if_failed()
     ring = WonderRing(diagram, max_rewrites=max_rewrites)
-    if eager:
-        ring.build_all_products()
+    ring.build_all_products()
     return ring
 
 
@@ -487,11 +485,17 @@ class RelationInstance:
 class RelationFamily:
     name: str
     instances: list = field(default_factory=list)
-    informational: bool = False
 
     @property
     def ok(self) -> bool:
-        return self.informational or all(i.ok for i in self.instances)
+        return all(i.ok for i in self.instances)
+
+    def check(self, description: str, val: Element):
+        """Record one relation instance; it holds when val is zero."""
+        zero = val.is_zero()
+        self.instances.append(
+            RelationInstance(description, zero, "" if zero else repr(val))
+        )
 
 
 @dataclass
@@ -505,20 +509,20 @@ class PresentationReport:
     def summary(self) -> str:
         lines = []
         for f in self.families:
-            status = "info" if f.informational else ("ok" if f.ok else "FAIL")
+            status = "ok" if f.ok else "FAIL"
             lines.append(f"[{status}] {f.name}: {len(f.instances)} instances")
             for inst in f.instances:
-                if not inst.ok or f.informational:
-                    mark = "ok" if inst.ok else "FAIL"
+                if not inst.ok:
                     detail = f" ({inst.detail})" if inst.detail else ""
-                    lines.append(f"    {mark} {inst.description}{detail}")
+                    lines.append(f"    FAIL {inst.description}{detail}")
         lines.append(f"result: {'pass' if self.ok else 'fail'}")
         return "\n".join(lines)
 
 
 def presentation_report(ring: WonderRing) -> PresentationReport:
     """Instantiate and evaluate the defining relation families in the built
-    ring; every required instance must reduce to exactly zero."""
+    ring, then the relations the diagram declares; every instance must
+    reduce to exactly zero."""
     dia = ring.diagram
     amb = dia.ambient.algebra
     ids = sorted(dia.elements)
@@ -529,27 +533,15 @@ def presentation_report(ring: WonderRing) -> PresentationReport:
         for t in ids[i + 1 :]:
             if dia.is_nest({s, t}) and dia.burrow_of({s, t}) is not None:
                 continue
-            val = e_class[s] * e_class[t]
-            fam_nonnest.instances.append(
-                RelationInstance(
-                    f"E[{s}]*E[{t}]",
-                    val.is_zero(),
-                    "" if val.is_zero() else repr(val),
-                )
-            )
+            fam_nonnest.check(f"E[{s}]*E[{t}]", e_class[s] * e_class[t])
 
     fam_kernel = RelationFamily("restriction kernels")
     for x in ids:
         pull = dia.pullback(dia.ambient_id, dia.singles[x])
         for k in range(amb.top_degree + 1):
             for ker in pull.kernel_elements(k):
-                val = ring.from_ambient(ker) * e_class[x]
-                fam_kernel.instances.append(
-                    RelationInstance(
-                        f"(deg-{k} kernel class)*E[{x}]",
-                        val.is_zero(),
-                        "" if val.is_zero() else repr(val),
-                    )
+                fam_kernel.check(
+                    f"(deg-{k} kernel class)*E[{x}]", ring.from_ambient(ker) * e_class[x]
                 )
 
     fam_monic = RelationFamily("monic relations")
@@ -560,7 +552,6 @@ def presentation_report(ring: WonderRing) -> PresentationReport:
         t_elem = ring.zero()
         for s in dia.elements_below(x):
             t_elem = t_elem - e_class[s]
-        val = ring.zero()
         power = ring.one()
         powers = [power]
         for _ in range(p):
@@ -569,107 +560,12 @@ def presentation_report(ring: WonderRing) -> PresentationReport:
         val = powers[p]
         for i in range(1, p + 1):
             val = val + ring.from_ambient(chern.coefficient(i)) * powers[p - i]
-        fam_monic.instances.append(
-            RelationInstance(
-                f"P[{x}](-sum E) over the ambient",
-                val.is_zero(),
-                "" if val.is_zero() else repr(val),
-            )
-        )
+        fam_monic.check(f"P[{x}](-sum E) over the ambient", val)
 
     families = [fam_nonnest, fam_kernel, fam_monic]
-
-    named = dia.named_classes
-    d_names = {}
-    k_names = {}
-    for name in named:
-        if name.startswith("D") and len(name) == 3:
-            d_names[frozenset(name[1:])] = name
-        elif name.startswith("K") and len(name) == 2:
-            k_names[name[1]] = name
-    if d_names:
-        families.extend(_named_generator_families(ring, e_class, d_names, k_names))
+    if dia.relations:
+        fam_gen = RelationFamily("named ideal generators")
+        for x, name, cls in dia.relations:
+            fam_gen.check(f"({name})*E[{x}]", ring.from_ambient(cls) * e_class[x])
+        families.append(fam_gen)
     return PresentationReport(families)
-
-
-def _named_generator_families(ring, e_class, d_names, k_names):
-    dia = ring.diagram
-    named = dia.named_classes
-    fam_gen = RelationFamily("named ideal generators")
-    indices = sorted({i for pair in d_names for i in pair})
-    for x, e in sorted(dia.elements.items()):
-        if e.index_set is None:
-            continue
-        inside = sorted(i for i in indices if i in e.index_set)
-        outside = sorted(i for i in indices if i not in e.index_set)
-        if len(inside) < 2:
-            continue
-        for ai in range(len(inside)):
-            for bi in range(ai + 1, len(inside)):
-                i, j = inside[ai], inside[bi]
-                key = frozenset((i, j))
-                if key in d_names and j in k_names:
-                    cls = named[d_names[key]] + named[k_names[j]]
-                    val = ring.from_ambient(cls) * e_class[x]
-                    fam_gen.instances.append(
-                        RelationInstance(
-                            f"({d_names[key]}+{k_names[j]})*E[{x}]",
-                            val.is_zero(),
-                            "" if val.is_zero() else repr(val),
-                        )
-                    )
-                if i in k_names and j in k_names:
-                    cls = named[k_names[i]] - named[k_names[j]]
-                    val = ring.from_ambient(cls) * e_class[x]
-                    fam_gen.instances.append(
-                        RelationInstance(
-                            f"({k_names[i]}-{k_names[j]})*E[{x}]",
-                            val.is_zero(),
-                            "" if val.is_zero() else repr(val),
-                        )
-                    )
-                for k in outside:
-                    k1, k2 = frozenset((i, k)), frozenset((j, k))
-                    if k1 in d_names and k2 in d_names:
-                        cls = named[d_names[k1]] - named[d_names[k2]]
-                        val = ring.from_ambient(cls) * e_class[x]
-                        fam_gen.instances.append(
-                            RelationInstance(
-                                f"({d_names[k1]}-{d_names[k2]})*E[{x}]",
-                                val.is_zero(),
-                                "" if val.is_zero() else repr(val),
-                            )
-                        )
-
-    fam_pair = RelationFamily("pair-divisor sums", informational=True)
-    by_index = {}
-    for x, e in dia.elements.items():
-        if e.index_set is not None:
-            by_index[x] = e.index_set
-    for key in sorted(d_names, key=sorted):
-        i, j = sorted(key)
-        dname = d_names[key]
-        covering = [x for x, s in by_index.items() if i in s and j in s]
-        pair_elt = next((x for x in covering if by_index[x] == {i, j}), None)
-        total = ring.zero()
-        for x in covering:
-            total = total + e_class[x]
-        amb_d = ring.from_ambient(dia.named_classes[dname])
-        fm_form = amb_d - total
-        strict_sum_zero = total.is_zero()
-        total_reading = total
-        if pair_elt is not None:
-            total_reading = total - e_class[pair_elt] + amb_d
-        verdicts = []
-        verdicts.append(f"strict sum {'=0' if strict_sum_zero else '!=0'}")
-        verdicts.append(
-            f"total-transform sum {'=0' if total_reading.is_zero() else '!=0'}"
-        )
-        fam_pair.instances.append(
-            RelationInstance(
-                f"sum of E over sets containing {{{i},{j}}} vs {dname}",
-                fm_form.is_zero(),
-                "; ".join(verdicts),
-            )
-        )
-    return [fam_gen, fam_pair]

@@ -75,7 +75,7 @@ def _scaled_int_rows(dense) -> list[list[int]]:
     out = []
     for row in dense:
         mult = lcm(*(v.denominator for v in row)) if row else 1
-        out.append([int(v * mult) for v in row])
+        out.append([v.numerator * (mult // v.denominator) for v in row])
     return out
 
 

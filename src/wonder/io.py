@@ -4,7 +4,9 @@ Three kinds of files share one dialect, distinguished by a ``kind`` field:
 
 * ``diagram``  - elements, burrows (degrees, basis_labels, mult), edges
   (pullback / pushforward matrices, chern vectors), intersections (singles
-  plus the binary meet closure), nests, socle_degree, named_classes;
+  plus the binary meet closure), nests, socle_degree, and relations:
+  ``[element id, name, ambient class]`` entries in the model's order, each
+  saying that the element's exceptional class annihilates the class;
 * ``ring``     - a graded algebra with a socle degree;
 * ``oracle``   - a base ring plus a scripted sequence of construction steps.
 
@@ -51,7 +53,10 @@ def _element_payload(elem: Element) -> list:
 
 
 def _element_from(alg: GradedAlgebra, payload) -> Element:
-    return alg.from_labels({lbl: parse_rat(q) for lbl, q in payload})
+    coeffs = {lbl: parse_rat(q) for lbl, q in payload}
+    if len(coeffs) != len(payload):
+        raise InputError(f"repeated basis label in {payload!r}")
+    return alg.from_labels(coeffs)
 
 
 def _map_payload(m: GradedMap) -> list:
@@ -154,12 +159,28 @@ def diagram_payload(diagram: BurrowDiagram) -> dict:
         },
         "nests": nests,
     }
-    if diagram.named_classes:
-        payload["named_classes"] = {
-            name: _element_payload(elem)
-            for name, elem in sorted(diagram.named_classes.items())
-        }
+    if diagram.relations:
+        payload["relations"] = [
+            [x, name, _element_payload(cls)] for x, name, cls in diagram.relations
+        ]
     return payload
+
+
+def _relations_from(alg: GradedAlgebra, entries) -> list:
+    out = []
+    for entry in entries:
+        if not (
+            isinstance(entry, list)
+            and len(entry) == 3
+            and all(isinstance(v, str) for v in entry[:2])
+        ):
+            raise InputError(f"relation {entry!r} is not [element, name, class]")
+        x, name, vec = entry
+        try:
+            out.append((x, name, _element_from(alg, vec)))
+        except (TypeError, ValueError, ZeroDivisionError) as e:
+            raise InputError(f"relation {name!r} on {x!r}: malformed class: {e}") from None
+    return out
 
 
 def diagram_from_payload(payload: dict) -> BurrowDiagram:
@@ -209,10 +230,9 @@ def diagram_from_payload(payload: dict) -> BurrowDiagram:
         nests = payload["nests"]
         if nests != NESTED_OR_DISJOINT:
             nests = [frozenset(s) for s in nests["explicit"]]
-        named = {
-            name: _element_from(algs[_ambient_id(payload)], vec)
-            for name, vec in payload.get("named_classes", {}).items()
-        }
+        relations = _relations_from(
+            algs[_ambient_id(payload)], payload.get("relations", [])
+        )
         return BurrowDiagram(
             socle_degree=int(payload["socle_degree"]),
             elements=elements,
@@ -221,7 +241,7 @@ def diagram_from_payload(payload: dict) -> BurrowDiagram:
             singles=dict(inter["singles"]),
             meets=meets,
             nests=nests,
-            named_classes=named,
+            relations=relations,
         )
     except KeyError as e:
         raise InputError(f"diagram file missing field {e}") from None
@@ -258,16 +278,3 @@ def load_oracle(text: str) -> dict:
 
 def dump_oracle(payload: dict) -> str:
     return _dump_json(payload)
-
-
-def load_any(text: str) -> tuple[str, object]:
-    """Load a file of any kind; returns (kind, parsed object/payload)."""
-    payload = _load_json(text)
-    kind = payload["kind"]
-    if kind == "diagram":
-        return kind, diagram_from_payload(payload)
-    if kind == "ring":
-        return kind, ring_from_payload(payload)
-    if kind == "oracle":
-        return kind, payload
-    raise InputError(f"unknown file kind {kind!r}")

@@ -454,7 +454,7 @@ class _ProductModel:
                 edges.append(self._make_edge(by_id, wraps, pairings, small, big))
 
         singles = {x: _cfg_id(cfg) for x, cfg in elem_cfg.items()}
-        named = self._named_classes(wraps[_cfg_id(_cfg_discrete(n))])
+        relations = self._relations(wraps[_cfg_id(_cfg_discrete(n))], elements)
         return BurrowDiagram(
             socle_degree=self.fiber_dim * n,
             elements=elements,
@@ -463,7 +463,7 @@ class _ProductModel:
             singles=singles,
             meets=meets,
             nests=NESTED_OR_DISJOINT,
-            named_classes=named,
+            relations=relations,
         )
 
     def _make_edge(self, by_id, wraps, pairings, small, big):
@@ -498,28 +498,46 @@ class _ProductModel:
                     break
         return image
 
-    def _named_classes(self, ambient_wrap):
-        named = {}
+    def _relations(self, ambient_wrap, elements):
+        """Generators of the ideal that each exceptional class annihilates,
+        as (element id, name, ambient class): elements by id; for each pair
+        i < j of the element's coordinates D_ij + K_j and K_i - K_j (on the
+        fibers with a canonical class K), then D_ik - D_jk for every
+        coordinate k outside the element."""
+        alg = ambient_wrap.alg
+        coords = [str(i) for i in range(1, self.n + 1)]
+        diag = {}
+        for a, b in itertools.combinations(coords, 2):
+            if self.fiber == "curve":
+                diag[a + b] = ambient_wrap.diagonal_class(a, b)
+            elif self.fiber == "p1":
+                diag[a + b] = ambient_wrap.gen(a) + ambient_wrap.gen(b)
+            else:
+                ha, hb = ambient_wrap.gen(a), ambient_wrap.gen(b)
+                diag[a + b] = (
+                    alg.multiply(ha, ha) + alg.multiply(ha, hb) + alg.multiply(hb, hb)
+                )
+        canon = {}
         if self.fiber == "curve":
-            for i in range(1, self.n + 1):
-                named[f"K{i}"] = ambient_wrap.canonical_class(str(i))
-                for j in range(i + 1, self.n + 1):
-                    named[f"D{i}{j}"] = ambient_wrap.diagonal_class(str(i), str(j))
-            return named
-        for i in range(1, self.n + 1):
-            hi = ambient_wrap.gen(str(i))
-            if self.fiber == "p1":
-                named[f"K{i}"] = hi.scale(-2)
-            for j in range(i + 1, self.n + 1):
-                hj = ambient_wrap.gen(str(j))
-                if self.fiber == "p1":
-                    named[f"D{i}{j}"] = hi + hj
-                else:
-                    alg = ambient_wrap.alg
-                    named[f"D{i}{j}"] = (
-                        alg.multiply(hi, hi) + alg.multiply(hi, hj) + alg.multiply(hj, hj)
-                    )
-        return named
+            canon = {a: ambient_wrap.canonical_class(a) for a in coords}
+        elif self.fiber == "p1":
+            canon = {a: ambient_wrap.gen(a).scale(-2) for a in coords}
+
+        def pair(a, b):
+            return min(a, b) + max(a, b)
+
+        out = []
+        for e in sorted(elements, key=lambda e: e.id):
+            inside = [c for c in coords if c in e.index_set]
+            outside = [c for c in coords if c not in e.index_set]
+            for i, j in itertools.combinations(inside, 2):
+                if canon:
+                    out.append((e.id, f"D{i}{j}+K{j}", diag[i + j] + canon[j]))
+                    out.append((e.id, f"K{i}-K{j}", canon[i] - canon[j]))
+                for k in outside:
+                    ik, jk = pair(i, k), pair(j, k)
+                    out.append((e.id, f"D{ik}-D{jk}", diag[ik] - diag[jk]))
+        return out
 
 
 def fm_power(fiber: str, n: int, *, min_size: int = 2, genus: int = 2) -> BurrowDiagram:
@@ -674,10 +692,11 @@ def corrupt_burrow(
             _remap_element(c, new_algs[big], remaps[big]) for c in e.chern.coeffs
         )
         edges.append(BurrowEdge(small, big, pull, push, ChernPolynomial(e.chern.deg, coeffs)))
-    named = {
-        name: _remap_element(elem, new_algs[diagram.ambient_id], remaps[diagram.ambient_id])
-        for name, elem in diagram.named_classes.items()
-    }
+    amb = diagram.ambient_id
+    relations = [
+        (x, name, _remap_element(cls, new_algs[amb], remaps[amb]))
+        for x, name, cls in diagram.relations
+    ]
     nests = (
         NESTED_OR_DISJOINT
         if diagram.nest_rule == NESTED_OR_DISJOINT
@@ -691,7 +710,7 @@ def corrupt_burrow(
         singles=dict(diagram.singles),
         meets=dict(diagram.meets),
         nests=nests,
-        named_classes=named,
+        relations=relations,
     )
 
 

@@ -4,6 +4,7 @@ import pytest
 
 from wonder import __version__, io
 from wonder.cli import main
+from wonder.engine import build_ring, presentation_report
 from wonder.errors import ComputationError, InputError, InvariantViolation
 from wonder.models import _PowerAlg
 
@@ -197,3 +198,41 @@ def test_validate_rejects_negative_map_index(tmp_path, capsys, pos):
     code, out, err = run(capsys, "validate", str(d))
     assert code == 1 and out == ""
     assert "out of range" in err
+
+
+def test_presentation_fails_on_a_wrong_declared_relation(tmp_path, capsys):
+    """A declared generator that E[x] does not annihilate fails the report."""
+    d = tmp_path / "d.json"
+    main(["model", "fm-p1", "--n", "3", "--out", str(d)])
+    payload = json.loads(d.read_text())
+    [entry] = [r for r in payload["relations"] if r[:2] == ["D123", "D12+K2"]]
+    entry[2] = [["h1", "1"], ["h2", "1"]]
+    d.write_text(json.dumps(payload))
+    ring = build_ring(io.load_diagram(d.read_text()), validate=False)
+    assert not presentation_report(ring).ok
+    code, out, err = run(capsys, "presentation", str(d))
+    assert code == 3
+    assert any(line.strip().startswith("FAIL (D12+K2)*E[D123]") for line in out.splitlines())
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "entry,message",
+    [
+        (["D12", "D12+K2"], "is not [element, name, class]"),
+        (["D99", "D12+K2", [["h1", "1"]]], "unknown element id 'D99'"),
+        (["D12", "D12+K2", [["q9", "1"]]], "unknown basis label 'q9'"),
+        (["D12", "D12+K2", [["h1", "1/0"]]], "malformed class"),
+        (["D12", "D12+K2", [["h1", "1"], ["h1", "2"]]], "repeated basis label"),
+    ],
+    ids=["short-entry", "unknown-element", "unknown-label", "bad-rational", "repeated-label"],
+)
+def test_validate_rejects_malformed_relation(tmp_path, capsys, entry, message):
+    d = tmp_path / "d.json"
+    main(["model", "fm-p1", "--n", "2", "--out", str(d)])
+    payload = json.loads(d.read_text())
+    payload["relations"] = [entry]
+    d.write_text(json.dumps(payload))
+    code, out, err = run(capsys, "validate", str(d))
+    assert code == 1 and out == ""
+    assert message in err and "Traceback" not in err

@@ -1,9 +1,10 @@
+import itertools
 from fractions import Fraction
 
 import pytest
 
 from wonder.diagram import BurrowDiagram, BurrowNode
-from wonder.engine import build_ring, presentation_report
+from wonder.engine import WonderRing, build_ring, presentation_report
 from wonder.errors import ComputationError, InputError
 from wonder.models import _PowerAlg, fm_power
 from wonder.oracle import compare_with_oracle
@@ -110,7 +111,7 @@ def test_rewrite_trace_strictly_decreases(fm3_ring):
 
 
 def test_rewrite_cap(fm3_diagram):
-    ring = build_ring(fm3_diagram, validate=False, eager=False, max_rewrites=0)
+    ring = WonderRing(fm3_diagram, max_rewrites=0)
     with pytest.raises(ComputationError, match="rewrite cap"):
         ring.exceptional_class("D12")
 
@@ -118,8 +119,8 @@ def test_rewrite_cap(fm3_diagram):
 def test_rewrite_cap_leaves_no_partial_memo(fm3_diagram):
     # a cap error must not leave incomplete normal forms in the ring's memo:
     # after raising the cap, the same ring agrees with a fresh one
-    fresh = build_ring(fm3_diagram, validate=False, eager=False)
-    ring = build_ring(fm3_diagram, validate=False, eager=False, max_rewrites=0)
+    fresh = WonderRing(fm3_diagram)
+    ring = WonderRing(fm3_diagram, max_rewrites=0)
     with pytest.raises(ComputationError, match="rewrite cap"):
         ring.exceptional_class("D12")
     ring.max_rewrites = fresh.max_rewrites
@@ -130,7 +131,7 @@ def test_rewrite_cap_leaves_no_partial_memo(fm3_diagram):
     want = fresh.monomial(exps).coeffs
     assert want
     for cap in range(16):
-        ring = build_ring(fm3_diagram, validate=False, eager=False, max_rewrites=cap)
+        ring = WonderRing(fm3_diagram, max_rewrites=cap)
         try:
             got = ring.monomial(exps).coeffs
         except ComputationError:
@@ -166,7 +167,7 @@ def test_basis_products_hold_no_zero_coefficients(fm3_ring, keel3_ring, fm5_ring
 
 def test_env_cap_override(fm3_diagram, monkeypatch):
     monkeypatch.setenv("WONDER_MAX_REWRITES", "1")
-    ring = build_ring(fm3_diagram, validate=False, eager=False)
+    ring = WonderRing(fm3_diagram)
     assert ring.max_rewrites == 1
 
 
@@ -189,17 +190,18 @@ def test_presentation_fm2():
     assert fam["non-nest products"].instances == []
 
 
-def test_presentation_pair_sums_reported(curve3_ring):
-    report = presentation_report(curve3_ring)
-    fam = {f.name: f for f in report.families}
-    pair = fam["pair-divisor sums"]
-    assert pair.informational
-    assert len(pair.instances) == 3
-    # the sum of exceptional generators over sets containing a pair equals
-    # the ambient diagonal class; neither alternative normalization vanishes
-    for inst in pair.instances:
-        assert inst.ok
-        assert "strict sum !=0" in inst.detail
+def test_pair_diagonal_is_sum_of_exceptionals_above_it(fm3_ring, curve3_ring, keel3_ring):
+    # [Delta_ij] = sum of E[x] over the x whose index set contains {i, j}:
+    # the monic relation of the pair element, where p = 1
+    for name, ring in (("fm3", fm3_ring), ("curve3", curve3_ring), ("keel3", keel3_ring)):
+        dia = ring.diagram
+        for i, j in itertools.combinations("123", 2):
+            diagonal = ring.from_ambient(dia.fundamental_class(dia.singles[f"D{i}{j}"]))
+            total = ring.zero()
+            for x, e in sorted(dia.elements.items()):
+                if {i, j} <= e.index_set:
+                    total = total + ring.exceptional_class(x)
+            assert diagonal == total, (name, i, j)
 
 
 def test_compare_with_oracle(fm3_ring, keel2_ring):
@@ -277,6 +279,6 @@ def test_nest_with_empty_intersection_is_input_error():
     )
     report = diagram.validate()
     assert any(e.check == "nest-nonempty-burrow" for e in report.problems())
-    ring = build_ring(diagram, validate=False, eager=False)
+    ring = WonderRing(diagram)
     with pytest.raises(InputError, match="empty intersection"):
         ring.monomial({"D1@0": 1, "D1@1": 1})

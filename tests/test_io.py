@@ -2,7 +2,7 @@ import pytest
 
 from wonder import io
 from wonder.errors import InputError
-from wonder.fixtures import fm_p1_3_oracle, keel_2_oracle
+from wonder.fixtures import keel_2_oracle
 from wonder.models import fm_power, synthetic_gorenstein
 
 
@@ -58,13 +58,3 @@ def test_wrong_kind():
     text = io.dump_ring(synthetic_gorenstein((1, 1, 1), 0), 2)
     with pytest.raises(InputError, match="expected a diagram"):
         io.load_diagram(text)
-
-
-def test_load_any():
-    kind, obj = io.load_any(io.dump_diagram(fm_power("p1", 2)))
-    assert kind == "diagram"
-    kind, obj = io.load_any(io.dump_oracle(fm_p1_3_oracle()))
-    assert kind == "oracle"
-    alg = synthetic_gorenstein((1, 1, 1), 0)
-    kind, (alg2, socle) = io.load_any(io.dump_ring(alg, 2))
-    assert kind == "ring" and socle == 2

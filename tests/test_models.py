@@ -113,6 +113,31 @@ def test_curve_model_ring(curve3_ring):
     assert pd_verdict(sp.pairing).is_pd
 
 
+def test_declared_relations_restrict_to_zero(fm3_diagram, curve3_diagram, keel3_diagram):
+    # E[x] annihilates a class that restricts to zero on the burrow of x;
+    # this checks the model's generators on its own data, without a ring
+    counts = {}
+    for name, dia in (
+        ("fm-p1", fm3_diagram),
+        ("fm-p2", fm_power("p2", 3)),
+        ("curve", curve3_diagram),
+        ("keel", keel3_diagram),
+    ):
+        for x, rel, cls in dia.relations:
+            restrict = dia.pullback(dia.ambient_id, dia.singles[x])
+            assert restrict.apply(cls).is_zero(), (name, x, rel)
+        counts[name] = len(dia.relations)
+    assert counts == {"fm-p1": 15, "fm-p2": 3, "curve": 15, "keel": 60}
+
+
+def test_corrupt_burrow_keeps_relations(fm3_diagram):
+    bad = corrupt_burrow(fm3_diagram, "12|3", 1)
+    assert [r[:2] for r in bad.relations] == [r[:2] for r in fm3_diagram.relations]
+    for x, _, cls in bad.relations:
+        assert cls.alg is bad.ambient.algebra
+        assert bad.pullback(bad.ambient_id, bad.singles[x]).apply(cls).is_zero()
+
+
 def test_genus_parameter():
     c3 = _CurveAlg(["1", "2"], 3)
     d = c3.diagonal_class("1", "2")
