@@ -11,15 +11,37 @@ def test_plane_point_fixture_validates():
     assert report.ok, report.summary()
 
 
-def _rebuilt(diagram, edge):
+def _rebuilt(diagram, *edges):
+    """The diagram with each given edge in place of the one on its burrow pair."""
+    by_pair = dict(diagram.edges)
+    for edge in edges:
+        by_pair[(edge.small, edge.big)] = edge
+    nests = diagram.nest_rule
+    if diagram.explicit_nests is not None:
+        nests = [sorted(s) for s in diagram.explicit_nests]
     return BurrowDiagram(
         socle_degree=diagram.socle_degree,
         elements=list(diagram.elements.values()),
         burrows=list(diagram.burrows.values()),
-        edges=[edge],
+        edges=list(by_pair.values()),
         singles=dict(diagram.singles),
         meets=dict(diagram.meets),
-        nests=[sorted(s) for s in diagram.explicit_nests],
+        nests=nests,
+        relations=diagram.relations,
+    )
+
+
+def _perturbed(m, k):
+    """A copy of the graded map m whose first nonzero degree-k entry is raised by 1."""
+    mats = [[list(row) for row in mat] for mat in m.mats]
+    i, j = next((i, j) for i, row in enumerate(mats[k]) for j, v in enumerate(row) if v)
+    mats[k][i][j] += 1
+    return GradedMap(m.source, m.target, m.shift, mats)
+
+
+def _fails(diagram, check, subject):
+    return any(
+        e.check == check and e.subject == subject for e in diagram.validate().problems()
     )
 
 
@@ -47,6 +69,51 @@ def test_zeroed_fundamental_class_reported():
     report = bad.validate()
     assert not report.ok
     assert any("[Z] = 0" in e.detail for e in report.problems())
+
+
+# Every pullback of keel n=2 lands in a burrow of top degree <= 1, where the
+# ring-hom law and the composite of a chain see only degree 0; so the keel
+# mutations of those two checks perturb the unit.
+@pytest.mark.parametrize(
+    "model,small,big,k",
+    [("fm3_diagram", "12|3", "1|2|3", 1), ("keel2_diagram", "12", "1|2", 0)],
+)
+def test_perturbed_pullback_breaks_ring_hom(request, model, small, big, k):
+    diagram = request.getfixturevalue(model)
+    edge = diagram.edges[(small, big)]
+    pull = _perturbed(edge.pullback, k)
+    assert all(pull.surjective_degrees())
+    bad = _rebuilt(diagram, BurrowEdge(small, big, pull, edge.pushforward, edge.chern))
+    assert _fails(bad, "pullback-ring-hom", f"{small}<{big}")
+    assert not _fails(bad, "pullback-surjective", f"{small}<{big}")
+
+
+@pytest.mark.parametrize(
+    "model,small,big", [("fm3_diagram", "12|3", "1|2|3"), ("keel2_diagram", "12", "1|2")]
+)
+def test_perturbed_pushforward_breaks_projection_formula(request, model, small, big):
+    diagram = request.getfixturevalue(model)
+    edge = diagram.edges[(small, big)]
+    push = _perturbed(edge.pushforward, 0)
+    bad = _rebuilt(diagram, BurrowEdge(small, big, edge.pullback, push, edge.chern))
+    assert _fails(bad, "projection-formula", f"{small}<{big}")
+
+
+@pytest.mark.parametrize(
+    "model,small,big,k",
+    [("fm3_diagram", "123", "12|3", 1), ("keel2_diagram", "1@0|2@1", "1@0|2", 0)],
+)
+def test_perturbed_chain_link_breaks_functoriality(request, model, small, big, k):
+    diagram = request.getfixturevalue(model)
+    # small < big < top is a chain whose composite the check compares
+    assert any(
+        (small, top) in diagram.edges and (big, top) in diagram.edges
+        for top in diagram.burrows
+    )
+    edge = diagram.edges[(small, big)]
+    pull = _perturbed(edge.pullback, k)
+    bad = _rebuilt(diagram, BurrowEdge(small, big, pull, edge.pushforward, edge.chern))
+    assert _fails(bad, "pullback-functorial", "chains")
 
 
 def test_burrow_of_lookups(fm3_diagram):
