@@ -4,6 +4,10 @@ An algebra is given by per-degree ordered bases (degree 0 is spanned by the
 unit) and a sparse table of structure constants; everything above the top
 degree is zero.  Graded maps, socle pairings, Poincare-duality verdicts and
 kernel extraction live here as well.
+
+Structure constants, map entries and the scalars given to ``from_labels``,
+``from_vector`` and ``scale`` are stored as ``exact_linalg.rat`` gives them:
+an ``int`` when integral, otherwise a ``Fraction``, never a float.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from wonder.exact_linalg import (
     nullspace_rows,
     parse_rat,
     rank_rows,
+    rat,
     solve_rows,
 )
 
@@ -70,7 +75,7 @@ class Element:
         return Element(self.alg, {g: -q for g, q in self.coeffs.items()})
 
     def scale(self, q) -> "Element":
-        q = Fraction(q)
+        q = rat(q)
         return Element(self.alg, {g: v * q for g, v in self.coeffs.items()})
 
     def __mul__(self, other):
@@ -160,7 +165,7 @@ class GradedAlgebra:
                     f"structure constant index outside 0..{n - 1}: "
                     f"({gi!r},{gj!r},{gk!r})"
                 )
-            q = Fraction(q)
+            q = rat(q)
             if not q:
                 continue
             a, b = (gi, gj) if gi <= gj else (gj, gi)
@@ -217,12 +222,12 @@ class GradedAlgebra:
 
     def from_labels(self, data: dict[str, object]) -> Element:
         return Element(
-            self, {self.global_index(l): Fraction(q) for l, q in data.items()}
+            self, {self.global_index(l): rat(q) for l, q in data.items()}
         )
 
     def from_vector(self, k: int, vec) -> Element:
         lo = self._offsets[k]
-        return Element(self, {lo + i: Fraction(q) for i, q in enumerate(vec) if q})
+        return Element(self, {lo + i: rat(q) for i, q in enumerate(vec) if q})
 
     # -- multiplication ----------------------------------------------------
 
@@ -285,10 +290,12 @@ class GradedAlgebra:
             mult = payload["mult"]
         except KeyError as e:
             raise InputError(f"algebra payload missing section {e}") from None
-        try:
-            entries = [(a, b, k, parse_rat(q)) for a, b, k, q in mult]
-        except (TypeError, ValueError, ZeroDivisionError) as e:
-            raise InputError(f"malformed structure constant: {e}") from None
+        entries = []
+        for entry in mult:
+            if not (isinstance(entry, list) and len(entry) == 4):
+                raise InputError(f"malformed structure constant {entry!r}")
+            a, b, k, q = entry
+            entries.append((a, b, k, parse_rat(q, "structure constant")))
         return cls(dims, labels, entries)
 
     def __repr__(self):
@@ -329,7 +336,7 @@ class GradedMap:
             if mat is None:
                 mat = [[ZERO] * sdim for _ in range(tdim)]
             else:
-                mat = [[Fraction(v) for v in row] for row in mat]
+                mat = [[rat(v) for v in row] for row in mat]
                 if len(mat) != tdim or any(len(r) != sdim for r in mat):
                     raise InputError(
                         f"map matrix at degree {k} has wrong shape "
@@ -365,25 +372,27 @@ class GradedMap:
             mats.append([[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
         return cls(alg, alg, 0, mats)
 
-    def apply_basis(self, g: int) -> Element:
+    def _column(self, g: int) -> list[tuple[int, Fraction]]:
+        """Nonzero (target index, entry) pairs of the image of basis index g."""
         k = self.source.degree_of(g)
         tk = k + self.shift
         if not (0 <= tk <= self.target.top_degree):
-            return self.target.zero()
+            return []
         col = g - self.source.offset(k)
         lo = self.target.offset(tk)
-        return Element(
-            self.target,
-            {lo + i: row[col] for i, row in enumerate(self.mats[k]) if row[col]},
-        )
+        return [(lo + i, row[col]) for i, row in enumerate(self.mats[k]) if row[col]]
+
+    def apply_basis(self, g: int) -> Element:
+        return Element(self.target, dict(self._column(g)))
 
     def apply(self, x: Element) -> Element:
         if x.alg is not self.source:
             raise InputError("element not in the source algebra")
-        out = self.target.zero()
+        out: dict[int, Fraction] = {}
         for g, q in x.coeffs.items():
-            out = out + self.apply_basis(g).scale(q)
-        return out
+            for h, v in self._column(g):
+                out[h] = out.get(h, ZERO) + q * v
+        return Element(self.target, out)
 
     def surjective_degrees(self) -> list[bool]:
         out = []
@@ -420,9 +429,9 @@ class GradedMap:
         if self.apply(self.source.unit()) != self.target.unit():
             return False
         n = self.source.total_dim
+        images = [self.apply_basis(g) for g in range(n)]
         for i in range(1, n):
             bi = self.source.basis_element(i)
-            fi = self.apply(bi)
             for j in range(i, n):
                 if (
                     self.source.degree_of(i) + self.source.degree_of(j)
@@ -431,7 +440,7 @@ class GradedMap:
                     continue
                 bj = self.source.basis_element(j)
                 if self.apply(self.source.multiply(bi, bj)) != self.target.multiply(
-                    fi, self.apply(bj)
+                    images[i], images[j]
                 ):
                     return False
         return True
@@ -454,13 +463,14 @@ def projection_formula_holds(pullback: GradedMap, pushforward: GradedMap) -> boo
     big, small = pullback.source, pullback.target
     if pushforward.source is not small or pushforward.target is not big:
         raise InputError("pushforward does not pair with the pullback")
+    pushed = [pushforward.apply_basis(gb) for gb in range(small.total_dim)]
     for ga in range(big.total_dim):
         a = big.basis_element(ga)
-        pa = pullback.apply(a)
+        pa = pullback.apply_basis(ga)
         for gb in range(small.total_dim):
             b = small.basis_element(gb)
             left = pushforward.apply(small.multiply(pa, b))
-            right = big.multiply(a, pushforward.apply(b))
+            right = big.multiply(a, pushed[gb])
             if left != right:
                 return False
     return True

@@ -1,9 +1,11 @@
 """Exact rational linear algebra: rank, nullspace and solve on dense rows.
 
-Rational scalars are ``fractions.Fraction`` (always in lowest terms with a
-positive denominator).  Matrices are reduced by clearing denominators
-row-wise and running the fraction-free (Bareiss) integer kernel;
-back-substitution is done over the rationals.  No floating point anywhere.
+A rational scalar is an ``int`` when it is integral and a
+``fractions.Fraction`` (in lowest terms, positive denominator, never 1)
+otherwise; ``rat`` brings any exact scalar into that form.  Never a float.
+Matrices are reduced by clearing denominators row-wise and running the
+fraction-free (Bareiss) integer kernel; back-substitution is done over the
+rationals, so ``nullspace_rows`` and ``solve_rows`` return ``Fraction``s.
 """
 
 from __future__ import annotations
@@ -11,16 +13,37 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
+from wonder.errors import InputError
+
+ZERO = 0
+ONE = 1
+# back-substitution stays over Fraction, whatever the kind of the input
+_FZERO = Fraction(0)
+_FONE = Fraction(1)
 
 
-def parse_rat(text: str) -> Fraction:
-    """Parse ``"p/q"`` or ``"p"`` into a Fraction."""
-    return Fraction(text)
+def rat(q) -> int | Fraction:
+    """The exact scalar q as an ``int`` when it is integral, else a Fraction."""
+    if type(q) is int:
+        return q
+    q = Fraction(q)
+    return q.numerator if q.denominator == 1 else q
 
 
-def format_rat(q: Fraction) -> str:
+def parse_rat(value, what: str = "rational") -> int | Fraction:
+    """Parse ``"p/q"``, ``"p"`` or an int into an exact scalar; anything
+    else, floats and bools included, raises InputError naming the value."""
+    if type(value) is int:
+        return value
+    if type(value) is str:
+        try:
+            return rat(Fraction(value))
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise InputError(f"malformed {what} {value!r}")
+
+
+def format_rat(q) -> str:
     """Canonical string: ``"p/q"``, or ``"p"`` when the denominator is 1."""
     if q.denominator == 1:
         return str(q.numerator)
@@ -80,7 +103,7 @@ def _scaled_int_rows(dense) -> list[list[int]]:
 
 
 def rank_rows(dense) -> int:
-    """Rank of a dense rational matrix (list of Fraction rows)."""
+    """Rank of a dense rational matrix (list of rows of exact scalars)."""
     if not dense or not dense[0]:
         return 0
     r, _, _ = bareiss_echelon(_scaled_int_rows(dense), len(dense[0]))
@@ -94,8 +117,8 @@ def nullspace_rows(dense, cols: int) -> list[tuple[Fraction, ...]]:
     if not dense:
         basis = []
         for f in range(cols):
-            v = [ZERO] * cols
-            v[f] = ONE
+            v = [_FZERO] * cols
+            v[f] = _FONE
             basis.append(tuple(v))
         return basis
     rank, pivots, ech = bareiss_echelon(_scaled_int_rows(dense), cols)
@@ -103,11 +126,11 @@ def nullspace_rows(dense, cols: int) -> list[tuple[Fraction, ...]]:
     free_cols = [c for c in range(cols) if c not in pivot_set]
     basis = []
     for f in free_cols:
-        v = [ZERO] * cols
-        v[f] = ONE
+        v = [_FZERO] * cols
+        v[f] = _FONE
         for i in range(rank - 1, -1, -1):
             p = pivots[i]
-            s = ZERO
+            s = _FZERO
             row = ech[i]
             for c in range(p + 1, cols):
                 if row[c] and v[c]:
@@ -127,15 +150,15 @@ def solve_rows(dense, rhs, cols: int | None = None) -> tuple[Fraction, ...] | No
         cols = len(dense[0]) if nrows else 0
     aug = [list(row) + [Fraction(b)] for row, b in zip(dense, rhs)]
     if not aug:
-        return (ZERO,) * cols
+        return (_FZERO,) * cols
     rank, pivots, ech = bareiss_echelon(_scaled_int_rows(aug), cols + 1)
     if any(p == cols for p in pivots):
         return None
-    v = [ZERO] * (cols + 1)
-    v[cols] = -ONE  # contribution of the rhs column during back-substitution
+    v = [_FZERO] * (cols + 1)
+    v[cols] = -_FONE  # contribution of the rhs column during back-substitution
     for i in range(rank - 1, -1, -1):
         p = pivots[i]
-        s = ZERO
+        s = _FZERO
         row = ech[i]
         for c in range(p + 1, cols + 1):
             if row[c] and v[c]:

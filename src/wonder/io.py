@@ -53,7 +53,11 @@ def _element_payload(elem: Element) -> list:
 
 
 def _element_from(alg: GradedAlgebra, payload) -> Element:
-    coeffs = {lbl: parse_rat(q) for lbl, q in payload}
+    if not isinstance(payload, list) or not all(
+        isinstance(p, list) and len(p) == 2 and isinstance(p[0], str) for p in payload
+    ):
+        raise InputError(f"malformed class {payload!r}")
+    coeffs = {lbl: parse_rat(q, "class coefficient") for lbl, q in payload}
     if len(coeffs) != len(payload):
         raise InputError(f"repeated basis label in {payload!r}")
     return alg.from_labels(coeffs)
@@ -78,7 +82,7 @@ def _map_from(source, target, shift, triples) -> GradedMap:
     for k, i, j, v in triples:
         if type(k) is type(i) is type(j) is int and min(k, i, j) >= 0:
             try:
-                mats[k][i][j] = parse_rat(v)
+                mats[k][i][j] = parse_rat(v, "map entry")
                 continue
             except IndexError:
                 pass
@@ -176,10 +180,7 @@ def _relations_from(alg: GradedAlgebra, entries) -> list:
         ):
             raise InputError(f"relation {entry!r} is not [element, name, class]")
         x, name, vec = entry
-        try:
-            out.append((x, name, _element_from(alg, vec)))
-        except (TypeError, ValueError, ZeroDivisionError) as e:
-            raise InputError(f"relation {name!r} on {x!r}: malformed class: {e}") from None
+        out.append((x, name, _element_from(alg, vec)))
     return out
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from fractions import Fraction
 
 from wonder.algebra import (
     Element,
@@ -155,8 +154,8 @@ class _CurveAlg:
     def _reduce(self, b1, b2):
         points = sorted(list(b1[0]) + list(b2[0]))
         gammas = sorted(list(b1[1]) + list(b2[1]))
-        coeff = Fraction(1)
-        lam = Fraction(-2 * self.genus)
+        coeff = 1
+        lam = -2 * self.genus
         while True:
             deg = {}
             for a, c in gammas:
@@ -200,7 +199,7 @@ class _CurveAlg:
         return self.point(token).scale(2 * self.genus - 2)
 
     def map_to(self, other: "_CurveAlg", token_image: dict) -> GradedMap:
-        lam = Fraction(-2 * self.genus)
+        lam = -2 * self.genus
         images = []
         for pts, match in self.basis:
             img = other.alg.unit()
@@ -823,8 +822,8 @@ def _apolar_algebra(f_coeffs, r, d) -> GradedAlgebra | None:
         image = _apolar_image(f_coeffs, r, d, alpha)
         basis_vecs = [v for _, v in chosen[k]]
         rows = len(basis_vecs[0])
-        mat = [[Fraction(basis_vecs[j][i]) for j in range(len(basis_vecs))] for i in range(rows)]
-        sol = solve_rows(mat, [Fraction(x) for x in image], cols=len(basis_vecs))
+        mat = [[basis_vecs[j][i] for j in range(len(basis_vecs))] for i in range(rows)]
+        sol = solve_rows(mat, image, cols=len(basis_vecs))
         return sol
 
     def products(gi, gj):
@@ -975,7 +974,7 @@ def random_blowup_input(seed: int, *, broken: str | None = None):
         for g in y.global_indices(i):
             q = rnd.randint(-2, 2)
             if q:
-                coeffs[g] = Fraction(q)
+                coeffs[g] = q
         chern.append(y.element(coeffs))
     chern.append(push.apply(z.unit()))
     return {
@@ -1007,6 +1006,6 @@ def random_bundle_input(seed: int, *, broken: bool = False):
             for g in z.global_indices(i):
                 q = rnd.randint(-2, 2)
                 if q:
-                    coeffs[g] = Fraction(q)
+                    coeffs[g] = q
         chern.append(z.element(coeffs))
     return {"z": z, "rank": r, "chern": chern, "socle": z.top_degree}

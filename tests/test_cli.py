@@ -169,6 +169,7 @@ def test_outputs_byte_stable(tmp_path):
         ([1, 1, 2.0, "1"], "structure constant index outside 0..2"),
         ([1, 1, 2], "malformed structure constant"),
         ([1, 1, 2, "1/0"], "malformed structure constant"),
+        ([1, 1, 2, 1.5], "malformed structure constant 1.5"),
     ],
 )
 def test_pd_rejects_bad_structure_constant(tmp_path, capsys, triple, message):
@@ -198,6 +199,37 @@ def test_validate_rejects_negative_map_index(tmp_path, capsys, pos):
     code, out, err = run(capsys, "validate", str(d))
     assert code == 1 and out == ""
     assert "out of range" in err
+
+
+@pytest.mark.parametrize(
+    "where,value",
+    [
+        ("chern", "1/0"),
+        ("chern", "x"),
+        ("chern", 1.5),
+        ("pullback", "1/0"),
+        ("pullback", "x"),
+        ("pushforward", True),
+        ("relations", 1.5),
+    ],
+)
+def test_validate_rejects_malformed_rational(tmp_path, capsys, where, value):
+    """A bad rational anywhere in a diagram file exits 1, naming the value;
+    floats and bools are refused, not rounded into the exact arithmetic."""
+    d = tmp_path / "d.json"
+    main(["model", "keel", "--n", "2", "--out", str(d)])
+    payload = json.loads(d.read_text())
+    edge = next(e for e in payload["edges"] if e["chern"][0])
+    if where == "chern":
+        edge["chern"][0][0][1] = value
+    elif where == "relations":
+        payload["relations"][0][2][0][1] = value
+    else:
+        edge[where][0][3] = value
+    d.write_text(json.dumps(payload))
+    code, out, err = run(capsys, "validate", str(d))
+    assert code == 1 and out == ""
+    assert "malformed" in err and repr(value) in err and "Traceback" not in err
 
 
 def test_presentation_fails_on_a_wrong_declared_relation(tmp_path, capsys):

@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wonder.errors import InputError
 from wonder.exact_linalg import (
     bareiss_echelon,
     format_rat,
     nullspace_rows,
     parse_rat,
     rank_rows,
+    rat,
     solve_rows,
 )
 
@@ -159,3 +161,21 @@ def test_rat_round_trip():
     assert format_rat(F(3, 2)) == "3/2"
     assert format_rat(F(4, 2)) == "2"
     assert format_rat(F(-1, 3)) == "-1/3"
+    for q in (rat(F(4, 2)), rat(3), rat(True), parse_rat("6/3"), parse_rat(-5)):
+        assert type(q) is int
+    assert type(rat(F(3, 2))) is Fraction and type(parse_rat("3/2")) is Fraction
+
+
+@pytest.mark.parametrize("value", ["1/0", "x", "", 1.5, 2.0, True, None, [1]])
+def test_parse_rat_rejects_malformed_values(value):
+    with pytest.raises(InputError, match="malformed"):
+        parse_rat(value)
+
+
+def test_solvers_return_fractions_on_a_zero_matrix():
+    """Back-substitution divides, so it must not start from the int scalars."""
+    [v] = nullspace_rows([[F(0)]], 1)
+    assert v == (1,) and type(v[0]) is Fraction
+    sol = solve_rows([[F(0)]], [F(0)])
+    assert sol == (0,) and type(sol[0]) is Fraction
+    assert all(type(x) is Fraction for x in solve_rows([[F(2), F(0)]], [F(3)]))

@@ -5,9 +5,12 @@ text ``wonder build`` writes. A change to the engine, the nest decomposition
 or the ring writer that alters any structure constant, basis label or
 ordering changes the digest. Each report digest pins the stdout and the exit
 code of one CLI command on one model. The synthetic digests pin the
-algebras ``synthetic_gorenstein`` and ``synthetic_broken`` build."""
+algebras ``synthetic_gorenstein`` and ``synthetic_broken`` build. The
+scalar-kind tests walk the same models: every stored scalar is an ``int`` or
+a non-integral ``Fraction``."""
 
 import hashlib
+from fractions import Fraction
 
 import pytest
 
@@ -52,13 +55,53 @@ GOLDEN = {
 }
 
 
+@pytest.fixture(scope="module")
+def built():
+    """Diagram and built ring of each GOLDEN model, made once."""
+    made = {}
+
+    def get(name):
+        if name not in made:
+            diagram = GOLDEN[name][0]()
+            made[name] = diagram, build_ring(diagram, validate=False)
+        return made[name]
+
+    return get
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_ring_text_digest(name):
-    make, digest = GOLDEN[name]
-    diagram = make()
-    ring = build_ring(diagram, validate=False)
+def test_ring_text_digest(built, name):
+    diagram, ring = built(name)
     text = io.dump_ring(ring.as_algebra(), diagram.socle_degree)
-    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == GOLDEN[name][1]
+
+
+def _exact_kind(q) -> bool:
+    """A scalar is an int, or a Fraction that is not integral; never a float
+    or a bool."""
+    return type(q) is int or (type(q) is Fraction and q.denominator != 1)
+
+
+def _structure_constants(alg):
+    for i in range(alg.total_dim):
+        for j in range(i, alg.total_dim):
+            yield from alg.product_basis(i, j).values()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_scalar_kinds(built, name):
+    diagram, ring = built(name)
+    alg = ring.as_algebra()
+    reloaded, _ = io.load_ring(io.dump_ring(alg, diagram.socle_degree))
+    scalars = [*_structure_constants(alg), *_structure_constants(reloaded)]
+    for node in diagram.burrows.values():
+        scalars.extend(_structure_constants(node.algebra))
+    for edge in diagram.edges.values():
+        for m in (edge.pullback, edge.pushforward):
+            scalars.extend(v for mat in m.mats for row in mat for v in row)
+        for c in edge.chern.coeffs:
+            scalars.extend(c.coeffs.values())
+    assert all(_exact_kind(q) for q in scalars)
 
 
 # sha256 of "<exit code>\n<stdout>"; `pd` reads the ring `wonder build` writes,
@@ -163,11 +206,32 @@ GOLDEN_SYNTH = {
 }
 
 
+@pytest.fixture(scope="module")
+def synthetic():
+    """The algebra of each GOLDEN_SYNTH key, made once."""
+    made = {}
+
+    def get(dims, k, seed):
+        if (dims, k, seed) not in made:
+            if k is None:
+                made[(dims, k, seed)] = synthetic_gorenstein(dims, seed)
+            else:
+                made[(dims, k, seed)] = synthetic_broken(dims, k, seed)
+        return made[(dims, k, seed)]
+
+    return get
+
+
 @pytest.mark.parametrize("dims,k,seed", sorted(GOLDEN_SYNTH, key=repr))
-def test_synthetic_ring_digest(dims, k, seed):
-    if k is None:
-        alg = synthetic_gorenstein(dims, seed)
-    else:
-        alg = synthetic_broken(dims, k, seed)
+def test_synthetic_ring_digest(synthetic, dims, k, seed):
+    alg = synthetic(dims, k, seed)
     text = io.dump_ring(alg, len(dims) - 1)
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == GOLDEN_SYNTH[(dims, k, seed)]
+
+
+def test_synthetic_scalar_kinds(synthetic):
+    scalars = []
+    for key in GOLDEN_SYNTH:
+        scalars.extend(_structure_constants(synthetic(*key)))
+    assert all(_exact_kind(q) for q in scalars)
+    assert any(type(q) is Fraction for q in scalars)
