@@ -11,11 +11,9 @@ def test_plane_point_fixture_validates():
     assert report.ok, report.summary()
 
 
-def _rebuilt(diagram, *edges):
-    """The diagram with each given edge in place of the one on its burrow pair."""
-    by_pair = dict(diagram.edges)
-    for edge in edges:
-        by_pair[(edge.small, edge.big)] = edge
+def _rebuilt(diagram, edge):
+    """The diagram with edge in place of the one on its burrow pair."""
+    by_pair = {**diagram.edges, (edge.small, edge.big): edge}
     nests = diagram.nest_rule
     if diagram.explicit_nests is not None:
         nests = [sorted(s) for s in diagram.explicit_nests]
