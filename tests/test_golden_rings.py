@@ -76,6 +76,39 @@ def test_ring_text_digest(built, name):
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == GOLDEN[name][1]
 
 
+# sha256 of ``io.dump_diagram`` of every GOLDEN model and of the models below,
+# which have no ring digest: the smallest of each family and the full fm-p2 n=4.
+EXTRA_DIAGRAMS = {
+    "fm-curve-2": lambda: fm_power("curve", 2),
+    "fm-p1-2": lambda: fm_power("p1", 2),
+    "fm-p2-2": lambda: fm_power("p2", 2),
+    "fm-p2-4": lambda: fm_power("p2", 4),
+    "keel-1": lambda: keel_model(1),
+}
+GOLDEN_DIAGRAMS = {
+    "fm-curve-2": "75148b4f6d74bfb9eb06b2d095d337331f972945d317cc71cf669173bc819cf8",
+    "fm-curve-3-g2": "5d35f34f3c52707aa3e41391e5e0c4f211c82df04c624a41e6f3fda187671652",
+    "fm-p1-2": "0da364c95f1ba6198e5a7c88c60d3cf15a4821bc13428e6b3e939411bf9deb27",
+    "fm-p1-3": "6f6c5ea01618b031b9262ee4e5422fb271765adc52c49869ebf0524e0ac22638",
+    "fm-p1-4": "c37d8cac956eb794d02f88a126bbf10a7554c0c078032a1f5f905d49fcae7b50",
+    "fm-p1-5": "5b8909d7ef20e174bd3d72aeebebe49df23da253f31243eaf9bd3f909ada3bef",
+    "fm-p2-2": "aa3db4c568b7c2a551bccdb12f98466aab13613df0f13855ca3e531e4b72ca4a",
+    "fm-p2-3": "c0b6f23b9902997d3589bd87fd00c4ba84930b9333cc87ca59f65bfc3523f8bf",
+    "fm-p2-4": "beb5663a008c36ccb44bfcc3de19ae9a9de003d69879f0849873f7b9110de2b4",
+    "fm-p2-4-min3": "59d69dbfb5c35f574c6b7ec318b786a75e0f94bbdad1f59f810eaa9f25ff033d",
+    "keel-1": "618a7e5aa0051d791574ce64d9d861d99be9cceb80ec0d2e7b1068c38abfd863",
+    "keel-2": "1625db319df16107db43825df0507cf4f03feefc3dcab4ce014bef5bfdb9cf4e",
+    "keel-3": "bbcc188e6bc241209dc54c94c40450d56e04c428cd9e3a79221969ac8cac1032",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_DIAGRAMS))
+def test_diagram_text_digest(built, name):
+    diagram = built(name)[0] if name in GOLDEN else EXTRA_DIAGRAMS[name]()
+    text = io.dump_diagram(diagram)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == GOLDEN_DIAGRAMS[name]
+
+
 def _exact_kind(q) -> bool:
     """A scalar is an int, or a Fraction that is not integral; never a float
     or a bool."""
