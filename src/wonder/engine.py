@@ -436,12 +436,13 @@ class WonderRing:
             labels = [[] for _ in range(len(self.dims))]
             for deg, _, _, _, lbl in self.basis:
                 labels[deg].append(lbl)
-            entries = []
-            n = len(self.basis)
-            for i in range(1, n):
-                for j in range(i, n):
-                    for k, q in self.basis_product(i, j).items():
-                        entries.append((i, j, k, q))
+            # the cache holds every pair i <= j; unit products are implicit
+            entries = [
+                (i, j, k, q)
+                for (i, j), row in self._cache.items()
+                if i
+                for k, q in row.items()
+            ]
             self._algebra = GradedAlgebra(self.dims, labels, entries)
         return self._algebra
 

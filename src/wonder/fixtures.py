@@ -11,9 +11,7 @@ import itertools
 
 from wonder.errors import InputError
 from wonder.io import ring_payload
-from wonder.models import _PowerAlg
-
-MARKERS = ("0", "1", "inf")
+from wonder.models import MARKERS, _PowerAlg
 
 
 def _p1_power_payload(n):

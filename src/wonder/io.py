@@ -73,20 +73,25 @@ def _map_payload(m: GradedMap) -> list:
     return triples
 
 
-def _map_from(source, target, shift, triples) -> GradedMap:
+def _map_from(source, target, shift, triples, where) -> GradedMap:
+    if not isinstance(triples, list):
+        raise InputError(f"{where} is not a list of map entries")
     mats = []
     for k in range(source.top_degree + 1):
         tk = k + shift
         tdim = target.dim(tk) if tk >= 0 else 0
         mats.append([[0] * source.dim(k) for _ in range(tdim)])
-    for k, i, j, v in triples:
+    for entry in triples:
+        if not (isinstance(entry, list) and len(entry) == 4):
+            raise InputError(f"{where} entry {entry!r} is not [degree, row, column, value]")
+        k, i, j, v = entry
         if type(k) is type(i) is type(j) is int and min(k, i, j) >= 0:
             try:
                 mats[k][i][j] = parse_rat(v, "map entry")
                 continue
             except IndexError:
                 pass
-        raise InputError(f"map entry ({k},{i},{j}) out of range")
+        raise InputError(f"{where} entry ({k},{i},{j}) out of range")
     return GradedMap(source, target, shift, mats)
 
 
@@ -184,6 +189,27 @@ def _relations_from(alg: GradedAlgebra, entries) -> list:
     return out
 
 
+def _edge_from(entry, nodes) -> BurrowEdge:
+    """One edge of a diagram file; the shift of its pushforward is the
+    difference of the loaded codims. Each malformed part names the edge."""
+    if not isinstance(entry, dict):
+        raise InputError(f"edge {entry!r} is not an object")
+    small, big = entry["small"], entry["big"]
+    where = f"edge {small}<{big}"
+    for bid in (small, big):
+        if not (isinstance(bid, str) and bid in nodes):
+            raise InputError(f"{where} names an unknown burrow {bid!r}")
+    ns, nb = nodes[small], nodes[big]
+    pull = _map_from(nb.algebra, ns.algebra, 0, entry["pullback"], f"{where} pullback")
+    push = _map_from(
+        ns.algebra, nb.algebra, ns.codim - nb.codim, entry["pushforward"], f"{where} pushforward"
+    )
+    if not isinstance(entry["chern"], list):
+        raise InputError(f"{where} chern is not a list of classes")
+    chern = tuple(_element_from(nb.algebra, c) for c in entry["chern"])
+    return BurrowEdge(small, big, pull, push, ChernPolynomial(len(chern), chern))
+
+
 def diagram_from_payload(payload: dict) -> BurrowDiagram:
     if payload.get("kind") != "diagram":
         raise InputError(
@@ -198,32 +224,17 @@ def diagram_from_payload(payload: dict) -> BurrowDiagram:
             )
             for e in payload["elements"]
         ]
-        burrows = []
-        algs = {}
-        for b in payload["burrows"]:
-            alg = GradedAlgebra.from_payload(b)
-            algs[b["id"]] = alg
-            burrows.append(
-                BurrowNode(
-                    b["id"], frozenset(b["defining_set"]), int(b["codim"]), alg
-                )
+        burrows = [
+            BurrowNode(
+                b["id"],
+                frozenset(b["defining_set"]),
+                int(b["codim"]),
+                GradedAlgebra.from_payload(b),
             )
-        edges = []
-        for e in payload["edges"]:
-            small, big = e["small"], e["big"]
-            sa, ba = algs[small], algs[big]
-            shift = int(
-                next(
-                    bb["codim"] for bb in payload["burrows"] if bb["id"] == small
-                )
-            ) - int(next(bb["codim"] for bb in payload["burrows"] if bb["id"] == big))
-            pull = _map_from(ba, sa, 0, e["pullback"])
-            push = _map_from(sa, ba, shift, e["pushforward"])
-            chern = ChernPolynomial(
-                len(e["chern"]),
-                tuple(_element_from(ba, c) for c in e["chern"]),
-            )
-            edges.append(BurrowEdge(small, big, pull, push, chern))
+            for b in payload["burrows"]
+        ]
+        nodes = {b.id: b for b in burrows}
+        edges = [_edge_from(e, nodes) for e in payload["edges"]]
         inter = payload["intersections"]
         meets = {
             frozenset((a, b)): val for a, b, val in inter.get("meets", [])
@@ -231,9 +242,10 @@ def diagram_from_payload(payload: dict) -> BurrowDiagram:
         nests = payload["nests"]
         if nests != NESTED_OR_DISJOINT:
             nests = [frozenset(s) for s in nests["explicit"]]
-        relations = _relations_from(
-            algs[_ambient_id(payload)], payload.get("relations", [])
-        )
+        ambient = next((b.algebra for b in burrows if b.codim == 0), None)
+        if ambient is None:
+            raise InputError("diagram file has no codim-0 burrow")
+        relations = _relations_from(ambient, payload.get("relations", []))
         return BurrowDiagram(
             socle_degree=int(payload["socle_degree"]),
             elements=elements,
@@ -246,13 +258,6 @@ def diagram_from_payload(payload: dict) -> BurrowDiagram:
         )
     except KeyError as e:
         raise InputError(f"diagram file missing field {e}") from None
-
-
-def _ambient_id(payload) -> str:
-    for b in payload["burrows"]:
-        if int(b["codim"]) == 0:
-            return b["id"]
-    raise InputError("diagram file has no codim-0 burrow")
 
 
 def dump_diagram(diagram: BurrowDiagram) -> str:

@@ -307,7 +307,7 @@ def _cfg_blocks(cfg):
 
 
 class _ProductModel:
-    def __init__(self, n, fiber, *, genus=2, markers=(), diag_min=2, freeze=False):
+    def __init__(self, n, fiber, *, genus=2, markers=(), diag_min=2):
         if n < 1 or n > 9:
             raise InputError("supported coordinate counts are 1..9")
         if fiber not in ("p1", "p2", "curve"):
@@ -319,7 +319,6 @@ class _ProductModel:
         self.genus = genus
         self.markers = tuple(markers)
         self.diag_min = diag_min
-        self.freeze = freeze
         self.fiber_dim = 1 if fiber == "curve" else FIBERS[fiber]
 
     # -- burrow algebras ------------------------------------------------------
@@ -346,14 +345,6 @@ class _ProductModel:
                 raise InputError("blocks do not refine")
         return image
 
-    def _merge_counts(self, big_cfg, small_cfg):
-        image = self._token_image(big_cfg, small_cfg)
-        counts = {}
-        for tok, stok in image.items():
-            if stok is not None:
-                counts[stok] = counts.get(stok, 0) + 1
-        return counts
-
     def _tangent_factor(self, wrap, token) -> Element:
         """Total tangent class of one fiber factor, in the burrow algebra."""
         alg = wrap.alg
@@ -367,56 +358,54 @@ class _ProductModel:
 
     def build(self) -> BurrowDiagram:
         n = self.n
+        coords = range(1, n + 1)
+        discrete = _cfg_discrete(n)
+        # diagonals, then the loci freezing an index set at a marked point
+        loci = [
+            (idxs, None)
+            for size in range(self.diag_min, n + 1)
+            for idxs in itertools.combinations(coords, size)
+        ] + [
+            (idxs, mk)
+            for size in range(1, n + 1)
+            for idxs in itertools.combinations(coords, size)
+            for mk in self.markers
+        ]
         elements = []
         elem_cfg = {}
-        for size in range(self.diag_min, n + 1):
-            for idxs in itertools.combinations(range(1, n + 1), size):
-                cfg = _cfg_join(
-                    n, _cfg_discrete(n), frozenset(((frozenset(idxs), None),))
-                )
-                eid = "D" + "".join(str(i) for i in idxs)
-                elements.append(
-                    BuildingElement(
-                        eid,
-                        _cfg_codim(cfg, self.fiber_dim),
-                        frozenset(str(i) for i in idxs),
-                    )
-                )
-                elem_cfg[eid] = cfg
-        if self.freeze:
-            for size in range(1, n + 1):
-                for idxs in itertools.combinations(range(1, n + 1), size):
-                    for mk in self.markers:
-                        cfg = _cfg_join(
-                            n,
-                            _cfg_discrete(n),
-                            frozenset(((frozenset(idxs), mk),)),
-                        )
-                        eid = "D" + "".join(str(i) for i in idxs) + f"@{mk}"
-                        elements.append(
-                            BuildingElement(
-                                eid,
-                                _cfg_codim(cfg, self.fiber_dim),
-                                frozenset(str(i) for i in idxs) | {f"@{mk}"},
-                            )
-                        )
-                        elem_cfg[eid] = cfg
+        for idxs, mk in loci:
+            cfg = _cfg_join(n, discrete, frozenset(((frozenset(idxs), mk),)))
+            eid = "D" + "".join(str(i) for i in idxs)
+            index_set = frozenset(str(i) for i in idxs)
+            if mk is not None:
+                eid += f"@{mk}"
+                index_set |= {f"@{mk}"}
+            elements.append(BuildingElement(eid, _cfg_codim(cfg, self.fiber_dim), index_set))
+            elem_cfg[eid] = cfg
 
-        # closure of the configuration set under pairwise joins
-        cfgs = {_cfg_discrete(n)}
-        cfgs.update(elem_cfg.values())
-        frontier = list(cfgs)
-        while frontier:
-            nxt = []
-            for a in frontier:
-                for b in list(cfgs):
-                    j = _cfg_join(n, a, b)
-                    if j is not None and j not in cfgs:
-                        cfgs.add(j)
-                        nxt.append(j)
-            frontier = nxt
+        # close the configurations under joins; each unordered pair is joined
+        # once, when the later of the two is visited, and the join is its meet
+        cfgs = list(dict.fromkeys([discrete, *elem_cfg.values()]))
+        known = set(cfgs)
+        joins = {}
+        for i, a in enumerate(cfgs):  # the list grows while it is walked
+            for b in cfgs[:i]:
+                j = _cfg_join(n, a, b)
+                joins[frozenset((a, b))] = j
+                if j is not None and j not in known:
+                    known.add(j)
+                    cfgs.append(j)
 
-        by_id = {_cfg_id(c): c for c in cfgs}
+        cid = {c: _cfg_id(c) for c in cfgs}
+        by_id = {bid: c for c, bid in cid.items()}
+        meets = {
+            frozenset(cid[c] for c in pair): None if j is None else cid[j]
+            for pair, j in joins.items()
+        }
+
+        def contains(outer, inner):
+            return outer == inner or meets[frozenset((outer, inner))] == inner
+
         wraps = {bid: self._make_burrow(cfg) for bid, cfg in by_id.items()}
         pairings = {
             bid: socle_check(w.alg, w.alg.top_degree).pairing
@@ -426,34 +415,24 @@ class _ProductModel:
             if sp is None:
                 raise InputError(f"burrow {bid} failed its socle check")
 
-        meets = {}
         ids = sorted(by_id)
-        for i, b1 in enumerate(ids):
-            for b2 in ids[i + 1 :]:
-                j = _cfg_join(n, by_id[b1], by_id[b2])
-                meets[frozenset((b1, b2))] = None if j is None else _cfg_id(j)
-
-        def contains(outer, inner):
-            return _cfg_join(n, by_id[outer], by_id[inner]) == by_id[inner]
-
-        burrows = []
-        for bid in ids:
-            cfg = by_id[bid]
-            codim = _cfg_codim(cfg, self.fiber_dim)
-            defining = frozenset(
-                x for x in elem_cfg if contains(_cfg_id(elem_cfg[x]), bid)
+        singles = {x: cid[cfg] for x, cfg in elem_cfg.items()}
+        burrows = [
+            BurrowNode(
+                bid,
+                frozenset(x for x, sx in singles.items() if contains(sx, bid)),
+                _cfg_codim(by_id[bid], self.fiber_dim),
+                wraps[bid].alg,
             )
-            burrows.append(BurrowNode(bid, defining, codim, wraps[bid].alg))
-
-        edges = []
-        for big in ids:
-            for small in ids:
-                if small == big or not contains(big, small):
-                    continue
-                edges.append(self._make_edge(by_id, wraps, pairings, small, big))
-
-        singles = {x: _cfg_id(cfg) for x, cfg in elem_cfg.items()}
-        relations = self._relations(wraps[_cfg_id(_cfg_discrete(n))], elements)
+            for bid in ids
+        ]
+        edges = [
+            self._make_edge(by_id, wraps, pairings, small, big)
+            for big in ids
+            for small in ids
+            if small != big and contains(big, small)
+        ]
+        relations = self._relations(wraps[cid[discrete]], elements)
         return BurrowDiagram(
             socle_degree=self.fiber_dim * n,
             elements=elements,
@@ -467,14 +446,19 @@ class _ProductModel:
 
     def _make_edge(self, by_id, wraps, pairings, small, big):
         wb, ws = wraps[big], wraps[small]
-        pull = wb.map_to(ws, self._token_image(by_id[big], by_id[small]))
+        image = self._token_image(by_id[big], by_id[small])
+        pull = wb.map_to(ws, image)
         push = adjoint_pushforward(pull, pairings[small], pairings[big])
         c = push.shift
+        # each big block merged into a small block beyond the first adds one
+        # tangent factor of that small block
         total = ws.alg.unit()
-        for stok, k in self._merge_counts(by_id[big], by_id[small]).items():
-            factor = self._tangent_factor(ws, stok)
-            for _ in range(k - 1):
-                total = ws.alg.multiply(total, factor)
+        merged = set()
+        for stok in image.values():
+            if stok in merged:
+                total = ws.alg.multiply(total, self._tangent_factor(ws, stok))
+            elif stok is not None:
+                merged.add(stok)
         section = ws.map_to(wb, self._section_image(by_id[big], by_id[small]))
         coeffs = []
         for i in range(1, c):
@@ -558,7 +542,7 @@ def keel_model(n: int) -> BurrowDiagram:
     freezing a coordinate set at one of three marked points."""
     if n < 1:
         raise InputError("need at least one coordinate")
-    return _ProductModel(n, "p1", markers=MARKERS, freeze=True).build()
+    return _ProductModel(n, "p1", markers=MARKERS).build()
 
 
 # -- simple diagrams and corruption helpers -----------------------------------

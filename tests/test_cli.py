@@ -268,3 +268,33 @@ def test_validate_rejects_malformed_relation(tmp_path, capsys, entry, message):
     code, out, err = run(capsys, "validate", str(d))
     assert code == 1 and out == ""
     assert message in err and "Traceback" not in err
+
+
+def _cut_pullback_entry(edge):
+    edge["pullback"][0] = edge["pullback"][0][:3]
+
+
+@pytest.mark.parametrize(
+    "mutate,message",
+    [
+        (_cut_pullback_entry, "is not [degree, row, column, value]"),
+        (lambda edge: edge.update(pullback=5), "pullback is not a list of map entries"),
+        (lambda edge: edge.update(pushforward=5), "pushforward is not a list of map entries"),
+        (lambda edge: edge.update(chern=5), "chern is not a list of classes"),
+        (lambda edge: edge.update(small="nope"), "names an unknown burrow 'nope'"),
+    ],
+    ids=["short-map-entry", "pullback-int", "pushforward-int", "chern-int", "unknown-burrow"],
+)
+def test_validate_rejects_malformed_edge(tmp_path, capsys, mutate, message):
+    """A malformed edge of a diagram file exits 1 with a message that names
+    the edge, never with a traceback."""
+    d = tmp_path / "d.json"
+    main(["model", "keel", "--n", "2", "--out", str(d)])
+    payload = json.loads(d.read_text())
+    edge = next(e for e in payload["edges"] if e["chern"][0])
+    mutate(edge)
+    d.write_text(json.dumps(payload))
+    code, out, err = run(capsys, "validate", str(d))
+    assert code == 1 and out == ""
+    assert f"edge {edge['small']}<{edge['big']}" in err and message in err
+    assert "Traceback" not in err

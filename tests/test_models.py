@@ -4,6 +4,7 @@ import pytest
 
 from wonder.algebra import pd_verdict, socle_check
 from wonder.engine import build_ring
+from wonder import models
 from wonder.errors import InputError
 from wonder.models import (
     _CurveAlg,
@@ -52,6 +53,23 @@ def test_constructors_validate(builder):
 def test_fm_burrow_count_is_bell(n):
     diagram = fm_power("p1", n)
     assert len(diagram.burrows) == bell(n)
+
+
+def test_keel3_joins_each_pair_of_configurations_once(monkeypatch):
+    """The model joins each of the 25 building-set members onto the discrete
+    configuration, then each unordered pair of its 77 configurations once:
+    the meets, the defining sets and the edges all read that one table."""
+    calls = []
+    join = models._cfg_join
+
+    def counted(*args):
+        calls.append(args)
+        return join(*args)
+
+    monkeypatch.setattr(models, "_cfg_join", counted)
+    diagram = keel_model(3)
+    assert (len(diagram.elements), len(diagram.burrows)) == (25, 77)
+    assert len(calls) <= 25 + 77 * 76 // 2
 
 
 def test_keel1_all_divisors():
