@@ -18,22 +18,17 @@ _SPEC = importlib.util.spec_from_file_location("closed_forms", _PATH)
 closed_forms = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(closed_forms)
 
-CASES = [
-    *[(f"keel-{n}", lambda n=n: keel_model(n), lambda n=n: closed_forms.keel_poincare(n + 3))
-      for n in (1, 2, 3)],
-    *[(f"fm-p1-{n}", lambda n=n: fm_power("p1", n), lambda n=n: closed_forms.fm_poincare(1, n))
-      for n in (2, 3, 4, 5)],
-    *[(f"fm-p2-{n}", lambda n=n: fm_power("p2", n), lambda n=n: closed_forms.fm_poincare(2, n))
-      for n in (2, 3, 4)],
-    (
-        "fm-p2-4-min3",
-        lambda: fm_power("p2", 4, min_size=3),
-        lambda: closed_forms.fm_poincare(2, 4, min_size=3),
-    ),
-]
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_keel_matches_keel_1992(n):
+    _, poincare = li_decomposition(keel_model(n))
+    assert poincare == closed_forms.keel_poincare(n + 3)
 
 
-@pytest.mark.parametrize("model,expected", [c[1:] for c in CASES], ids=[c[0] for c in CASES])
-def test_decomposition_matches_closed_form(model, expected):
-    _, poincare = li_decomposition(model())
-    assert poincare == expected()
+@pytest.mark.parametrize(
+    "m,n,min_size",
+    [(1, 2, 2), (1, 3, 2), (1, 4, 2), (1, 5, 2), (2, 2, 2), (2, 3, 2), (2, 4, 2), (2, 4, 3)],
+)
+def test_fm_matches_fulton_macpherson_1994(m, n, min_size):
+    _, poincare = li_decomposition(fm_power(f"p{m}", n, min_size=min_size))
+    assert poincare == closed_forms.fm_poincare(m, n, min_size=min_size)
