@@ -31,8 +31,7 @@ from wonder.exact_linalg import (
 class Element:
     """Element of a GradedAlgebra or of an ``engine.WonderRing`` (any
     algebra with ``degree_of``, ``label_of`` and ``multiply``), stored as a
-    sparse coefficient vector over the global basis.  Treated as immutable;
-    ``to_vector`` needs a GradedAlgebra."""
+    sparse coefficient vector over the global basis.  Treated as immutable."""
 
     __slots__ = ("alg", "coeffs")
 
@@ -100,15 +99,6 @@ class Element:
     def _same(self, other: "Element"):
         if other.alg is not self.alg:
             raise InputError("elements belong to different algebras")
-
-    def to_vector(self, k: int) -> list[Fraction]:
-        """Dense coefficient vector of the degree-k part."""
-        lo, n = self.alg.offset(k), self.alg.dim(k)
-        v = [ZERO] * n
-        for g, q in self.coeffs.items():
-            if lo <= g < lo + n:
-                v[g - lo] = q
-        return v
 
     def __repr__(self):
         if not self.coeffs:
@@ -203,6 +193,8 @@ class GradedAlgebra:
             raise InputError(f"unknown basis label {label!r}") from None
 
     def global_indices(self, k: int):
+        if not 0 <= k <= self.top_degree:
+            return range(0)
         lo = self._offsets[k]
         return range(lo, lo + self.dims[k])
 
@@ -317,80 +309,65 @@ def algebra_from_products(dims, labels, products) -> GradedAlgebra:
 
 
 class GradedMap:
-    """Degree-shifting linear map between graded algebras.
+    """Degree-shifting linear map between graded algebras, stored as the
+    images of the source basis: ``columns[g]`` maps target global indices
+    to the nonzero scalars of the image of source basis index g.
 
     Shift 0 for pullbacks (ring maps), positive codimension shift for
     pushforwards, negative for integration along fibers.
     """
 
-    def __init__(self, source: GradedAlgebra, target: GradedAlgebra, shift: int, mats):
+    def __init__(self, source: GradedAlgebra, target: GradedAlgebra, shift: int, columns):
         self.source = source
         self.target = target
         self.shift = int(shift)
-        self.mats = []
-        for k in range(source.top_degree + 1):
-            tk = k + self.shift
-            tdim = target.dim(tk) if 0 <= tk else 0
-            sdim = source.dim(k)
-            mat = mats[k] if k < len(mats) and mats[k] is not None else None
-            if mat is None:
-                mat = [[ZERO] * sdim for _ in range(tdim)]
-            else:
-                mat = [[rat(v) for v in row] for row in mat]
-                if len(mat) != tdim or any(len(r) != sdim for r in mat):
+        if len(columns) != source.total_dim:
+            raise InputError(
+                f"map has {len(columns)} columns, want {source.total_dim}"
+            )
+        self.columns = []
+        for g, col in enumerate(columns):
+            tk = source.degree_of(g) + self.shift
+            rows = target.global_indices(tk)
+            out = {}
+            for h, v in col.items():
+                if not (type(h) is int and h in rows):
                     raise InputError(
-                        f"map matrix at degree {k} has wrong shape "
-                        f"({len(mat)}x{len(mat[0]) if mat else 0}, want {tdim}x{sdim})"
+                        f"image of basis index {g} has wrong degree: "
+                        f"target index {h!r} is not in degree {tk}"
                     )
-            self.mats.append(mat)
+                v = rat(v)
+                if v:
+                    out[h] = v
+            self.columns.append(out)
 
     @classmethod
     def from_images(cls, source, target, shift, images) -> "GradedMap":
         """Build from a list of target Elements, one per global source index."""
-        mats = []
-        for k in range(source.top_degree + 1):
-            tk = k + shift
-            tdim = target.dim(tk) if tk >= 0 else 0
-            mat = [[ZERO] * source.dim(k) for _ in range(tdim)]
-            for c, g in enumerate(source.global_indices(k)):
-                img = images[g]
-                if img.is_zero():
-                    continue
-                if img.degree() != tk:
-                    raise InputError("image has wrong degree")
-                for i, q in enumerate(img.to_vector(tk)):
-                    if q:
-                        mat[i][c] = q
-            mats.append(mat)
-        return cls(source, target, shift, mats)
+        return cls(source, target, shift, [img.coeffs for img in images])
 
     @classmethod
     def identity(cls, alg: GradedAlgebra) -> "GradedMap":
-        mats = []
-        for k in range(alg.top_degree + 1):
-            n = alg.dim(k)
-            mats.append([[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
-        return cls(alg, alg, 0, mats)
+        return cls(alg, alg, 0, [{g: ONE} for g in range(alg.total_dim)])
 
-    def _column(self, g: int) -> list[tuple[int, Fraction]]:
-        """Nonzero (target index, entry) pairs of the image of basis index g."""
-        k = self.source.degree_of(g)
-        tk = k + self.shift
-        if not (0 <= tk <= self.target.top_degree):
-            return []
-        col = g - self.source.offset(k)
-        lo = self.target.offset(tk)
-        return [(lo + i, row[col]) for i, row in enumerate(self.mats[k]) if row[col]]
+    def matrix(self, k: int) -> list[list]:
+        """Dense degree-k block for exact linear algebra: one row per target
+        basis index of degree k + shift, one column per source one."""
+        cols = [self.columns[g] for g in self.source.global_indices(k)]
+        return [
+            [col.get(h, ZERO) for col in cols]
+            for h in self.target.global_indices(k + self.shift)
+        ]
 
     def apply_basis(self, g: int) -> Element:
-        return Element(self.target, dict(self._column(g)))
+        return Element(self.target, self.columns[g])
 
     def apply(self, x: Element) -> Element:
         if x.alg is not self.source:
             raise InputError("element not in the source algebra")
         out: dict[int, Fraction] = {}
         for g, q in x.coeffs.items():
-            for h, v in self._column(g):
+            for h, v in self.columns[g].items():
                 out[h] = out.get(h, ZERO) + q * v
         return Element(self.target, out)
 
@@ -399,7 +376,7 @@ class GradedMap:
         for k in range(self.source.top_degree + 1):
             tk = k + self.shift
             tdim = self.target.dim(tk) if tk >= 0 else 0
-            out.append(tdim == 0 or rank_rows(self.mats[k]) == tdim)
+            out.append(tdim == 0 or rank_rows(self.matrix(k)) == tdim)
         return out
 
     def is_surjective(self) -> bool:
@@ -415,12 +392,12 @@ class GradedMap:
         for k in range(self.source.top_degree + 1):
             if self.source.dim(k) == 0:
                 continue
-            if rank_rows(self.mats[k]) < self.source.dim(k):
+            if rank_rows(self.matrix(k)) < self.source.dim(k):
                 return False
         return True
 
     def kernel_elements(self, k: int) -> list[Element]:
-        vecs = nullspace_rows(self.mats[k], self.source.dim(k))
+        vecs = nullspace_rows(self.matrix(k), self.source.dim(k))
         return [self.source.from_vector(k, v) for v in vecs]
 
     def is_ring_hom(self) -> bool:
@@ -600,11 +577,12 @@ def adjoint_pushforward(
 def section_of(pullback: GradedMap) -> GradedMap:
     """A right inverse of a surjective degree-0 map (free choices set to 0)."""
     big, small = pullback.source, pullback.target
+    blocks = [pullback.matrix(k) for k in range(small.top_degree + 1)]
     images = []
     for g in range(small.total_dim):
         k = small.degree_of(g)
         rhs = [ONE if gg == g else ZERO for gg in small.global_indices(k)]
-        sol = solve_rows(pullback.mats[k], rhs, cols=big.dim(k))
+        sol = solve_rows(blocks[k], rhs, cols=big.dim(k))
         if sol is None:
             raise InputError(f"map is not surjective at degree {k}; no section")
         images.append(big.from_vector(k, sol))

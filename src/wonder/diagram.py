@@ -416,10 +416,7 @@ class BurrowDiagram:
                     continue
                 direct = self.pullback(big, small)
                 chained = compose(self.pullback(mid, small), self.pullback(big, mid))
-                if any(
-                    direct.mats[k] != chained.mats[k]
-                    for k in range(len(direct.mats))
-                ):
+                if direct.columns != chained.columns:
                     ok = False
                     detail = f"{big} -> {mid} -> {small}"
                     break

@@ -64,35 +64,35 @@ def _element_from(alg: GradedAlgebra, payload) -> Element:
 
 
 def _map_payload(m: GradedMap) -> list:
-    triples = []
-    for k, mat in enumerate(m.mats):
-        for i, row in enumerate(mat):
-            for j, v in enumerate(row):
-                if v:
-                    triples.append([k, i, j, format_rat(v)])
-    return triples
+    """``[degree, row, column, value]`` entries, sorted; row and column are
+    the target and source positions within their degrees."""
+    entries = []
+    for k in range(m.source.top_degree + 1):
+        lo = m.target.global_indices(k + m.shift).start
+        for j, g in enumerate(m.source.global_indices(k)):
+            for h, v in m.columns[g].items():
+                entries.append((k, h - lo, j, v))
+    return [[k, i, j, format_rat(v)] for k, i, j, v in sorted(entries)]
 
 
-def _map_from(source, target, shift, triples, where) -> GradedMap:
-    if not isinstance(triples, list):
+def _map_from(source, target, shift, entries, where) -> GradedMap:
+    if not isinstance(entries, list):
         raise InputError(f"{where} is not a list of map entries")
-    mats = []
-    for k in range(source.top_degree + 1):
-        tk = k + shift
-        tdim = target.dim(tk) if tk >= 0 else 0
-        mats.append([[0] * source.dim(k) for _ in range(tdim)])
-    for entry in triples:
+    columns = [{} for _ in range(source.total_dim)]
+    for entry in entries:
         if not (isinstance(entry, list) and len(entry) == 4):
             raise InputError(f"{where} entry {entry!r} is not [degree, row, column, value]")
         k, i, j, v = entry
-        if type(k) is type(i) is type(j) is int and min(k, i, j) >= 0:
-            try:
-                mats[k][i][j] = parse_rat(v, "map entry")
-                continue
-            except IndexError:
-                pass
-        raise InputError(f"{where} entry ({k},{i},{j}) out of range")
-    return GradedMap(source, target, shift, mats)
+        if not (
+            type(k) is type(i) is type(j) is int
+            and 0 <= k <= source.top_degree
+            and 0 <= i < target.dim(k + shift)
+            and 0 <= j < source.dim(k)
+        ):
+            raise InputError(f"{where} entry ({k},{i},{j}) out of range")
+        g = source.offset(k) + j
+        columns[g][target.offset(k + shift) + i] = parse_rat(v, "map entry")
+    return GradedMap(source, target, shift, columns)
 
 
 # -- ring files -------------------------------------------------------------

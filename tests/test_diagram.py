@@ -31,10 +31,13 @@ def _rebuilt(diagram, edge):
 
 def _perturbed(m, k):
     """A copy of the graded map m whose first nonzero degree-k entry is raised by 1."""
-    mats = [[list(row) for row in mat] for mat in m.mats]
-    i, j = next((i, j) for i, row in enumerate(mats[k]) for j, v in enumerate(row) if v)
-    mats[k][i][j] += 1
-    return GradedMap(m.source, m.target, m.shift, mats)
+    mat = m.matrix(k)
+    i, j = next((i, j) for i, row in enumerate(mat) for j, v in enumerate(row) if v)
+    columns = [dict(col) for col in m.columns]
+    g = m.source.offset(k) + j
+    h = m.target.offset(k + m.shift) + i
+    columns[g][h] += 1
+    return GradedMap(m.source, m.target, m.shift, columns)
 
 
 def _fails(diagram, check, subject):
@@ -46,7 +49,7 @@ def _fails(diagram, check, subject):
 def test_zeroed_pullback_reported():
     diagram = point_blowup_p2_diagram()
     edge = diagram.edges[("BP", "Y")]
-    zeroed = GradedMap(edge.pullback.source, edge.pullback.target, 0, [None] * 3)
+    zeroed = GradedMap(edge.pullback.source, edge.pullback.target, 0, [{}] * 3)
     bad = _rebuilt(diagram, BurrowEdge("BP", "Y", zeroed, edge.pushforward, edge.chern))
     report = bad.validate()
     assert not report.ok

@@ -131,7 +131,7 @@ def test_scalar_kinds(built, name):
         scalars.extend(_structure_constants(node.algebra))
     for edge in diagram.edges.values():
         for m in (edge.pullback, edge.pushforward):
-            scalars.extend(v for mat in m.mats for row in mat for v in row)
+            scalars.extend(v for col in m.columns for v in col.values())
         for c in edge.chern.coeffs:
             scalars.extend(c.coeffs.values())
     assert all(_exact_kind(q) for q in scalars)
