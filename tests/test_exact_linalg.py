@@ -1,4 +1,5 @@
 import copy
+import sys
 from fractions import Fraction
 
 import pytest
@@ -164,6 +165,26 @@ def test_rat_round_trip():
     for q in (rat(F(4, 2)), rat(3), rat(True), parse_rat("6/3"), parse_rat(-5)):
         assert type(q) is int
     assert type(rat(F(3, 2))) is Fraction and type(parse_rat("3/2")) is Fraction
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "0", "-0", "00", "7", "-12", "+1", " 1 ", "\t3\n", "١",
+        "1/2", "-4/6", "6/3", " -3/9 ", "1e3", "2.5",
+        pytest.param(
+            "1_0",
+            marks=pytest.mark.skipif(
+                sys.version_info < (3, 11), reason="Fraction parses underscores from 3.11"
+            ),
+        ),
+    ],
+)
+def test_parse_rat_agrees_with_fraction(text):
+    """The int fast path accepts only strings Fraction accepts, with the same value."""
+    q, want = parse_rat(text), rat(F(text))
+    assert q == want and type(q) is type(want)
+    assert (type(q) is int) == (F(text).denominator == 1)
 
 
 @pytest.mark.parametrize("value", ["1/0", "x", "", 1.5, 2.0, True, None, [1]])
