@@ -282,6 +282,8 @@ class GradedAlgebra:
             mult = payload["mult"]
         except KeyError as e:
             raise InputError(f"algebra payload missing section {e}") from None
+        if not (isinstance(dims, list) and all(type(d) is int for d in dims)):
+            raise InputError(f"degrees {dims!r} is not a list of integers")
         entries = []
         for entry in mult:
             if not (isinstance(entry, list) and len(entry) == 4):

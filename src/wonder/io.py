@@ -45,6 +45,13 @@ def _load_json(text: str) -> dict:
     return payload
 
 
+def _int_field(value, what: str) -> int:
+    """A JSON integer; floats, bools and strings raise InputError naming the field."""
+    if type(value) is not int:
+        raise InputError(f"{what} {value!r} is not an integer")
+    return value
+
+
 def _element_payload(elem: Element) -> list:
     return [
         [elem.alg.label_of(g), format_rat(q)]
@@ -109,7 +116,7 @@ def ring_from_payload(payload: dict):
     if payload.get("kind") != "ring":
         raise InputError(f"expected a ring file, got kind={payload.get('kind')!r}")
     alg = GradedAlgebra.from_payload(payload)
-    return alg, int(payload["socle_degree"])
+    return alg, _int_field(payload["socle_degree"], "socle_degree")
 
 
 def dump_ring(alg: GradedAlgebra, socle_degree: int) -> str:
@@ -219,7 +226,7 @@ def diagram_from_payload(payload: dict) -> BurrowDiagram:
         elements = [
             BuildingElement(
                 e["id"],
-                int(e["codim"]),
+                _int_field(e["codim"], f"element {e['id']} codim"),
                 frozenset(e["index_set"]) if "index_set" in e else None,
             )
             for e in payload["elements"]
@@ -228,7 +235,7 @@ def diagram_from_payload(payload: dict) -> BurrowDiagram:
             BurrowNode(
                 b["id"],
                 frozenset(b["defining_set"]),
-                int(b["codim"]),
+                _int_field(b["codim"], f"burrow {b['id']} codim"),
                 GradedAlgebra.from_payload(b),
             )
             for b in payload["burrows"]
@@ -236,9 +243,12 @@ def diagram_from_payload(payload: dict) -> BurrowDiagram:
         nodes = {b.id: b for b in burrows}
         edges = [_edge_from(e, nodes) for e in payload["edges"]]
         inter = payload["intersections"]
-        meets = {
-            frozenset((a, b)): val for a, b, val in inter.get("meets", [])
-        }
+        meets = {}
+        for entry in inter.get("meets", []):
+            if not (isinstance(entry, list) and len(entry) == 3):
+                raise InputError(f"meets entry {entry!r} is not [burrow, burrow, meet]")
+            a, b, val = entry
+            meets[frozenset((a, b))] = val
         nests = payload["nests"]
         if nests != NESTED_OR_DISJOINT:
             nests = [frozenset(s) for s in nests["explicit"]]
@@ -247,7 +257,7 @@ def diagram_from_payload(payload: dict) -> BurrowDiagram:
             raise InputError("diagram file has no codim-0 burrow")
         relations = _relations_from(ambient, payload.get("relations", []))
         return BurrowDiagram(
-            socle_degree=int(payload["socle_degree"]),
+            socle_degree=_int_field(payload["socle_degree"], "socle_degree"),
             elements=elements,
             burrows=burrows,
             edges=edges,

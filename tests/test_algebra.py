@@ -168,6 +168,25 @@ def test_graded_map_ring_hom_and_kernel():
     assert len(f.kernel_elements(0)) == 0
 
 
+def test_graded_map_rejects_image_of_wrong_degree():
+    plane = poly_plane()
+    images = [plane.basis_element(g) for g in range(plane.total_dim)]
+    images[1] = plane.basis_element(2)  # h -> h^2
+    with pytest.raises(InputError, match="wrong degree"):
+        GradedMap.from_images(plane, plane, 0, images)
+    with pytest.raises(InputError, match="columns"):
+        GradedMap.from_images(plane, plane, 0, images[:2])
+
+
+def test_graded_map_columns_and_blocks():
+    """Columns keep nonzero exact scalars only; matrix(k) is the dense block."""
+    plane = poly_plane()
+    f = GradedMap(plane, plane, 1, [{1: F(4, 2)}, {2: 0}, {}])
+    assert f.columns == [{1: 2}, {}, {}] and type(f.columns[0][1]) is int
+    assert f.matrix(0) == [[2]] and f.matrix(1) == [[0]] and f.matrix(2) == []
+    assert f.apply(plane.unit().scale(3)) == plane.basis_element(1).scale(6)
+
+
 def test_section_and_adjoint_projection_formula():
     plane = poly_plane()
     pt = trivial()

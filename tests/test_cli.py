@@ -182,10 +182,21 @@ def test_pd_rejects_bad_structure_constant(tmp_path, capsys, triple, message):
     assert message in err
 
 
-@pytest.mark.parametrize("pos", [0, 1, 2])
-def test_validate_rejects_negative_map_index(tmp_path, capsys, pos):
+@pytest.mark.parametrize(
+    "pos,too_large",
+    [
+        pytest.param(0, False, id="0"),
+        pytest.param(1, False, id="1"),
+        pytest.param(2, False, id="2"),
+        pytest.param(0, True, id="large-degree"),
+        pytest.param(1, True, id="large-row"),
+        pytest.param(2, True, id="large-column"),
+    ],
+)
+def test_validate_rejects_negative_map_index(tmp_path, capsys, pos, too_large):
     """A negative degree, row or column index of a pullback entry would wrap
-    to a valid entry; it is rejected instead."""
+    to a valid entry, and one past the end would name no entry; both are
+    rejected."""
     d = tmp_path / "d.json"
     main(["model", "fm-p1", "--n", "2", "--out", str(d)])
     payload = json.loads(d.read_text())
@@ -194,7 +205,7 @@ def test_validate_rejects_negative_map_index(tmp_path, capsys, pos):
     entry = edge["pullback"][0]
     k = entry[0]
     wrap = [len(dims[edge["big"]]), dims[edge["small"]][k], dims[edge["big"]][k]]
-    entry[pos] -= wrap[pos]
+    entry[pos] = wrap[pos] if too_large else entry[pos] - wrap[pos]
     d.write_text(json.dumps(payload))
     code, out, err = run(capsys, "validate", str(d))
     assert code == 1 and out == ""
@@ -298,3 +309,54 @@ def test_validate_rejects_malformed_edge(tmp_path, capsys, mutate, message):
     assert code == 1 and out == ""
     assert f"edge {edge['small']}<{edge['big']}" in err and message in err
     assert "Traceback" not in err
+
+
+def _cut_meets_entry(payload):
+    payload["intersections"]["meets"][0] = ["a"]
+
+
+@pytest.mark.parametrize(
+    "mutate,message",
+    [
+        (lambda p: p["elements"][0].update(codim=1.5), "element D12 codim 1.5 is not an integer"),
+        (lambda p: p["elements"][0].update(codim="x"), "element D12 codim 'x' is not an integer"),
+        (lambda p: p["burrows"][0].update(codim="x"), "burrow 12 codim 'x' is not an integer"),
+        (lambda p: p.update(socle_degree="x"), "socle_degree 'x' is not an integer"),
+        (lambda p: p["burrows"][0].update(degrees=["x"]), "degrees ['x'] is not a list of integers"),
+        (_cut_meets_entry, "meets entry ['a'] is not [burrow, burrow, meet]"),
+    ],
+    ids=["codim-float", "codim-str", "burrow-codim-str", "socle-str", "degrees-str", "short-meet"],
+)
+def test_validate_rejects_malformed_diagram_field(tmp_path, capsys, mutate, message):
+    """Integer fields take JSON integers only, and a meet is a 3-item list;
+    anything else exits 1 naming the field, where it used to be truncated
+    (1.5 read as 1) or end in a traceback."""
+    d = tmp_path / "d.json"
+    main(["model", "keel", "--n", "2", "--out", str(d)])
+    payload = json.loads(d.read_text())
+    mutate(payload)
+    d.write_text(json.dumps(payload))
+    code, out, err = run(capsys, "validate", str(d))
+    assert code == 1 and out == ""
+    assert message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "field,value,message",
+    [
+        ("degrees", ["x"], "degrees ['x'] is not a list of integers"),
+        ("degrees", [1, 1.0, 1], "degrees [1, 1.0, 1] is not a list of integers"),
+        ("degrees", 3, "degrees 3 is not a list of integers"),
+        ("socle_degree", "x", "socle_degree 'x' is not an integer"),
+        ("socle_degree", 2.0, "socle_degree 2.0 is not an integer"),
+    ],
+    ids=["degrees-str", "degrees-float", "degrees-int", "socle-str", "socle-float"],
+)
+def test_pd_rejects_malformed_ring_field(tmp_path, capsys, field, value, message):
+    payload = json.loads(io.dump_ring(_PowerAlg(["1"], 2).alg, 2))
+    payload[field] = value
+    r = tmp_path / "r.json"
+    r.write_text(json.dumps(payload))
+    code, out, err = run(capsys, "pd", str(r))
+    assert code == 1 and out == ""
+    assert message in err and "Traceback" not in err
