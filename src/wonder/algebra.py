@@ -376,8 +376,7 @@ class GradedMap:
     def surjective_degrees(self) -> list[bool]:
         out = []
         for k in range(self.source.top_degree + 1):
-            tk = k + self.shift
-            tdim = self.target.dim(tk) if tk >= 0 else 0
+            tdim = self.target.dim(k + self.shift)
             out.append(tdim == 0 or rank_rows(self.matrix(k)) == tdim)
         return out
 
