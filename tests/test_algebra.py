@@ -178,7 +178,7 @@ def test_graded_map_rejects_image_of_wrong_degree():
         GradedMap.from_images(plane, plane, 0, images[:2])
 
 
-def test_graded_map_columns_and_blocks():
+def test_graded_map_images_and_blocks():
     """Columns keep nonzero exact scalars only; matrix(k) is the dense block."""
     plane = poly_plane()
     f = GradedMap(plane, plane, 1, [{1: F(4, 2)}, {2: 0}, {}])
