@@ -52,6 +52,13 @@ def _int_field(value, what: str) -> int:
     return value
 
 
+def _str_list(value, what: str) -> list:
+    """A JSON list of strings; anything else raises InputError naming the field."""
+    if not (isinstance(value, list) and all(type(v) is str for v in value)):
+        raise InputError(f"{what} {value!r} is not a list of strings")
+    return value
+
+
 def _element_payload(elem: Element) -> list:
     return [
         [elem.alg.label_of(g), format_rat(q)]
@@ -116,6 +123,8 @@ def ring_from_payload(payload: dict):
     if payload.get("kind") != "ring":
         raise InputError(f"expected a ring file, got kind={payload.get('kind')!r}")
     alg = GradedAlgebra.from_payload(payload)
+    if "socle_degree" not in payload:
+        raise InputError("ring file missing field 'socle_degree'")
     return alg, _int_field(payload["socle_degree"], "socle_degree")
 
 
@@ -155,10 +164,7 @@ def diagram_payload(diagram: BurrowDiagram) -> dict:
                 "chern": [_element_payload(c) for c in e.chern.coeffs],
             }
         )
-    meets = [
-        [*sorted(key), val]
-        for key, val in sorted(diagram.meets.items(), key=lambda kv: sorted(kv[0]))
-    ]
+    meets = [list(entry) for entry in sorted(diagram.meet_pairs())]
     if diagram.nest_rule == NESTED_OR_DISJOINT:
         nests = NESTED_OR_DISJOINT
     else:
@@ -227,14 +233,16 @@ def diagram_from_payload(payload: dict) -> BurrowDiagram:
             BuildingElement(
                 e["id"],
                 _int_field(e["codim"], f"element {e['id']} codim"),
-                frozenset(e["index_set"]) if "index_set" in e else None,
+                frozenset(_str_list(e["index_set"], f"element {e['id']} index_set"))
+                if "index_set" in e
+                else None,
             )
             for e in payload["elements"]
         ]
         burrows = [
             BurrowNode(
                 b["id"],
-                frozenset(b["defining_set"]),
+                frozenset(_str_list(b["defining_set"], f"burrow {b['id']} defining_set")),
                 _int_field(b["codim"], f"burrow {b['id']} codim"),
                 GradedAlgebra.from_payload(b),
             )
@@ -245,13 +253,30 @@ def diagram_from_payload(payload: dict) -> BurrowDiagram:
         inter = payload["intersections"]
         meets = {}
         for entry in inter.get("meets", []):
-            if not (isinstance(entry, list) and len(entry) == 3):
+            if not (
+                isinstance(entry, list)
+                and len(entry) == 3
+                and all(type(v) is str for v in entry[:2])
+                and (entry[2] is None or type(entry[2]) is str)
+            ):
                 raise InputError(f"meets entry {entry!r} is not [burrow, burrow, meet]")
             a, b, val = entry
-            meets[frozenset((a, b))] = val
+            meets[a, b] = val
+        singles = inter["singles"]
+        if not (
+            isinstance(singles, dict) and all(type(v) is str for v in singles.values())
+        ):
+            raise InputError(f"singles {singles!r} is not an object of burrow ids")
         nests = payload["nests"]
         if nests != NESTED_OR_DISJOINT:
-            nests = [frozenset(s) for s in nests["explicit"]]
+            if not isinstance(nests, dict):
+                raise InputError(
+                    f"nests {nests!r} is neither {NESTED_OR_DISJOINT!r} nor an object"
+                )
+            explicit = nests["explicit"]
+            if not isinstance(explicit, list):
+                raise InputError(f"explicit nests {explicit!r} is not a list of lists")
+            nests = [frozenset(_str_list(s, "explicit nest")) for s in explicit]
         ambient = next((b.algebra for b in burrows if b.codim == 0), None)
         if ambient is None:
             raise InputError("diagram file has no codim-0 burrow")
@@ -261,7 +286,7 @@ def diagram_from_payload(payload: dict) -> BurrowDiagram:
             elements=elements,
             burrows=burrows,
             edges=edges,
-            singles=dict(inter["singles"]),
+            singles=singles,
             meets=meets,
             nests=nests,
             relations=relations,

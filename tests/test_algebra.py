@@ -208,3 +208,10 @@ def test_constructed_algebra_rejects_bad_grading():
         GradedAlgebra([2, 1], [["1", "u"], ["a"]], [])
     with pytest.raises(InputError):
         GradedAlgebra([1, 2], [["1"], ["a", "a"]], [])
+
+
+def test_constructed_algebra_rejects_non_string_labels():
+    with pytest.raises(InputError, match="basis label 5 is not a string"):
+        GradedAlgebra([1, 1], [["1"], [5]], [])
+    with pytest.raises(InputError, match="not one list per degree"):
+        GradedAlgebra([1, 1], ["1", "a"], [])

@@ -9,6 +9,9 @@ from wonder.errors import ComputationError, InputError, InvariantViolation
 from wonder.models import _PowerAlg
 
 
+MISSING = object()  # a parametrized field that is deleted, not set
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -315,6 +318,13 @@ def _cut_meets_entry(payload):
     payload["intersections"]["meets"][0] = ["a"]
 
 
+def _set_meets_entry(entry):
+    def mutate(payload):
+        payload["intersections"]["meets"][0] = entry
+
+    return mutate
+
+
 @pytest.mark.parametrize(
     "mutate,message",
     [
@@ -324,13 +334,49 @@ def _cut_meets_entry(payload):
         (lambda p: p.update(socle_degree="x"), "socle_degree 'x' is not an integer"),
         (lambda p: p["burrows"][0].update(degrees=["x"]), "degrees ['x'] is not a list of integers"),
         (_cut_meets_entry, "meets entry ['a'] is not [burrow, burrow, meet]"),
+        (_set_meets_entry([1, "12", None]), "meets entry [1, '12', None] is not [burrow, burrow, meet]"),
+        (_set_meets_entry(["12", "12@0", 5]), "meets entry ['12', '12@0', 5] is not [burrow, burrow, meet]"),
+        (lambda p: p["elements"][0].update(index_set=5), "element D12 index_set 5 is not a list of strings"),
+        (lambda p: p["elements"][0].update(index_set="12"), "element D12 index_set '12' is not a list of strings"),
+        (lambda p: p["elements"][0].update(index_set=[1, 2]), "element D12 index_set [1, 2] is not a list of strings"),
+        (lambda p: p["burrows"][0].update(defining_set=5), "burrow 12 defining_set 5 is not a list of strings"),
+        (lambda p: p["burrows"][0].update(defining_set=[["D12"]]), "burrow 12 defining_set [['D12']] is not a list of strings"),
+        (lambda p: p["intersections"].update(singles=["D12"]), "singles ['D12'] is not an object of burrow ids"),
+        (lambda p: p["intersections"]["singles"].update(D12=5), "is not an object of burrow ids"),
+        (lambda p: p.update(nests={"explicit": 5}), "explicit nests 5 is not a list of lists"),
+        (lambda p: p.update(nests={"explicit": [5]}), "explicit nest 5 is not a list of strings"),
+        (lambda p: p.update(nests={"explicit": [[["D12"]]]}), "explicit nest [['D12']] is not a list of strings"),
+        (lambda p: p.update(nests=5), "nests 5 is neither 'nested-or-disjoint' nor an object"),
     ],
-    ids=["codim-float", "codim-str", "burrow-codim-str", "socle-str", "degrees-str", "short-meet"],
+    ids=[
+        "codim-float",
+        "codim-str",
+        "burrow-codim-str",
+        "socle-str",
+        "degrees-str",
+        "short-meet",
+        "meet-int-burrow",
+        "meet-int-value",
+        "index-set-int",
+        "index-set-str",
+        "index-set-ints",
+        "defining-set-int",
+        "defining-set-nested",
+        "singles-list",
+        "singles-int-value",
+        "explicit-nests-int",
+        "explicit-nest-int",
+        "explicit-nest-nested",
+        "nests-int",
+    ],
 )
 def test_validate_rejects_malformed_diagram_field(tmp_path, capsys, mutate, message):
-    """Integer fields take JSON integers only, and a meet is a 3-item list;
-    anything else exits 1 naming the field, where it used to be truncated
-    (1.5 read as 1) or end in a traceback."""
+    """Integer fields take JSON integers only; a meet is a 3-item list of two
+    burrow ids and a burrow id or null; index and defining sets and explicit
+    nests are lists of strings, and singles map element ids to burrow ids.
+    Anything else exits 1 naming the field, where it used to be truncated
+    (1.5 read as 1), read a string as its set of characters, or end in a
+    traceback."""
     d = tmp_path / "d.json"
     main(["model", "keel", "--n", "2", "--out", str(d)])
     payload = json.loads(d.read_text())
@@ -349,12 +395,29 @@ def test_validate_rejects_malformed_diagram_field(tmp_path, capsys, mutate, mess
         ("degrees", 3, "degrees 3 is not a list of integers"),
         ("socle_degree", "x", "socle_degree 'x' is not an integer"),
         ("socle_degree", 2.0, "socle_degree 2.0 is not an integer"),
+        ("socle_degree", MISSING, "ring file missing field 'socle_degree'"),
+        ("basis_labels", [["1"], [5], ["h1^2"]], "basis label 5 is not a string"),
+        ("basis_labels", [["1"], ["h1"], [None]], "basis label None is not a string"),
+        ("basis_labels", "abc", "basis labels 'abc' are not one list per degree"),
     ],
-    ids=["degrees-str", "degrees-float", "degrees-int", "socle-str", "socle-float"],
+    ids=[
+        "degrees-str",
+        "degrees-float",
+        "degrees-int",
+        "socle-str",
+        "socle-float",
+        "socle-missing",
+        "label-int",
+        "label-null",
+        "labels-str",
+    ],
 )
 def test_pd_rejects_malformed_ring_field(tmp_path, capsys, field, value, message):
     payload = json.loads(io.dump_ring(_PowerAlg(["1"], 2).alg, 2))
-    payload[field] = value
+    if value is MISSING:
+        del payload[field]
+    else:
+        payload[field] = value
     r = tmp_path / "r.json"
     r.write_text(json.dumps(payload))
     code, out, err = run(capsys, "pd", str(r))

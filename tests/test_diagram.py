@@ -1,9 +1,11 @@
+import random
+
 import pytest
 
 from wonder.algebra import GradedMap
 from wonder.diagram import BurrowDiagram, BurrowEdge, ChernPolynomial
 from wonder.errors import InputError
-from wonder.models import point_blowup_p2_diagram
+from wonder.models import fm_power, keel_model, point_blowup_p2_diagram
 
 
 def test_plane_point_fixture_validates():
@@ -117,6 +119,29 @@ def test_perturbed_chain_link_breaks_functoriality(request, model, small, big, k
     assert _fails(bad, "pullback-functorial", "chains")
 
 
+def test_missing_meet_pair_reported(keel2_diagram):
+    """The table holds the meet of every pair of burrows; a missing pair
+    fails validation even where no lookup needs it."""
+    singles = set(keel2_diagram.singles.values())
+    pair = next(
+        key for key in sorted(keel2_diagram.meets, key=sorted) if not key & singles
+    )
+    meets = {key: val for key, val in keel2_diagram.meets.items() if key != pair}
+    bad = BurrowDiagram(
+        socle_degree=keel2_diagram.socle_degree,
+        elements=list(keel2_diagram.elements.values()),
+        burrows=list(keel2_diagram.burrows.values()),
+        edges=list(keel2_diagram.edges.values()),
+        singles=dict(keel2_diagram.singles),
+        meets=meets,
+        nests=keel2_diagram.nest_rule,
+        relations=keel2_diagram.relations,
+    )
+    [problem] = bad.validate().problems()
+    assert (problem.check, problem.subject) == ("table-meets", "&".join(sorted(pair)))
+    assert problem.detail == "pair missing from the table"
+
+
 def test_burrow_of_lookups(fm3_diagram):
     assert fm3_diagram.burrow_of([]) == "1|2|3"
     assert fm3_diagram.burrow_of(["D12"]) == "12|3"
@@ -179,3 +204,110 @@ def test_fundamental_class(fm3_diagram):
     amb = fm3_diagram.ambient.algebra
     fc = fm3_diagram.fundamental_class("12|3")
     assert fc == amb.from_labels({"h1": 1, "h2": 1})
+
+
+# Full basis x basis references for the three checks that validate runs on
+# algebra generators only.
+
+
+def _full_ring_hom(m) -> bool:
+    src, tgt = m.source, m.target
+    if m.shift != 0 or m.apply(src.unit()) != tgt.unit():
+        return False
+    for i in range(1, src.total_dim):
+        for j in range(i, src.total_dim):
+            if src.degree_of(i) + src.degree_of(j) > src.top_degree:
+                continue
+            left = m.apply(src.basis_element(i) * src.basis_element(j))
+            if left != m.apply_basis(i) * m.apply_basis(j):
+                return False
+    return True
+
+
+def _full_projection_formula(pull, push) -> bool:
+    big, small = pull.source, pull.target
+    return all(
+        push.apply(pull.apply_basis(a) * small.basis_element(b))
+        == big.basis_element(a) * push.apply_basis(b)
+        for a in range(big.total_dim)
+        for b in range(small.total_dim)
+    )
+
+
+def _full_functoriality(diagram) -> str | None:
+    """Detail of the first chain whose composite differs from its edge map
+    on some basis element, or None."""
+    for small, big in diagram.edges:
+        for mid in diagram.burrows:
+            if mid in (small, big) or not (
+                diagram.burrow_contains(big, mid) and diagram.burrow_contains(mid, small)
+            ):
+                continue
+            direct = diagram.pullback(big, small)
+            link, upper = diagram.pullback(mid, small), diagram.pullback(big, mid)
+            if any(
+                direct.apply_basis(g) != link.apply(upper.apply_basis(g))
+                for g in range(direct.source.total_dim)
+            ):
+                return f"{big} -> {mid} -> {small}"
+    return None
+
+
+def _mutated(diagram, rnd):
+    """The diagram with one seeded pullback or pushforward entry moved."""
+    small, big = rnd.choice(sorted(diagram.edges))
+    edge = diagram.edges[(small, big)]
+    which = rnd.choice(["pullback", "pushforward"])
+    m = getattr(edge, which)
+    slots = [
+        (g, h)
+        for g in range(m.source.total_dim)
+        for h in m.target.global_indices(m.source.degree_of(g) + m.shift)
+    ]
+    g, h = rnd.choice(slots)
+    columns = [dict(col) for col in m.columns]
+    columns[g][h] = columns[g].get(h, 0) + rnd.choice([-1, 1, 2])
+    moved = GradedMap(m.source, m.target, m.shift, columns)
+    maps = {"pullback": edge.pullback, "pushforward": edge.pushforward, which: moved}
+    return _rebuilt(diagram, BurrowEdge(small, big, **maps, chern=edge.chern))
+
+
+MUTATED_MODELS = {
+    "fm-p1-3": lambda: fm_power("p1", 3),
+    "fm-p2-3": lambda: fm_power("p2", 3),
+    "keel-2": lambda: keel_model(2),
+    "keel-3": lambda: keel_model(3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MUTATED_MODELS))
+def test_generator_checks_agree_with_full_reference(name):
+    """Seeded one-entry mutations: validate catches each one, and its
+    generator checks give the verdicts of the full basis x basis checks.
+    The ring-hom verdict and report.ok always agree; the projection formula
+    and functoriality agree whenever every pullback is a ring map, the case
+    their proofs cover."""
+    diagram = MUTATED_MODELS[name]()
+    rnd = random.Random(f"mutate {name}")
+    for _ in range(12):
+        bad = _mutated(diagram, rnd)
+        report = bad.validate()
+        verdicts = {(e.check, e.subject): e for e in report.entries}
+        full = {}
+        for (small, big), edge in bad.edges.items():
+            subject = f"{small}<{big}"
+            full[("pullback-ring-hom", subject)] = _full_ring_hom(edge.pullback)
+            full[("projection-formula", subject)] = _full_projection_formula(
+                edge.pullback, edge.pushforward
+            )
+        chain = _full_functoriality(bad)
+        full[("pullback-functorial", "chains")] = chain is None
+        ring_maps = all(v for (check, _), v in full.items() if check == "pullback-ring-hom")
+        for key, ok in full.items():
+            if key[0] == "pullback-ring-hom" or ring_maps:
+                assert verdicts[key].ok == ok, key
+        if ring_maps:
+            assert verdicts[("pullback-functorial", "chains")].detail == (chain or "")
+        others = all(e.ok for key, e in verdicts.items() if key not in full)
+        assert report.ok == (others and all(full.values()))
+        assert not report.ok

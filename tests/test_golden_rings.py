@@ -7,7 +7,9 @@ ordering changes the digest. Each report digest pins the stdout and the exit
 code of one CLI command on one model. The synthetic digests pin the
 algebras ``synthetic_gorenstein`` and ``synthetic_broken`` build. The
 scalar-kind tests walk the same models: every stored scalar is an ``int`` or
-a non-integral ``Fraction``."""
+a non-integral ``Fraction``.  The generator tests check that
+``GradedAlgebra.generators`` is a minimal generating set of every burrow
+algebra of these models and of the synthetic algebras."""
 
 import hashlib
 from fractions import Fraction
@@ -17,6 +19,7 @@ import pytest
 from wonder import io
 from wonder.cli import main
 from wonder.engine import build_ring
+from wonder.exact_linalg import rank_rows
 from wonder.models import fm_power, keel_model, synthetic_broken, synthetic_gorenstein
 
 GOLDEN = {
@@ -268,3 +271,40 @@ def test_synthetic_scalar_kinds(synthetic):
         scalars.extend(_structure_constants(synthetic(*key)))
     assert all(_exact_kind(q) for q in scalars)
     assert any(type(q) is Fraction for q in scalars)
+
+
+def _monomials_span(alg, gens) -> bool:
+    """Whether the monomials in gens span every degree of alg.  By induction
+    on the degree, once the lower degrees are spanned, the degree-k
+    monomials span the products g * b of a generator g with the basis b of
+    degree k - deg g (b = 1 for a generator of degree k)."""
+    for k in range(1, alg.top_degree + 1):
+        rows = []
+        for g in gens:
+            for b in alg.global_indices(k - alg.degree_of(g)):
+                prod = alg.basis_element(g) * alg.basis_element(b)
+                rows.append([prod.coefficient(h) for h in alg.global_indices(k)])
+        if rank_rows(rows) != alg.dim(k):
+            return False
+    return True
+
+
+def _assert_minimal_generators(alg):
+    gens = alg.generators()
+    assert list(gens) == sorted(set(gens))
+    assert all(0 < g < alg.total_dim for g in gens)
+    assert _monomials_span(alg, gens)
+    for g in gens:
+        assert not _monomials_span(alg, [h for h in gens if h != g]), alg.label_of(g)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_burrow_generators_are_minimal(built, name):
+    diagram, _ = built(name)
+    for burrow in diagram.burrows.values():
+        _assert_minimal_generators(burrow.algebra)
+
+
+@pytest.mark.parametrize("dims,k,seed", sorted(GOLDEN_SYNTH, key=repr))
+def test_synthetic_generators_are_minimal(synthetic, dims, k, seed):
+    _assert_minimal_generators(synthetic(dims, k, seed))
