@@ -112,8 +112,9 @@ class Element:
 
 
 class GradedAlgebra:
-    """Graded commutative associative rational algebra with unit, described
-    by bases and structure constants.  Immutable after construction."""
+    """Graded commutative rational algebra with unit, described by bases and
+    structure constants.  Immutable after construction.  Associativity is
+    not enforced here; ``check_associativity`` tests it."""
 
     def __init__(self, dims, labels, mult_entries):
         self.dims = tuple(int(d) for d in dims)
@@ -255,7 +256,10 @@ class GradedAlgebra:
         Chosen degree by degree: in degree k, a basis element becomes a
         generator when it is not in the span of the products g*b of the
         generators g found so far with the basis b of degree k - deg g, nor
-        of the generators already taken in degree k.  That span is every
+        of the generators already taken in degree k.  So every class x of
+        positive degree is a sum of products g*m of a generator g and a
+        class m with deg m < deg x (m = 1 allowed), whatever the structure
+        constants.  When the algebra is associative, that span is every
         product of two positive-degree classes of total degree k, since
         those lower classes are polynomials in the lower generators; so
         monomials in the generators span each degree, and leaving out any
@@ -288,22 +292,39 @@ class GradedAlgebra:
     # -- invariant checks ---------------------------------------------------
 
     def check_associativity(self) -> list[tuple[int, int, int]]:
-        """Exact associativity check on all basis triples; returns failures."""
+        """Exact associativity check; returns the failing (g, b, c).
+
+        It compares (g*b)*c with g*(b*c) for each generator g and basis
+        elements b, c of positive degree with deg g + deg b + deg c at
+        most the top degree (above it both sides are zero).  The result is
+        empty exactly when the algebra is associative.  The product is
+        commutative and the unit exact by construction, and every class x
+        of positive degree is a sum of products g*m of a generator g and a
+        class m with deg m < deg x (see ``generators``).  Induct on deg x
+        to show (x*y)*z = x*(y*z); by linearity take x = g*m.  The checked
+        law, extended bilinearly, gives ((g*m)*y)*z = (g*(m*y))*z
+        = g*((m*y)*z), which the induction hypothesis for m turns into
+        g*(m*(y*z)); and the checked law gives (g*m)*(y*z) = g*(m*(y*z)).
+        """
+
+        def times(vec, h):
+            out: dict[int, Fraction] = {}
+            for k, q in vec.items():
+                for gk, c in self.product_basis(k, h).items():
+                    out[gk] = out.get(gk, ZERO) + q * c
+            return {gk: q for gk, q in out.items() if q}
+
         bad = []
-        n = self.total_dim
-        for i in range(1, n):
-            bi = self.basis_element(i)
-            for j in range(i, n):
-                if self._degree_of[i] + self._degree_of[j] > self.top_degree:
-                    continue
-                bj = self.basis_element(j)
-                ij = self.multiply(bi, bj)
-                for k in range(j, n):
-                    bk = self.basis_element(k)
-                    left = self.multiply(ij, bk)
-                    right = self.multiply(bi, self.multiply(bj, bk))
-                    if left != right:
-                        bad.append((i, j, k))
+        for g in self.generators():
+            room = self.top_degree - self._degree_of[g]
+            for b in range(1, self.total_dim):
+                db = self._degree_of[b]
+                if db >= room:
+                    break
+                gb = self.product_basis(g, b)
+                for c in range(1, self._offsets[room - db] + self.dims[room - db]):
+                    if times(gb, c) != times(self.product_basis(b, c), g):
+                        bad.append((g, b, c))
         return bad
 
     # -- serialization -------------------------------------------------------
@@ -460,7 +481,10 @@ class GradedMap:
         g*m of a generator g and a class m of lower degree, and
         f(g*m*y) = f(g)*f(m*y) = f(g)*f(m)*f(y) = f(g*m)*f(y) by the checked
         law for g (extended linearly to m*y and to m), the induction
-        hypothesis for m, and associativity in both algebras.
+        hypothesis for m, and associativity in both algebras.  Without
+        associativity the shortcut can pass a map that breaks the law, so
+        ``BurrowDiagram.validate`` checks every burrow algebra with
+        ``check_associativity``.
         """
         if self.shift != 0:
             return False
@@ -486,13 +510,14 @@ def projection_formula_holds(pullback: GradedMap, pushforward: GradedMap) -> boo
     the pullback's source and every basis element b of its target, where
     the source has classes in the degree of both sides.
 
-    When the pullback is a ring map (``is_ring_hom``) this is the formula
-    on all basis pairs.  The classes a for which it holds against every b
-    form a linear space.  It holds 1, since pull(1) = 1.  It holds a*a'
-    whenever it holds a and a': if a*a' = 0 both sides vanish, and
-    otherwise push(pull(a*a') * b) = push(pull(a) * (pull(a') * b))
-    = a * push(pull(a') * b) = a * a' * push(b).  So it holds every
-    monomial in the generators, and these span the source.
+    When the pullback is a ring map (``is_ring_hom``) and both algebras
+    are associative, this is the formula on all basis pairs.  The classes
+    a for which it holds against every b form a linear space.  It holds 1,
+    since pull(1) = 1.  It holds a*a' whenever it holds a and a': if
+    a*a' = 0 both sides vanish, and otherwise push(pull(a*a') * b)
+    = push(pull(a) * (pull(a') * b)) = a * push(pull(a') * b)
+    = a * a' * push(b).  So it holds every monomial in the generators, and
+    these span the source.
     """
     big, small = pullback.source, pullback.target
     if pushforward.source is not small or pushforward.target is not big:

@@ -142,12 +142,9 @@ class BurrowDiagram:
                 raise InputError(f"duplicate edge {key}")
             self.edges[key] = e
         self.singles = dict(singles)
-        # _meet[a][b] for each stored pair, both ways round; for burrows of
-        # the diagram, _below[a] holds the b != a with meet(a, b) == b and
-        # _above[b] the a with b in _below[a]
+        # _meet[a][b] for each stored pair, both ways round; a later entry
+        # for the same pair replaces an earlier one
         self._meet: dict[str, dict[str, str | None]] = {}
-        self._below: dict[str, set[str]] = {b: set() for b in self.burrows}
-        self._above: dict[str, set[str]] = {b: set() for b in self.burrows}
         for key, val in meets.items():
             key = frozenset(key)
             if len(key) != 2:
@@ -155,10 +152,15 @@ class BurrowDiagram:
             a, b = key
             self._meet.setdefault(a, {})[b] = val
             self._meet.setdefault(b, {})[a] = val
-            if val in key and a in self.burrows and b in self.burrows:
-                outer = b if val == a else a
-                self._below[outer].add(val)
-                self._above[val].add(outer)
+        # _below[a]: the burrows b != a of the diagram with meet(a, b) == b
+        self._below = {
+            a: {
+                b
+                for b, val in self._meet.get(a, {}).items()
+                if val == b and b in self.burrows
+            }
+            for a in self.burrows
+        }
         if nests == NESTED_OR_DISJOINT:
             self.nest_rule = NESTED_OR_DISJOINT
             self.explicit_nests = None
@@ -174,19 +176,15 @@ class BurrowDiagram:
 
     # -- intersection table --------------------------------------------------
 
-    def meet_pairs(self):
-        """The stored meets as (a, b, meet) with a < b, in no set order."""
-        return (
-            (a, b, val)
-            for a, row in self._meet.items()
-            for b, val in row.items()
-            if a < b
-        )
-
     @property
     def meets(self) -> dict[frozenset, str | None]:
         """The stored meets keyed by unordered pair, e.g. to rebuild a diagram."""
-        return {frozenset((a, b)): val for a, b, val in self.meet_pairs()}
+        return {
+            frozenset((a, b)): val
+            for a, row in self._meet.items()
+            for b, val in row.items()
+            if a < b
+        }
 
     def meet(self, b1: str, b2: str) -> str | None:
         if b1 is None or b2 is None:
@@ -292,6 +290,13 @@ class BurrowDiagram:
                 sr.ok,
                 "" if sr.ok else "; ".join(sr.problems),
             )
+            # the generator checks below are exact on associative algebras
+            bad = b.algebra.check_associativity()
+            if bad:
+                g, x, y = (b.algebra.label_of(i) for i in bad[0])
+                rep.add(
+                    "associativity", b.id, False, f"({g}*{x})*{y} != {g}*({x}*{y})"
+                )
 
         for x, e in sorted(self.elements.items()):
             if x not in self.singles:
@@ -312,8 +317,10 @@ class BurrowDiagram:
 
         unknown = [
             (a, b)
-            for a, b, val in self.meet_pairs()
-            if not (
+            for a, row in self._meet.items()
+            for b, val in row.items()
+            if a < b
+            and not (
                 a in self.burrows
                 and b in self.burrows
                 and (val is None or val in self.burrows)
@@ -438,15 +445,17 @@ class BurrowDiagram:
             )
 
         # functoriality: composite pullback along a chain equals the edge map.
-        # Both sides are ring maps once the ring-hom checks pass, so they
-        # agree everywhere when they agree on the unit and the generators.
+        # Both sides are ring maps once the associativity and ring-hom
+        # checks pass, so they agree everywhere when they agree on the unit
+        # and the generators.
         ok = True
         detail = ""
         order = {b: i for i, b in enumerate(self.burrows)}
         for (small, big), edge in self.edges.items():
             direct = edge.pullback
-            between = self._below.get(big, set()) & self._above.get(small, set())
-            for mid in sorted(between, key=order.__getitem__):
+            for mid in sorted(self._below[big], key=order.__getitem__):
+                if small not in self._below[mid]:
+                    continue
                 link, upper = self.pullback(mid, small), self.pullback(big, mid)
                 if any(
                     direct.apply_basis(g) != link.apply(upper.apply_basis(g))

@@ -164,7 +164,10 @@ def diagram_payload(diagram: BurrowDiagram) -> dict:
                 "chern": [_element_payload(c) for c in e.chern.coeffs],
             }
         )
-    meets = [list(entry) for entry in sorted(diagram.meet_pairs())]
+    meets = [
+        [*sorted(key), val]
+        for key, val in sorted(diagram.meets.items(), key=lambda kv: sorted(kv[0]))
+    ]
     if diagram.nest_rule == NESTED_OR_DISJOINT:
         nests = NESTED_OR_DISJOINT
     else:

@@ -215,3 +215,64 @@ def test_constructed_algebra_rejects_non_string_labels():
         GradedAlgebra([1, 1], [["1"], [5]], [])
     with pytest.raises(InputError, match="not one list per degree"):
         GradedAlgebra([1, 1], ["1", "a"], [])
+
+
+def _full_associativity(alg) -> bool:
+    """Reference: (a*b)*c == a*(b*c) on every basis triple."""
+    b = [alg.basis_element(g) for g in range(alg.total_dim)]
+    return all(
+        alg.multiply(alg.multiply(x, y), z) == alg.multiply(x, alg.multiply(y, z))
+        for x in b
+        for y in b
+        for z in b
+    )
+
+
+def _moved_constant(alg, rnd):
+    """alg with one seeded structure constant moved, keeping the grading."""
+    table = {(a, b, k): q for a, b, k, q in alg.to_payload()["mult"]}
+    a, b = rnd.choice(
+        [
+            (a, b)
+            for a in range(1, alg.total_dim)
+            for b in range(a, alg.total_dim)
+            if alg.dim(alg.degree_of(a) + alg.degree_of(b))
+        ]
+    )
+    k = rnd.choice(alg.global_indices(alg.degree_of(a) + alg.degree_of(b)))
+    table[a, b, k] = F(table.get((a, b, k), 0)) + rnd.choice([-1, 1, 2])
+    return GradedAlgebra(alg.dims, alg.labels, [(*key, q) for key, q in table.items()])
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: _PowerAlg(["x"], 4).alg,
+        lambda: _PowerAlg(["x"], 6).alg,
+        lambda: _PowerAlg(["x", "y"], 2).alg,
+        lambda: _PowerAlg(["x", "y", "z"], 1).alg,
+        lambda: tensor_algebra(poly_line(), _PowerAlg(["y"], 2).alg)[0],
+    ],
+    ids=["p4", "p6", "plane-squared", "line-cubed", "line-times-plane"],
+)
+def test_associativity_on_generators_agrees_with_all_triples(make):
+    """check_associativity tries only generator x basis x basis; on seeded
+    one-constant moves its verdict equals the all-triples reference, and
+    every triple it reports fails."""
+    import random
+
+    alg = make()
+    assert alg.check_associativity() == [] and _full_associativity(alg)
+    rnd = random.Random(repr(alg.dims))
+    broken = 0
+    for _ in range(15):
+        moved = _moved_constant(alg, rnd)
+        bad = moved.check_associativity()
+        assert (not bad) == _full_associativity(moved)
+        for g, b, c in bad:
+            x, y, z = (moved.basis_element(i) for i in (g, b, c))
+            assert moved.multiply(moved.multiply(x, y), z) != moved.multiply(
+                x, moved.multiply(y, z)
+            )
+        broken += bool(bad)
+    assert broken

@@ -1,11 +1,17 @@
 import random
+from fractions import Fraction as F
 
 import pytest
 
-from wonder.algebra import GradedMap
+from wonder.algebra import GradedAlgebra, GradedMap
 from wonder.diagram import BurrowDiagram, BurrowEdge, ChernPolynomial
 from wonder.errors import InputError
-from wonder.models import fm_power, keel_model, point_blowup_p2_diagram
+from wonder.models import (
+    fm_power,
+    keel_model,
+    point_blowup_p2_diagram,
+    single_center_diagram,
+)
 
 
 def test_plane_point_fixture_validates():
@@ -140,6 +146,66 @@ def test_missing_meet_pair_reported(keel2_diagram):
     [problem] = bad.validate().problems()
     assert (problem.check, problem.subject) == ("table-meets", "&".join(sorted(pair)))
     assert problem.detail == "pair missing from the table"
+
+
+def test_repeated_meet_pair_keeps_the_last_value(fm3_diagram):
+    """A pair given twice keeps its last meet, and containment follows it:
+    an earlier entry claiming a containment the last one denies leaves no
+    chain behind for the functoriality check to walk."""
+    d = fm3_diagram
+    small, big, mid = next(
+        (small, big, mid)
+        for small, big in sorted(d.edges)
+        for mid in sorted(d.burrows)
+        if mid not in (small, big)
+        and d.burrow_contains(mid, small)
+        and not d.burrow_contains(big, mid)
+    )
+    meets = {tuple(sorted(key)): val for key, val in d.meets.items()}
+    last = meets.pop(tuple(sorted((big, mid))))
+    meets[big, mid] = mid
+    meets[mid, big] = last
+    again = BurrowDiagram(
+        socle_degree=d.socle_degree,
+        elements=list(d.elements.values()),
+        burrows=list(d.burrows.values()),
+        edges=list(d.edges.values()),
+        singles=dict(d.singles),
+        meets=meets,
+        nests=d.nest_rule,
+        relations=d.relations,
+    )
+    assert again.meet(big, mid) == last and not again.burrow_contains(big, mid)
+    assert again.meets == d.meets
+    assert again.validate().summary() == d.validate().summary()
+
+
+def test_non_associative_burrow_fails_validation():
+    """The generator checks are exact on associative algebras, and validate
+    checks that hypothesis on every burrow.  Here the ambient is commutative
+    but not associative (a*a = c while x*(x*a) = 2c); the pullback and the
+    pushforward keep their laws on generators but not on every basis pair,
+    and the associativity row is the one failure, so the report fails as
+    the full checks would make it."""
+    labels = [["1"], ["x"], ["a"], ["e"], ["c"], ["s"]]
+    # x*x = a, x*a = e, x*e = 2c, a*a = c, x*c = s, a*e = s
+    mult = [(1, 1, 2, 1), (1, 2, 3, 1), (1, 3, 4, 2), (2, 2, 4, 1), (1, 4, 5, 1), (2, 3, 5, 1)]
+    amb = GradedAlgebra([1] * 6, labels, mult)
+    line = GradedAlgebra(
+        [1] * 5,
+        [["1"], ["t"], ["t2"], ["t3"], ["t4"]],
+        [(i, j, i + j, 1) for i in range(1, 4) for j in range(i, 5 - i)],
+    )
+    pull = GradedMap(amb, line, 0, [{0: 1}, {1: 1}, {2: 1}, {3: 1}, {4: F(1, 2)}, {}])
+    push = GradedMap(line, amb, 1, [{1: 1}, {2: 1}, {3: 1}, {4: 2}, {5: 2}])
+    diagram = single_center_diagram(
+        amb, line, pull, push, [push.apply_basis(0)], socle_degree=5
+    )
+    assert pull.is_ring_hom() and not _full_ring_hom(pull)
+    assert not _full_projection_formula(pull, push)
+    [problem] = diagram.validate().problems()
+    assert (problem.check, problem.subject) == ("associativity", "Y")
+    assert problem.detail == "(x*x)*a != x*(x*a)"
 
 
 def test_burrow_of_lookups(fm3_diagram):
