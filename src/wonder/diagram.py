@@ -202,6 +202,8 @@ class BurrowDiagram:
         for x in sorted(element_ids):
             if x not in self.elements:
                 raise InputError(f"unknown element id {x!r}")
+            if x not in self.singles:
+                raise InputError(f"element {x!r} has no burrow in the singles table")
             acc = self.meet(acc, self.singles[x])
             if acc is None:
                 return None
@@ -298,13 +300,17 @@ class BurrowDiagram:
                     "associativity", b.id, False, f"({g}*{x})*{y} != {g}*({x}*{y})"
                 )
 
+        # elements with no known burrow fail here and are skipped below
+        unplaced = set()
         for x, e in sorted(self.elements.items()):
             if x not in self.singles:
                 rep.add("table-singles", x, False, "element missing from the table")
+                unplaced.add(x)
                 continue
             bid = self.singles[x]
             if bid not in self.burrows:
                 rep.add("table-singles", x, False, f"unknown burrow {bid!r}")
+                unplaced.add(x)
                 continue
             node = self.burrows[bid]
             ok = node.codim == e.codim
@@ -336,7 +342,7 @@ class BurrowDiagram:
                     rep.add("table-meets", f"{a}&{b}", False, "pair missing from the table")
 
         # meets must be associative on element triples (closure consistency)
-        ids = sorted(self.elements)
+        ids = sorted(set(self.elements) - unplaced)
         ok = True
         detail = ""
         for i, x in enumerate(ids):
@@ -357,6 +363,10 @@ class BurrowDiagram:
         rep.add("table-consistency", "elements", ok, detail)
 
         for b in self.burrows.values():
+            lost = sorted(b.defining_set & unplaced)
+            if lost:
+                rep.add("defining-set", b.id, False, f"{lost[0]} has no burrow")
+                continue
             folded = self.burrow_of(b.defining_set) if b.defining_set else (
                 self.ambient_id if b.codim == 0 else None
             )
@@ -485,7 +495,7 @@ class BurrowDiagram:
             rep.add("nest-downward-closed", "explicit list", closed, detail)
         bad = None
         for s in self.iter_nests():
-            if s and self.burrow_of(s) is None:
+            if s and not s & unplaced and self.burrow_of(s) is None:
                 bad = s
                 break
         rep.add(

@@ -52,6 +52,13 @@ def _int_field(value, what: str) -> int:
     return value
 
 
+def _str_field(value, what: str) -> str:
+    """A JSON string; anything else raises InputError naming the field."""
+    if type(value) is not str:
+        raise InputError(f"{what} {value!r} is not a string")
+    return value
+
+
 def _str_list(value, what: str) -> list:
     """A JSON list of strings; anything else raises InputError naming the field."""
     if not (isinstance(value, list) and all(type(v) is str for v in value)):
@@ -234,7 +241,7 @@ def diagram_from_payload(payload: dict) -> BurrowDiagram:
     try:
         elements = [
             BuildingElement(
-                e["id"],
+                _str_field(e["id"], "element id"),
                 _int_field(e["codim"], f"element {e['id']} codim"),
                 frozenset(_str_list(e["index_set"], f"element {e['id']} index_set"))
                 if "index_set" in e
@@ -244,7 +251,7 @@ def diagram_from_payload(payload: dict) -> BurrowDiagram:
         ]
         burrows = [
             BurrowNode(
-                b["id"],
+                _str_field(b["id"], "burrow id"),
                 frozenset(_str_list(b["defining_set"], f"burrow {b['id']} defining_set")),
                 _int_field(b["codim"], f"burrow {b['id']} codim"),
                 GradedAlgebra.from_payload(b),

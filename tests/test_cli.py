@@ -347,6 +347,8 @@ def _set_meets_entry(entry):
         (lambda p: p.update(nests={"explicit": [5]}), "explicit nest 5 is not a list of strings"),
         (lambda p: p.update(nests={"explicit": [[["D12"]]]}), "explicit nest [['D12']] is not a list of strings"),
         (lambda p: p.update(nests=5), "nests 5 is neither 'nested-or-disjoint' nor an object"),
+        (lambda p: p["elements"][0].update(id=5), "element id 5 is not a string"),
+        (lambda p: p["burrows"][0].update(id=5), "burrow id 5 is not a string"),
     ],
     ids=[
         "codim-float",
@@ -368,12 +370,15 @@ def _set_meets_entry(entry):
         "explicit-nest-int",
         "explicit-nest-nested",
         "nests-int",
+        "element-id-int",
+        "burrow-id-int",
     ],
 )
 def test_validate_rejects_malformed_diagram_field(tmp_path, capsys, mutate, message):
     """Integer fields take JSON integers only; a meet is a 3-item list of two
     burrow ids and a burrow id or null; index and defining sets and explicit
-    nests are lists of strings, and singles map element ids to burrow ids.
+    nests are lists of strings, singles map element ids to burrow ids, and
+    element and burrow ids are strings.
     Anything else exits 1 naming the field, where it used to be truncated
     (1.5 read as 1), read a string as its set of characters, or end in a
     traceback."""
@@ -385,6 +390,23 @@ def test_validate_rejects_malformed_diagram_field(tmp_path, capsys, mutate, mess
     code, out, err = run(capsys, "validate", str(d))
     assert code == 1 and out == ""
     assert message in err and "Traceback" not in err
+
+
+def test_validate_reports_element_missing_from_singles(tmp_path, capsys):
+    """An element with no burrow in the singles table fails its own row and
+    the defining sets that name it; the later checks skip it, so the report
+    is printed and nothing ends in a traceback."""
+    d = tmp_path / "d.json"
+    main(["model", "keel", "--n", "2", "--out", str(d)])
+    payload = json.loads(d.read_text())
+    del payload["intersections"]["singles"]["D12"]
+    d.write_text(json.dumps(payload))
+    code, out, err = run(capsys, "validate", str(d))
+    assert code == 1 and "Traceback" not in err
+    assert "FAIL table-singles [D12] - element missing from the table" in out
+    assert "FAIL defining-set [12] - D12 has no burrow" in out
+    assert "ok   table-consistency [elements]" in out
+    assert out.endswith("result: fail\n")
 
 
 @pytest.mark.parametrize(
