@@ -7,11 +7,14 @@ Coefficients are carried as ambient classes during rewriting (restriction
 maps are ring maps, so restricting once at the end agrees with restricting
 eagerly) and land in the burrow of the final support.
 
-Every step of the reduction is linear in the ambient coefficient: the
-rewrite chosen for coeff * E^e depends only on the exponent pattern e. So
-each ring keeps a memo from (exponent pattern, ambient basis index) to
-sparse ring coordinates, filled children first along the termination
-measure, and a basis product is one ambient product of two cached lifts
+Every step of the reduction is linear in the ambient coefficient, and what
+it does to coeff * E^e depends only on the exponent pattern e. So each ring
+builds one checked plan per pattern (zero, standard, or one rewrite) and a
+memo from (exponent pattern, ambient basis index) to sparse ring
+coordinates, filled children first along the termination measure. The
+product table goes by summand pairs: their basis vectors share one merged
+pattern, a pair whose support is not a nest is zero with no ambient product,
+and any other basis product is one ambient product of two cached lifts
 followed by memo lookups. The rewrite cap (``max_rewrites``,
 ``WONDER_MAX_REWRITES``) counts the rewrite steps one normal-form call
 actually performs, that is its memo misses."""
@@ -39,6 +42,18 @@ from wonder.nests import Summand, enclosing_burrow, li_decomposition, standard_b
 
 DEFAULT_MAX_REWRITES = 10_000
 _EMPTY: Mapping = MappingProxyType({})
+# per-pattern plan kinds (``WonderRing._make_plan``)
+_ZERO_PLAN = ("zero",)
+_STANDARD = "standard"
+_REWRITE = "rewrite"
+
+
+def _merged(sa: Summand, sb: Summand) -> tuple:
+    """Exponent pattern of the product of two summands' basis vectors."""
+    exps = dict(sa.mu.assignment)
+    for x, k in sb.mu.assignment:
+        exps[x] = exps.get(x, 0) + k
+    return tuple(sorted(exps.items()))
 
 
 def _default_cap() -> int:
@@ -49,20 +64,6 @@ def _default_cap() -> int:
         except ValueError:
             raise InputError(f"WONDER_MAX_REWRITES is not an integer: {env!r}")
     return DEFAULT_MAX_REWRITES
-
-
-@dataclass(frozen=True)
-class RewriteRule:
-    """One instance of the monic exponent-reduction rule: inside the given
-    support, the element x with its enclosing burrow w and the expansion of
-    the rule as (exponent pattern, ambient coefficient) pairs, lead term
-    excluded."""
-
-    support: tuple
-    element: str
-    w_burrow: str
-    degree: int
-    terms: tuple  # ((exponent pattern), ambient Element) pairs
 
 
 class WonderRing:
@@ -104,12 +105,14 @@ class WonderRing:
             raise InvariantViolation("basis dimensions disagree with the decomposition")
 
         self._sections: dict[str, GradedMap] = {}
-        self._chern_amb: dict[tuple, list] = {}
-        self._rules: dict[tuple, RewriteRule] = {}
-        self._lifts: dict[int, Element] = {}
-        # (exponent pattern, ambient basis index) -> sparse ring coordinates
+        self._rules: dict[tuple, tuple] = {}
+        self._lifts: dict[int, dict] = {}
+        # exponent pattern -> plan; (exponent pattern, ambient basis index)
+        # -> sparse ring coordinates
+        self._plans: dict[tuple, tuple] = {}
         self._memo: dict[tuple, dict] = {}
         self._cache: dict[tuple, Mapping] = {}
+        self._complete = False
         self._algebra: GradedAlgebra | None = None
         self._pairing: SoclePairing | None = None
         self._amb = amb
@@ -154,33 +157,25 @@ class WonderRing:
 
     # -- rewrite machinery ---------------------------------------------------
 
-    def _chern_ambient(self, x: str, w: str) -> list[Element]:
-        key = (x, w)
-        out = self._chern_amb.get(key)
-        if out is None:
-            dia = self.diagram
-            bx = dia.singles[x]
-            chern = dia.edges[(bx, w)].chern
-            lift = self.section(w)
-            out = [lift.apply(chern.coefficient(i)) for i in range(1, chern.deg + 1)]
-            self._chern_amb[key] = out
-        return out
-
-    def rewrite_rule(self, support: frozenset, x: str) -> RewriteRule:
-        """The reduction rule for element x inside the given support; the
-        expansion terms exclude the lead monomial."""
+    def rewrite_rule(self, support: frozenset, x: str) -> tuple:
+        """The monic reduction rule for element x inside the given support:
+        its degree p (x^p is the lead monomial) and its other terms as
+        (exponent pattern, ambient coefficient) pairs."""
         key = (tuple(sorted(support)), x)
         rule = self._rules.get(key)
-        if rule is not None:
-            return rule
+        if rule is None:
+            rule = self._rules[key] = self._make_rule(support, x)
+        return rule
+
+    def _make_rule(self, support: frozenset, x: str) -> tuple:
         dia = self.diagram
         w = enclosing_burrow(dia, x, support)
         p = dia.elements[x].codim - dia.burrows[w].codim
         if p <= 0:
-            rule = RewriteRule(key[0], x, w, 0, tuple())
-            self._rules[key] = rule
-            return rule
-        c_amb = self._chern_ambient(x, w)
+            return 0, ()
+        chern = dia.edges[(dia.singles[x], w)].chern
+        lift = self.section(w)
+        c_amb = [lift.apply(chern.coefficient(i)) for i in range(1, p + 1)]
         below = dia.elements_below(x)
         amb = self._amb
         # expand sum_j c_j * (-(sum of E_S))^(p-j); monomial keys are sorted
@@ -209,28 +204,81 @@ class WonderRing:
         if lead_coeff != expected:
             raise InvariantViolation("lead coefficient of the rewrite rule is wrong")
         sign = ONE if (p + 1) % 2 == 0 else -ONE  # (-1)^(p+1)
-        terms = tuple(
-            (ek, cf.scale(sign)) for ek, cf in acc.items() if not cf.is_zero()
-        )
-        rule = RewriteRule(key[0], x, w, p, terms)
-        self._rules[key] = rule
-        return rule
+        return p, tuple((ek, cf.scale(sign)) for ek, cf in acc.items() if not cf.is_zero())
+
+    def _plan(self, pattern: tuple) -> tuple:
+        """The ring's plan for the exponent pattern, built on first use. A
+        plan that raises is not stored."""
+        plan = self._plans.get(pattern)
+        if plan is None:
+            plan = self._plans[pattern] = self._make_plan(pattern)
+        return plan
+
+    def _make_plan(self, pattern: tuple) -> tuple:
+        """What one step does to E^pattern * (ambient basis class g), any g:
+        ``_ZERO_PLAN`` off the nests; (_STANDARD, restriction columns to the
+        support's burrow, ring index of each burrow class) when every
+        exponent is standard; else (_REWRITE, measure, ((child pattern,
+        ambient coefficients, measure), ...)), zero children left out."""
+        if self._vanishes(pattern):
+            return _ZERO_PLAN
+        dia = self.diagram
+        exps = dict(pattern)
+        support = frozenset(exps)
+        burrow = dia.burrow_of(support) if support else dia.ambient_id
+        if burrow is None:
+            raise InputError(
+                f"support {sorted(support)} passes the nest rule but has an "
+                "empty intersection; inconsistent input"
+            )
+        violations = [x for x in support if exps[x] >= standard_bound(dia, x, support)]
+        if not violations:
+            nest_ids = tuple(x for x, _ in pattern)
+            dim = dia.burrows[burrow].algebra.total_dim
+            keys = [(nest_ids, pattern, h) for h in range(dim)]
+            idx = [self.index.get(key) for key in keys]
+            if None in idx:
+                raise InvariantViolation(
+                    f"normal form produced an unknown basis key {keys[idx.index(None)]}"
+                )
+            return _STANDARD, dia.pullback(dia.ambient_id, burrow).columns, idx
+        x = max(violations, key=lambda e: (dia.elements[e].codim, e))
+        before = self._measure(exps)
+        p, terms = self.rewrite_rule(support, x)
+        children = []
+        for ek, cf in terms:
+            e2 = dict(exps)
+            e2[x] -= p
+            for s, k in ek:
+                e2[s] = e2.get(s, 0) + k
+            e2 = {s: k for s, k in e2.items() if k}
+            m = self._measure(e2)
+            if not m < before:
+                raise InvariantViolation(
+                    "termination measure failed to decrease at a rewrite"
+                )
+            if dia.is_nest(e2):
+                children.append((tuple(sorted(e2.items())), cf.coeffs, m))
+        return _REWRITE, before, tuple(children)
 
     def _normalize(
-        self, exps: dict, coeff: Element, trace=None, memo=None
+        self, pattern: tuple, coeffs: dict, trace=None, memo=None
     ) -> dict[int, Fraction]:
-        """Sparse ring coordinates of coeff * prod E_x^k, coeff ambient.
+        """Sparse ring coordinates of coeff * E^pattern, with coeff the
+        ambient class of the given coefficients and pattern a sorted tuple
+        of (element id, exponent) pairs.
 
         The normal form is linear in the ambient coefficient, so it is the
-        sum of the coefficients of coeff times the memoized normal forms
+        sum of the coefficients times the memoized normal forms
         NF(exponent pattern, ambient basis index); ``memo`` defaults to the
         ring's own. Rewrite steps performed by this call (memo misses) count
         against the rewrite cap."""
         memo = self._memo if memo is None else memo
-        pattern = tuple(sorted(exps.items()))
         coords: dict[int, Fraction] = {}
         steps = [0]
-        for g, q in coeff.coeffs.items():
+        for g, q in coeffs.items():
+            if not q:
+                continue
             key = (pattern, g)
             nf = memo.get(key)
             if nf is None:
@@ -243,121 +291,90 @@ class WonderRing:
         """Compute NF(root) and every entry it depends on, children first
         (the termination measure orders them). An entry is stored only once
         its normal form is complete, so an error leaves no partial entry."""
-        plans: dict[tuple, tuple] = {}
+        pending: dict[tuple, dict] = {}
         stack = [root]
         while stack:
             key = stack[-1]
             if key in memo:
                 stack.pop()
                 continue
-            plan = plans.get(key)
-            if plan is None:
-                plan = plans[key] = self._expand(key, trace, steps)
-            base, children = plan
-            missing = [c for c, _ in children if c not in memo]
+            children = pending.get(key)
+            if children is None:
+                pattern, g = key
+                plan = self._plan(pattern)
+                if plan[0] is not _REWRITE:
+                    if plan is _ZERO_PLAN:
+                        memo[key] = {}
+                    else:
+                        _, columns, idx = plan
+                        memo[key] = {idx[h]: q for h, q in columns[g].items()}
+                    stack.pop()
+                    continue
+                children = pending[key] = self._rewrite(key, plan, trace, steps)
+            missing = [c for c in children if c not in memo]
             if missing:
                 stack.extend(missing)
                 continue
-            out = dict(base)
-            for child, q in children:
+            out: dict = {}
+            for child, q in children.items():
                 for k, c in memo[child].items():
                     out[k] = out.get(k, ZERO) + q * c
             memo[key] = {k: c for k, c in out.items() if c}
             stack.pop()
         return memo[root]
 
-    def _expand(self, key: tuple, trace, steps: list) -> tuple:
-        """One step on E^pattern * (ambient basis class g): either its
-        coordinates when the pattern is standard (or not a nest), or one
-        rewrite as ((child key, coefficient), ...)."""
-        pattern, g = key
-        dia = self.diagram
-        exps = dict(pattern)
-        support = frozenset(exps)
-        if support and not dia.is_nest(support):
-            return {}, ()
-        burrow = dia.burrow_of(support) if support else dia.ambient_id
-        if burrow is None:
-            raise InputError(
-                f"support {sorted(support)} passes the nest rule but has an "
-                "empty intersection; inconsistent input"
-            )
-        violations = [x for x in support if exps[x] >= standard_bound(dia, x, support)]
-        if not violations:
-            return self._coordinates(pattern, g, burrow), ()
+    def _rewrite(self, key: tuple, plan: tuple, trace, steps: list) -> dict:
+        """One rewrite step on E^pattern * (ambient basis class g) by its
+        pattern's plan: the child keys with their coefficients."""
         steps[0] += 1
         if steps[0] > self.max_rewrites:
             raise ComputationError(
-                f"rewrite cap {self.max_rewrites} exceeded on monomial {list(pattern)}"
+                f"rewrite cap {self.max_rewrites} exceeded on monomial {list(key[0])}"
             )
-        x = max(violations, key=lambda e: (dia.elements[e].codim, e))
-        before = self._measure(exps)
-        rule = self.rewrite_rule(support, x)
-        p = rule.degree
-        amb = self._amb
-        cls = amb.basis_element(g)
-        children = []
+        _, before, spec = plan
+        g = key[1]
+        product = self._amb.product_basis
+        children: dict = {}
         after = []
-        for ek, cf in rule.terms:
-            coeff = amb.multiply(cls, cf)
-            if coeff.is_zero():
-                continue
-            e2 = dict(exps)
-            e2[x] -= p
-            for s, k in ek:
-                e2[s] = e2.get(s, 0) + k
-            e2 = {s: k for s, k in e2.items() if k}
-            m = self._measure(e2)
-            if not m < before:
-                raise InvariantViolation(
-                    "termination measure failed to decrease at a rewrite"
-                )
-            after.append(m)
-            child = tuple(sorted(e2.items()))
-            children.extend(((child, h), q) for h, q in coeff.coeffs.items())
+        for child, cf, m in spec:
+            coeff: dict = {}
+            for h, q in cf.items():
+                for k, c in product(g, h).items():
+                    coeff[k] = coeff.get(k, ZERO) + q * c
+            nonzero = {(child, k): c for k, c in coeff.items() if c}
+            if nonzero:
+                children.update(nonzero)
+                after.append(m)
         if trace is not None:
             trace.append((before, tuple(after)))
-        return {}, tuple(children)
-
-    def _coordinates(self, pattern: tuple, g: int, burrow: str) -> dict[int, Fraction]:
-        """Ring coordinates of a standard monomial with ambient coefficient
-        the basis class g, restricted to the burrow of its support."""
-        dia = self.diagram
-        if burrow == dia.ambient_id:
-            restricted = self._amb.basis_element(g)
-        else:
-            restricted = dia.pullback(dia.ambient_id, burrow).apply_basis(g)
-        nest_ids = tuple(x for x, _ in pattern)
-        coords = {}
-        for h, q in restricted.coeffs.items():
-            basis_key = (nest_ids, pattern, h)
-            idx = self.index.get(basis_key)
-            if idx is None:
-                raise InvariantViolation(
-                    f"normal form produced an unknown basis key {basis_key}"
-                )
-            coords[idx] = q
-        return coords
+        return children
 
     # -- products ----------------------------------------------------------------
 
-    def _lift(self, i: int) -> Element:
+    def _lift(self, i: int) -> dict:
         """Ambient lift of the burrow class of basis index i (cached)."""
         lift = self._lifts.get(i)
         if lift is None:
             g = self.basis[i][2]
-            lift = self.section(self.summand_of(i).burrow).apply_basis(g)
-            self._lifts[i] = lift
+            lift = self._lifts[i] = self.section(self.summand_of(i).burrow).columns[g]
         return lift
 
-    def _pair_term(self, i: int, j: int) -> tuple[dict, Element]:
-        """Exponents and ambient coefficient of the product of two basis
-        vectors before reduction."""
-        sa, sb = self.summand_of(i), self.summand_of(j)
-        exps: dict = dict(sa.mu.assignment)
-        for x, k in sb.mu.assignment:
-            exps[x] = exps.get(x, 0) + k
-        return exps, self._amb.multiply(self._lift(i), self._lift(j))
+    def _vanishes(self, pattern: tuple) -> bool:
+        """Whether the pattern's support is not a nest (its monomials are 0)."""
+        return not self.diagram.is_nest(x for x, _ in pattern)
+
+    def _product(self, a: int, b: int, pattern: tuple, trace=None, memo=None) -> Mapping:
+        """Normal form of the product of basis vectors a and b with the given
+        merged exponent pattern: the ambient product of their lifts, reduced
+        under that pattern. Zero is ``_EMPTY``."""
+        product = self._amb.product_basis
+        coeffs: dict = {}
+        for g, p in self._lift(a).items():
+            for h, q in self._lift(b).items():
+                pq = p * q
+                for k, c in product(g, h).items():
+                    coeffs[k] = coeffs.get(k, ZERO) + pq * c
+        return self._normalize(pattern, coeffs, trace, memo) or _EMPTY
 
     def basis_product(self, i: int, j: int) -> Mapping[int, Fraction]:
         """Coordinates of the product of two basis vectors; nonzero
@@ -367,8 +384,9 @@ class WonderRing:
         if cached is None:
             if self.degree_of(a) + self.degree_of(b) > self.diagram.socle_degree:
                 return _EMPTY
-            cached = self._normalize(*self._pair_term(a, b)) or _EMPTY
-            self._cache[(a, b)] = cached
+            pattern = _merged(self.summand_of(a), self.summand_of(b))
+            zero = self._vanishes(pattern)
+            cached = self._cache[(a, b)] = _EMPTY if zero else self._product(a, b, pattern)
         return cached
 
     def product_trace(self, i: int, j: int):
@@ -377,8 +395,8 @@ class WonderRing:
         trace: list = []
         if self.degree_of(i) + self.degree_of(j) > self.diagram.socle_degree:
             return {}, trace
-        coords = self._normalize(*self._pair_term(i, j), trace=trace, memo={})
-        return coords, trace
+        pattern = _merged(self.summand_of(i), self.summand_of(j))
+        return self._product(i, j, pattern, trace, {}), trace
 
     def multiply(self, x: Element, y: Element) -> Element:
         if x.alg is not self or y.alg is not self:
@@ -417,7 +435,7 @@ class WonderRing:
         for x in exps:
             if x not in self.diagram.elements:
                 raise InputError(f"unknown element id {x!r}")
-        return Element(self, self._normalize(exps, coeff))
+        return Element(self, self._normalize(tuple(sorted(exps.items())), coeff.coeffs))
 
     def exceptional_class(self, x: str) -> Element:
         return self.monomial({x: 1})
@@ -425,10 +443,33 @@ class WonderRing:
     # -- export -----------------------------------------------------------------------
 
     def build_all_products(self):
-        n = len(self.basis)
-        for i in range(n):
-            for j in range(i, n):
-                self.basis_product(i, j)
+        """Fill the product cache for every basis pair up to the socle,
+        one summand pair (block) at a time: the block's exponent pattern and
+        its plan are taken once, and a block whose support is not a nest is
+        zero without any ambient product."""
+        if self._complete:
+            return
+        d = self.diagram.socle_degree
+        deg = [e[0] for e in self.basis]
+        blocks: list[list[int]] = [[] for _ in self.summands]
+        for i, e in enumerate(self.basis):
+            blocks[e[1]].append(i)  # ascending index, so ascending degree
+        cache = self._cache
+        for sa, block_a in enumerate(blocks):
+            for sb in range(sa, len(blocks)):
+                if self.summands[sa].shift + self.summands[sb].shift > d:
+                    continue
+                pattern = _merged(self.summands[sa], self.summands[sb])
+                zero = self._vanishes(pattern)
+                block_b = blocks[sb]
+                for pos, i in enumerate(block_a):
+                    for j in block_b[pos:] if sa == sb else block_b:
+                        if deg[i] + deg[j] > d:
+                            break
+                        key = (i, j) if i <= j else (j, i)
+                        if key not in cache:
+                            cache[key] = _EMPTY if zero else self._product(*key, pattern)
+        self._complete = True
 
     def as_algebra(self) -> GradedAlgebra:
         if self._algebra is None:

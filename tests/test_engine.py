@@ -4,9 +4,9 @@ from fractions import Fraction
 import pytest
 
 from wonder.diagram import BurrowDiagram, BurrowNode
-from wonder.engine import WonderRing, build_ring, presentation_report
+from wonder.engine import _EMPTY, WonderRing, build_ring, presentation_report
 from wonder.errors import ComputationError, InputError
-from wonder.models import _PowerAlg, fm_power
+from wonder.models import _PowerAlg, fm_power, keel_model
 from wonder.oracle import compare_with_oracle
 from wonder.fixtures import fm_p1_3_oracle, keel_2_oracle, keel_3_oracle
 
@@ -165,6 +165,47 @@ def test_basis_products_hold_no_zero_coefficients(fm3_ring, keel3_ring, fm5_ring
                 assert all(ring.basis_product(i, j).values()), (i, j)
 
 
+@pytest.mark.parametrize(
+    "model",
+    [lambda: fm_power("p2", 3), lambda: keel_model(3), lambda: fm_power("p1", 5)],
+    ids=["fm-p2-3", "keel-3", "fm-p1-5"],
+)
+def test_product_table_does_not_depend_on_route_or_order(model):
+    # fm-p1 n=5 has products whose coefficients cancel to zero
+    diagram = model()
+    blocks = WonderRing(diagram)
+    blocks.build_all_products()
+    pairs = WonderRing(diagram)
+    n = len(pairs.basis)
+    for i in reversed(range(n)):
+        for j in reversed(range(i, n)):
+            pairs.basis_product(j, i)
+    assert pairs._cache == blocks._cache
+    empty = {key for key, row in blocks._cache.items() if row is _EMPTY}
+    assert empty and empty == {key for key, row in pairs._cache.items() if row is _EMPTY}
+    assert all(row for key, row in blocks._cache.items() if key not in empty)
+
+
+def test_fmp2_4_min3_builds_one_plan_per_pattern(monkeypatch):
+    """The 3,042 normal forms of the fm-p2 n=4 (min size 3) product table
+    share 129 exponent patterns; each pattern's plan is built once, and the
+    blocks whose support is not a nest need none."""
+    calls = []
+    make_plan = WonderRing._make_plan
+
+    def counted(self, pattern):
+        calls.append(pattern)
+        return make_plan(self, pattern)
+
+    monkeypatch.setattr(WonderRing, "_make_plan", counted)
+    ring = WonderRing(fm_power("p2", 4, min_size=3))
+    ring.build_all_products()
+    assert len(ring._memo) == 3042
+    assert len({pattern for pattern, _ in ring._memo}) == 129
+    assert len(calls) <= 129
+    assert len(set(calls)) == len(calls)
+
+
 def test_env_cap_override(fm3_diagram, monkeypatch):
     monkeypatch.setenv("WONDER_MAX_REWRITES", "1")
     ring = WonderRing(fm3_diagram)
@@ -265,8 +306,6 @@ def test_ring_and_ambient_elements_do_not_mix(fm3_ring):
 def test_nest_with_empty_intersection_is_input_error():
     # a predicate that admits a support whose intersection is empty is an
     # inconsistency the engine must report, not swallow
-    from wonder.models import keel_model
-
     base = keel_model(1)
     diagram = BurrowDiagram(
         socle_degree=base.socle_degree,
