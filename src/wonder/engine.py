@@ -206,14 +206,6 @@ class WonderRing:
         sign = ONE if (p + 1) % 2 == 0 else -ONE  # (-1)^(p+1)
         return p, tuple((ek, cf.scale(sign)) for ek, cf in acc.items() if not cf.is_zero())
 
-    def _plan(self, pattern: tuple) -> tuple:
-        """The ring's plan for the exponent pattern, built on first use. A
-        plan that raises is not stored."""
-        plan = self._plans.get(pattern)
-        if plan is None:
-            plan = self._plans[pattern] = self._make_plan(pattern)
-        return plan
-
     def _make_plan(self, pattern: tuple) -> tuple:
         """What one step does to E^pattern * (ambient basis class g), any g:
         ``_ZERO_PLAN`` off the nests; (_STANDARD, restriction columns to the
@@ -301,7 +293,9 @@ class WonderRing:
             children = pending.get(key)
             if children is None:
                 pattern, g = key
-                plan = self._plan(pattern)
+                plan = self._plans.get(pattern)
+                if plan is None:  # a plan that raises is not stored
+                    plan = self._plans[pattern] = self._make_plan(pattern)
                 if plan[0] is not _REWRITE:
                     if plan is _ZERO_PLAN:
                         memo[key] = {}
@@ -443,10 +437,10 @@ class WonderRing:
     # -- export -----------------------------------------------------------------------
 
     def build_all_products(self):
-        """Fill the product cache for every basis pair up to the socle,
-        one summand pair (block) at a time: the block's exponent pattern and
-        its plan are taken once, and a block whose support is not a nest is
-        zero without any ambient product."""
+        """Fill the product cache for every basis pair up to the socle, one
+        summand pair (block) at a time: the block's merged exponent pattern
+        and its nest test are taken once, and a block whose support is not a
+        nest is zero without any ambient product."""
         if self._complete:
             return
         d = self.diagram.socle_degree
