@@ -59,6 +59,10 @@ GOLDEN = {
         lambda: keel_model(3),
         "4405102a31c8c3e0a1cedab2d8d7cc911786a9f47a8f4b7197f9760653d86df1",
     ),
+    "keel-4": (
+        lambda: keel_model(4),
+        "7330c354b7bf3c61c5930335d360601c7e726544952c9cd760f39b2f4458e022",
+    ),
 }
 
 
