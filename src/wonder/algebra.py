@@ -327,6 +327,20 @@ class GradedAlgebra:
                         bad.append((g, b, c))
         return bad
 
+    def relabels_onto(self, other: "GradedAlgebra", perm) -> bool:
+        """Whether the basis permutation ``perm`` (global index g to
+        ``perm[g]`` in ``other``) keeps degrees and carries every structure
+        constant of this algebra to one of ``other``, and ``other`` has no
+        others: an isomorphism of graded algebras."""
+        if other.dims != self.dims or len(other._table) != len(self._table):
+            return False
+        if any(other._degree_of[perm[g]] != k for g, k in enumerate(self._degree_of)):
+            return False
+        return all(
+            other.product_basis(perm[a], perm[b]) == {perm[k]: q for k, q in row.items()}
+            for (a, b), row in self._table.items()
+        )
+
     # -- serialization -------------------------------------------------------
 
     def to_payload(self) -> dict:

@@ -6,11 +6,18 @@ The intersection table is held as the singleton map plus the binary meet
 closure on burrows; arbitrary subsets fold through meets, which the table
 consistency law makes lossless.  Burrow containment is read off the meets:
 the inner burrow is the meet of the pair.
+
+A diagram may declare generators of a permutation group acting on it
+(``Permutation``).  ``BurrowDiagram.symmetry`` checks once that each is an
+automorphism of everything the ring and the laws read; ``validate`` then
+runs the costly laws once per orbit, and the engine computes one product
+per orbit of basis pairs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from wonder.algebra import (
     Element,
@@ -71,6 +78,59 @@ class BurrowEdge:
 NESTED_OR_DISJOINT = "nested-or-disjoint"
 
 
+@dataclass(frozen=True)
+class Permutation:
+    """One declared symmetry of a diagram: a bijection of element ids, one
+    of burrow ids and, for each burrow b, a bijection from the basis of b's
+    algebra to the basis of the image burrow's algebra (``bases[b][g]`` is
+    the image of global index g).  Ids left out of ``elements`` and
+    ``burrows`` are fixed; a burrow left out of ``bases`` keeps each index."""
+
+    elements: dict = field(default_factory=dict)
+    burrows: dict = field(default_factory=dict)
+    bases: dict = field(default_factory=dict)
+
+    def element(self, x: str) -> str:
+        return self.elements.get(x, x)
+
+    def burrow(self, b: str) -> str:
+        return self.burrows.get(b, b)
+
+    def basis(self, b: str, dim: int):
+        """The image index of each basis index of burrow b."""
+        return self.bases.get(b) or range(dim)
+
+
+@dataclass
+class Symmetry:
+    """Result of checking the declared generators.  ``generators`` holds
+    them when every one is an automorphism, and is empty (the trivial
+    group) otherwise; ``problems`` lists (generator, first failure)."""
+
+    generators: tuple
+    problems: list
+
+
+def orbit_labels(items, moves) -> dict:
+    """The orbit of each item under the group generated by the callables in
+    ``moves`` (each maps an item to an item), labelled by the orbit's first
+    item in the given order."""
+    label = {}
+    for it in items:
+        if it in label:
+            continue
+        label[it] = it
+        stack = [it]
+        while stack:
+            cur = stack.pop()
+            for move in moves:
+                nxt = move(cur)
+                if nxt not in label:
+                    label[nxt] = it
+                    stack.append(nxt)
+    return label
+
+
 @dataclass
 class CheckResult:
     check: str
@@ -123,6 +183,7 @@ class BurrowDiagram:
         meets: dict,  # unordered burrow pair (any 2-item iterable) -> meet or None
         nests,  # NESTED_OR_DISJOINT or an explicit collection of id-sets
         relations: list[tuple[str, str, Element]] = (),
+        symmetry: list[Permutation] = (),
     ):
         self.socle_degree = int(socle_degree)
         self.elements = {e.id: e for e in elements}
@@ -173,6 +234,32 @@ class BurrowDiagram:
             if x not in self.elements:
                 raise InputError(f"relation {name!r} on unknown element id {x!r}")
         self._nest_cache: dict[frozenset, bool] = {}
+        self.symmetry_generators = tuple(symmetry)
+        for k, gen in enumerate(self.symmetry_generators, start=1):
+            self._check_permutation_shape(k, gen)
+        self._symmetry: Symmetry | None = None
+
+    def _check_permutation_shape(self, k: int, gen: Permutation):
+        """Each map of a declared generator must be a bijection of known ids
+        and each basis map a permutation of its burrow's basis indices."""
+        for what, ids, mapping in (
+            ("element", self.elements, gen.elements),
+            ("burrow", self.burrows, gen.burrows),
+        ):
+            for x in (*mapping, *mapping.values()):
+                if x not in ids:
+                    raise InputError(f"symmetry generator {k}: unknown {what} id {x!r}")
+            if set(mapping.values()) != set(mapping) or len(set(mapping.values())) != len(mapping):
+                raise InputError(f"symmetry generator {k}: {what} map is not a bijection")
+        for b, perm in gen.bases.items():
+            if b not in self.burrows:
+                raise InputError(f"symmetry generator {k}: unknown burrow id {b!r}")
+            dim = self.burrows[b].algebra.total_dim
+            if sorted(perm) != list(range(dim)):
+                raise InputError(
+                    f"symmetry generator {k}: basis map of {b} is not a permutation "
+                    f"of 0..{dim - 1}"
+                )
 
     # -- intersection table --------------------------------------------------
 
@@ -215,6 +302,9 @@ class BurrowDiagram:
 
     def element_contains(self, outer: str, inner: str) -> bool:
         """Subvariety containment between building elements."""
+        for x in (outer, inner):
+            if x not in self.singles:
+                raise InputError(f"element {x!r} has no burrow in the singles table")
         return self.meet(self.singles[outer], self.singles[inner]) == self.singles[inner]
 
     def elements_below(self, x: str) -> list[str]:
@@ -278,13 +368,165 @@ class BurrowDiagram:
             self.burrows[burrow_id].codim
         )
 
+    # -- symmetry ------------------------------------------------------------------
+
+    def symmetry(self) -> Symmetry:
+        """Check once that every declared generator is an automorphism of
+        what the ring and the laws read, and keep the verdict: shared by
+        ``validate`` and the engine.
+
+        A generator s passes when it keeps element codims, the nest relation
+        (pairs of elements under the nested-or-disjoint rule, the explicit
+        list otherwise), singles, every stored meet, burrow codims and
+        defining sets; when each basis map is an isomorphism of the burrow
+        algebras (``GradedAlgebra.relabels_onto``); and when every edge
+        Z < W has an image edge sZ < sW whose pullback, pushforward and
+        top Chern coefficient are the images of its own, exactly.  A lower
+        Chern coefficient c_i is compared only after pullback to the small
+        burrow: the models store a lift of c_i from Z chosen by a section,
+        which no symmetry need keep, and every consumer of c_i reads it
+        only through its restriction to Z (the ``chern-shape`` row reads
+        the lift itself, so it stays per edge).  With one failing generator
+        the group is trivial, so nothing relies on a false declaration."""
+        if self._symmetry is None:
+            problems = []
+            meet_codes = self._meet_codes() if self.symmetry_generators else None
+            restricted = {}  # edge -> its lower Chern coefficients pulled back
+            for k, gen in enumerate(self.symmetry_generators, start=1):
+                detail = self._automorphism_failure(gen, meet_codes, restricted)
+                if detail:
+                    problems.append((f"generator {k}", detail))
+            generators = () if problems else self.symmetry_generators
+            self._symmetry = Symmetry(generators, problems)
+        return self._symmetry
+
+    def _meet_codes(self) -> list[list[int]]:
+        """The meet table as one row per burrow, in ``self.burrows`` order:
+        each meet as its burrow's position, n for None, n + 1 for a pair
+        missing from the table and n + 2 for an unknown burrow id."""
+        names = list(self.burrows)
+        n = len(names)
+        missing = object()
+        code = {b: i for i, b in enumerate(names)}
+        code[None], code[missing] = n, n + 1
+        rows = []
+        for i, a in enumerate(names):
+            row = self._meet.get(a, {})
+            codes = [code.get(row.get(b, missing), n + 2) for b in names]
+            codes[i] = i
+            rows.append(codes)
+        return rows
+
+    def _automorphism_failure(self, gen: Permutation, meet_codes, restricted) -> str:
+        """The first datum the generator does not carry to its image, or ''."""
+        el, bu = gen.element, gen.burrow
+        for x, e in self.elements.items():
+            if self.elements[el(x)].codim != e.codim:
+                return f"element {x} and its image differ in codim"
+            single = self.singles.get(x)
+            if self.singles.get(el(x)) != (single and bu(single)):
+                return f"singles of {x} and its image do not correspond"
+        if self.nest_rule == "explicit":
+            image = {frozenset(map(el, s)) for s in self.explicit_nests}
+            if image != self.explicit_nests:
+                return "the explicit nests are not carried onto themselves"
+        else:
+            ids = sorted(self.elements)
+            for i, x in enumerate(ids):
+                for y in ids[i + 1 :]:
+                    if self.is_nest((x, y)) != self.is_nest((el(x), el(y))):
+                        return f"{{{x}, {y}}} and its image differ in the nest relation"
+        names = list(self.burrows)
+        if len(names) > 1:
+            # meet(s a, s b) = s meet(a, b), one row a at a time
+            pos = {b: i for i, b in enumerate(names)}
+            perm = [pos[bu(b)] for b in names]
+            codes = perm + [len(names), len(names) + 1, len(names) + 2]
+            at_images = itemgetter(*perm)
+            for a, row in enumerate(meet_codes):
+                if itemgetter(*row)(codes) != at_images(meet_codes[perm[a]]):
+                    return f"meets of {names[a]} are not carried to the meets of its image"
+        # burrow -> (basis permutation, source index of each target index),
+        # both None when it keeps each index
+        perms = {}
+        for bid, node in self.burrows.items():
+            image = self.burrows[bu(bid)]
+            perm = gen.bases.get(bid)
+            perms[bid] = (perm, perm and sorted(range(len(perm)), key=perm.__getitem__))
+            if image.codim != node.codim or image.defining_set != frozenset(
+                map(el, node.defining_set)
+            ):
+                return f"burrow {bid} and its image differ in codim or defining set"
+            if not node.algebra.relabels_onto(image.algebra, gen.basis(bid, node.algebra.total_dim)):
+                return f"basis map of {bid} is not an algebra isomorphism"
+
+        def moved(vec: dict, p) -> dict:
+            return vec if p is None else {p[h]: v for h, v in vec.items()}
+
+        def carried(m: GradedMap, m2: GradedMap, source, target) -> bool:
+            cols = [moved(col, target[0]) for col in m.columns]
+            if source[1] is not None:
+                cols = [cols[g] for g in source[1]]
+            return m.shift == m2.shift and cols == m2.columns
+
+        def lower_chern(key, edge):
+            if key not in restricted:
+                restricted[key] = [
+                    edge.pullback.apply(c).coeffs for c in edge.chern.coeffs[:-1]
+                ]
+            return restricted[key]
+
+        for key, edge in self.edges.items():
+            small, big = key
+            ns, nb = self.burrows[small], self.burrows[big]
+            if edge.pullback.source is not nb.algebra or edge.pullback.target is not ns.algebra:
+                return f"edge {small}<{big} has the wrong endpoints"
+            image_key = (bu(small), bu(big))
+            image = self.edges.get(image_key)
+            if image is None:
+                return f"edge {small}<{big} has no image edge"
+            ps, pb = perms[small], perms[big]
+            if image is edge and ps[0] is None and pb[0] is None:
+                continue
+            if not (
+                carried(edge.pullback, image.pullback, pb, ps)
+                and carried(edge.pushforward, image.pushforward, ps, pb)
+            ):
+                return f"maps of edge {small}<{big} are not carried to those of its image"
+            if edge.chern.deg != image.chern.deg or image.chern.coeffs[-1].coeffs != moved(
+                edge.chern.coeffs[-1].coeffs, pb[0]
+            ):
+                return f"top Chern coefficient of edge {small}<{big} is not carried to its image's"
+            lower = [moved(c, ps[0]) for c in lower_chern(key, edge)]
+            if lower != lower_chern(image_key, image):
+                return (
+                    f"Chern coefficients of edge {small}<{big} restricted to {small} are "
+                    "not carried to its image's"
+                )
+        return ""
+
     # -- validation ----------------------------------------------------------------
 
     def validate(self) -> ValidationReport:
         rep = ValidationReport()
         d = self.socle_degree
+        group = self.symmetry()
+        for subject, detail in group.problems:
+            rep.add("symmetry", subject, False, detail)
+        moves = [gen.burrow for gen in group.generators]
 
+        # Every law below is kept by each checked generator, so one burrow
+        # or edge per orbit decides it for the whole orbit; rows copied
+        # from a passing first member read exactly as computed ones, and
+        # the other members of an orbit whose first member fails are
+        # computed one by one.
+        passed = {}
+        orbit = orbit_labels(self.burrows, moves)
+        associative = True
         for b in self.burrows.values():
+            if passed.get(orbit[b.id]):
+                rep.add("socle", b.id, True)
+                continue
             sr = socle_check(b.algebra, d - b.codim)
             rep.add(
                 "socle",
@@ -295,10 +537,12 @@ class BurrowDiagram:
             # the generator checks below are exact on associative algebras
             bad = b.algebra.check_associativity()
             if bad:
+                associative = False
                 g, x, y = (b.algebra.label_of(i) for i in bad[0])
                 rep.add(
                     "associativity", b.id, False, f"({g}*{x})*{y} != {g}*({x}*{y})"
                 )
+            passed.setdefault(orbit[b.id], sr.ok and not bad)
 
         # elements with no known burrow fail here and are skipped below
         unplaced = set()
@@ -378,6 +622,15 @@ class BurrowDiagram:
                 "" if ok else f"defining set folds to {folded!r}",
             )
 
+        # the ring-hom and projection-formula rows check generators only,
+        # which decides the full laws (and so is kept by the group) when
+        # every burrow algebra is associative
+        edge_moves = [
+            lambda e, s=gen.burrow: (s(e[0]), s(e[1])) for gen in group.generators
+        ]
+        orbit = orbit_labels(sorted(self.edges), edge_moves if associative else ())
+        passed = {}
+        ring_maps = True
         for (small, big), edge in sorted(self.edges.items()):
             nb, ns = self.burrows[big], self.burrows[small]
             c = ns.codim - nb.codim
@@ -385,32 +638,33 @@ class BurrowDiagram:
             if edge.pullback.source is not nb.algebra or edge.pullback.target is not ns.algebra:
                 rep.add("edge-shape", subject, False, "pullback endpoints wrong")
                 continue
-            surj = edge.pullback.surjective_degrees()
-            bad = [k for k, ok in enumerate(surj) if not ok]
+            shift_ok = edge.pushforward.shift == c
+            if passed.get(orbit[small, big]):
+                surj_bad, hom, formula = [], True, True
+            else:
+                surj = edge.pullback.surjective_degrees()
+                surj_bad = [k for k, ok in enumerate(surj) if not ok]
+                hom = edge.pullback.is_ring_hom()
+                formula = shift_ok and projection_formula_holds(
+                    edge.pullback, edge.pushforward
+                )
+                passed.setdefault(orbit[small, big], not surj_bad and hom and formula)
+            ring_maps = ring_maps and hom
             rep.add(
                 "pullback-surjective",
                 subject,
-                not bad,
-                "" if not bad else f"surjectivity failed at degree {bad[0]}",
+                not surj_bad,
+                "" if not surj_bad else f"surjectivity failed at degree {surj_bad[0]}",
             )
-            rep.add(
-                "pullback-ring-hom",
-                subject,
-                edge.pullback.is_ring_hom(),
-            )
-            ok = edge.pushforward.shift == c
+            rep.add("pullback-ring-hom", subject, hom)
             rep.add(
                 "pushforward-shift",
                 subject,
-                ok,
-                "" if ok else f"shift {edge.pushforward.shift} != codim diff {c}",
+                shift_ok,
+                "" if shift_ok else f"shift {edge.pushforward.shift} != codim diff {c}",
             )
-            if ok:
-                rep.add(
-                    "projection-formula",
-                    subject,
-                    projection_formula_holds(edge.pullback, edge.pushforward),
-                )
+            if shift_ok:
+                rep.add("projection-formula", subject, formula)
             ok = edge.chern.deg == c
             rep.add(
                 "chern-degree",
@@ -457,11 +711,19 @@ class BurrowDiagram:
         # functoriality: composite pullback along a chain equals the edge map.
         # Both sides are ring maps once the associativity and ring-hom
         # checks pass, so they agree everywhere when they agree on the unit
-        # and the generators.
+        # and the generators; then the verdict is kept by the group and one
+        # edge per orbit decides it.  The first failing edge in this order
+        # is the first of its orbit, so the detail is the one a scan of
+        # every edge would give.
         ok = True
         detail = ""
         order = {b: i for i, b in enumerate(self.burrows)}
+        orbit = orbit_labels(self.edges, edge_moves if associative and ring_maps else ())
+        seen = set()
         for (small, big), edge in self.edges.items():
+            if orbit[small, big] in seen:
+                continue
+            seen.add(orbit[small, big])
             direct = edge.pullback
             for mid in sorted(self._below[big], key=order.__getitem__):
                 if small not in self._below[mid]:

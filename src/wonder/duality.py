@@ -1,18 +1,11 @@
-"""Duality verdicts, discrepancy accounting across burrows, pairing-block
-structure, and kernel-transfer checks for any diagram with a built ring."""
+"""Duality verdicts, discrepancy accounting across burrows and pairing-block
+structure for any diagram with a built ring."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from wonder.algebra import (
-    GradedMap,
-    PdVerdict,
-    pd_verdict,
-    projection_formula_holds,
-    socle_check,
-    socle_kernel_elements,
-)
+from wonder.algebra import PdVerdict, pd_verdict, socle_check
 from wonder.diagram import BurrowDiagram
 from wonder.engine import WonderRing
 from wonder.errors import InputError, InvariantViolation
@@ -228,88 +221,3 @@ def discrepancy_table(diagram: BurrowDiagram, ring: WonderRing) -> DiscrepancyRe
     return DiscrepancyReport(
         ring_v.discrepancies, block_disc, sums_match, certified, details
     )
-
-
-@dataclass
-class TransferReport:
-    hypothesis_ok: bool
-    hypothesis_problems: list
-    kernel_dim: int
-    transfer_ok: bool
-    details: list = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return self.hypothesis_ok and self.transfer_ok
-
-    def summary(self) -> str:
-        lines = []
-        if not self.hypothesis_ok:
-            lines.append("hypothesis failure: " + "; ".join(self.hypothesis_problems))
-        lines.append(f"{self.kernel_dim} socle-kernel classes checked")
-        lines.extend(self.details)
-        lines.append(f"result: {'pass' if self.ok else 'fail'}")
-        return "\n".join(lines)
-
-
-def pullback_transfer_check(
-    small_sp,
-    big_sp,
-    pullback: GradedMap,
-    pushforward: GradedMap,
-) -> TransferReport:
-    """Socle-kernel classes of the small ring transfer injectively to
-    socle-kernel classes of the big ring along an injective pullback with a
-    projection-formula companion.
-
-    ``pullback`` maps the small algebra into the big one (shift 0);
-    ``pushforward`` maps back with a negative shift.
-    """
-    problems = []
-    if pullback.source is not small_sp.algebra or pullback.target is not big_sp.algebra:
-        raise InputError("pullback endpoints do not match the pairings")
-    if not pullback.is_injective():
-        problems.append("pullback is not injective")
-    if not pullback.is_ring_hom():
-        problems.append("pullback is not a ring map")
-    if pushforward.source is not big_sp.algebra or pushforward.target is not small_sp.algebra:
-        problems.append("pushforward endpoints wrong")
-    else:
-        if not projection_formula_holds(pullback, pushforward):
-            problems.append("projection formula fails")
-        socle_image = pushforward.apply(
-            big_sp.algebra.basis_element(big_sp.socle_index)
-        )
-        if socle_image.is_zero():
-            problems.append(
-                "pushforward kills the socle; integration along the map degenerates"
-            )
-    if problems:
-        return TransferReport(False, problems, 0, False)
-
-    details = []
-    checked = 0
-    ok = True
-    d_small = small_sp.degree
-    for k in range(d_small + 1):
-        for alpha in socle_kernel_elements(small_sp, k):
-            checked += 1
-            image = pullback.apply(alpha)
-            if image.is_zero():
-                ok = False
-                details.append(f"kernel class at degree {k} maps to zero")
-                continue
-            comp = big_sp.degree - k
-            for g in big_sp.algebra.global_indices(comp):
-                if big_sp.pair(image, big_sp.algebra.basis_element(g)) != 0:
-                    ok = False
-                    details.append(
-                        f"transferred class at degree {k} pairs nontrivially"
-                    )
-                    break
-    if not ok:
-        raise InvariantViolation(
-            "kernel transfer failed under verified hypotheses: "
-            + "; ".join(details[:4])
-        )
-    return TransferReport(True, [], checked, ok, details)

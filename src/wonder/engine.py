@@ -436,13 +436,77 @@ class WonderRing:
 
     # -- export -----------------------------------------------------------------------
 
+    def _basis_permutations(self) -> list[list[int]]:
+        """For each checked symmetry generator s (``BurrowDiagram.symmetry``),
+        the permutation of the ring basis it induces: the basis vector of
+        (nest N, exponents mu, class g of the burrow Z_N) goes to that of
+        (sN, s mu, s g).  sN is a nest with burrow sZ_N and s mu is standard
+        on it, since s keeps the nest relation, the meets and the codims
+        that the standard bounds read."""
+        dia = self.diagram
+        perms = []
+        for gen in dia.symmetry().generators:
+            el = gen.element
+            bases = {}
+            perm = []
+            for _, si, g, (nest_ids, assignment, _), _ in self.basis:
+                b = self.summands[si].burrow
+                if b not in bases:
+                    bases[b] = gen.basis(b, dia.burrows[b].algebra.total_dim)
+                key = (
+                    tuple(sorted(map(el, nest_ids))),
+                    tuple(sorted((el(x), k) for x, k in assignment)),
+                    bases[b][g],
+                )
+                if key not in self.index:
+                    raise InvariantViolation(f"symmetry maps a basis vector to {key}")
+                perm.append(self.index[key])
+            perms.append(perm)
+        return perms
+
     def build_all_products(self):
         """Fill the product cache for every basis pair up to the socle, one
         summand pair (block) at a time: the block's merged exponent pattern
         and its nest test are taken once, and a block whose support is not a
-        nest is zero without any ambient product."""
+        nest is zero without any ambient product.
+
+        With a checked symmetry group (``BurrowDiagram.symmetry``), one pair
+        per orbit goes through ``_product`` and the rest of its orbit is
+        filled by relabelling: cache[(s i, s j)] = s(cache[(i, j)]) under
+        the basis permutations of ``_basis_permutations``.
+
+        Proof.  Write R for the ring, generated by the ambient algebra A(Y)
+        and the classes E_x subject to the relations the rewriting uses:
+        E^S = 0 off the nests, k * E_x = 0 for k restricting to zero on
+        Z_x, and the monic relations built from the Chern coefficients.
+        NF(mu, c) (``_normalize``) is the coordinate vector of the class
+        E^mu * c of R on the additive basis, whatever route the rewriting
+        takes, and the basis vector of (N, mu, g) is E^mu * lift(g), with
+        lift the section of the pullback to Z_N (``section``).
+        Lemma: E^mu * k = 0 when k restricts to zero on the burrow Z_S of
+        the support S of mu.  E^mu is carried by the exceptional locus
+        over Z_S, which maps to Z_S, so E^mu * k only sees k restricted to
+        Z_S.  It follows that no choice of lift changes a product: two
+        lifts of a class of Z_N, or of a lower Chern coefficient of an
+        edge Z_x < W (a class of W read through its restriction to Z_x,
+        and multiplied in a monic relation only by monomials in classes
+        E_s with Z_s inside Z_x), differ by such a k.
+        Now a checked s keeps the nest relation, the meets, the codims,
+        the burrow algebras, the pullbacks, the pushforwards, the top Chern
+        coefficients and the lower ones restricted to the small burrow.
+        So it carries each relation of R to a relation, up to the choice
+        of lifts, and extends to a ring automorphism of R with
+        s(E_x) = E_(s x) that agrees with s on A(Y).  It carries the basis
+        vector E^mu * lift(g) to E^(s mu) * s(lift(g)); s(lift(g)) restricts
+        to s g on s Z_N, so by the lemma that is the basis vector of
+        (s N, s mu, s g): the induced permutation.  Hence s carries the
+        product of basis vectors i and j, whose coordinates cache[(i, j)]
+        holds, to the product of s i and s j.  The tests compare the filled
+        cache with the one filled pair by pair and check the lemma on the
+        engine's normal forms."""
         if self._complete:
             return
+        perms = self._basis_permutations()
         d = self.diagram.socle_degree
         deg = [e[0] for e in self.basis]
         blocks: list[list[int]] = [[] for _ in self.summands]
@@ -461,8 +525,22 @@ class WonderRing:
                         if deg[i] + deg[j] > d:
                             break
                         key = (i, j) if i <= j else (j, i)
-                        if key not in cache:
-                            cache[key] = _EMPTY if zero else self._product(*key, pattern)
+                        if key in cache:
+                            continue
+                        if zero:  # so is every pair of its orbit
+                            cache[key] = _EMPTY
+                            continue
+                        cache[key] = row = self._product(*key, pattern)
+                        stack = [(key, row)]
+                        while stack:
+                            (a, b), row = stack.pop()
+                            for p in perms:
+                                x, y = p[a], p[b]
+                                image = (x, y) if x <= y else (y, x)
+                                if image not in cache:
+                                    moved = {p[k]: c for k, c in row.items()} or _EMPTY
+                                    cache[image] = moved
+                                    stack.append((image, moved))
         self._complete = True
 
     def as_algebra(self) -> GradedAlgebra:

@@ -6,7 +6,18 @@ Three kinds of files share one dialect, distinguished by a ``kind`` field:
   (pullback / pushforward matrices, chern vectors), intersections (singles
   plus the binary meet closure), nests, socle_degree, and relations:
   ``[element id, name, ambient class]`` entries in the model's order, each
-  saying that the element's exceptional class annihilates the class;
+  saying that the element's exceptional class annihilates the class; and,
+  written only when the diagram declares one, symmetry: a list of
+  generators, each ``{"elements": {id: image}, "burrows": {id: image},
+  "bases": {burrow id: [image index, ...]}}`` with fixed ids and kept
+  basis orders left out.  The loader rejects (``InputError``) a generator
+  that is not of that shape, names an unknown id, maps ids other than
+  bijectively, or lists a basis map that is not a permutation of the
+  burrow's indices.  Whether it is an automorphism is for
+  ``BurrowDiagram.symmetry`` to say: it compares every datum exactly,
+  except the lower Chern coefficients, which it compares after pullback to
+  the edge's small burrow, and a failing generator leaves the diagram with
+  the trivial group and a failing ``symmetry`` row in ``validate``;
 * ``ring``     - a graded algebra with a socle degree;
 * ``oracle``   - a base ring plus a scripted sequence of construction steps.
 
@@ -26,6 +37,7 @@ from wonder.diagram import (
     BurrowEdge,
     BurrowNode,
     ChernPolynomial,
+    Permutation,
 )
 from wonder.errors import InputError
 from wonder.exact_linalg import format_rat, parse_rat
@@ -195,7 +207,39 @@ def diagram_payload(diagram: BurrowDiagram) -> dict:
         payload["relations"] = [
             [x, name, _element_payload(cls)] for x, name, cls in diagram.relations
         ]
+    if diagram.symmetry_generators:
+        payload["symmetry"] = [
+            {
+                "elements": gen.elements,
+                "burrows": gen.burrows,
+                "bases": {b: list(perm) for b, perm in gen.bases.items()},
+            }
+            for gen in diagram.symmetry_generators
+        ]
     return payload
+
+
+def _symmetry_from(entries) -> list[Permutation]:
+    """The declared generators; their ids and bijectivity are checked by
+    ``BurrowDiagram``, whether each is an automorphism by ``validate``."""
+    if not isinstance(entries, list):
+        raise InputError(f"symmetry {entries!r} is not a list of generators")
+    out = []
+    for gen in entries:
+        if not isinstance(gen, dict):
+            raise InputError(f"symmetry generator {gen!r} is not an object")
+        maps = [gen["elements"], gen["burrows"]]
+        for m in maps:
+            if not (isinstance(m, dict) and all(type(v) is str for v in m.values())):
+                raise InputError(f"symmetry map {m!r} is not an object of ids")
+        bases = gen["bases"]
+        if not isinstance(bases, dict):
+            raise InputError(f"symmetry bases {bases!r} is not an object")
+        for b, perm in bases.items():
+            if not (isinstance(perm, list) and all(type(i) is int for i in perm)):
+                raise InputError(f"symmetry basis map of {b} {perm!r} is not a list of integers")
+        out.append(Permutation(*maps, {b: tuple(perm) for b, perm in bases.items()}))
+    return out
 
 
 def _relations_from(alg: GradedAlgebra, entries) -> list:
@@ -300,6 +344,7 @@ def diagram_from_payload(payload: dict) -> BurrowDiagram:
             meets=meets,
             nests=nests,
             relations=relations,
+            symmetry=_symmetry_from(payload.get("symmetry", [])),
         )
     except KeyError as e:
         raise InputError(f"diagram file missing field {e}") from None

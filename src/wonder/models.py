@@ -28,6 +28,7 @@ from wonder.diagram import (
     BurrowEdge,
     BurrowNode,
     ChernPolynomial,
+    Permutation,
 )
 from wonder.errors import InputError
 from wonder.exact_linalg import ONE, ZERO, bareiss_echelon, solve_rows
@@ -79,6 +80,18 @@ class _PowerAlg:
     def gen(self, token) -> Element:
         e = tuple(1 if t == token else 0 for t in self.tokens)
         return self.alg.basis_element(self.index[e])
+
+    def relabel(self, other: "_PowerAlg", token_map: dict) -> list[int]:
+        """Index in ``other`` of each basis class with every token t renamed
+        token_map[t]."""
+        pos = [other.tokens.index(token_map[t]) for t in self.tokens]
+        out = []
+        for e in self.exps:
+            image = [0] * len(pos)
+            for k, p in zip(e, pos):
+                image[p] = k
+            out.append(other.index[tuple(image)])
+        return out
 
     def map_to(self, other: "_PowerAlg", token_image: dict) -> GradedMap:
         """Ring map sending h<token> to h<token_image[token]> (or to zero on
@@ -197,6 +210,19 @@ class _CurveAlg:
 
     def canonical_class(self, token) -> Element:
         return self.point(token).scale(2 * self.genus - 2)
+
+    def relabel(self, other: "_CurveAlg", token_map: dict) -> list[int]:
+        """Index in ``other`` of each basis class with every token t renamed
+        token_map[t]."""
+        return [
+            other.index[
+                (
+                    frozenset(token_map[t] for t in pts),
+                    frozenset(tuple(sorted((token_map[a], token_map[c]))) for a, c in match),
+                )
+            ]
+            for pts, match in self.basis
+        ]
 
     def map_to(self, other: "_CurveAlg", token_image: dict) -> GradedMap:
         lam = -2 * self.genus
@@ -442,7 +468,54 @@ class _ProductModel:
             meets=meets,
             nests=NESTED_OR_DISJOINT,
             relations=relations,
+            symmetry=self._symmetry(elem_cfg, cid, wraps),
         )
+
+    def _symmetry(self, elem_cfg, cid, wraps) -> list[Permutation]:
+        """Generators of the symmetric group on the coordinates, (1 2) and
+        (1 2 ... n), and of the one on the markers, (0 1) and (0 1 inf),
+        each as a relabelling of configurations; fixed ids and kept basis
+        orders are left out."""
+        n = self.n
+        moves = []
+        if n >= 2:
+            moves.append(({1: 2, 2: 1}, {}))
+        if n >= 3:
+            moves.append(({i: i % n + 1 for i in range(1, n + 1)}, {}))
+        if len(self.markers) >= 2:
+            m = self.markers
+            moves.append(({}, {m[0]: m[1], m[1]: m[0]}))
+        if len(self.markers) >= 3:
+            moves.append(({}, {mk: m[(i + 1) % len(m)] for i, mk in enumerate(m)}))
+        element_of = {cfg: eid for eid, cfg in elem_cfg.items()}
+        gens = []
+        for coord, marker in moves:
+
+            def image(cfg):
+                return frozenset(
+                    (frozenset(coord.get(i, i) for i in blk), marker.get(mk, mk))
+                    for blk, mk in cfg
+                )
+
+            elements = {}
+            for eid, cfg in elem_cfg.items():
+                if element_of[image(cfg)] != eid:
+                    elements[eid] = element_of[image(cfg)]
+            burrows, bases = {}, {}
+            for cfg, bid in cid.items():
+                target = cid[image(cfg)]
+                if target != bid:
+                    burrows[bid] = target
+                token_map = {
+                    tok: "".join(sorted(str(coord.get(i, i)) for i in blk))
+                    for tok, blk, mk in _cfg_blocks(cfg)
+                    if mk is None
+                }
+                perm = wraps[bid].relabel(wraps[target], token_map)
+                if perm != sorted(perm):
+                    bases[bid] = perm
+            gens.append(Permutation(elements, burrows, bases))
+        return gens
 
     def _make_edge(self, by_id, wraps, pairings, small, big):
         wb, ws = wraps[big], wraps[small]

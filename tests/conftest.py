@@ -1,5 +1,6 @@
 import pytest
 
+from wonder import io
 from wonder.engine import build_ring
 from wonder.models import fm_power, keel_model
 
@@ -67,3 +68,16 @@ def curve3_diagram():
 @pytest.fixture(scope="session")
 def curve3_ring(curve3_diagram):
     return build_ring(curve3_diagram, validate=False)
+
+
+@pytest.fixture(scope="session")
+def strip_symmetry():
+    """The same diagram with no declared symmetry: it runs with the trivial
+    group, as every diagram did before diagrams could declare one."""
+
+    def strip(diagram):
+        payload = io.diagram_payload(diagram)
+        payload.pop("symmetry", None)
+        return io.diagram_from_payload(payload)
+
+    return strip

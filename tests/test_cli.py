@@ -349,6 +349,22 @@ def _set_meets_entry(entry):
         (lambda p: p.update(nests=5), "nests 5 is neither 'nested-or-disjoint' nor an object"),
         (lambda p: p["elements"][0].update(id=5), "element id 5 is not a string"),
         (lambda p: p["burrows"][0].update(id=5), "burrow id 5 is not a string"),
+        (
+            lambda p: p["symmetry"][0].update(elements={"D1@0": "D2@0", "D2@0": "D2@0"}),
+            "symmetry generator 1: element map is not a bijection",
+        ),
+        (
+            lambda p: p["symmetry"][0]["burrows"].update(nope="1|2"),
+            "symmetry generator 1: unknown burrow id 'nope'",
+        ),
+        (
+            lambda p: p["symmetry"][0]["bases"].update({"1|2": [0, 2, 1]}),
+            "symmetry generator 1: basis map of 1|2 is not a permutation of 0..3",
+        ),
+        (
+            lambda p: p["symmetry"][0]["bases"].update({"1|2": [0, 2, 1, "3"]}),
+            "symmetry basis map of 1|2 [0, 2, 1, '3'] is not a list of integers",
+        ),
     ],
     ids=[
         "codim-float",
@@ -372,13 +388,18 @@ def _set_meets_entry(entry):
         "nests-int",
         "element-id-int",
         "burrow-id-int",
+        "symmetry-not-bijective",
+        "symmetry-unknown-id",
+        "symmetry-short-basis-map",
+        "symmetry-str-basis-entry",
     ],
 )
 def test_validate_rejects_malformed_diagram_field(tmp_path, capsys, mutate, message):
     """Integer fields take JSON integers only; a meet is a 3-item list of two
     burrow ids and a burrow id or null; index and defining sets and explicit
-    nests are lists of strings, singles map element ids to burrow ids, and
-    element and burrow ids are strings.
+    nests are lists of strings, singles map element ids to burrow ids,
+    element and burrow ids are strings, and a symmetry generator maps known
+    ids bijectively and each burrow's basis by a permutation of integers.
     Anything else exits 1 naming the field, where it used to be truncated
     (1.5 read as 1), read a string as its set of characters, or end in a
     traceback."""

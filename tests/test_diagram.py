@@ -3,8 +3,10 @@ from fractions import Fraction as F
 
 import pytest
 
+from wonder import io
 from wonder.algebra import GradedAlgebra, GradedMap
 from wonder.diagram import BurrowDiagram, BurrowEdge, ChernPolynomial
+from wonder.engine import build_ring
 from wonder.errors import InputError
 from wonder.models import (
     fm_power,
@@ -12,6 +14,7 @@ from wonder.models import (
     point_blowup_p2_diagram,
     single_center_diagram,
 )
+from wonder.nests import standard_bound
 
 
 def test_plane_point_fixture_validates():
@@ -19,8 +22,9 @@ def test_plane_point_fixture_validates():
     assert report.ok, report.summary()
 
 
-def _rebuilt(diagram, edge):
-    """The diagram with edge in place of the one on its burrow pair."""
+def _rebuilt(diagram, edge, symmetry=()):
+    """The diagram with edge in place of the one on its burrow pair, and the
+    given declared symmetry."""
     by_pair = {**diagram.edges, (edge.small, edge.big): edge}
     nests = diagram.nest_rule
     if diagram.explicit_nests is not None:
@@ -34,6 +38,7 @@ def _rebuilt(diagram, edge):
         meets=dict(diagram.meets),
         nests=nests,
         relations=diagram.relations,
+        symmetry=symmetry,
     )
 
 
@@ -123,6 +128,135 @@ def test_perturbed_chain_link_breaks_functoriality(request, model, small, big, k
     pull = _perturbed(edge.pullback, k)
     bad = _rebuilt(diagram, BurrowEdge(small, big, pull, edge.pushforward, edge.chern))
     assert _fails(bad, "pullback-functorial", "chains")
+
+
+def test_false_symmetry_fails_and_falls_back(fm3_diagram):
+    """A pullback entry of a burrow that (1 2) moves is perturbed and the
+    declaration kept: the generators that move it fail their row, the group
+    falls back to the trivial one, and the broken law is still reported on
+    the perturbed edge and on no other."""
+    small, big = "13|2", "1|2|3"
+    assert fm3_diagram.symmetry_generators[0].burrow(small) == "1|23"
+    edge = fm3_diagram.edges[(small, big)]
+    pull = _perturbed(edge.pullback, 1)
+    bad = _rebuilt(
+        fm3_diagram,
+        BurrowEdge(small, big, pull, edge.pushforward, edge.chern),
+        fm3_diagram.symmetry_generators,
+    )
+    report = bad.validate()
+    assert bad.symmetry().generators == ()
+    assert [e.subject for e in report.problems() if e.check == "symmetry"] == [
+        "generator 1",
+        "generator 2",
+    ]
+    assert _fails(bad, "pullback-ring-hom", f"{small}<{big}")
+    hom = [e.subject for e in report.problems() if e.check == "pullback-ring-hom"]
+    assert hom == [f"{small}<{big}"]
+
+
+def _edge_entry(payload, small, big):
+    return next(e for e in payload["edges"] if (e["small"], e["big"]) == (small, big))
+
+
+def _set_meet(payload):
+    meets = payload["intersections"]["meets"]
+    meets[meets.index(["12|3", "13|2", "123"])][2] = None
+
+
+def _set_pushforward_entry(payload):
+    _edge_entry(payload, "13|2", "1|2|3")["pushforward"][0][3] = "2"
+
+
+@pytest.mark.parametrize(
+    "mutate,detail",
+    [
+        (lambda p: p["elements"][2].update(codim=2), "element D13 and its image differ in codim"),
+        (lambda p: p["intersections"]["singles"].update(D13="123"), "singles of D13"),
+        (lambda p: p["elements"][2].update(index_set=["1", "2"]), "differ in the nest relation"),
+        (_set_meet, "meets of 12|3 are not carried"),
+        (lambda p: p["burrows"][2].update(defining_set=[]), "differ in codim or defining set"),
+        (lambda p: p["burrows"][2]["mult"][0].__setitem__(3, "2"), "basis map of 13|2"),
+        (_set_pushforward_entry, "maps of edge 13|2<1|2|3"),
+    ],
+    ids=["codim", "singles", "nest", "meet", "defining-set", "algebra", "pushforward"],
+)
+def test_symmetry_check_names_the_first_datum_it_does_not_keep(mutate, detail):
+    """One datum of fm-p1 n=3 changed so that (1 2) no longer keeps it, the
+    declaration kept: the check fails that generator, names the datum, and
+    validate reports a failing symmetry row."""
+    payload = io.diagram_payload(fm_power("p1", 3))
+    assert payload["elements"][2]["id"] == "D13" and payload["burrows"][2]["id"] == "13|2"
+    mutate(payload)
+    diagram = io.diagram_from_payload(payload)
+    problems = dict(diagram.symmetry().problems)
+    assert detail in problems["generator 1"]
+    assert not diagram.symmetry().generators
+    assert any(e.check == "symmetry" for e in diagram.validate().problems())
+
+
+def test_orbit_verdicts_equal_computed_ones_on_a_symmetric_fault(strip_symmetry):
+    """Every pullback of keel n=2 sends 1 to 2: a fault the group keeps, so the
+    group passes and validate copies verdicts along orbits.  The report is
+    the one computed edge by edge without the group, failing rows included."""
+    payload = io.diagram_payload(keel_model(2))
+    for edge in payload["edges"]:
+        edge["pullback"][0][3] = "2"
+    bad = io.diagram_from_payload(payload)
+    assert bad.symmetry().generators and not bad.symmetry().problems
+    report = bad.validate()
+    assert sum(e.check == "pullback-ring-hom" for e in report.problems()) == len(bad.edges)
+    assert report.summary() == strip_symmetry(bad).validate().summary()
+
+
+def _with_chern(diagram, key, i, shift):
+    """The diagram, its symmetry kept, with c_i of one edge plus shift."""
+    edge = diagram.edges[key]
+    coeffs = list(edge.chern.coeffs)
+    coeffs[i - 1] = coeffs[i - 1] + shift
+    chern = ChernPolynomial(edge.chern.deg, tuple(coeffs))
+    return _rebuilt(
+        diagram,
+        BurrowEdge(*key, edge.pullback, edge.pushforward, chern),
+        diagram.symmetry_generators,
+    )
+
+
+def test_symmetry_compares_lower_chern_coefficients_on_the_small_burrow():
+    """c_1 of 12|3 < 1|2|3 on fm-p2 n=3 is the lift 3*h1, which (1 2) sends to
+    3*h2: the lifts differ by a class restricting to zero on 12|3.  Adding
+    h1 - h2, such a class, keeps the group and the ring; adding h1 does not
+    keep the group, and a changed top coefficient fails it too."""
+    diagram = fm_power("p2", 3)
+    key = ("12|3", "1|2|3")
+    amb = diagram.ambient.algebra
+    h1, h2 = amb.from_labels({"h1": 1}), amb.from_labels({"h2": 1})
+    assert diagram.edges[key].pullback.apply(h1 - h2).is_zero()
+    shifted = _with_chern(diagram, key, 1, h1 - h2)
+    report = shifted.validate()
+    assert report.ok and shifted.symmetry().generators
+    assert not any(e.check == "symmetry" for e in report.entries)
+    assert build_ring(shifted).as_algebra().to_payload() == (
+        build_ring(diagram).as_algebra().to_payload()
+    )
+    for i, shift in ((1, h1), (2, amb.from_labels({"h1^2": 1}))):
+        moved = _with_chern(diagram, key, i, shift)
+        problems = [e for e in moved.validate().problems() if e.check == "symmetry"]
+        assert problems and not moved.symmetry().generators
+    top = _with_chern(diagram, key, 2, amb.from_labels({"h1^2": 1}))
+    assert "top Chern coefficient" in top.symmetry().problems[0][1]
+
+
+def test_element_contains_names_an_element_missing_from_singles():
+    """On an unvalidated diagram whose singles table lacks an element, the
+    containment lookups raise InputError naming it."""
+    payload = io.diagram_payload(keel_model(2))
+    del payload["intersections"]["singles"]["D1@0"]
+    diagram = io.diagram_from_payload(payload)
+    with pytest.raises(InputError, match="'D1@0' has no burrow"):
+        diagram.elements_below("D12@0")
+    with pytest.raises(InputError, match="'D1@0' has no burrow"):
+        standard_bound(diagram, "D12@0", {"D1@0", "D12@0"})
 
 
 def test_missing_meet_pair_reported(keel2_diagram):

@@ -3,13 +3,12 @@ import pytest
 import wonder.algebra
 import wonder.duality
 import wonder.engine
-from wonder.algebra import GradedAlgebra, GradedMap, socle_check, tensor_algebra
+from wonder.algebra import GradedAlgebra
 from wonder.diagram import BurrowDiagram, BurrowNode
 from wonder.duality import (
     block_structure_check,
     discrepancy_table,
     pd_equivalence_report,
-    pullback_transfer_check,
 )
 from wonder.engine import build_ring
 from wonder.errors import InputError
@@ -101,57 +100,6 @@ def test_empty_building_set_report():
     assert report.ok
     assert not report.ring_verdict.is_pd
     assert report.failing_burrows == ["Y"]
-
-
-def _product_embedding(small):
-    line = _PowerAlg(["L"], 1).alg
-    big, pair = tensor_algebra(small, line)
-    rev = {g: k for k, g in pair.items()}
-    pull = GradedMap.from_images(
-        small, big, 0, [big.basis_element(pair[(g, 0)]) for g in range(small.total_dim)]
-    )
-    push = GradedMap.from_images(
-        big,
-        small,
-        -1,
-        [
-            small.basis_element(rev[g][0]) if rev[g][1] == 1 else small.zero()
-            for g in range(big.total_dim)
-        ],
-    )
-    return big, pull, push
-
-
-def test_transfer_vacuous_on_pd():
-    from wonder.models import synthetic_gorenstein
-
-    small = synthetic_gorenstein((1, 2, 1), 5)
-    big, pull, push = _product_embedding(small)
-    report = pullback_transfer_check(
-        socle_check(small, 2).pairing, socle_check(big, 3).pairing, pull, push
-    )
-    assert report.ok and report.kernel_dim == 0
-
-
-def test_transfer_carries_kernel():
-    small = synthetic_broken((1, 2, 1), 1, 3)
-    big, pull, push = _product_embedding(small)
-    report = pullback_transfer_check(
-        socle_check(small, 2).pairing, socle_check(big, 3).pairing, pull, push
-    )
-    assert report.ok and report.kernel_dim == 1
-
-
-def test_transfer_hypothesis_failure_reported():
-    small = synthetic_broken((1, 2, 1), 1, 3)
-    big, pull, push = _product_embedding(small)
-    zero_push = GradedMap.from_images(big, small, -1, [small.zero()] * big.total_dim)
-    report = pullback_transfer_check(
-        socle_check(small, 2).pairing, socle_check(big, 3).pairing, pull, zero_push
-    )
-    assert not report.hypothesis_ok
-    assert any("socle" in p for p in report.hypothesis_problems)
-    assert not report.ok
 
 
 def test_keel3_duality(keel3_diagram, keel3_ring):

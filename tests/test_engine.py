@@ -1,8 +1,10 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
+from wonder import io
 from wonder.diagram import BurrowDiagram, BurrowNode
 from wonder.engine import _EMPTY, WonderRing, build_ring, presentation_report
 from wonder.errors import ComputationError, InputError
@@ -186,10 +188,12 @@ def test_product_table_does_not_depend_on_route_or_order(model):
     assert all(row for key, row in blocks._cache.items() if key not in empty)
 
 
-def test_fmp2_4_min3_builds_one_plan_per_pattern(monkeypatch):
+def test_fmp2_4_min3_builds_one_plan_per_pattern(monkeypatch, strip_symmetry):
     """The 3,042 normal forms of the fm-p2 n=4 (min size 3) product table
     share 129 exponent patterns; each pattern's plan is built once, and the
-    blocks whose support is not a nest need none."""
+    blocks whose support is not a nest need none.  That is the direct fill,
+    with no declared symmetry; the fill by orbits of the declared S_4 needs
+    only some of those normal forms, again with one plan per pattern."""
     calls = []
     make_plan = WonderRing._make_plan
 
@@ -198,12 +202,93 @@ def test_fmp2_4_min3_builds_one_plan_per_pattern(monkeypatch):
         return make_plan(self, pattern)
 
     monkeypatch.setattr(WonderRing, "_make_plan", counted)
-    ring = WonderRing(fm_power("p2", 4, min_size=3))
+    diagram = fm_power("p2", 4, min_size=3)
+    ring = WonderRing(strip_symmetry(diagram))
     ring.build_all_products()
     assert len(ring._memo) == 3042
     assert len({pattern for pattern, _ in ring._memo}) == 129
     assert len(calls) <= 129
     assert len(set(calls)) == len(calls)
+    calls.clear()
+    orbits = WonderRing(diagram)
+    orbits.build_all_products()
+    assert set(orbits._memo) < set(ring._memo)
+    assert len(set(calls)) == len(calls) <= 129
+
+
+@pytest.mark.parametrize(
+    "model",
+    [lambda: fm_power("p2", 4, min_size=3), lambda: keel_model(3)],
+    ids=["fm-p2-4-min3", "keel-3"],
+)
+def test_orbit_fill_equals_direct_fill(model, strip_symmetry):
+    """The cache filled one pair per orbit of the declared group equals the
+    one filled pair by pair, and the direct cache is equivariant: for every
+    generator s, cache[(s i, s j)] = s(cache[(i, j)])."""
+    diagram = model()
+    assert diagram.symmetry().generators and not diagram.symmetry().problems
+    orbits = WonderRing(diagram)
+    orbits.build_all_products()
+    direct = WonderRing(strip_symmetry(diagram))
+    direct.build_all_products()
+    assert orbits._cache == direct._cache
+    empty = {key for key, row in direct._cache.items() if row is _EMPTY}
+    assert empty == {key for key, row in orbits._cache.items() if row is _EMPTY}
+    assert len(orbits._memo) < len(direct._memo)
+    perms = orbits._basis_permutations()
+    assert len(perms) == len(diagram.symmetry_generators)
+    for p in perms:
+        assert sorted(p) == list(range(len(direct.basis)))
+        for (i, j), row in direct._cache.items():
+            a, b = sorted((p[i], p[j]))
+            assert direct._cache[a, b] == {p[k]: c for k, c in row.items()}
+
+
+@pytest.mark.parametrize(
+    "model", [lambda: fm_power("p2", 3), lambda: keel_model(3)], ids=["fm-p2-3", "keel-3"]
+)
+def test_normal_form_reads_the_coefficient_on_the_support_burrow(model, strip_symmetry):
+    """The lemma behind the fill by orbits: NF(pattern, c + k) = NF(pattern, c)
+    for every k in the kernel of the pullback from the ambient to the burrow
+    of the pattern's support, on every pattern the product table reaches."""
+    diagram = strip_symmetry(model())
+    ring = WonderRing(diagram)
+    ring.build_all_products()
+    amb = diagram.ambient.algebra
+    rnd = random.Random(0)
+    checked = 0
+    for pattern in sorted({pattern for pattern, _ in ring._memo}):
+        support = [x for x, _ in pattern]
+        burrow = diagram.burrow_of(support) if support else diagram.ambient_id
+        pull = diagram.pullback(diagram.ambient_id, burrow)
+        for k in range(amb.top_degree + 1):
+            kernel = pull.kernel_elements(k)
+            if not kernel:
+                continue
+            c = amb.element({g: rnd.randint(-3, 3) for g in amb.global_indices(k)})
+            shifted = c
+            for v in kernel:
+                shifted = shifted + v.scale(rnd.randint(1, 3))
+            assert ring._normalize(pattern, shifted.coeffs) == ring._normalize(pattern, c.coeffs)
+            checked += 1
+    assert checked > 10
+
+
+@pytest.mark.parametrize(
+    "model",
+    [lambda: fm_power("p2", 3), lambda: fm_power("curve", 3, genus=2), lambda: keel_model(3)],
+    ids=["fm-p2-3", "fm-curve-3-g2", "keel-3"],
+)
+def test_declared_symmetry_changes_no_output(model, strip_symmetry):
+    """With the symmetry field and without it, the ring text and the
+    validate report are byte-identical."""
+    texts = []
+    for diagram in (model(), strip_symmetry(model())):
+        ring = build_ring(diagram, validate=False)
+        texts.append(
+            (io.dump_ring(ring.as_algebra(), diagram.socle_degree), diagram.validate().summary())
+        )
+    assert texts[0] == texts[1]
 
 
 def test_env_cap_override(fm3_diagram, monkeypatch):

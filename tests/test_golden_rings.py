@@ -96,19 +96,19 @@ EXTRA_DIAGRAMS = {
     "keel-1": lambda: keel_model(1),
 }
 GOLDEN_DIAGRAMS = {
-    "fm-curve-2": "75148b4f6d74bfb9eb06b2d095d337331f972945d317cc71cf669173bc819cf8",
-    "fm-curve-3-g2": "5d35f34f3c52707aa3e41391e5e0c4f211c82df04c624a41e6f3fda187671652",
-    "fm-p1-2": "0da364c95f1ba6198e5a7c88c60d3cf15a4821bc13428e6b3e939411bf9deb27",
-    "fm-p1-3": "6f6c5ea01618b031b9262ee4e5422fb271765adc52c49869ebf0524e0ac22638",
-    "fm-p1-4": "c37d8cac956eb794d02f88a126bbf10a7554c0c078032a1f5f905d49fcae7b50",
-    "fm-p1-5": "5b8909d7ef20e174bd3d72aeebebe49df23da253f31243eaf9bd3f909ada3bef",
-    "fm-p2-2": "aa3db4c568b7c2a551bccdb12f98466aab13613df0f13855ca3e531e4b72ca4a",
-    "fm-p2-3": "c0b6f23b9902997d3589bd87fd00c4ba84930b9333cc87ca59f65bfc3523f8bf",
-    "fm-p2-4": "beb5663a008c36ccb44bfcc3de19ae9a9de003d69879f0849873f7b9110de2b4",
-    "fm-p2-4-min3": "59d69dbfb5c35f574c6b7ec318b786a75e0f94bbdad1f59f810eaa9f25ff033d",
-    "keel-1": "618a7e5aa0051d791574ce64d9d861d99be9cceb80ec0d2e7b1068c38abfd863",
-    "keel-2": "1625db319df16107db43825df0507cf4f03feefc3dcab4ce014bef5bfdb9cf4e",
-    "keel-3": "bbcc188e6bc241209dc54c94c40450d56e04c428cd9e3a79221969ac8cac1032",
+    "fm-curve-2": "f6f53a817000e0b108ecf028bea4a445353849a69b730d620171e8030be337ef",
+    "fm-curve-3-g2": "ae0dc999f6dd0ad46db11f8f9abaf16891fbd474e761ad521db2865dacdcb90d",
+    "fm-p1-2": "adc6cd68da4cb1824376dce53367cd6b044b89f2389585a9ee0515c965018bbd",
+    "fm-p1-3": "766dba0b49f28e4699dbf006573ff0c6ad54561f98fcc6eb1c7703689c59f7ca",
+    "fm-p1-4": "2abb3dcae4eabbd31d319cefdf23a6ae25feea0b9ed2a4e11d86e923cfb83140",
+    "fm-p1-5": "be7ee1d7ff74b0a441d1c7749f74efe89fc4cf481ce2cd1385a8b2bd7250f8e2",
+    "fm-p2-2": "80a80423604f889546154fb907ed84303f9fa7b3f2fd1639955e83e9d581c962",
+    "fm-p2-3": "c2f2d7d15f553af3bde0252c4bc253aa3b77ecaeed3a3d7dfecc2492e19552d8",
+    "fm-p2-4": "b213cdacd91ec0faa65282598e25c37cf3a955b318a8b643758207ea603b9be9",
+    "fm-p2-4-min3": "43326bfd19e656b081ba0edd54ac9449157b67ce3ff52ad0169bb9aa9e6531d2",
+    "keel-1": "b5fb4828afcf7fb6cd1f7c016495b14dcdee3ea030dd08ef92b1040753ef6971",
+    "keel-2": "4f6a6b46fc1b0f56b54e6c86cfa978f954664ae89da1e50cd2e7488beb648cc0",
+    "keel-3": "4198f529458c4341c684e6d6d6f9bebc8f3d212f2a5e3328c38ab2e3bdb99845",
 }
 
 
