@@ -464,7 +464,8 @@ class BurrowDiagram:
             return vec if p is None else {p[h]: v for h, v in vec.items()}
 
         def carried(m: GradedMap, m2: GradedMap, source, target) -> bool:
-            cols = [moved(col, target[0]) for col in m.columns]
+            p = target[0]
+            cols = m.columns if p is None else [{p[h]: v for h, v in col.items()} for col in m.columns]
             if source[1] is not None:
                 cols = [cols[g] for g in source[1]]
             return m.shift == m2.shift and cols == m2.columns

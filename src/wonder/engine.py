@@ -473,7 +473,9 @@ class WonderRing:
         With a checked symmetry group (``BurrowDiagram.symmetry``), one pair
         per orbit goes through ``_product`` and the rest of its orbit is
         filled by relabelling: cache[(s i, s j)] = s(cache[(i, j)]) under
-        the basis permutations of ``_basis_permutations``.
+        the basis permutations of ``_basis_permutations``.  The group also
+        permutes the blocks, so the blocks of an orbit after its first are
+        already filled, or zero with no nest test.
 
         Proof.  Write R for the ring, generated by the ambient algebra A(Y)
         and the classes E_x subject to the relations the rewriting uses:
@@ -513,12 +515,26 @@ class WonderRing:
         for i, e in enumerate(self.basis):
             blocks[e[1]].append(i)  # ascending index, so ascending degree
         cache = self._cache
+        moves = [[self.basis[p[block[0]]][1] for block in blocks] for p in perms]
+        zero_orbit: dict[tuple, bool] = {}
         for sa, block_a in enumerate(blocks):
             for sb in range(sa, len(blocks)):
                 if self.summands[sa].shift + self.summands[sb].shift > d:
                     continue
-                pattern = _merged(self.summands[sa], self.summands[sb])
-                zero = self._vanishes(pattern)
+                zero = zero_orbit.get((sa, sb))
+                if zero is False:
+                    continue
+                if zero is None:
+                    pattern = _merged(self.summands[sa], self.summands[sb])
+                    zero = zero_orbit[sa, sb] = self._vanishes(pattern)
+                    stack = [(sa, sb)]
+                    while stack:
+                        x, y = stack.pop()
+                        for q in moves:
+                            image = (q[x], q[y]) if q[x] <= q[y] else (q[y], q[x])
+                            if image not in zero_orbit:
+                                zero_orbit[image] = zero
+                                stack.append(image)
                 block_b = blocks[sb]
                 for pos, i in enumerate(block_a):
                     for j in block_b[pos:] if sa == sb else block_b:

@@ -11,7 +11,7 @@ Three kinds of files share one dialect, distinguished by a ``kind`` field:
   generators, each ``{"elements": {id: image}, "burrows": {id: image},
   "bases": {burrow id: [image index, ...]}}`` with fixed ids and kept
   basis orders left out.  The loader rejects (``InputError``) a generator
-  that is not of that shape, names an unknown id, maps ids other than
+  that is not of that shape, names an unknown id, does not map ids
   bijectively, or lists a basis map that is not a permutation of the
   burrow's indices.  Whether it is an automorphism is for
   ``BurrowDiagram.symmetry`` to say: it compares every datum exactly,
@@ -221,7 +221,7 @@ def diagram_payload(diagram: BurrowDiagram) -> dict:
 
 def _symmetry_from(entries) -> list[Permutation]:
     """The declared generators; their ids and bijectivity are checked by
-    ``BurrowDiagram``, whether each is an automorphism by ``validate``."""
+    ``BurrowDiagram``, whether each is an automorphism by its ``symmetry``."""
     if not isinstance(entries, list):
         raise InputError(f"symmetry {entries!r} is not a list of generators")
     out = []

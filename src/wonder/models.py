@@ -476,44 +476,45 @@ class _ProductModel:
         (1 2 ... n), and of the one on the markers, (0 1) and (0 1 inf),
         each as a relabelling of configurations; fixed ids and kept basis
         orders are left out."""
-        n = self.n
+        n, m = self.n, self.markers
         moves = []
         if n >= 2:
             moves.append(({1: 2, 2: 1}, {}))
         if n >= 3:
             moves.append(({i: i % n + 1 for i in range(1, n + 1)}, {}))
-        if len(self.markers) >= 2:
-            m = self.markers
+        if len(m) >= 2:
             moves.append(({}, {m[0]: m[1], m[1]: m[0]}))
-        if len(self.markers) >= 3:
+        if len(m) >= 3:
             moves.append(({}, {mk: m[(i + 1) % len(m)] for i, mk in enumerate(m)}))
         element_of = {cfg: eid for eid, cfg in elem_cfg.items()}
         gens = []
         for coord, marker in moves:
-
-            def image(cfg):
-                return frozenset(
+            image = {
+                cfg: frozenset(
                     (frozenset(coord.get(i, i) for i in blk), marker.get(mk, mk))
                     for blk, mk in cfg
                 )
-
-            elements = {}
-            for eid, cfg in elem_cfg.items():
-                if element_of[image(cfg)] != eid:
-                    elements[eid] = element_of[image(cfg)]
+                for cfg in cid
+            }
+            elements = {eid: element_of[image[cfg]] for eid, cfg in elem_cfg.items()}
+            elements = {x: y for x, y in elements.items() if x != y}
             burrows, bases = {}, {}
             for cfg, bid in cid.items():
-                target = cid[image(cfg)]
+                target = cid[image[cfg]]
                 if target != bid:
                     burrows[bid] = target
                 token_map = {
-                    tok: "".join(sorted(str(coord.get(i, i)) for i in blk))
-                    for tok, blk, mk in _cfg_blocks(cfg)
+                    "".join(map(str, sorted(blk))): "".join(
+                        map(str, sorted(coord.get(i, i) for i in blk))
+                    )
+                    for blk, mk in cfg
                     if mk is None
                 }
-                perm = wraps[bid].relabel(wraps[target], token_map)
-                if perm != sorted(perm):
-                    bases[bid] = perm
+                # the same tokens come in the same order, so each index stays
+                if any(tok != new for tok, new in token_map.items()):
+                    perm = wraps[bid].relabel(wraps[target], token_map)
+                    if perm != sorted(perm):
+                        bases[bid] = perm
             gens.append(Permutation(elements, burrows, bases))
         return gens
 
