@@ -446,13 +446,13 @@ class BurrowDiagram:
             for a, row in enumerate(meet_codes):
                 if itemgetter(*row)(codes) != at_images(meet_codes[perm[a]]):
                     return f"meets of {names[a]} are not carried to the meets of its image"
-        # burrow -> (basis permutation, source index of each target index),
-        # both None when it keeps each index
-        perms = {}
+        # per burrow, the basis permutation and the index each image index
+        # comes from; None when each index stays
+        perms, sources = {}, {}
         for bid, node in self.burrows.items():
             image = self.burrows[bu(bid)]
-            perm = gen.bases.get(bid)
-            perms[bid] = (perm, perm and sorted(range(len(perm)), key=perm.__getitem__))
+            perms[bid] = perm = gen.bases.get(bid)
+            sources[bid] = perm and sorted(range(len(perm)), key=perm.__getitem__)
             if image.codim != node.codim or image.defining_set != frozenset(
                 map(el, node.defining_set)
             ):
@@ -463,11 +463,12 @@ class BurrowDiagram:
         def moved(vec: dict, p) -> dict:
             return vec if p is None else {p[h]: v for h, v in vec.items()}
 
-        def carried(m: GradedMap, m2: GradedMap, source, target) -> bool:
-            p = target[0]
+        def carried(m: GradedMap, m2: GradedMap, a: str, b: str) -> bool:
+            """Whether m, a map from burrow a to burrow b, goes to m2."""
+            p = perms[b]
             cols = m.columns if p is None else [{p[h]: v for h, v in col.items()} for col in m.columns]
-            if source[1] is not None:
-                cols = [cols[g] for g in source[1]]
+            if sources[a] is not None:
+                cols = [cols[g] for g in sources[a]]
             return m.shift == m2.shift and cols == m2.columns
 
         def lower_chern(key, edge):
@@ -486,19 +487,18 @@ class BurrowDiagram:
             image = self.edges.get(image_key)
             if image is None:
                 return f"edge {small}<{big} has no image edge"
-            ps, pb = perms[small], perms[big]
-            if image is edge and ps[0] is None and pb[0] is None:
+            if image is edge and perms[small] is None and perms[big] is None:
                 continue
             if not (
-                carried(edge.pullback, image.pullback, pb, ps)
-                and carried(edge.pushforward, image.pushforward, ps, pb)
+                carried(edge.pullback, image.pullback, big, small)
+                and carried(edge.pushforward, image.pushforward, small, big)
             ):
                 return f"maps of edge {small}<{big} are not carried to those of its image"
             if edge.chern.deg != image.chern.deg or image.chern.coeffs[-1].coeffs != moved(
-                edge.chern.coeffs[-1].coeffs, pb[0]
+                edge.chern.coeffs[-1].coeffs, perms[big]
             ):
                 return f"top Chern coefficient of edge {small}<{big} is not carried to its image's"
-            lower = [moved(c, ps[0]) for c in lower_chern(key, edge)]
+            lower = [moved(c, perms[small]) for c in lower_chern(key, edge)]
             if lower != lower_chern(image_key, image):
                 return (
                     f"Chern coefficients of edge {small}<{big} restricted to {small} are "
