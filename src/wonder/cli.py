@@ -89,7 +89,7 @@ def make_parser() -> _Parser:
     )
     p.add_argument("--n", type=int, default=2, help="number of coordinates")
     p.add_argument("--min-size", type=int, default=2, help="smallest diagonal size")
-    p.add_argument("--genus", type=int, default=2, help="genus for the curve fiber")
+    p.add_argument("--genus", type=int, default=2, help="genus for the curve fiber, at least 2")
     p.add_argument("--dims", default=None, help="synth: dimension vector, e.g. 1,2,1")
     p.add_argument("--break", dest="break_at", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)

@@ -1,11 +1,13 @@
 """The input data model: building elements, the burrow lattice with its
-algebras and maps, Chern data, the intersection table and the nest rule,
+algebras and maps, Chern data, the singles table and the nest rule,
 plus validation of every hypothesis the engine relies on.
 
-The intersection table is held as the singleton map plus the binary meet
-closure on burrows; arbitrary subsets fold through meets, which the table
-consistency law makes lossless.  Burrow containment is read off the meets:
-the inner burrow is the meet of the pair.
+The edge set is the containment order of the burrows: Z sits inside W
+exactly when Z = W or Z < W is an edge.  The intersection of a set of
+elements is the greatest burrow below all of their burrows (the singles
+table), read off the lower sets of the burrows; the ``table-consistency``
+row checks that the edges are transitive and that any two burrows with a
+common lower burrow have a greatest one, their meet.
 
 A diagram may declare generators of a permutation group acting on it
 (``Permutation``).  ``BurrowDiagram.symmetry`` checks once that each is an
@@ -17,7 +19,6 @@ per orbit of basis pairs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import itemgetter
 
 from wonder.algebra import (
     Element,
@@ -180,7 +181,6 @@ class BurrowDiagram:
         burrows: list[BurrowNode],
         edges: list[BurrowEdge],
         singles: dict[str, str],
-        meets: dict,  # unordered burrow pair (any 2-item iterable) -> meet or None
         nests,  # NESTED_OR_DISJOINT or an explicit collection of id-sets
         relations: list[tuple[str, str, Element]] = (),
         symmetry: list[Permutation] = (),
@@ -197,31 +197,29 @@ class BurrowDiagram:
             raise InputError("need exactly one codim-0 burrow (the ambient)")
         self.ambient_id = ambient[0]
         self.edges = {}
+        # _below[a]: the burrows with an edge into a
+        self._below = {b: set() for b in self.burrows}
         for e in edges:
             key = (e.small, e.big)
             if key in self.edges:
                 raise InputError(f"duplicate edge {key}")
+            if e.small not in self.burrows or e.big not in self.burrows:
+                raise InputError(f"edge {e.small}<{e.big} names an unknown burrow")
             self.edges[key] = e
+            self._below[e.big].add(e.small)
+        # _lower[a]: a and the burrows below it as a bitmask over _order,
+        # which lists larger lower sets first, so that on transitive edges
+        # the lowest bit of a nonempty intersection of lower sets is a
+        # maximal burrow of it
+        self._order = sorted(self.burrows, key=lambda b: (-len(self._below[b]), b))
+        bit = {b: 1 << i for i, b in enumerate(self._order)}
+        self._lower = {}
+        for b, below in self._below.items():
+            mask = bit[b]
+            for s in below:
+                mask |= bit[s]
+            self._lower[b] = mask
         self.singles = dict(singles)
-        # _meet[a][b] for each stored pair, both ways round; a later entry
-        # for the same pair replaces an earlier one
-        self._meet: dict[str, dict[str, str | None]] = {}
-        for key, val in meets.items():
-            key = frozenset(key)
-            if len(key) != 2:
-                raise InputError("meet keys must be unordered burrow pairs")
-            a, b = key
-            self._meet.setdefault(a, {})[b] = val
-            self._meet.setdefault(b, {})[a] = val
-        # _below[a]: the burrows b != a of the diagram with meet(a, b) == b
-        self._below = {
-            a: {
-                b
-                for b, val in self._meet.get(a, {}).items()
-                if val == b and b in self.burrows
-            }
-            for a in self.burrows
-        }
         if nests == NESTED_OR_DISJOINT:
             self.nest_rule = NESTED_OR_DISJOINT
             self.explicit_nests = None
@@ -261,51 +259,59 @@ class BurrowDiagram:
                     f"of 0..{dim - 1}"
                 )
 
-    # -- intersection table --------------------------------------------------
+    # -- containment and meets -------------------------------------------------
 
-    @property
-    def meets(self) -> dict[frozenset, str | None]:
-        """The stored meets keyed by unordered pair, e.g. to rebuild a diagram."""
-        return {
-            frozenset((a, b)): val
-            for a, row in self._meet.items()
-            for b, val in row.items()
-            if a < b
-        }
+    def _lower_set(self, b: str) -> int:
+        try:
+            return self._lower[b]
+        except KeyError:
+            raise InputError(f"unknown burrow id {b!r}") from None
+
+    def _greatest(self, mask: int) -> str | None:
+        """The burrow whose lower set is exactly the nonempty mask: the
+        greatest burrow in it, or None when it has none."""
+        b = self._order[(mask & -mask).bit_length() - 1]
+        return b if self._lower[b] == mask else None
 
     def meet(self, b1: str, b2: str) -> str | None:
-        if b1 is None or b2 is None:
+        """The greatest burrow inside both, or None when no burrow is."""
+        common = self._lower_set(b1) & self._lower_set(b2)
+        if not common:
             return None
-        if b1 == b2:
-            return b1
-        try:
-            return self._meet[b1][b2]
-        except KeyError:
-            raise InputError(f"meet of burrows {b1!r}, {b2!r} not in the table")
+        top = self._greatest(common)
+        if top is None:
+            raise InputError(
+                f"burrows {b1!r} and {b2!r} have no greatest common lower burrow"
+            )
+        return top
 
     def burrow_of(self, element_ids) -> str | None:
         """Burrow of the intersection of a set of elements; None if empty."""
-        acc = self.ambient_id
-        for x in sorted(element_ids):
+        ids = sorted(element_ids)
+        common = self._lower[self.ambient_id]
+        for x in ids:
             if x not in self.elements:
                 raise InputError(f"unknown element id {x!r}")
             if x not in self.singles:
                 raise InputError(f"element {x!r} has no burrow in the singles table")
-            acc = self.meet(acc, self.singles[x])
-            if acc is None:
+            common &= self._lower_set(self.singles[x])
+            if not common:
                 return None
-        return acc
+        top = self._greatest(common)
+        if top is None:
+            raise InputError(f"elements {ids} have no greatest common lower burrow")
+        return top
 
     def burrow_contains(self, outer: str, inner: str) -> bool:
         """True when the inner burrow sits inside the outer one."""
-        return self.meet(outer, inner) == inner
+        return outer == inner or (inner, outer) in self.edges
 
     def element_contains(self, outer: str, inner: str) -> bool:
         """Subvariety containment between building elements."""
         for x in (outer, inner):
             if x not in self.singles:
                 raise InputError(f"element {x!r} has no burrow in the singles table")
-        return self.meet(self.singles[outer], self.singles[inner]) == self.singles[inner]
+        return self.burrow_contains(self.singles[outer], self.singles[inner])
 
     def elements_below(self, x: str) -> list[str]:
         """All building elements contained in x as subvarieties (x included)."""
@@ -377,47 +383,32 @@ class BurrowDiagram:
 
         A generator s passes when it keeps element codims, the nest relation
         (pairs of elements under the nested-or-disjoint rule, the explicit
-        list otherwise), singles, every stored meet, burrow codims and
-        defining sets; when each basis map is an isomorphism of the burrow
-        algebras (``GradedAlgebra.relabels_onto``); and when every edge
-        Z < W has an image edge sZ < sW whose pullback, pushforward and
-        top Chern coefficient are the images of its own, exactly.  A lower
-        Chern coefficient c_i is compared only after pullback to the small
-        burrow: the models store a lift of c_i from Z chosen by a section,
-        which no symmetry need keep, and every consumer of c_i reads it
-        only through its restriction to Z (the ``chern-shape`` row reads
-        the lift itself, so it stays per edge).  With one failing generator
-        the group is trivial, so nothing relies on a false declaration."""
+        list otherwise), singles, burrow codims and defining sets; when each
+        basis map is an isomorphism of the burrow algebras
+        (``GradedAlgebra.relabels_onto``); and when every edge Z < W has an
+        image edge sZ < sW whose pullback, pushforward and top Chern
+        coefficient are the images of its own, exactly.  Then s is a
+        bijection on burrows that maps the edge set into itself, so onto
+        itself: it keeps the containment order and with it every meet.  A
+        lower Chern coefficient c_i is compared only after pullback to the
+        small burrow: the models store a lift of c_i from Z chosen by a
+        section, which no symmetry need keep, and every consumer of c_i
+        reads it only through its restriction to Z (the ``chern-shape`` row
+        reads the lift itself, so it stays per edge).  With one failing
+        generator the group is trivial, so nothing relies on a false
+        declaration."""
         if self._symmetry is None:
             problems = []
-            meet_codes = self._meet_codes() if self.symmetry_generators else None
             restricted = {}  # edge -> its lower Chern coefficients pulled back
             for k, gen in enumerate(self.symmetry_generators, start=1):
-                detail = self._automorphism_failure(gen, meet_codes, restricted)
+                detail = self._automorphism_failure(gen, restricted)
                 if detail:
                     problems.append((f"generator {k}", detail))
             generators = () if problems else self.symmetry_generators
             self._symmetry = Symmetry(generators, problems)
         return self._symmetry
 
-    def _meet_codes(self) -> list[list[int]]:
-        """The meet table as one row per burrow, in ``self.burrows`` order:
-        each meet as its burrow's position, n for None, n + 1 for a pair
-        missing from the table and n + 2 for an unknown burrow id."""
-        names = list(self.burrows)
-        n = len(names)
-        missing = object()
-        code = {b: i for i, b in enumerate(names)}
-        code[None], code[missing] = n, n + 1
-        rows = []
-        for i, a in enumerate(names):
-            row = self._meet.get(a, {})
-            codes = [code.get(row.get(b, missing), n + 2) for b in names]
-            codes[i] = i
-            rows.append(codes)
-        return rows
-
-    def _automorphism_failure(self, gen: Permutation, meet_codes, restricted) -> str:
+    def _automorphism_failure(self, gen: Permutation, restricted) -> str:
         """The first datum the generator does not carry to its image, or ''."""
         el, bu = gen.element, gen.burrow
         for x, e in self.elements.items():
@@ -436,16 +427,6 @@ class BurrowDiagram:
                 for y in ids[i + 1 :]:
                     if self.is_nest((x, y)) != self.is_nest((el(x), el(y))):
                         return f"{{{x}, {y}}} and its image differ in the nest relation"
-        names = list(self.burrows)
-        if len(names) > 1:
-            # meet(s a, s b) = s meet(a, b), one row a at a time
-            pos = {b: i for i, b in enumerate(names)}
-            perm = [pos[bu(b)] for b in names]
-            codes = perm + [len(names), len(names) + 1, len(names) + 2]
-            at_images = itemgetter(*perm)
-            for a, row in enumerate(meet_codes):
-                if itemgetter(*row)(codes) != at_images(meet_codes[perm[a]]):
-                    return f"meets of {names[a]} are not carried to the meets of its image"
         # per burrow, the basis permutation and the index each image index
         # comes from; None when each index stays
         perms, sources = {}, {}
@@ -566,70 +547,29 @@ class BurrowDiagram:
                 "" if ok else f"element codim {e.codim} != burrow codim {node.codim}",
             )
 
-        unknown = [
-            (a, b)
-            for a, row in self._meet.items()
-            for b, val in row.items()
-            if a < b
-            and not (
-                a in self.burrows
-                and b in self.burrows
-                and (val is None or val in self.burrows)
-            )
-        ]
-        for a, b in sorted(unknown):
-            rep.add("table-meets", f"{a}&{b}", False, "unknown burrow id")
-        names = sorted(self.burrows)
-        for i, a in enumerate(names):
-            row = self._meet.get(a, {})
-            for b in names[i + 1 :]:
-                if b not in row:
-                    rep.add("table-meets", f"{a}&{b}", False, "pair missing from the table")
-
-        # meets must be associative on element triples (closure consistency).
-        # The group keeps singles and meets, so one pair {x, y} per orbit
-        # decides it for all z, and the first failing pair is the first of
-        # its orbit.
-        ids = sorted(set(self.elements) - unplaced)
-        pairs = [(x, y) for i, x in enumerate(ids) for y in ids[i:]]
-        orbit = orbit_labels(
-            pairs,
-            [
-                lambda p, s=gen.element: tuple(sorted((s(p[0]), s(p[1]))))
-                for gen in group.generators
-            ],
-        )
-        detail = ""
-        for x, y in pairs:
-            if orbit[x, y] != (x, y):
-                continue
-            bxy = self.meet(self.singles[x], self.singles[y])
-            for z in ids:
-                left = self.meet(bxy, self.singles[z]) if bxy else None
-                byz = self.meet(self.singles[y], self.singles[z])
-                right = self.meet(self.singles[x], byz) if byz else None
-                if left != right:
-                    detail = f"({x},{y},{z}): {left!r} != {right!r}"
-                    break
-            if detail:
-                break
+        # the containment laws of the edge set; the defining-set and
+        # nest-nonempty-burrow rows fold element sets through meets, so they
+        # run only when these hold
+        detail = self._order_failure()
         rep.add("table-consistency", "elements", not detail, detail)
+        consistent = not detail
 
-        for b in self.burrows.values():
-            lost = sorted(b.defining_set & unplaced)
-            if lost:
-                rep.add("defining-set", b.id, False, f"{lost[0]} has no burrow")
-                continue
-            folded = self.burrow_of(b.defining_set) if b.defining_set else (
-                self.ambient_id if b.codim == 0 else None
-            )
-            ok = folded == b.id
-            rep.add(
-                "defining-set",
-                b.id,
-                ok,
-                "" if ok else f"defining set folds to {folded!r}",
-            )
+        if consistent:
+            for b in self.burrows.values():
+                lost = sorted(b.defining_set & unplaced)
+                if lost:
+                    rep.add("defining-set", b.id, False, f"{lost[0]} has no burrow")
+                    continue
+                folded = self.burrow_of(b.defining_set) if b.defining_set else (
+                    self.ambient_id if b.codim == 0 else None
+                )
+                ok = folded == b.id
+                rep.add(
+                    "defining-set",
+                    b.id,
+                    ok,
+                    "" if ok else f"defining set folds to {folded!r}",
+                )
 
         # the ring-hom and projection-formula rows check generators only,
         # which decides the full laws (and so is kept by the group) when
@@ -764,18 +704,49 @@ class BurrowDiagram:
                 if not closed:
                     break
             rep.add("nest-downward-closed", "explicit list", closed, detail)
-        bad = None
-        for s in self.iter_nests():
-            if s and not s & unplaced and self.burrow_of(s) is None:
-                bad = s
-                break
-        rep.add(
-            "nest-nonempty-burrow",
-            "nests",
-            bad is None,
-            "" if bad is None else f"nest {sorted(bad)} has empty intersection",
-        )
+        if consistent:
+            bad = None
+            for s in self.iter_nests():
+                if s and not s & unplaced and self.burrow_of(s) is None:
+                    bad = s
+                    break
+            rep.add(
+                "nest-nonempty-burrow",
+                "nests",
+                bad is None,
+                "" if bad is None else f"nest {sorted(bad)} has empty intersection",
+            )
         return rep
+
+    def _order_failure(self) -> str:
+        """The first failure of the laws that make the edge set a
+        containment order with meets, or '': every chain a < b < c has its
+        edge a < c, and any two burrows with a common lower burrow have a
+        greatest one.  On transitive edges the lowest bit of a common lower
+        set is a maximal burrow of it (see ``_order``), so the set has a
+        greatest burrow exactly when it is that burrow's lower set."""
+        order, lower = self._order, self._lower
+        for mid, big in self.edges:
+            missing = lower[mid] & ~lower[big]
+            if missing:
+                small = order[(missing & -missing).bit_length() - 1]
+                return f"{small}<{mid}<{big} has no edge {small}<{big}"
+        masks = [lower[b] for b in order]
+        for i, mask in enumerate(masks):
+            for j in range(i + 1, len(masks)):
+                common = mask & masks[j]
+                if not common:
+                    continue
+                top = (common & -common).bit_length() - 1
+                if masks[top] != common:
+                    rest = common & ~masks[top]
+                    other = order[(rest & -rest).bit_length() - 1]
+                    a, b = sorted((order[i], order[j]))
+                    return (
+                        f"{a} and {b} have two maximal common lower burrows, "
+                        f"{order[top]} and {other}"
+                    )
+        return ""
 
     def iter_nests(self):
         """All nests, the empty nest first, by depth-first extension

@@ -441,8 +441,9 @@ class WonderRing:
         the permutation of the ring basis it induces: the basis vector of
         (nest N, exponents mu, class g of the burrow Z_N) goes to that of
         (sN, s mu, s g).  sN is a nest with burrow sZ_N and s mu is standard
-        on it, since s keeps the nest relation, the meets and the codims
-        that the standard bounds read."""
+        on it, since s keeps the nest relation, the edge set (and so the
+        containment order and its meets) and the codims that the standard
+        bounds read."""
         dia = self.diagram
         perms = []
         for gen in dia.symmetry().generators:
@@ -493,8 +494,9 @@ class WonderRing:
         edge Z_x < W (a class of W read through its restriction to Z_x,
         and multiplied in a monic relation only by monomials in classes
         E_s with Z_s inside Z_x), differ by such a k.
-        Now a checked s keeps the nest relation, the meets, the codims,
-        the burrow algebras, the pullbacks, the pushforwards, the top Chern
+        Now a checked s keeps the nest relation, the edge set and with it
+        the containment order and its meets, the codims, the burrow
+        algebras, the pullbacks, the pushforwards, the top Chern
         coefficients and the lower ones restricted to the small burrow.
         So it carries each relation of R to a relation, up to the choice
         of lifts, and extends to a ring automorphism of R with

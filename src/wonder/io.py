@@ -3,8 +3,10 @@
 Three kinds of files share one dialect, distinguished by a ``kind`` field:
 
 * ``diagram``  - elements, burrows (degrees, basis_labels, mult), edges
-  (pullback / pushforward matrices, chern vectors), intersections (singles
-  plus the binary meet closure), nests, socle_degree, and relations:
+  (pullback / pushforward matrices, chern vectors; the edge set is the
+  containment order, from which meets are derived), intersections (singles:
+  the burrow of each element; a ``meets`` field, which older files carry,
+  is rejected), nests, socle_degree, and relations:
   ``[element id, name, ambient class]`` entries in the model's order, each
   saying that the element's exceptional class annihilates the class; and,
   written only when the diagram declares one, symmetry: a list of
@@ -183,10 +185,6 @@ def diagram_payload(diagram: BurrowDiagram) -> dict:
                 "chern": [_element_payload(c) for c in e.chern.coeffs],
             }
         )
-    meets = [
-        [*sorted(key), val]
-        for key, val in sorted(diagram.meets.items(), key=lambda kv: sorted(kv[0]))
-    ]
     if diagram.nest_rule == NESTED_OR_DISJOINT:
         nests = NESTED_OR_DISJOINT
     else:
@@ -197,10 +195,7 @@ def diagram_payload(diagram: BurrowDiagram) -> dict:
         "elements": elements,
         "burrows": burrows,
         "edges": edges,
-        "intersections": {
-            "singles": dict(sorted(diagram.singles.items())),
-            "meets": meets,
-        },
+        "intersections": {"singles": dict(sorted(diagram.singles.items()))},
         "nests": nests,
     }
     if diagram.relations:
@@ -305,17 +300,10 @@ def diagram_from_payload(payload: dict) -> BurrowDiagram:
         nodes = {b.id: b for b in burrows}
         edges = [_edge_from(e, nodes) for e in payload["edges"]]
         inter = payload["intersections"]
-        meets = {}
-        for entry in inter.get("meets", []):
-            if not (
-                isinstance(entry, list)
-                and len(entry) == 3
-                and all(type(v) is str for v in entry[:2])
-                and (entry[2] is None or type(entry[2]) is str)
-            ):
-                raise InputError(f"meets entry {entry!r} is not [burrow, burrow, meet]")
-            a, b, val = entry
-            meets[a, b] = val
+        if "meets" in inter:
+            raise InputError(
+                "diagram field intersections.meets is not read: meets derive from the edges"
+            )
         singles = inter["singles"]
         if not (
             isinstance(singles, dict) and all(type(v) is str for v in singles.values())
@@ -341,7 +329,6 @@ def diagram_from_payload(payload: dict) -> BurrowDiagram:
             burrows=burrows,
             edges=edges,
             singles=singles,
-            meets=meets,
             nests=nests,
             relations=relations,
             symmetry=_symmetry_from(payload.get("symmetry", [])),

@@ -338,8 +338,11 @@ class _ProductModel:
             raise InputError("supported coordinate counts are 1..9")
         if fiber not in ("p1", "p2", "curve"):
             raise InputError(f"unknown fiber model {fiber!r}")
-        if fiber == "curve" and genus < 1:
-            raise InputError("the curve model needs genus >= 1")
+        if fiber == "curve" and genus < 2:
+            raise InputError(
+                f"the curve model needs genus >= 2, not {genus}: at genus 1 the "
+                "ambient ring of four or more coordinates has no perfect pairing"
+            )
         self.n = n
         self.fiber = fiber
         self.genus = genus
@@ -409,28 +412,25 @@ class _ProductModel:
             elements.append(BuildingElement(eid, _cfg_codim(cfg, self.fiber_dim), index_set))
             elem_cfg[eid] = cfg
 
-        # close the configurations under joins; each unordered pair is joined
-        # once, when the later of the two is visited, and the join is its meet
-        cfgs = list(dict.fromkeys([discrete, *elem_cfg.values()]))
-        known = set(cfgs)
-        joins = {}
-        for i, a in enumerate(cfgs):  # the list grows while it is walked
-            for b in cfgs[:i]:
-                j = _cfg_join(n, a, b)
-                joins[frozenset((a, b))] = j
-                if j is not None and j not in known:
-                    known.add(j)
+        # close the configurations under joins with the elements, joining
+        # each configuration once with each element; the elements whose join
+        # leaves it as it is form its defining set, kept as a bitmask over
+        # the element list
+        elem_list = list(elem_cfg.values())
+        defining = dict.fromkeys([discrete, *elem_list], 0)
+        cfgs = list(defining)
+        for a in cfgs:  # the list grows while it is walked
+            for k, e in enumerate(elem_list):
+                j = _cfg_join(n, a, e)
+                if j == a:
+                    defining[a] |= 1 << k
+                elif j is not None and j not in defining:
+                    defining[j] = 0
                     cfgs.append(j)
 
         cid = {c: _cfg_id(c) for c in cfgs}
         by_id = {bid: c for c, bid in cid.items()}
-        meets = {
-            frozenset(cid[c] for c in pair): None if j is None else cid[j]
-            for pair, j in joins.items()
-        }
-
-        def contains(outer, inner):
-            return outer == inner or meets[frozenset((outer, inner))] == inner
+        mask = {cid[c]: m for c, m in defining.items()}
 
         wraps = {bid: self._make_burrow(cfg) for bid, cfg in by_id.items()}
         pairings = {
@@ -446,17 +446,19 @@ class _ProductModel:
         burrows = [
             BurrowNode(
                 bid,
-                frozenset(x for x, sx in singles.items() if contains(sx, bid)),
+                frozenset(x for k, x in enumerate(elem_cfg) if mask[bid] >> k & 1),
                 _cfg_codim(by_id[bid], self.fiber_dim),
                 wraps[bid].alg,
             )
             for bid in ids
         ]
+        # a burrow lies inside another exactly when its defining set holds
+        # the other's
         edges = [
             self._make_edge(by_id, wraps, pairings, small, big)
             for big in ids
             for small in ids
-            if small != big and contains(big, small)
+            if small != big and mask[big] & ~mask[small] == 0
         ]
         relations = self._relations(wraps[cid[discrete]], elements)
         return BurrowDiagram(
@@ -465,7 +467,6 @@ class _ProductModel:
             burrows=burrows,
             edges=edges,
             singles=singles,
-            meets=meets,
             nests=NESTED_OR_DISJOINT,
             relations=relations,
             symmetry=self._symmetry(elem_cfg, cid, wraps),
@@ -602,7 +603,8 @@ def fm_power(fiber: str, n: int, *, min_size: int = 2, genus: int = 2) -> Burrow
     with at least ``min_size`` merged coordinates.
 
     Fibers: "p1", "p2", or "curve" (the fixed-curve cohomological model with
-    point, cross and canonical classes; ``genus`` applies to it only).
+    point, cross and canonical classes; ``genus`` applies to it only and
+    must be at least 2, as in the paper).
     """
     if n < 2:
         raise InputError("need at least two coordinates")
@@ -648,7 +650,6 @@ def single_center_diagram(
         burrows=burrows,
         edges=[edge],
         singles={element_id: zb},
-        meets={frozenset(("Y", zb)): zb},
         nests=[[element_id]],
     )
 
@@ -765,7 +766,6 @@ def corrupt_burrow(
         burrows=burrows,
         edges=edges,
         singles=dict(diagram.singles),
-        meets=dict(diagram.meets),
         nests=nests,
         relations=relations,
     )

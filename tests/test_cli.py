@@ -78,6 +78,15 @@ def test_unknown_flag(capsys):
     assert code == 1
 
 
+def test_curve_model_below_genus_two_exits_1(capsys):
+    """The curve model needs genus >= 2: at genus 1 the ambient ring of
+    four coordinates has no perfect pairing, so the command exits 1 naming
+    the bound, with no traceback."""
+    code, out, err = run(capsys, "model", "fm-curve", "--n", "4", "--genus", "1")
+    assert code == 1 and out == ""
+    assert "the curve model needs genus >= 2, not 1" in err and "Traceback" not in err
+
+
 def test_rewrite_cap_exit_code(tmp_path, capsys):
     d = tmp_path / "d.json"
     main(["model", "fm-p1", "--n", "3", "--out", str(d)])
@@ -314,17 +323,6 @@ def test_validate_rejects_malformed_edge(tmp_path, capsys, mutate, message):
     assert "Traceback" not in err
 
 
-def _cut_meets_entry(payload):
-    payload["intersections"]["meets"][0] = ["a"]
-
-
-def _set_meets_entry(entry):
-    def mutate(payload):
-        payload["intersections"]["meets"][0] = entry
-
-    return mutate
-
-
 @pytest.mark.parametrize(
     "mutate,message",
     [
@@ -333,9 +331,10 @@ def _set_meets_entry(entry):
         (lambda p: p["burrows"][0].update(codim="x"), "burrow 12 codim 'x' is not an integer"),
         (lambda p: p.update(socle_degree="x"), "socle_degree 'x' is not an integer"),
         (lambda p: p["burrows"][0].update(degrees=["x"]), "degrees ['x'] is not a list of integers"),
-        (_cut_meets_entry, "meets entry ['a'] is not [burrow, burrow, meet]"),
-        (_set_meets_entry([1, "12", None]), "meets entry [1, '12', None] is not [burrow, burrow, meet]"),
-        (_set_meets_entry(["12", "12@0", 5]), "meets entry ['12', '12@0', 5] is not [burrow, burrow, meet]"),
+        (
+            lambda p: p["intersections"].update(meets=[["12", "12@0", "12@0"]]),
+            "diagram field intersections.meets is not read",
+        ),
         (lambda p: p["elements"][0].update(index_set=5), "element D12 index_set 5 is not a list of strings"),
         (lambda p: p["elements"][0].update(index_set="12"), "element D12 index_set '12' is not a list of strings"),
         (lambda p: p["elements"][0].update(index_set=[1, 2]), "element D12 index_set [1, 2] is not a list of strings"),
@@ -372,9 +371,7 @@ def _set_meets_entry(entry):
         "burrow-codim-str",
         "socle-str",
         "degrees-str",
-        "short-meet",
-        "meet-int-burrow",
-        "meet-int-value",
+        "meets-field",
         "index-set-int",
         "index-set-str",
         "index-set-ints",
@@ -395,10 +392,11 @@ def _set_meets_entry(entry):
     ],
 )
 def test_validate_rejects_malformed_diagram_field(tmp_path, capsys, mutate, message):
-    """Integer fields take JSON integers only; a meet is a 3-item list of two
-    burrow ids and a burrow id or null; index and defining sets and explicit
-    nests are lists of strings, singles map element ids to burrow ids,
-    element and burrow ids are strings, and a symmetry generator maps known
+    """Integer fields take JSON integers only; a file that still lists
+    meets is refused, since they derive from the edges; index and defining
+    sets and explicit nests are lists of strings, singles map element ids
+    to burrow ids, element and burrow ids are strings, and a symmetry
+    generator maps known
     ids bijectively and each burrow's basis by a permutation of integers.
     Anything else exits 1 naming the field, where it used to be truncated
     (1.5 read as 1), read a string as its set of characters, or end in a

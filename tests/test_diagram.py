@@ -22,10 +22,13 @@ def test_plane_point_fixture_validates():
     assert report.ok, report.summary()
 
 
-def _rebuilt(diagram, edge, symmetry=()):
-    """The diagram with edge in place of the one on its burrow pair, and the
+def _rebuilt(diagram, edge=None, symmetry=(), drop=()):
+    """The diagram with edge in place of the one on its burrow pair (or
+    added), without the edges on the burrow pairs in drop, and with the
     given declared symmetry."""
-    by_pair = {**diagram.edges, (edge.small, edge.big): edge}
+    by_pair = {key: e for key, e in diagram.edges.items() if key not in drop}
+    if edge is not None:
+        by_pair[edge.small, edge.big] = edge
     nests = diagram.nest_rule
     if diagram.explicit_nests is not None:
         nests = [sorted(s) for s in diagram.explicit_nests]
@@ -35,7 +38,6 @@ def _rebuilt(diagram, edge, symmetry=()):
         burrows=list(diagram.burrows.values()),
         edges=list(by_pair.values()),
         singles=dict(diagram.singles),
-        meets=dict(diagram.meets),
         nests=nests,
         relations=diagram.relations,
         symmetry=symmetry,
@@ -159,9 +161,11 @@ def _edge_entry(payload, small, big):
     return next(e for e in payload["edges"] if (e["small"], e["big"]) == (small, big))
 
 
-def _set_meet(payload):
-    meets = payload["intersections"]["meets"]
-    meets[meets.index(["12|3", "13|2", "123"])][2] = None
+def _drop_edge(small, big):
+    def mutate(payload):
+        payload["edges"].remove(_edge_entry(payload, small, big))
+
+    return mutate
 
 
 def _set_pushforward_entry(payload):
@@ -174,12 +178,12 @@ def _set_pushforward_entry(payload):
         (lambda p: p["elements"][2].update(codim=2), "element D13 and its image differ in codim"),
         (lambda p: p["intersections"]["singles"].update(D13="123"), "singles of D13"),
         (lambda p: p["elements"][2].update(index_set=["1", "2"]), "differ in the nest relation"),
-        (_set_meet, "meets of 12|3 are not carried"),
+        (_drop_edge("123", "13|2"), "edge 123<1|23 has no image edge"),
         (lambda p: p["burrows"][2].update(defining_set=[]), "differ in codim or defining set"),
         (lambda p: p["burrows"][2]["mult"][0].__setitem__(3, "2"), "basis map of 13|2"),
         (_set_pushforward_entry, "maps of edge 13|2<1|2|3"),
     ],
-    ids=["codim", "singles", "nest", "meet", "defining-set", "algebra", "pushforward"],
+    ids=["codim", "singles", "nest", "edge", "defining-set", "algebra", "pushforward"],
 )
 def test_symmetry_check_names_the_first_datum_it_does_not_keep(mutate, detail):
     """One datum of fm-p1 n=3 changed so that (1 2) no longer keeps it, the
@@ -200,17 +204,16 @@ def _unit_pullbacks_doubled(payload):
         edge["pullback"][0][3] = "2"
 
 
-def _diagonal_meets_dropped(payload):
-    for entry in payload["intersections"]["meets"]:
-        if entry[:2] in (["12|3", "13|2"], ["12|3", "1|23"], ["13|2", "1|23"]):
-            entry[2] = None
+def _diagonal_edges_dropped(payload):
+    for big in ("12|3", "13|2", "1|23"):
+        _drop_edge("123", big)(payload)
 
 
 @pytest.mark.parametrize(
     "model,fault,check",
     [
         (lambda: keel_model(2), _unit_pullbacks_doubled, "pullback-ring-hom"),
-        (lambda: fm_power("p1", 3), _diagonal_meets_dropped, "table-consistency"),
+        (lambda: fm_power("p1", 3), _diagonal_edges_dropped, "defining-set"),
     ],
     ids=["keel-2-units", "fm-p1-3-meets"],
 )
@@ -218,7 +221,8 @@ def test_orbit_verdicts_equal_computed_ones_on_a_symmetric_fault(
     strip_symmetry, model, fault, check
 ):
     """A fault the group keeps: every pullback of keel n=2 sends 1 to 2, or
-    the three diagonals of fm-p1 n=3 no longer meet.  The group passes, so
+    the point 123 of fm-p1 n=3 loses its edges into the three diagonals, so
+    that they no longer meet.  The group passes, so
     validate decides laws once per orbit; the report is the one computed
     without the group, failing rows included."""
     payload = io.diagram_payload(model())
@@ -280,59 +284,54 @@ def test_element_contains_names_an_element_missing_from_singles():
         standard_bound(diagram, "D12@0", {"D1@0", "D12@0"})
 
 
-def test_missing_meet_pair_reported(keel2_diagram):
-    """The table holds the meet of every pair of burrows; a missing pair
-    fails validation even where no lookup needs it."""
-    singles = set(keel2_diagram.singles.values())
-    pair = next(
-        key for key in sorted(keel2_diagram.meets, key=sorted) if not key & singles
-    )
-    meets = {key: val for key, val in keel2_diagram.meets.items() if key != pair}
-    bad = BurrowDiagram(
-        socle_degree=keel2_diagram.socle_degree,
-        elements=list(keel2_diagram.elements.values()),
-        burrows=list(keel2_diagram.burrows.values()),
-        edges=list(keel2_diagram.edges.values()),
-        singles=dict(keel2_diagram.singles),
-        meets=meets,
-        nests=keel2_diagram.nest_rule,
-        relations=keel2_diagram.relations,
-    )
+def test_missing_transitive_edge_fails_table_consistency(fm4_diagram):
+    """The edges are the containment order, so they must be transitive:
+    without 1234<12|3|4 the chains from 1234 up to 12|3|4 have no edge of
+    their own, and the one failure names the first of them."""
+    bad = _rebuilt(fm4_diagram, drop={("1234", "12|3|4")})
     [problem] = bad.validate().problems()
-    assert (problem.check, problem.subject) == ("table-meets", "&".join(sorted(pair)))
-    assert problem.detail == "pair missing from the table"
+    assert (problem.check, problem.subject) == ("table-consistency", "elements")
+    assert problem.detail == "1234<123|4<12|3|4 has no edge 1234<12|3|4"
 
 
-def test_repeated_meet_pair_keeps_the_last_value(fm3_diagram):
-    """A pair given twice keeps its last meet, and containment follows it:
-    an earlier entry claiming a containment the last one denies leaves no
-    chain behind for the functoriality check to walk."""
-    d = fm3_diagram
-    small, big, mid = next(
-        (small, big, mid)
-        for small, big in sorted(d.edges)
-        for mid in sorted(d.burrows)
-        if mid not in (small, big)
-        and d.burrow_contains(mid, small)
-        and not d.burrow_contains(big, mid)
+def test_two_maximal_common_lower_burrows_fail_table_consistency(keel2_diagram):
+    """An added edge putting the point 1@0|2@1 on the diagonal 12 gives
+    1@0|2 and 12 two maximal common lower burrows, 12@0 and 1@0|2@1: the
+    edges stay transitive, the one failure is the table-consistency row
+    naming the pair and both burrows, and meet raises naming the pair."""
+    d = keel2_diagram
+    like = d.edges[("12@0", "12")]  # the same maps, onto the other point
+    diag, point = d.burrows["12"].algebra, d.burrows["1@0|2@1"].algebra
+    pull = GradedMap(diag, point, 0, like.pullback.columns)
+    push = GradedMap(point, diag, like.pushforward.shift, like.pushforward.columns)
+    bad = _rebuilt(d, BurrowEdge("1@0|2@1", "12", pull, push, like.chern))
+    [problem] = bad.validate().problems()
+    assert (problem.check, problem.subject) == ("table-consistency", "elements")
+    assert problem.detail == (
+        "12 and 1@0|2 have two maximal common lower burrows, 12@0 and 1@0|2@1"
     )
-    meets = {tuple(sorted(key)): val for key, val in d.meets.items()}
-    last = meets.pop(tuple(sorted((big, mid))))
-    meets[big, mid] = mid
-    meets[mid, big] = last
-    again = BurrowDiagram(
-        socle_degree=d.socle_degree,
-        elements=list(d.elements.values()),
-        burrows=list(d.burrows.values()),
-        edges=list(d.edges.values()),
-        singles=dict(d.singles),
-        meets=meets,
-        nests=d.nest_rule,
-        relations=d.relations,
-    )
-    assert again.meet(big, mid) == last and not again.burrow_contains(big, mid)
-    assert again.meets == d.meets
-    assert again.validate().summary() == d.validate().summary()
+    with pytest.raises(InputError, match="'1@0\\|2' and '12' have no greatest"):
+        bad.meet("1@0|2", "12")
+
+
+@pytest.mark.parametrize("model", ["fm4_diagram", "keel2_diagram"])
+def test_containment_and_meets_read_the_edge_set(request, model):
+    """A burrow lies inside another exactly when they are equal or joined by
+    an edge, and the meet of two burrows is the one common lower burrow
+    that holds all the others, or None.  Dropping an edge drops the
+    containment and the meet it gave."""
+    d = request.getfixturevalue(model)
+    ids = sorted(d.burrows)
+    for a in ids:
+        for b in ids:
+            assert d.burrow_contains(a, b) == (a == b or (b, a) in d.edges)
+            common = [c for c in ids if d.burrow_contains(a, c) and d.burrow_contains(b, c)]
+            tops = [c for c in common if all(d.burrow_contains(c, x) for x in common)]
+            assert d.meet(a, b) == (tops[0] if common else None)
+    small, big = next(key for key in sorted(d.edges) if key[1] != d.ambient_id)
+    cut = _rebuilt(d, drop={(small, big)})
+    assert d.burrow_contains(big, small) and d.meet(big, small) == small
+    assert not cut.burrow_contains(big, small) and cut.meet(big, small) != small
 
 
 def test_non_associative_burrow_fails_validation():
@@ -405,7 +404,6 @@ def test_nest_rule_needs_index_sets():
         burrows=list(diagram.burrows.values()),
         edges=list(diagram.edges.values()),
         singles=dict(diagram.singles),
-        meets=dict(diagram.meets),
         nests=NESTED_OR_DISJOINT,
     )
     with pytest.raises(InputError):

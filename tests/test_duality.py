@@ -39,7 +39,6 @@ def test_blocks_empty_building_set():
         burrows=[BurrowNode("Y", frozenset(), 0, wrap.alg)],
         edges=[],
         singles={},
-        meets={},
         nests=[],
     )
     ring = build_ring(diagram, validate=False)
@@ -92,7 +91,6 @@ def test_empty_building_set_report():
         burrows=[BurrowNode("Y", frozenset(), 0, broken)],
         edges=[],
         singles={},
-        meets={},
         nests=[],
     )
     ring = build_ring(diagram, validate=False)
@@ -158,7 +156,6 @@ def test_ring_pairing_rejects_failed_socle_check():
         burrows=[BurrowNode("Y", frozenset(), 0, two_tops)],
         edges=[],
         singles={},
-        meets={},
         nests=[],
     )
     ring = build_ring(diagram, validate=False)

@@ -40,7 +40,6 @@ def test_empty_building_set_ring():
         burrows=[BurrowNode("Y", frozenset(), 0, wrap.alg)],
         edges=[],
         singles={},
-        meets={},
         nests=[],
     )
     ring = build_ring(diagram, validate=False)
@@ -398,7 +397,6 @@ def test_nest_with_empty_intersection_is_input_error():
         burrows=list(base.burrows.values()),
         edges=list(base.edges.values()),
         singles=dict(base.singles),
-        meets=dict(base.meets),
         nests=[["D1@0"], ["D1@1"], ["D1@inf"], ["D1@0", "D1@1"]],
     )
     report = diagram.validate()

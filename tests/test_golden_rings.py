@@ -96,19 +96,19 @@ EXTRA_DIAGRAMS = {
     "keel-1": lambda: keel_model(1),
 }
 GOLDEN_DIAGRAMS = {
-    "fm-curve-2": "f6f53a817000e0b108ecf028bea4a445353849a69b730d620171e8030be337ef",
-    "fm-curve-3-g2": "ae0dc999f6dd0ad46db11f8f9abaf16891fbd474e761ad521db2865dacdcb90d",
-    "fm-p1-2": "adc6cd68da4cb1824376dce53367cd6b044b89f2389585a9ee0515c965018bbd",
-    "fm-p1-3": "766dba0b49f28e4699dbf006573ff0c6ad54561f98fcc6eb1c7703689c59f7ca",
-    "fm-p1-4": "2abb3dcae4eabbd31d319cefdf23a6ae25feea0b9ed2a4e11d86e923cfb83140",
-    "fm-p1-5": "be7ee1d7ff74b0a441d1c7749f74efe89fc4cf481ce2cd1385a8b2bd7250f8e2",
-    "fm-p2-2": "80a80423604f889546154fb907ed84303f9fa7b3f2fd1639955e83e9d581c962",
-    "fm-p2-3": "c2f2d7d15f553af3bde0252c4bc253aa3b77ecaeed3a3d7dfecc2492e19552d8",
-    "fm-p2-4": "b213cdacd91ec0faa65282598e25c37cf3a955b318a8b643758207ea603b9be9",
-    "fm-p2-4-min3": "43326bfd19e656b081ba0edd54ac9449157b67ce3ff52ad0169bb9aa9e6531d2",
-    "keel-1": "b5fb4828afcf7fb6cd1f7c016495b14dcdee3ea030dd08ef92b1040753ef6971",
-    "keel-2": "4f6a6b46fc1b0f56b54e6c86cfa978f954664ae89da1e50cd2e7488beb648cc0",
-    "keel-3": "4198f529458c4341c684e6d6d6f9bebc8f3d212f2a5e3328c38ab2e3bdb99845",
+    "fm-curve-2": "615dd9a540bf98aaa170deaaadccb7960de4c425de851e869d6ddeb559b3b5d2",
+    "fm-curve-3-g2": "1d4031bb40ea46ac3242f15ecff7e11e9794f06fb49b3b49a78b692536c05187",
+    "fm-p1-2": "e86840ed2e6136aa6f81a325c8e22631a94a8a6ec2d36f7a34c5c7ae4cbba738",
+    "fm-p1-3": "fffaacbdf1d595168cb6f8a6e7d7e16a32de19d910973ab51b7d616ca50a994b",
+    "fm-p1-4": "f3398816d802612d6d11375e361c21434432d348184950ae2fab48f368b90f95",
+    "fm-p1-5": "e53d1c96ae6d8bba78905d9dce884c774995f856cbeaa7e1e907742e34777fac",
+    "fm-p2-2": "78859b244ab49a2a8a53c89dcdbee7a87d418e3fef941fde98216447f115cbb9",
+    "fm-p2-3": "68c4718f0f81a3d5d744fc2d8955bea922fa652fcb35f0305fa4c10536f143a2",
+    "fm-p2-4": "23428398652d66ebbe3670c1ecc06978704768542d327236439ec71b93a49295",
+    "fm-p2-4-min3": "f4f98d25a5d9942ade8c0d74c924cbbca729b390607738c4f9dadaabd5ea3b9c",
+    "keel-1": "ab3fbe767994553bd08e85c210350b9b3ae23d53d4305e4961ea9826f854aea0",
+    "keel-2": "cc509b0ab9d1793b020b38cfb70476907ba94d0dcf9d63b44a7782abb7ab1a28",
+    "keel-3": "fc356c3945f365983a52615e02bf0233937c05481ae948183295568a6e31175f",
 }
 
 

@@ -20,7 +20,6 @@ def empty_building_set(n=2):
         burrows=[BurrowNode("Y", frozenset(), 0, wrap.alg)],
         edges=[],
         singles={},
-        meets={},
         nests=[],
     )
 
