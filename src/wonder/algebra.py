@@ -364,6 +364,8 @@ class GradedAlgebra:
             raise InputError(f"algebra payload missing section {e}") from None
         if not (isinstance(dims, list) and all(type(d) is int for d in dims)):
             raise InputError(f"degrees {dims!r} is not a list of integers")
+        if not isinstance(mult, list):
+            raise InputError(f"mult {mult!r} is not a list of structure constants")
         entries = []
         for entry in mult:
             if not (isinstance(entry, list) and len(entry) == 4):

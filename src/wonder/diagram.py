@@ -7,7 +7,10 @@ exactly when Z = W or Z < W is an edge.  The intersection of a set of
 elements is the greatest burrow below all of their burrows (the singles
 table), read off the lower sets of the burrows; the ``table-consistency``
 row checks that the edges are transitive and that any two burrows with a
-common lower burrow have a greatest one, their meet.
+common lower burrow have a greatest one, their meet.  The nests of the
+rule, each with the burrow of its intersection, form one table
+(``BurrowDiagram.nests``), computed once and read by validation, the
+decomposition, the rewrite rules and the duality reports.
 
 A diagram may declare generators of a permutation group acting on it
 (``Permutation``).  ``BurrowDiagram.symmetry`` checks once that each is an
@@ -18,6 +21,7 @@ per orbit of basis pairs.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 from wonder.algebra import (
@@ -231,7 +235,10 @@ class BurrowDiagram:
         for x, name, _ in self.relations:
             if x not in self.elements:
                 raise InputError(f"relation {name!r} on unknown element id {x!r}")
-        self._nest_cache: dict[frozenset, bool] = {}
+        # nests are bitmasks over the sorted element ids (``nest_mask``)
+        self._ids = sorted(self.elements)
+        self._bit = {x: 1 << i for i, x in enumerate(self._ids)}
+        self._compatible = self._above = self._nests = None
         self.symmetry_generators = tuple(symmetry)
         for k, gen in enumerate(self.symmetry_generators, start=1):
             self._check_permutation_shape(k, gen)
@@ -285,6 +292,12 @@ class BurrowDiagram:
             )
         return top
 
+    def _single(self, x: str) -> str:
+        """The burrow of element x in the singles table."""
+        if x not in self.singles:
+            raise InputError(f"element {x!r} has no burrow in the singles table")
+        return self.singles[x]
+
     def burrow_of(self, element_ids) -> str | None:
         """Burrow of the intersection of a set of elements; None if empty."""
         ids = sorted(element_ids)
@@ -292,9 +305,7 @@ class BurrowDiagram:
         for x in ids:
             if x not in self.elements:
                 raise InputError(f"unknown element id {x!r}")
-            if x not in self.singles:
-                raise InputError(f"element {x!r} has no burrow in the singles table")
-            common &= self._lower_set(self.singles[x])
+            common &= self._lower_set(self._single(x))
             if not common:
                 return None
         top = self._greatest(common)
@@ -308,10 +319,7 @@ class BurrowDiagram:
 
     def element_contains(self, outer: str, inner: str) -> bool:
         """Subvariety containment between building elements."""
-        for x in (outer, inner):
-            if x not in self.singles:
-                raise InputError(f"element {x!r} has no burrow in the singles table")
-        return self.burrow_contains(self.singles[outer], self.singles[inner])
+        return self.burrow_contains(self._single(outer), self._single(inner))
 
     def elements_below(self, x: str) -> list[str]:
         """All building elements contained in x as subvarieties (x included)."""
@@ -319,37 +327,97 @@ class BurrowDiagram:
 
     # -- nests -----------------------------------------------------------------
 
-    def is_nest(self, element_ids) -> bool:
-        key = frozenset(element_ids)
-        cached = self._nest_cache.get(key)
-        if cached is not None:
-            return cached
-        if not key:
-            ok = True
-        elif self.nest_rule == "explicit":
-            ok = key in self.explicit_nests
-        else:
-            ok = self._nested_or_disjoint(key)
-        self._nest_cache[key] = ok
-        return ok
+    def nest_mask(self, element_ids) -> int:
+        """A set of element ids as a bitmask: bit i for the i-th sorted id."""
+        try:
+            return sum({self._bit[x] for x in element_ids})
+        except KeyError as e:
+            raise InputError(f"unknown element id {e.args[0]!r}") from None
 
-    def _nested_or_disjoint(self, key) -> bool:
-        sets = []
-        for x in key:
-            e = self.elements[x]
-            if e.index_set is None:
-                raise InputError(
-                    f"element {x!r} has no index set; the nested-or-disjoint "
-                    "rule needs one"
-                )
-            sets.append(e.index_set)
-        for i in range(len(sets)):
-            for j in range(i + 1, len(sets)):
-                a, b = sets[i], sets[j]
-                inter = a & b
-                if inter and not (a <= b or b <= a):
-                    return False
-        return True
+    def nest_members(self, mask: int) -> tuple[str, ...]:
+        """The sorted element ids of a bitmask."""
+        out = []
+        while mask:
+            low = mask & -mask
+            out.append(self._ids[low.bit_length() - 1])
+            mask ^= low
+        return tuple(out)
+
+    def is_nest(self, element_ids) -> bool:
+        """Whether a set of element ids is a nest of the rule."""
+        if self.nest_rule == "explicit":
+            key = frozenset(element_ids)
+            return not key or key in self.explicit_nests
+        compatible = self._compatibility()
+        ids = set(element_ids)
+        mask = self.nest_mask(ids)
+        return all(compatible[x] & mask == mask for x in ids)
+
+    def _compatibility(self) -> dict[str, int]:
+        """Per element, the bitmask of the elements (itself included) whose
+        index set is nested in or disjoint from its own.  The rule is
+        pairwise, so a nest is a set whose members are all compatible."""
+        if self._compatible is None:
+            sets = {x: e.index_set for x, e in self.elements.items()}
+            for x, s in sets.items():
+                if s is None:
+                    raise InputError(
+                        f"element {x!r} has no index set; the nested-or-disjoint "
+                        "rule needs one"
+                    )
+            self._compatible = {
+                x: self.nest_mask(y for y, b in sets.items() if a.isdisjoint(b) or a <= b or b <= a)
+                for x, a in sets.items()
+            }
+        return self._compatible
+
+    def above_mask(self, x: str) -> int:
+        """The elements strictly containing element x, as a bitmask."""
+        if self._above is None:
+            self._above = {
+                y: self.nest_mask(z for z in self._ids if z != y and self.element_contains(z, y))
+                for y in self._ids
+            }
+        return self._above[x]
+
+    def nests(self) -> dict[int, str | None]:
+        """Every nest of the rule as a bitmask (``nest_mask``), mapped to the
+        burrow of its intersection or None when that is empty; computed once
+        by a depth-first walk that extends each nest by later elements only
+        (compatible with every member, or giving a listed nest), which
+        downward closure makes exhaustive.  A nest's intersection is its
+        parent's lower set ANDed with the new member's."""
+        if self._nests is None:
+            n = len(self._ids)
+            lower = [self._lower_set(self._single(x)) for x in self._ids]
+            if self.nest_rule == "explicit":
+                listed = {self.nest_mask(s) for s in self.explicit_nests if s.issubset(self._bit)}
+                compatible = [(1 << n) - 1] * n
+            else:
+                listed = None
+                compatible = [self._compatibility()[x] for x in self._ids]
+            table = {0: self.ambient_id}
+            stack = [(0, self._lower[self.ambient_id], (1 << n) - 1)]
+            while stack:
+                nest, common, free = stack.pop()
+                while free:
+                    low = free & -free
+                    free ^= low
+                    child = nest | low
+                    if listed is not None and child not in listed:
+                        continue
+                    i = low.bit_length() - 1
+                    meet = common & lower[i]
+                    top = self._greatest(meet) if meet else None
+                    if meet and top is None:
+                        raise InputError(
+                            f"elements {list(self.nest_members(child))} have no greatest "
+                            "common lower burrow"
+                        )
+                    table[child] = top
+                    stack.append((child, meet, free & compatible[i]))
+            self._nests = table
+        return self._nests
 
     # -- maps --------------------------------------------------------------------
 
@@ -422,11 +490,9 @@ class BurrowDiagram:
             if image != self.explicit_nests:
                 return "the explicit nests are not carried onto themselves"
         else:
-            ids = sorted(self.elements)
-            for i, x in enumerate(ids):
-                for y in ids[i + 1 :]:
-                    if self.is_nest((x, y)) != self.is_nest((el(x), el(y))):
-                        return f"{{{x}, {y}}} and its image differ in the nest relation"
+            for x, y in itertools.combinations(self._ids, 2):
+                if self.is_nest((x, y)) != self.is_nest((el(x), el(y))):
+                    return f"{{{x}, {y}}} and its image differ in the nest relation"
         # per burrow, the basis permutation and the index each image index
         # comes from; None when each index stays
         perms, sources = {}, {}
@@ -549,7 +615,8 @@ class BurrowDiagram:
 
         # the containment laws of the edge set; the defining-set and
         # nest-nonempty-burrow rows fold element sets through meets, so they
-        # run only when these hold
+        # run only when these hold (and the nest table only when every
+        # element is placed)
         detail = self._order_failure()
         rep.add("table-consistency", "elements", not detail, detail)
         consistent = not detail
@@ -580,12 +647,14 @@ class BurrowDiagram:
         orbit = orbit_labels(sorted(self.edges), edge_moves if associative else ())
         passed = {}
         ring_maps = True
+        misshapen = set()  # edges whose maps have the wrong endpoints
         for (small, big), edge in sorted(self.edges.items()):
             nb, ns = self.burrows[big], self.burrows[small]
             c = ns.codim - nb.codim
             subject = f"{small}<{big}"
             if edge.pullback.source is not nb.algebra or edge.pullback.target is not ns.algebra:
                 rep.add("edge-shape", subject, False, "pullback endpoints wrong")
+                misshapen.add((small, big))
                 continue
             shift_ok = edge.pushforward.shift == c
             if passed.get(orbit[small, big]):
@@ -641,12 +710,15 @@ class BurrowDiagram:
                     "small burrow",
                 )
 
-        # nonvanishing of burrow classes in the ambient ring
+        # nonvanishing of burrow classes in the ambient ring; the class is
+        # the top Chern coefficient, so an edge failing chern-degree has none
         for b in self.burrows.values():
             if b.id == self.ambient_id:
                 continue
             if (b.id, self.ambient_id) not in self.edges:
                 rep.add("edge-to-ambient", b.id, False, "missing edge to the ambient")
+                continue
+            if self.edges[b.id, self.ambient_id].chern.deg != b.codim:
                 continue
             fc = self.fundamental_class(b.id)
             rep.add(
@@ -663,19 +735,20 @@ class BurrowDiagram:
         # and the generators; then the verdict is kept by the group and one
         # edge per orbit decides it.  The first failing edge in this order
         # is the first of its orbit, so the detail is the one a scan of
-        # every edge would give.
+        # every edge would give.  Edges failing edge-shape are left out,
+        # as direct maps and as links.
         ok = True
         detail = ""
         order = {b: i for i, b in enumerate(self.burrows)}
         orbit = orbit_labels(self.edges, edge_moves if associative and ring_maps else ())
         seen = set()
         for (small, big), edge in self.edges.items():
-            if orbit[small, big] in seen:
+            if orbit[small, big] in seen or (small, big) in misshapen:
                 continue
             seen.add(orbit[small, big])
             direct = edge.pullback
             for mid in sorted(self._below[big], key=order.__getitem__):
-                if small not in self._below[mid]:
+                if small not in self._below[mid] or misshapen & {(small, mid), (mid, big)}:
                     continue
                 link, upper = self.pullback(mid, small), self.pullback(big, mid)
                 if any(
@@ -704,17 +777,13 @@ class BurrowDiagram:
                 if not closed:
                     break
             rep.add("nest-downward-closed", "explicit list", closed, detail)
-        if consistent:
-            bad = None
-            for s in self.iter_nests():
-                if s and not s & unplaced and self.burrow_of(s) is None:
-                    bad = s
-                    break
+        if consistent and not unplaced:
+            bad = next((s for s, burrow in self.nests().items() if burrow is None), None)
             rep.add(
                 "nest-nonempty-burrow",
                 "nests",
                 bad is None,
-                "" if bad is None else f"nest {sorted(bad)} has empty intersection",
+                "" if bad is None else f"nest {list(self.nest_members(bad))} has empty intersection",
             )
         return rep
 
@@ -747,17 +816,3 @@ class BurrowDiagram:
                         f"{order[top]} and {other}"
                     )
         return ""
-
-    def iter_nests(self):
-        """All nests, the empty nest first, by depth-first extension
-        (downward closure makes the sorted-prefix traversal exhaustive)."""
-        ids = sorted(self.elements)
-        yield frozenset()
-        stack = [(frozenset(), 0)]
-        while stack:
-            base, start = stack.pop()
-            for i in range(start, len(ids)):
-                cand = base | {ids[i]}
-                if self.is_nest(cand):
-                    yield cand
-                    stack.append((cand, i + 1))

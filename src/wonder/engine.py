@@ -217,7 +217,7 @@ class WonderRing:
         dia = self.diagram
         exps = dict(pattern)
         support = frozenset(exps)
-        burrow = dia.burrow_of(support) if support else dia.ambient_id
+        burrow = dia.nests().get(dia.nest_mask(support))
         if burrow is None:
             raise InputError(
                 f"support {sorted(support)} passes the nest rule but has an "
@@ -661,9 +661,10 @@ def presentation_report(ring: WonderRing) -> PresentationReport:
     e_class = {x: ring.exceptional_class(x) for x in ids}
 
     fam_nonnest = RelationFamily("non-nest products")
+    nests = dia.nests()
     for i, s in enumerate(ids):
         for t in ids[i + 1 :]:
-            if dia.is_nest({s, t}) and dia.burrow_of({s, t}) is not None:
+            if nests.get(dia.nest_mask((s, t))) is not None:
                 continue
             fam_nonnest.check(f"E[{s}]*E[{t}]", e_class[s] * e_class[t])
 

@@ -80,6 +80,13 @@ def _str_list(value, what: str) -> list:
     return value
 
 
+def _objects(value, what: str) -> list:
+    """A JSON list of objects; anything else raises InputError naming the field."""
+    if not (isinstance(value, list) and all(isinstance(v, dict) for v in value)):
+        raise InputError(f"{what} is not a list of objects")
+    return value
+
+
 def _element_payload(elem: Element) -> list:
     return [
         [elem.alg.label_of(g), format_rat(q)]
@@ -238,6 +245,8 @@ def _symmetry_from(entries) -> list[Permutation]:
 
 
 def _relations_from(alg: GradedAlgebra, entries) -> list:
+    if not isinstance(entries, list):
+        raise InputError(f"relations {entries!r} is not a list")
     out = []
     for entry in entries:
         if not (
@@ -254,8 +263,6 @@ def _relations_from(alg: GradedAlgebra, entries) -> list:
 def _edge_from(entry, nodes) -> BurrowEdge:
     """One edge of a diagram file; the shift of its pushforward is the
     difference of the loaded codims. Each malformed part names the edge."""
-    if not isinstance(entry, dict):
-        raise InputError(f"edge {entry!r} is not an object")
     small, big = entry["small"], entry["big"]
     where = f"edge {small}<{big}"
     for bid in (small, big):
@@ -286,7 +293,7 @@ def diagram_from_payload(payload: dict) -> BurrowDiagram:
                 if "index_set" in e
                 else None,
             )
-            for e in payload["elements"]
+            for e in _objects(payload["elements"], "elements")
         ]
         burrows = [
             BurrowNode(
@@ -295,11 +302,13 @@ def diagram_from_payload(payload: dict) -> BurrowDiagram:
                 _int_field(b["codim"], f"burrow {b['id']} codim"),
                 GradedAlgebra.from_payload(b),
             )
-            for b in payload["burrows"]
+            for b in _objects(payload["burrows"], "burrows")
         ]
         nodes = {b.id: b for b in burrows}
-        edges = [_edge_from(e, nodes) for e in payload["edges"]]
+        edges = [_edge_from(e, nodes) for e in _objects(payload["edges"], "edges")]
         inter = payload["intersections"]
+        if not isinstance(inter, dict):
+            raise InputError(f"intersections {inter!r} is not an object")
         if "meets" in inter:
             raise InputError(
                 "diagram field intersections.meets is not read: meets derive from the edges"

@@ -1,8 +1,9 @@
-"""Nest enumeration, standard exponent functions, and the additive
+"""Nests, standard exponent functions, and the additive
 decomposition of the output ring with its Poincare polynomial."""
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from wonder.diagram import BurrowDiagram
@@ -49,11 +50,9 @@ class Summand:
 
 def enclosing_burrow(diagram: BurrowDiagram, x: str, support) -> str:
     """The burrow cut out by the members of the support strictly containing
-    x; the ambient burrow when there are none."""
-    bigger = [z for z in support if z != x and diagram.element_contains(z, x)]
-    if not bigger:
-        return diagram.ambient_id
-    w = diagram.burrow_of(bigger)
+    x; the ambient burrow when there are none.  In a nest they are a nest
+    themselves, so this is one lookup in the nest table."""
+    w = diagram.nests().get(diagram.nest_mask(support) & diagram.above_mask(x))
     if w is None:
         raise InputError(f"support {sorted(support)} has empty sub-intersection")
     return w
@@ -66,62 +65,50 @@ def standard_bound(diagram: BurrowDiagram, x: str, support) -> int:
     return diagram.elements[x].codim - diagram.burrows[w].codim
 
 
-def enumerate_nests(diagram: BurrowDiagram) -> list[Nest]:
-    """All nests with nonempty intersection, the empty nest included,
-    sorted by size then lexicographically."""
-    found = [s for s in diagram.iter_nests() if diagram.burrow_of(s) is not None]
-    found.sort(key=lambda s: (len(s), tuple(sorted(s))))
-    return [Nest(s) for s in found]
-
-
-def enumerate_standard(diagram: BurrowDiagram, nest: Nest) -> list[StandardFunction]:
-    """All standard functions on a nest; the empty nest carries exactly the
-    empty assignment."""
-    ids = sorted(nest.elements)
-    if not ids:
-        return [StandardFunction(tuple())]
-    bounds = [standard_bound(diagram, x, nest.elements) for x in ids]
-    if any(b <= 1 for b in bounds):
-        return []
-    out = []
-    exps = [1] * len(ids)
-
-    def rec(i):
-        if i == len(ids):
-            out.append(StandardFunction(tuple(zip(ids, exps))))
-            return
-        for k in range(1, bounds[i]):
-            exps[i] = k
-            rec(i + 1)
-
-    rec(0)
-    return out
+def enumerate_standard(diagram: BurrowDiagram, ids: tuple) -> list[StandardFunction]:
+    """All standard functions on the nest with these sorted ids; the empty
+    nest carries exactly the empty assignment.  The bounds stop at the first
+    one that leaves no exponent."""
+    bounds = []
+    for x in ids:
+        bounds.append(standard_bound(diagram, x, ids))
+        if bounds[-1] <= 1:
+            return []
+    return [
+        StandardFunction(tuple(zip(ids, exps)))
+        for exps in itertools.product(*(range(1, b) for b in bounds))
+    ]
 
 
 def li_decomposition(diagram: BurrowDiagram):
     """The full additive decomposition and its Poincare polynomial
-    (dimension vector of the output ring, degree by degree)."""
+    (dimension vector of the output ring, degree by degree): one summand per
+    nest with nonempty intersection and standard function on it, nests by
+    size and then sorted ids."""
+    found = []
+    for mask, burrow in diagram.nests().items():
+        if burrow is None:
+            continue
+        ids = diagram.nest_members(mask)
+        mus = enumerate_standard(diagram, ids)
+        if mus:
+            found.append((len(ids), ids, burrow, mus))
+    found.sort(key=lambda t: t[:2])
     summands = []
-    for nest in enumerate_nests(diagram):
-        burrow = diagram.burrow_of(nest.elements)
-        for mu in enumerate_standard(diagram, nest):
-            summands.append(Summand(nest, mu, burrow, mu.norm))
+    for _, ids, burrow, mus in found:
+        nest = Nest(frozenset(ids))
+        summands.extend(Summand(nest, mu, burrow, mu.norm) for mu in mus)
     top = diagram.socle_degree
-    poincare = [0] * (top + 1)
-    truncated = False
-    for s in summands:
-        alg = diagram.burrows[s.burrow].algebra
-        for k, dim in enumerate(alg.dims):
-            deg = k + s.shift
-            if deg <= top:
-                poincare[deg] += dim
-            elif dim:
-                truncated = True
-    if truncated:
+    if any(
+        dim and k + s.shift > top
+        for s in summands
+        for k, dim in enumerate(diagram.burrows[s.burrow].algebra.dims)
+    ):
         raise InputError(
             "decomposition exceeds the socle degree; diagram data inconsistent"
         )
-    return summands, poincare
+    dims = [summand_dims(diagram, s) for s in summands]
+    return summands, [sum(column) for column in zip([0] * (top + 1), *dims)]
 
 
 def summand_dims(diagram: BurrowDiagram, s: Summand) -> list[int]:

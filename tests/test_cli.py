@@ -348,6 +348,10 @@ def test_validate_rejects_malformed_edge(tmp_path, capsys, mutate, message):
         (lambda p: p.update(nests=5), "nests 5 is neither 'nested-or-disjoint' nor an object"),
         (lambda p: p["elements"][0].update(id=5), "element id 5 is not a string"),
         (lambda p: p["burrows"][0].update(id=5), "burrow id 5 is not a string"),
+        (lambda p: p["elements"].__setitem__(0, 5), "elements is not a list of objects"),
+        (lambda p: p["burrows"].__setitem__(0, "12"), "burrows is not a list of objects"),
+        (lambda p: p.update(edges=5), "edges is not a list of objects"),
+        (lambda p: p["burrows"][0].update(mult=5), "mult 5 is not a list of structure constants"),
         (
             lambda p: p["symmetry"][0].update(elements={"D1@0": "D2@0", "D2@0": "D2@0"}),
             "symmetry generator 1: element map is not a bijection",
@@ -385,6 +389,10 @@ def test_validate_rejects_malformed_edge(tmp_path, capsys, mutate, message):
         "nests-int",
         "element-id-int",
         "burrow-id-int",
+        "element-entry-int",
+        "burrow-entry-str",
+        "edges-int",
+        "burrow-mult-int",
         "symmetry-not-bijective",
         "symmetry-unknown-id",
         "symmetry-short-basis-map",
@@ -428,6 +436,28 @@ def test_validate_reports_element_missing_from_singles(tmp_path, capsys):
     assert out.endswith("result: fail\n")
 
 
+def test_short_chern_polynomial_to_the_ambient(tmp_path, capsys):
+    """An edge to the ambient with one Chern coefficient deleted fails its
+    chern-degree row; every diagram subcommand exits 1 with the report or
+    the failure, never with a traceback from reading the missing top
+    coefficient as the burrow's class."""
+    d = tmp_path / "d.json"
+    main(["model", "keel", "--n", "2", "--out", str(d)])
+    payload = json.loads(d.read_text())
+    ambient = next(b["id"] for b in payload["burrows"] if b["codim"] == 0)
+    edge = next(e for e in payload["edges"] if e["big"] == ambient and len(e["chern"]) == 2)
+    del edge["chern"][0]
+    d.write_text(json.dumps(payload))
+    subject = f"{edge['small']}<{edge['big']}"
+    code, out, err = run(capsys, "validate", str(d))
+    assert code == 1 and "Traceback" not in err
+    assert f"FAIL chern-degree [{subject}] - chern degree 1 != codim diff 2" in out
+    assert f"class-nonzero [{edge['small']}]" not in out
+    for command in ("build", "decompose", "presentation", "discrepancy", "blocks"):
+        code, out, err = run(capsys, command, str(d))
+        assert code == 1 and "chern-degree" in err, command
+
+
 @pytest.mark.parametrize(
     "field,value,message",
     [
@@ -440,6 +470,7 @@ def test_validate_reports_element_missing_from_singles(tmp_path, capsys):
         ("basis_labels", [["1"], [5], ["h1^2"]], "basis label 5 is not a string"),
         ("basis_labels", [["1"], ["h1"], [None]], "basis label None is not a string"),
         ("basis_labels", "abc", "basis labels 'abc' are not one list per degree"),
+        ("mult", 5, "mult 5 is not a list of structure constants"),
     ],
     ids=[
         "degrees-str",
@@ -451,6 +482,7 @@ def test_validate_reports_element_missing_from_singles(tmp_path, capsys):
         "label-int",
         "label-null",
         "labels-str",
+        "mult-int",
     ],
 )
 def test_pd_rejects_malformed_ring_field(tmp_path, capsys, field, value, message):

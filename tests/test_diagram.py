@@ -314,6 +314,36 @@ def test_two_maximal_common_lower_burrows_fail_table_consistency(keel2_diagram):
         bad.meet("1@0|2", "12")
 
 
+def test_wrong_endpoint_edge_is_left_out_of_functoriality(keel2_diagram):
+    """An edge whose maps live on another (equal) point algebra fails its
+    edge-shape row; the functoriality check leaves it out, as a direct map
+    and as a link, instead of applying its maps to the wrong algebra, so
+    validate returns its report."""
+    d = keel2_diagram
+    like = d.edges[("12@0", "12")]
+    diag, other = d.burrows["12"].algebra, d.burrows["1@0|2@1"].algebra
+    pull = GradedMap(diag, other, 0, like.pullback.columns)
+    push = GradedMap(other, diag, like.pushforward.shift, like.pushforward.columns)
+    bad = _rebuilt(d, BurrowEdge("12@0", "12", pull, push, like.chern))
+    report = bad.validate()
+    assert [(e.check, e.subject) for e in report.problems()] == [("edge-shape", "12@0<12")]
+    assert any(e.check == "pullback-functorial" for e in report.entries)
+
+
+def test_short_chern_polynomial_skips_class_nonzero(keel2_diagram):
+    """An edge to the ambient with one Chern coefficient too few fails
+    chern-degree and has no top coefficient to read, so its class-nonzero
+    row is left out instead of indexing past the coefficients."""
+    d = keel2_diagram
+    edge = d.edges[("1@0|2@1", "1|2")]
+    short = ChernPolynomial(1, edge.chern.coeffs[:1])
+    bad = _rebuilt(d, BurrowEdge(edge.small, edge.big, edge.pullback, edge.pushforward, short))
+    report = bad.validate()
+    assert ("chern-degree", "1@0|2@1<1|2") in {(e.check, e.subject) for e in report.problems()}
+    assert not any(e.check == "class-nonzero" and e.subject == "1@0|2@1" for e in report.entries)
+    assert any(e.check == "class-nonzero" and e.subject == "12@0" for e in report.entries)
+
+
 @pytest.mark.parametrize("model", ["fm4_diagram", "keel2_diagram"])
 def test_containment_and_meets_read_the_edge_set(request, model):
     """A burrow lies inside another exactly when they are equal or joined by

@@ -1,11 +1,12 @@
+import itertools
+
 import pytest
 
 from wonder.diagram import BurrowDiagram, BurrowNode
 from wonder.errors import InputError
-from wonder.models import _PowerAlg, fm_power
+from wonder.models import _PowerAlg, fm_power, keel_model
 from wonder.nests import (
     Nest,
-    enumerate_nests,
     enumerate_standard,
     li_decomposition,
     standard_bound,
@@ -24,14 +25,18 @@ def empty_building_set(n=2):
     )
 
 
+def carrying(diagram):
+    """The nests with nonempty intersection, by size and then sorted ids."""
+    found = [diagram.nest_members(m) for m, b in diagram.nests().items() if b is not None]
+    return sorted(found, key=lambda ids: (len(ids), ids))
+
+
 def test_fm2_nests():
-    diagram = fm_power("p1", 2)
-    nests = enumerate_nests(diagram)
-    assert [n.sorted_ids() for n in nests] == [(), ("D12",)]
+    assert carrying(fm_power("p1", 2)) == [(), ("D12",)]
 
 
 def test_fm3_nests(fm3_diagram):
-    nests = [n.sorted_ids() for n in enumerate_nests(fm3_diagram)]
+    nests = carrying(fm3_diagram)
     assert nests == [
         (),
         ("D12",),
@@ -46,21 +51,74 @@ def test_fm3_nests(fm3_diagram):
 
 
 def test_empty_building_set_nests():
-    diagram = empty_building_set()
-    nests = enumerate_nests(diagram)
-    assert [n.sorted_ids() for n in nests] == [()]
+    assert empty_building_set().nests() == {0: "Y"}
 
 
 def test_enumeration_deterministic(fm3_diagram):
-    first = enumerate_nests(fm3_diagram)
-    second = enumerate_nests(fm3_diagram)
+    first = list(fm3_diagram.nests().items())
+    second = list(fm_power("p1", 3).nests().items())
     assert first == second
+
+
+def _pairwise_nest(diagram, subset) -> bool:
+    if diagram.explicit_nests is not None:
+        return not subset or frozenset(subset) in diagram.explicit_nests
+    sets = [diagram.elements[x].index_set for x in subset]
+    return all(a.isdisjoint(b) or a <= b or b <= a for a, b in itertools.combinations(sets, 2))
+
+
+def _greatest_common_lower(diagram, subset):
+    """The burrow below every member's burrow that holds all the others, by
+    containment alone; None when no burrow is below them all."""
+    ids = sorted(diagram.burrows)
+    outer = [diagram.ambient_id] + [diagram.singles[x] for x in subset]
+    common = [c for c in ids if all(diagram.burrow_contains(o, c) for o in outer)]
+    tops = [c for c in common if all(diagram.burrow_contains(c, z) for z in common)]
+    assert len(tops) == (1 if common else 0)
+    return tops[0] if common else None
+
+
+def explicit_with_empty_nest():
+    """keel --n 1 with an explicit list that admits {D1@0, D1@1}, two
+    points of the line, whose intersection is empty."""
+    base = keel_model(1)
+    return BurrowDiagram(
+        socle_degree=base.socle_degree,
+        elements=list(base.elements.values()),
+        burrows=list(base.burrows.values()),
+        edges=list(base.edges.values()),
+        singles=dict(base.singles),
+        nests=[["D1@0"], ["D1@1"], ["D1@inf"], ["D1@0", "D1@1"]],
+    )
+
+
+@pytest.mark.parametrize(
+    "make,empty",
+    [
+        (lambda: fm_power("p1", 3), []),
+        (lambda: keel_model(2), []),
+        (explicit_with_empty_nest, [("D1@0", "D1@1")]),
+    ],
+    ids=["fm-p1-3", "keel-2", "explicit-empty"],
+)
+def test_nest_table_matches_powerset_fold(make, empty):
+    """Every subset of the elements that passes the rule (tested pairwise on
+    the index sets, or by list membership) is in the table, with the
+    greatest burrow below all its members' burrows, found by containment
+    alone, or None; nothing else is in the table."""
+    diagram = make()
+    ids = sorted(diagram.elements)
+    brute = {}
+    for k in range(len(ids) + 1):
+        for subset in itertools.combinations(ids, k):
+            if _pairwise_nest(diagram, subset):
+                brute[diagram.nest_mask(subset)] = _greatest_common_lower(diagram, subset)
+    assert diagram.nests() == brute
+    assert [diagram.nest_members(m) for m, b in brute.items() if b is None] == empty
 
 
 def test_enumeration_exhaustive_vs_powerset(fm3_diagram, keel2_diagram):
     # independent oracle: filter the full powerset
-    import itertools
-
     for diagram in (fm3_diagram, keel2_diagram):
         ids = sorted(diagram.elements)
         brute = set()
@@ -68,9 +126,8 @@ def test_enumeration_exhaustive_vs_powerset(fm3_diagram, keel2_diagram):
             for subset in itertools.combinations(ids, k):
                 s = frozenset(subset)
                 if diagram.is_nest(s) and (not s or diagram.burrow_of(s) is not None):
-                    brute.add(s)
-        fast = {n.elements for n in enumerate_nests(diagram)}
-        assert fast == brute
+                    brute.add(tuple(sorted(s)))
+        assert set(carrying(diagram)) == brute
 
 
 def test_standard_bound(fm3_diagram):
@@ -80,26 +137,22 @@ def test_standard_bound(fm3_diagram):
 
 
 def test_standard_functions(fm3_diagram):
-    deep = Nest(frozenset(("D123",)))
-    (mu,) = enumerate_standard(fm3_diagram, deep)
+    (mu,) = enumerate_standard(fm3_diagram, ("D123",))
     assert mu.assignment == (("D123", 1),)
     assert mu.norm == 1
 
-    divisor = Nest(frozenset(("D12",)))
-    assert enumerate_standard(fm3_diagram, divisor) == []
+    assert enumerate_standard(fm3_diagram, ("D12",)) == []
 
-    pair = Nest(frozenset(("D12", "D123")))
-    assert enumerate_standard(fm3_diagram, pair) == []
+    assert enumerate_standard(fm3_diagram, ("D12", "D123")) == []
 
 
 def test_standard_functions_deeper(fm4_diagram):
-    quad = Nest(frozenset(("D1234",)))
-    mus = enumerate_standard(fm4_diagram, quad)
+    mus = enumerate_standard(fm4_diagram, ("D1234",))
     assert [m.norm for m in mus] == [1, 2]
 
 
 def test_empty_nest_single_standard(fm3_diagram):
-    (mu,) = enumerate_standard(fm3_diagram, Nest(frozenset()))
+    (mu,) = enumerate_standard(fm3_diagram, ())
     assert mu.assignment == tuple()
     assert mu.norm == 0
 
