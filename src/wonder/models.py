@@ -3,8 +3,12 @@ the three-point variant on products of lines) and synthetic algebra
 generators for property testing.
 
 Burrow configurations are partitions of the coordinate set with optionally
-frozen blocks; algebras, restriction maps, adjoint pushforwards and Chern
-data all derive from the configuration combinatorics.
+frozen blocks, closed under joins with one building element at a time;
+algebras, restriction maps, adjoint pushforwards and Chern data all derive
+from the configuration combinatorics.  An inclusion's maps and Chern data
+depend only on the shapes of the two burrow algebras and on where the
+blocks go, so a build computes them once per such edge shape and gives
+every edge its own maps, through the ``GradedMap`` constructor.
 """
 
 from __future__ import annotations
@@ -42,11 +46,13 @@ MARKERS = ("0", "1", "inf")
 
 class _PowerAlg:
     """Algebra of a product of projective spaces, one factor per block
-    token, with generator labels h<token>."""
+    token, with generator labels h<token>.  Its structure constants depend
+    on its shape (r, number of tokens) only."""
 
     def __init__(self, tokens, r):
         self.tokens = tuple(tokens)
         self.r = r
+        self.shape = (r, len(self.tokens))
         exps = sorted(
             itertools.product(range(r + 1), repeat=len(self.tokens)),
             key=lambda e: (sum(e), e),
@@ -93,26 +99,25 @@ class _PowerAlg:
             out.append(other.index[tuple(image)])
         return out
 
-    def map_to(self, other: "_PowerAlg", token_image: dict) -> GradedMap:
-        """Ring map sending h<token> to h<token_image[token]> (or to zero on
-        a missing image); exponents aggregate per target token."""
+    def map_to(self, other: "_PowerAlg", image) -> GradedMap:
+        """Ring map sending the generator of token position p to that of
+        position image[p] of ``other`` (or to zero on None); exponents
+        aggregate per target position."""
         images = []
         for e in self.exps:
-            tgt = {}
+            tgt = [0] * len(other.tokens)
             dead = False
-            for tok, k in zip(self.tokens, e):
+            for p, k in enumerate(e):
                 if not k:
                     continue
-                it = token_image.get(tok)
-                if it is None:
+                if image[p] is None:
                     dead = True
                     break
-                tgt[it] = tgt.get(it, 0) + k
-            if dead or any(v > other.r for v in tgt.values()):
+                tgt[image[p]] += k
+            if dead or any(v > other.r for v in tgt):
                 images.append(other.alg.zero())
                 continue
-            te = tuple(tgt.get(t, 0) for t in other.tokens)
-            images.append(other.alg.basis_element(other.index[te]))
+            images.append(other.alg.basis_element(other.index[tuple(tgt)]))
         return GradedMap.from_images(self.alg, other.alg, 0, images)
 
 
@@ -125,24 +130,29 @@ class _CurveAlg:
 
     Reduction rules: p^2 = 0, p*g (shared block) = 0, g^2 = -2g * p*p,
     and two cross classes sharing one block merge to a point class times
-    the cross class of the other two blocks.
+    the cross class of the other two blocks.  Basis classes and products
+    are computed on token positions, so the structure constants depend on
+    the shape (genus, basis over positions) only; tokens enter the labels,
+    and so the basis order, and nothing else.
     """
 
     def __init__(self, tokens, genus):
         self.tokens = tuple(tokens)
         self.genus = genus
+        self.pos = {t: p for p, t in enumerate(self.tokens)}
         basis = []
-        toks = list(self.tokens)
+        places = range(len(self.tokens))
         for pts in itertools.chain.from_iterable(
-            itertools.combinations(toks, k) for k in range(len(toks) + 1)
+            itertools.combinations(places, k) for k in range(len(places) + 1)
         ):
-            rest = [t for t in toks if t not in pts]
+            rest = [p for p in places if p not in pts]
             for match in _matchings(rest):
                 basis.append((frozenset(pts), frozenset(match)))
         basis.sort(key=lambda b: (len(b[0]) + len(b[1]), self._label(b)))
         self.basis = basis
+        self.shape = (genus, tuple(basis))
         self.index = {b: g for g, b in enumerate(basis)}
-        top = len(toks)
+        top = len(places)
         dims = [0] * (top + 1)
         labels = [[] for _ in range(top + 1)]
         for b in basis:
@@ -158,10 +168,10 @@ class _CurveAlg:
 
         self.alg = algebra_from_products(dims, labels, products)
 
-    @staticmethod
-    def _label(b):
+    def _label(self, b):
         pts, match = b
-        parts = [f"p{t}" for t in pts] + [f"g{a}.{c}" for a, c in match]
+        tok = self.tokens
+        parts = [f"p{tok[t]}" for t in pts] + [f"g{tok[a]}.{tok[c]}" for a, c in match]
         return "*".join(sorted(parts)) if parts else "1"
 
     def _reduce(self, b1, b2):
@@ -198,15 +208,19 @@ class _CurveAlg:
             return ZERO, None
         return coeff, (frozenset(points), frozenset(gammas))
 
-    def point(self, token) -> Element:
-        return self.alg.basis_element(self.index[(frozenset((token,)), frozenset())])
+    def _point_at(self, p) -> Element:
+        return self.alg.basis_element(self.index[(frozenset((p,)), frozenset())])
 
-    def cross(self, a, c) -> Element:
+    def _cross_at(self, a, c) -> Element:
         key = (frozenset(), frozenset(((min(a, c), max(a, c)),)))
         return self.alg.basis_element(self.index[key])
 
+    def point(self, token) -> Element:
+        return self._point_at(self.pos[token])
+
     def diagonal_class(self, a, c) -> Element:
-        return self.point(a) + self.point(c) + self.cross(a, c)
+        pa, pc = self.pos[a], self.pos[c]
+        return self._point_at(pa) + self._point_at(pc) + self._cross_at(pa, pc)
 
     def canonical_class(self, token) -> Element:
         return self.point(token).scale(2 * self.genus - 2)
@@ -214,29 +228,32 @@ class _CurveAlg:
     def relabel(self, other: "_CurveAlg", token_map: dict) -> list[int]:
         """Index in ``other`` of each basis class with every token t renamed
         token_map[t]."""
+        to = [other.pos[token_map[t]] for t in self.tokens]
         return [
             other.index[
                 (
-                    frozenset(token_map[t] for t in pts),
-                    frozenset(tuple(sorted((token_map[a], token_map[c]))) for a, c in match),
+                    frozenset(to[p] for p in pts),
+                    frozenset(tuple(sorted((to[a], to[c]))) for a, c in match),
                 )
             ]
             for pts, match in self.basis
         ]
 
-    def map_to(self, other: "_CurveAlg", token_image: dict) -> GradedMap:
+    def map_to(self, other: "_CurveAlg", image) -> GradedMap:
+        """Ring map sending the classes of token position p to those of
+        position image[p] of ``other``."""
         lam = -2 * self.genus
         images = []
         for pts, match in self.basis:
             img = other.alg.unit()
-            for t in sorted(pts):
-                img = other.alg.multiply(img, other.point(token_image[t]))
+            for p in sorted(pts):
+                img = other.alg.multiply(img, other._point_at(image[p]))
             for a, c in sorted(match):
-                ia, ic = token_image[a], token_image[c]
+                ia, ic = image[a], image[c]
                 if ia == ic:
-                    part = other.point(ia).scale(lam)
+                    part = other._point_at(ia).scale(lam)
                 else:
-                    part = other.cross(ia, ic)
+                    part = other._cross_at(ia, ic)
                 img = other.alg.multiply(img, part)
             images.append(img)
         return GradedMap.from_images(self.alg, other.alg, 0, images)
@@ -264,45 +281,30 @@ def _cfg_discrete(n):
     return frozenset((frozenset((i,)), None) for i in range(1, n + 1))
 
 
-def _cfg_join(n, a, b):
-    parent = list(range(n + 1))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for blk, _ in itertools.chain(a, b):
-        idxs = sorted(blk)
-        for other in idxs[1:]:
-            ra, rb = find(idxs[0]), find(other)
-            if ra != rb:
-                parent[rb] = ra
-    marker = {}
-    for blk, mk in itertools.chain(a, b):
-        if mk is None:
+def _cfg_with(cfg, idxs, mk):
+    """Join of a configuration with the building element that merges
+    ``idxs`` and, unless ``mk`` is None, freezes them at marker ``mk``: the
+    blocks meeting ``idxs`` merge with it, None when the merged block would
+    carry two markers; otherwise the other block frozen at its marker, if
+    any, merges too."""
+    merged, rest = set(idxs), []
+    for blk, m in cfg:
+        if blk.isdisjoint(idxs):
+            rest.append((blk, m))
             continue
-        root = find(min(blk))
-        if root in marker and marker[root] != mk:
-            return None
-        marker[root] = mk
-    # blocks frozen at the same point are forced equal: merge them
-    by_marker = {}
-    for root, mk in marker.items():
-        by_marker.setdefault(mk, []).append(find(root))
-    for roots in by_marker.values():
-        for other in roots[1:]:
-            ra, rb = find(roots[0]), find(other)
-            if ra != rb:
-                parent[rb] = ra
-    marker = {find(root): mk for root, mk in marker.items()}
-    blocks = {}
-    for i in range(1, n + 1):
-        blocks.setdefault(find(i), []).append(i)
-    return frozenset(
-        (frozenset(idxs), marker.get(root)) for root, idxs in blocks.items()
-    )
+        merged |= blk
+        if m is not None:
+            if mk is not None and m != mk:
+                return None
+            mk = m
+    if mk is not None:
+        for blk, m in rest:
+            if m == mk:
+                merged |= blk
+                rest.remove((blk, m))
+                break
+    rest.append((frozenset(merged), mk))
+    return frozenset(rest)
 
 
 def _cfg_id(cfg):
@@ -322,14 +324,18 @@ def _cfg_codim(cfg, fiber_dim):
     return out * fiber_dim
 
 
-def _cfg_blocks(cfg):
-    """(token, block set, marker) sorted by minimal index; token is the
-    digit string of the block."""
-    out = []
-    for blk, mk in cfg:
-        out.append(("".join(str(i) for i in sorted(blk)), blk, mk))
-    out.sort(key=lambda t: min(t[1]))
-    return out
+class _Layout:
+    """One configuration's blocks as its burrow algebra sees them: the
+    tokens (digit strings) of the unfrozen blocks sorted by minimal index,
+    the minimal index of each, and each index's position in that token
+    list (None in a frozen block)."""
+
+    def __init__(self, cfg):
+        free = sorted((blk for blk, mk in cfg if mk is None), key=min)
+        self.tokens = ["".join(str(i) for i in sorted(blk)) for blk in free]
+        self.leads = [min(blk) for blk in free]
+        self.slot = {i: None for blk, _ in cfg for i in blk}
+        self.slot.update((i, p) for p, blk in enumerate(free) for i in blk)
 
 
 class _ProductModel:
@@ -352,27 +358,10 @@ class _ProductModel:
 
     # -- burrow algebras ------------------------------------------------------
 
-    def _make_burrow(self, cfg):
-        tokens = [tok for tok, blk, mk in _cfg_blocks(cfg) if mk is None]
+    def _make_burrow(self, tokens):
         if self.fiber == "curve":
             return _CurveAlg(tokens, self.genus)
         return _PowerAlg(tokens, FIBERS[self.fiber])
-
-    def _token_image(self, big_cfg, small_cfg):
-        """For each unfrozen big block token, the containing small block
-        token, or None when that small block is frozen."""
-        small_blocks = _cfg_blocks(small_cfg)
-        image = {}
-        for tok, blk, mk in _cfg_blocks(big_cfg):
-            if mk is not None:
-                continue
-            for stok, sblk, smk in small_blocks:
-                if blk <= sblk:
-                    image[tok] = None if smk is not None else stok
-                    break
-            else:
-                raise InputError("blocks do not refine")
-        return image
 
     def _tangent_factor(self, wrap, token) -> Element:
         """Total tangent class of one fiber factor, in the burrow algebra."""
@@ -403,7 +392,7 @@ class _ProductModel:
         elements = []
         elem_cfg = {}
         for idxs, mk in loci:
-            cfg = _cfg_join(n, discrete, frozenset(((frozenset(idxs), mk),)))
+            cfg = _cfg_with(discrete, idxs, mk)
             eid = "D" + "".join(str(i) for i in idxs)
             index_set = frozenset(str(i) for i in idxs)
             if mk is not None:
@@ -416,12 +405,11 @@ class _ProductModel:
         # each configuration once with each element; the elements whose join
         # leaves it as it is form its defining set, kept as a bitmask over
         # the element list
-        elem_list = list(elem_cfg.values())
-        defining = dict.fromkeys([discrete, *elem_list], 0)
+        defining = dict.fromkeys([discrete, *elem_cfg.values()], 0)
         cfgs = list(defining)
         for a in cfgs:  # the list grows while it is walked
-            for k, e in enumerate(elem_list):
-                j = _cfg_join(n, a, e)
+            for k, (idxs, mk) in enumerate(loci):
+                j = _cfg_with(a, idxs, mk)
                 if j == a:
                     defining[a] |= 1 << k
                 elif j is not None and j not in defining:
@@ -431,15 +419,17 @@ class _ProductModel:
         cid = {c: _cfg_id(c) for c in cfgs}
         by_id = {bid: c for c, bid in cid.items()}
         mask = {cid[c]: m for c, m in defining.items()}
+        layouts = {bid: _Layout(cfg) for bid, cfg in by_id.items()}
+        wraps = {bid: self._make_burrow(layouts[bid].tokens) for bid in by_id}
 
-        wraps = {bid: self._make_burrow(cfg) for bid, cfg in by_id.items()}
-        pairings = {
-            bid: socle_check(w.alg, w.alg.top_degree).pairing
-            for bid, w in wraps.items()
-        }
-        for bid, sp in pairings.items():
-            if sp is None:
-                raise InputError(f"burrow {bid} failed its socle check")
+        # burrow algebras of one shape have the same structure constants, so
+        # one socle check and one pairing serve them all
+        pairings = {}
+        for bid, w in wraps.items():
+            if w.shape not in pairings:
+                pairings[w.shape] = socle_check(w.alg, w.alg.top_degree).pairing
+                if pairings[w.shape] is None:
+                    raise InputError(f"burrow {bid} failed its socle check")
 
         ids = sorted(by_id)
         singles = {x: cid[cfg] for x, cfg in elem_cfg.items()}
@@ -453,13 +443,33 @@ class _ProductModel:
             for bid in ids
         ]
         # a burrow lies inside another exactly when its defining set holds
-        # the other's
-        edges = [
-            self._make_edge(by_id, wraps, pairings, small, big)
-            for big in ids
-            for small in ids
-            if small != big and mask[big] & ~mask[small] == 0
+        # the other's; an inclusion's maps and Chern data depend only on the
+        # two algebra shapes and the two token-position images, so they are
+        # computed once per such edge shape, for this build only
+        holders = [  # per element, the positions in ids of the burrows inside it
+            {p for p, bid in enumerate(ids) if mask[bid] >> k & 1} for k in range(len(loci))
         ]
+        everyone = set(range(len(ids)))
+        edge_data = {}
+        edges = []
+        for b, big in enumerate(ids):
+            inside = everyone.intersection(
+                *(holders[k] for k in range(len(loci)) if mask[big] >> k & 1)
+            )
+            for small in [ids[p] for p in sorted(inside) if p != b]:
+                lb, ls, wb, ws = layouts[big], layouts[small], wraps[big], wraps[small]
+                # each unfrozen big block goes to the small block holding it,
+                # each unfrozen small block back to the big block of its lead
+                image = tuple(ls.slot[i] for i in lb.leads)
+                section = tuple(lb.slot[i] for i in ls.leads)
+                key = (wb.shape, ws.shape, image, section)
+                if key not in edge_data:
+                    edge_data[key] = self._edge_data(wb, ws, image, section, pairings)
+                pull_cols, push_cols, c, coeffs = edge_data[key]
+                pull = GradedMap(wb.alg, ws.alg, 0, pull_cols)
+                push = GradedMap(ws.alg, wb.alg, c, push_cols)
+                chern = ChernPolynomial(c, tuple(wb.alg.element(d) for d in coeffs))
+                edges.append(BurrowEdge(small, big, pull, push, chern))
         relations = self._relations(wraps[cid[discrete]], elements)
         return BurrowDiagram(
             socle_degree=self.fiber_dim * n,
@@ -519,42 +529,25 @@ class _ProductModel:
             gens.append(Permutation(elements, burrows, bases))
         return gens
 
-    def _make_edge(self, by_id, wraps, pairings, small, big):
-        wb, ws = wraps[big], wraps[small]
-        image = self._token_image(by_id[big], by_id[small])
+    def _edge_data(self, wb, ws, image, section, pairings):
+        """Columns of the pullback and the pushforward, the codimension and
+        the Chern coefficients (as coefficient dicts) of one inclusion."""
         pull = wb.map_to(ws, image)
-        push = adjoint_pushforward(pull, pairings[small], pairings[big])
+        push = adjoint_pushforward(pull, pairings[ws.shape], pairings[wb.shape])
         c = push.shift
         # each big block merged into a small block beyond the first adds one
         # tangent factor of that small block
         total = ws.alg.unit()
         merged = set()
-        for stok in image.values():
-            if stok in merged:
-                total = ws.alg.multiply(total, self._tangent_factor(ws, stok))
-            elif stok is not None:
-                merged.add(stok)
-        section = ws.map_to(wb, self._section_image(by_id[big], by_id[small]))
-        coeffs = []
-        for i in range(1, c):
-            coeffs.append(section.apply(total.homogeneous_part(i)))
+        for p in image:
+            if p in merged:
+                total = ws.alg.multiply(total, self._tangent_factor(ws, ws.tokens[p]))
+            elif p is not None:
+                merged.add(p)
+        lift = ws.map_to(wb, section)
+        coeffs = [lift.apply(total.homogeneous_part(i)) for i in range(1, c)]
         coeffs.append(push.apply(ws.alg.unit()))
-        return BurrowEdge(small, big, pull, push, ChernPolynomial(c, tuple(coeffs)))
-
-    def _section_image(self, big_cfg, small_cfg):
-        """Each unfrozen small block token maps to the big block holding its
-        minimal index (a coordinate-forgetting section)."""
-        big_blocks = _cfg_blocks(big_cfg)
-        image = {}
-        for stok, sblk, smk in _cfg_blocks(small_cfg):
-            if smk is not None:
-                continue
-            lead = min(sblk)
-            for tok, blk, mk in big_blocks:
-                if lead in blk:
-                    image[stok] = tok
-                    break
-        return image
+        return pull.columns, push.columns, c, [x.coeffs for x in coeffs]
 
     def _relations(self, ambient_wrap, elements):
         """Generators of the ideal that each exceptional class annihilates,

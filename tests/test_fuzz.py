@@ -1,6 +1,7 @@
 """Seeded one-field mutations of the keel --n 2 diagram file and of its ring
 file, run through the command line in process: every mutant ends in exit 0,
-1 or 2, never in an exception escaping ``main``."""
+1 or 2, never in an exception escaping ``main``.  The diagram mutants go
+through every subcommand that reads a diagram file."""
 
 import json
 import random
@@ -68,6 +69,12 @@ def keel2_files():
 def test_diagram_mutants_exit_cleanly(tmp_path, capsys, keel2_files):
     diagram, _ = keel2_files
     assert _crashes(tmp_path, capsys, diagram, ("validate", "build", "decompose"), 90, 0) == []
+
+
+def test_diagram_mutants_exit_cleanly_in_the_reports(tmp_path, capsys, keel2_files):
+    diagram, _ = keel2_files
+    commands = ("presentation", "discrepancy", "blocks")
+    assert _crashes(tmp_path, capsys, diagram, commands, 60, 2) == []
 
 
 def test_ring_mutants_exit_cleanly(tmp_path, capsys, keel2_files):

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -61,16 +62,93 @@ def test_keel3_joins_each_configuration_with_each_element_once(monkeypatch):
     the closure, the defining sets and so the edges all come from those
     joins, and no pair of configurations is joined."""
     calls = []
-    join = models._cfg_join
+    join = models._cfg_with
 
     def counted(*args):
         calls.append(args)
         return join(*args)
 
-    monkeypatch.setattr(models, "_cfg_join", counted)
+    monkeypatch.setattr(models, "_cfg_with", counted)
     diagram = keel_model(3)
     assert (len(diagram.elements), len(diagram.burrows)) == (25, 77)
     assert len(calls) <= 25 + 77 * 25
+
+
+def _cfg_join(n, a, b):
+    """Reference join of two configurations of 1..n by union-find: merge
+    the blocks of both; None when a merged block carries two markers; then
+    merge the blocks frozen at the same marker."""
+    parent = list(range(n + 1))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for blk, _ in itertools.chain(a, b):
+        idxs = sorted(blk)
+        for other in idxs[1:]:
+            ra, rb = find(idxs[0]), find(other)
+            if ra != rb:
+                parent[rb] = ra
+    marker = {}
+    for blk, mk in itertools.chain(a, b):
+        if mk is None:
+            continue
+        root = find(min(blk))
+        if root in marker and marker[root] != mk:
+            return None
+        marker[root] = mk
+    by_marker = {}
+    for root, mk in marker.items():
+        by_marker.setdefault(mk, []).append(find(root))
+    for roots in by_marker.values():
+        for other in roots[1:]:
+            ra, rb = find(roots[0]), find(other)
+            if ra != rb:
+                parent[rb] = ra
+    marker = {find(root): mk for root, mk in marker.items()}
+    blocks = {}
+    for i in range(1, n + 1):
+        blocks.setdefault(find(i), []).append(i)
+    return frozenset(
+        (frozenset(idxs), marker.get(root)) for root, idxs in blocks.items()
+    )
+
+
+@pytest.mark.parametrize(
+    "n, build, conflicts",
+    [
+        (3, lambda: keel_model(3), True),
+        (4, lambda: fm_power("p1", 4), False),
+        (4, lambda: fm_power("p2", 4, min_size=3), False),
+    ],
+)
+def test_single_element_join_matches_union_find(monkeypatch, n, build, conflicts):
+    """Every join the closure makes, of a configuration with one building
+    element, equals the union-find join with that element's configuration,
+    the None of two markers on one block included."""
+    calls = []
+    join = models._cfg_with
+
+    def recorded(cfg, idxs, mk):
+        out = join(cfg, idxs, mk)
+        calls.append((cfg, idxs, mk, out))
+        return out
+
+    monkeypatch.setattr(models, "_cfg_with", recorded)
+    diagram = build()
+    discrete = models._cfg_discrete(n)
+    elements = {(idxs, mk) for cfg, idxs, mk, _ in calls}
+    configs = {cfg for cfg, _, _, _ in calls}
+    assert len(calls) == len(elements) * (len(configs) + 1)
+    assert len(elements) == len(diagram.elements)
+    assert len(configs) == len(diagram.burrows)
+    for cfg, idxs, mk, out in calls:
+        element = _cfg_join(n, discrete, frozenset(((frozenset(idxs), mk),)))
+        assert out == _cfg_join(n, cfg, element), (cfg, idxs, mk)
+    assert any(out is None for *_, out in calls) == conflicts
 
 
 def test_keel1_all_divisors():
