@@ -152,8 +152,8 @@ def test_scalar_kinds(built, name):
 
 
 # sha256 of "<exit code>\n<stdout>"; `pd` reads the ring `wonder build` writes,
-# the other commands read the diagram. `blocks` on fm-p2-4-min3 is left
-# unpinned: it exits 3 on the known block-structure defect (ROADMAP item 1).
+# the other commands read the diagram. `blocks` on fm-p2-4-min3 exits 3 on the
+# known block-structure defect (ROADMAP item 1); its stderr is pinned below.
 REPORT_MODELS = {
     "fm-p1-3": ["fm-p1", "--n", "3"],
     "fm-p1-4": ["fm-p1", "--n", "4"],
@@ -162,6 +162,7 @@ REPORT_MODELS = {
     "fm-curve-3-g2": ["fm-curve", "--n", "3", "--genus", "2"],
     "keel-2": ["keel", "--n", "2"],
     "keel-3": ["keel", "--n", "3"],
+    "keel-4": ["keel", "--n", "4"],
 }
 GOLDEN_REPORTS = {
     ("fm-p1-3", "validate"): "0d2ba16d3a935d6ad2f93c9edcf6e262e7d438584b131e6fdc95c5499955cd57",
@@ -205,6 +206,12 @@ GOLDEN_REPORTS = {
     ("keel-3", "discrepancy"): "36ca1cf94ff16f211e800ab1e83af6fee9ecf641a3d32c7b98fad1cb622282f3",
     ("keel-3", "blocks"): "731d666dc2a504eeb3494017e029082bb198022691d95eb4951a3de44eb4a9a8",
     ("keel-3", "pd"): "1f34a67ff195393818f11216aaae100b8429a7067d1a677c85a2e5cf65183cbe",
+    ("keel-4", "validate"): "6fb3906955307fc8379c44d8edf4bb1dbb1184ef23572e40e8699ff0c38f96d5",
+    ("keel-4", "decompose"): "243b28ca4b1ae711cd63623a978ed518b04828f26e6d0b6c235ad72f46ed7a08",
+    ("keel-4", "presentation"): "85cbd490b67bb8ae117d7bfecc4e833b4447ffd4d31b811b2dafbc6a2eefce0f",
+    ("keel-4", "discrepancy"): "92be448f3d00b7d517010b50c4a92530e2824e743dc746859048c42451edbf20",
+    ("keel-4", "blocks"): "d1416640a2a7cbfb9212e41e326acf15e211e4386b62e803b61b6fd965a36391",
+    ("keel-4", "pd"): "d9812d415f76b508f2c3250caecccfecdacc01e1b8a851b7d101c8be367dbaad",
 }
 
 
@@ -233,6 +240,22 @@ def test_report_digest(model_files, capsys, model, command):
     out = capsys.readouterr().out
     digest = hashlib.sha256(f"{code}\n{out}".encode("utf-8")).hexdigest()
     assert digest == GOLDEN_REPORTS[(model, command)]
+
+
+def test_blocks_violation_message(model_files, capsys):
+    """The first four violations, in the order the Gram entries are scanned."""
+    diagram, _ = model_files("fm-p2-4-min3")
+    capsys.readouterr()
+    assert main(["blocks", str(diagram)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: pairing block structure violated: "
+        "distinct nests pair at degree 2: ('D123',) vs ('D123', 'D1234'); "
+        "distinct nests pair at degree 2: ('D124',) vs ('D1234', 'D124'); "
+        "distinct nests pair at degree 2: ('D134',) vs ('D1234', 'D134'); "
+        "distinct nests pair at degree 2: ('D234',) vs ('D1234', 'D234')\n"
+    )
 
 
 # sha256 of ``io.dump_ring`` of the synthetic algebras: (dims, break degree or
