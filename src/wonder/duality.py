@@ -1,5 +1,10 @@
 """Duality verdicts, discrepancy accounting across burrows and pairing-block
-structure for any diagram with a built ring."""
+structure for any diagram with a built ring.
+
+The three reports read one record per ring, built on first use from
+``ring.pairing()`` and kept on the ring: the ring's verdict (one rank per
+degree pair), the nonzero summand pairs and block-structure violations of
+one scan of the Gram entries, and each summand's rows in each degree."""
 
 from __future__ import annotations
 
@@ -10,7 +15,7 @@ from wonder.diagram import BurrowDiagram
 from wonder.engine import WonderRing
 from wonder.errors import InputError, InvariantViolation
 from wonder.exact_linalg import rank_rows
-from wonder.nests import standard_bound
+from wonder.nests import Summand, standard_bound
 
 
 @dataclass
@@ -47,7 +52,7 @@ def pd_equivalence_report(diagram: BurrowDiagram, ring: WonderRing) -> Equivalen
         if not rep.ok:
             raise InputError(f"burrow {b.id} fails its socle check: {rep.problems}")
         burrow_verdicts[b.id] = pd_verdict(rep.pairing)
-    ring_v = pd_verdict(ring.pairing())
+    ring_v = _duality(ring).verdict
     all_burrows_pd = all(v.is_pd for v in burrow_verdicts.values())
     ok = ring_v.is_pd == all_burrows_pd
     failing = sorted(b for b, v in burrow_verdicts.items() if not v.is_pd)
@@ -78,67 +83,74 @@ class BlockReport:
         return "\n".join(lines)
 
 
-def _summand_key(ring: WonderRing, si: int):
-    s = ring.summands[si]
+def _summand_key(s: Summand):
     return (s.nest.sorted_ids(), s.mu.assignment)
+
+
+@dataclass
+class _Duality:
+    """What the reports read off ``ring.pairing()``, built once per ring."""
+
+    verdict: PdVerdict
+    nonzero: list  # BlockReport.nonzero_blocks, in scan order
+    violations: list  # for each nonzero Gram entry in scan order, its pair's violations
+    rows: list  # rows[k][summand index]: the summand's row positions in gram(k)
+
+
+def _pair_violations(diagram: BurrowDiagram, sa: Summand, sb: Summand, k: int) -> list:
+    if sa.nest.elements != sb.nest.elements:
+        return [
+            f"distinct nests pair at degree {k}: "
+            f"{sa.nest.sorted_ids()} vs {sb.nest.sorted_ids()}"
+        ]
+    out = []
+    for x in sa.nest.elements:
+        bound = standard_bound(diagram, x, sa.nest.elements)
+        if sa.mu.value(x) + sb.mu.value(x) < bound:
+            out.append(
+                f"exponent bound fails at degree {k} for {x}: "
+                f"{sa.mu.value(x)}+{sb.mu.value(x)} < {bound}"
+            )
+    return out
+
+
+def _duality(ring: WonderRing) -> _Duality:
+    """The ring's duality record, built by the first report that asks."""
+    if ring._duality is None:
+        sp = ring.pairing()
+        d = sp.degree
+        owners = [[] for _ in range(d + 1)]  # owners[k][i]: summand of row i of gram(k)
+        rows = [{} for _ in range(d + 1)]
+        for k, si, *_ in ring.basis:
+            rows[k].setdefault(si, []).append(len(owners[k]))
+            owners[k].append(si)
+        nonzero, violations = [], []
+        for k in range(d + 1):
+            pairs = {}  # summand pair -> its violations at degree k
+            for si, row in zip(owners[k], sp.gram(k)):
+                for sj, q in zip(owners[d - k], row):
+                    if q == 0:
+                        continue
+                    if (si, sj) not in pairs:
+                        sa, sb = ring.summands[si], ring.summands[sj]
+                        pairs[si, sj] = _pair_violations(ring.diagram, sa, sb, k)
+                        nonzero.append(((_summand_key(sa), k), (_summand_key(sb), d - k)))
+                    violations.extend(pairs[si, sj])
+        ring._duality = _Duality(pd_verdict(sp), nonzero, violations, rows)
+    return ring._duality
 
 
 def block_structure_check(diagram: BurrowDiagram, ring: WonderRing) -> BlockReport:
     """Every nonzero pairing block must join two summands over the same nest
     with exponents summing to at least the codimension bound; reports the
     triangularizing order (nest, then norm descending on the far side)."""
-    sp = ring.pairing()
-    alg = sp.algebra
-    d = diagram.socle_degree
-    nonzero = []
-    violations = []
-    for k in range(d + 1):
-        cols = alg.global_indices(d - k)
-        seen = set()
-        for gi, row in zip(alg.global_indices(k), sp.gram(k)):
-            si = ring.basis[gi][1]
-            for gj, q in zip(cols, row):
-                if q == 0:
-                    continue
-                sj = ring.basis[gj][1]
-                pair = (si, sj)
-                sa, sb = ring.summands[si], ring.summands[sj]
-                if pair not in seen:
-                    seen.add(pair)
-                    nonzero.append(
-                        ((_summand_key(ring, si), k), (_summand_key(ring, sj), d - k))
-                    )
-                if sa.nest.elements != sb.nest.elements:
-                    violations.append(
-                        f"distinct nests pair at degree {k}: "
-                        f"{sa.nest.sorted_ids()} vs {sb.nest.sorted_ids()}"
-                    )
-                    continue
-                for x in sa.nest.elements:
-                    bound = standard_bound(diagram, x, sa.nest.elements)
-                    if sa.mu.value(x) + sb.mu.value(x) < bound:
-                        violations.append(
-                            f"exponent bound fails at degree {k} for {x}: "
-                            f"{sa.mu.value(x)}+{sb.mu.value(x)} < {bound}"
-                        )
-    order = sorted(
-        range(len(ring.summands)),
-        key=lambda si: (
-            ring.summands[si].nest.sorted_ids(),
-            -ring.summands[si].mu.norm,
-        ),
-    )
-    report = BlockReport(
-        not violations,
-        [_summand_key(ring, si) for si in order],
-        nonzero,
-        violations,
-    )
-    if violations:
+    data = _duality(ring)
+    if data.violations:
         raise InvariantViolation(
-            "pairing block structure violated: " + "; ".join(violations[:4])
+            "pairing block structure violated: " + "; ".join(data.violations[:4])
         )
-    return report
+    order = sorted(ring.summands, key=lambda s: (s.nest.sorted_ids(), -s.mu.norm))
+    return BlockReport(True, [_summand_key(s) for s in order], list(data.nonzero))
 
 
 @dataclass
@@ -168,28 +180,15 @@ def discrepancy_table(diagram: BurrowDiagram, ring: WonderRing) -> DiscrepancyRe
     """Per-degree discrepancies of the ring and of the diagonal pairing
     blocks; under a certified block-triangular structure the ring numbers
     must equal the block sums degree by degree."""
-    sp = ring.pairing()
-    alg = sp.algebra
+    data = _duality(ring)
     d = diagram.socle_degree
-    ring_v = pd_verdict(sp)
-
-    try:
-        block_structure_check(diagram, ring)
-        certified = True
-    except InvariantViolation:
-        certified = False
 
     # partner of (N, mu) is (N, bound - mu); diagonal blocks pair them
-    by_key = {
-        (s.nest.elements, s.mu.assignment): si for si, s in enumerate(ring.summands)
-    }
+    by_key = {(s.nest.elements, s.mu.assignment): si for si, s in enumerate(ring.summands)}
     partner = {}
     for si, s in enumerate(ring.summands):
-        comp = tuple(
-            sorted(
-                (x, standard_bound(diagram, x, s.nest.elements) - k)
-                for x, k in s.mu.assignment
-            )
+        comp = tuple(  # in element order, as every assignment is
+            (x, standard_bound(diagram, x, s.nest.elements) - k) for x, k in s.mu.assignment
         )
         partner[si] = by_key.get((s.nest.elements, comp))
 
@@ -197,27 +196,20 @@ def discrepancy_table(diagram: BurrowDiagram, ring: WonderRing) -> DiscrepancyRe
     sums = [0] * (d + 1)
     details = []
     for k in range(d + 1):
-        gram = sp.gram(k)
-        rows = alg.global_indices(k)
-        cols = alg.global_indices(d - k)
-        for si in set(ring.basis[g][1] for g in rows):
+        gram, cols = ring.pairing().gram(k), data.rows[d - k]
+        for si, sub_rows in data.rows[k].items():
             sj = partner[si]
-            sub_rows = [g for g in rows if ring.basis[g][1] == si]
             if sj is None:
                 sums[k] += len(sub_rows)
                 details.append(
-                    f"summand {_summand_key(ring, si)} has no complementary partner"
+                    f"summand {_summand_key(ring.summands[si])} has no complementary partner"
                 )
                 continue
-            sub_cols = [g for g in cols if ring.basis[g][1] == sj]
-            sub = [
-                [gram[g - rows.start][h - cols.start] for h in sub_cols]
-                for g in sub_rows
-            ]
+            sub = [[gram[i][j] for j in cols.get(sj, ())] for i in sub_rows]
             disc = len(sub_rows) - rank_rows(sub)
-            block_disc[(_summand_key(ring, si), k)] = disc
+            block_disc[(_summand_key(ring.summands[si]), k)] = disc
             sums[k] += disc
-    sums_match = list(ring_v.discrepancies) == sums
+    discs = data.verdict.discrepancies
     return DiscrepancyReport(
-        ring_v.discrepancies, block_disc, sums_match, certified, details
+        discs, block_disc, list(discs) == sums, not data.violations, details
     )

@@ -115,6 +115,7 @@ class WonderRing:
         self._complete = False
         self._algebra: GradedAlgebra | None = None
         self._pairing: SoclePairing | None = None
+        self._duality = None  # the duality reports' record of the pairing
         self._amb = amb
 
     @staticmethod

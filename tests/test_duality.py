@@ -148,6 +148,39 @@ def test_reports_share_one_socle_check(fm3_diagram, monkeypatch):
     assert sum(alg is ring.as_algebra() for alg in checked) == 1
 
 
+
+def test_reports_share_one_rank_and_one_scan(fm3_diagram, monkeypatch):
+    ring = build_ring(fm3_diagram, validate=False)
+    sp = ring.pairing()
+    d = sp.degree
+    passes = [0] * (d + 1)  # passes over the rows of each gram(k)
+
+    def counted(k, rows):
+        class Gram(list):
+            def __iter__(self):
+                passes[k] += 1
+                return super().__iter__()
+
+        return Gram(rows)
+
+    sp.grams = tuple(counted(k, rows) for k, rows in enumerate(sp.grams))
+    real = wonder.algebra.pd_verdict
+    ranked = []
+
+    def counting(pairing):
+        ranked.append(pairing)
+        return real(pairing)
+
+    for module in (wonder.algebra, wonder.duality):
+        monkeypatch.setattr(module, "pd_verdict", counting)
+    pd_equivalence_report(fm3_diagram, ring)
+    discrepancy_table(fm3_diagram, ring)
+    block_structure_check(fm3_diagram, ring)
+    assert sum(p is sp for p in ranked) == 1
+    # the one block scan passes over every gram(k); the one verdict ranks
+    # gram(k) for 2k <= d
+    assert passes == [2 if 2 * k <= d else 1 for k in range(d + 1)]
+
 def test_ring_pairing_rejects_failed_socle_check():
     two_tops = GradedAlgebra([1, 2], [["1"], ["a", "b"]], [])
     diagram = BurrowDiagram(
