@@ -644,7 +644,7 @@ class BurrowDiagram:
         edge_moves = [
             lambda e, s=gen.burrow: (s(e[0]), s(e[1])) for gen in group.generators
         ]
-        orbit = orbit_labels(sorted(self.edges), edge_moves if associative else ())
+        orbit = orbit_labels(self.edges, edge_moves if associative else ())
         passed = {}
         ring_maps = True
         misshapen = set()  # edges whose maps have the wrong endpoints
@@ -740,7 +740,8 @@ class BurrowDiagram:
         ok = True
         detail = ""
         order = {b: i for i, b in enumerate(self.burrows)}
-        orbit = orbit_labels(self.edges, edge_moves if associative and ring_maps else ())
+        if not ring_maps:
+            orbit = {e: e for e in self.edges}
         seen = set()
         for (small, big), edge in self.edges.items():
             if orbit[small, big] in seen or (small, big) in misshapen:
