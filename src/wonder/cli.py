@@ -13,7 +13,7 @@ import sys
 
 from wonder import duality, fixtures, io, models, oracle
 from wonder.engine import build_ring, presentation_report
-from wonder.errors import WonderError
+from wonder.errors import InputError, WonderError
 
 
 class _Parser(argparse.ArgumentParser):
@@ -139,7 +139,10 @@ def _cmd_model(args) -> int:
     if name == "synth":
         if not args.dims:
             raise WonderError("synth needs --dims")
-        dims = [int(x) for x in args.dims.split(",")]
+        try:
+            dims = [int(x) for x in args.dims.split(",")]
+        except ValueError:
+            raise InputError(f"--dims is not a comma-separated list of integers: {args.dims!r}")
         if args.break_at is not None:
             alg = models.synthetic_broken(dims, args.break_at, args.seed)
         else:

@@ -824,6 +824,8 @@ def synthetic_gorenstein(dim_vector, seed: int, *, retries: int = 40) -> GradedA
     dim_vector = tuple(int(x) for x in dim_vector)
     if dim_vector[0] != 1 or dim_vector[-1] != 1:
         raise InputError("dimension vector must start and end at 1")
+    if min(dim_vector) < 0:
+        raise InputError(f"dimension vector {dim_vector} has a negative entry")
     d = len(dim_vector) - 1
     if d == 0:
         return GradedAlgebra([1], [["1"]], [])

@@ -126,6 +126,19 @@ def test_synth_model(tmp_path, capsys):
     assert code == 0 and out.strip() == "PD: no; discrepancies: 0 1 0"
 
 
+
+@pytest.mark.parametrize(
+    "dims,message",
+    [
+        ("a,b", "--dims is not a comma-separated list of integers: 'a,b'"),
+        ("1,-1,1", "dimension vector (1, -1, 1) has a negative entry"),
+    ],
+)
+def test_synth_rejects_bad_dims(capsys, dims, message):
+    code, out, err = run(capsys, "model", "synth", "--dims", dims)
+    assert code == 1 and out == ""
+    assert err == f"error: {message}\n"
+
 def test_presentation_command(tmp_path, capsys):
     d = tmp_path / "d.json"
     main(["model", "fm-p1", "--n", "3", "--out", str(d)])
