@@ -96,6 +96,15 @@ class Element:
     def __hash__(self):
         return hash((id(self.alg), tuple(sorted(self.coeffs.items()))))
 
+    def rebased(self, alg: "GradedAlgebra") -> "Element":
+        """This element in another algebra on the same structure; the two
+        share the coefficient dict, which was checked once."""
+        if alg.structure is not self.alg.structure:
+            raise InputError("an element moves only between algebras on one structure")
+        out = Element.__new__(Element)
+        out.alg, out.coeffs = alg, self.coeffs
+        return out
+
     def _same(self, other: "Element"):
         if other.alg is not self.alg:
             raise InputError("elements belong to different algebras")
@@ -111,45 +120,29 @@ class Element:
         return " + ".join(parts)
 
 
-class GradedAlgebra:
-    """Graded commutative rational algebra with unit, described by bases and
-    structure constants.  Immutable after construction.  Associativity is
-    not enforced here; ``check_associativity`` tests it."""
+class Structure:
+    """The dimensions and structure constants of a graded commutative
+    algebra with unit, without basis labels.  Checked once on
+    construction; every ``GradedAlgebra`` built on it shares its table and
+    the verdicts that read the table alone, such as its generators.
+    Associativity is not enforced here; ``check_associativity`` tests it."""
 
-    def __init__(self, dims, labels, mult_entries):
+    def __init__(self, dims, mult_entries):
         self.dims = tuple(int(d) for d in dims)
         if not self.dims or self.dims[0] != 1:
             raise InputError("degree 0 must be one-dimensional (the unit)")
         if any(d < 0 for d in self.dims):
             raise InputError("negative dimension")
         self.top_degree = len(self.dims) - 1
-        if not (
-            isinstance(labels, (list, tuple))
-            and all(isinstance(ls, (list, tuple)) for ls in labels)
-        ):
-            raise InputError(f"basis labels {labels!r} are not one list per degree")
-        self.labels = tuple(tuple(ls) for ls in labels)
-        if len(self.labels) != len(self.dims) or any(
-            len(ls) != d for ls, d in zip(self.labels, self.dims)
-        ):
-            raise InputError("labels do not match dimensions")
-        self._offsets = []
+        self.offsets = []
         off = 0
         for d in self.dims:
-            self._offsets.append(off)
+            self.offsets.append(off)
             off += d
         self.total_dim = off
-        self._degree_of = []
+        self.degree_of = []
         for k, d in enumerate(self.dims):
-            self._degree_of.extend([k] * d)
-        flat = [l for ls in self.labels for l in ls]
-        for l in flat:
-            if type(l) is not str:
-                raise InputError(f"basis label {l!r} is not a string")
-        if len(set(flat)) != len(flat):
-            raise InputError("basis labels must be globally unique")
-        self._label_to_g = {l: g for g, l in enumerate(flat)}
-        self._flat_labels = flat
+            self.degree_of.extend([k] * d)
 
         table: dict[tuple[int, int], dict[int, Fraction]] = {}
         n = self.total_dim
@@ -170,7 +163,7 @@ class GradedAlgebra:
             a, b = (gi, gj) if gi <= gj else (gj, gi)
             if a == 0 or b == 0:
                 raise InputError("unit products are implicit; do not store them")
-            di, dj, dk = self._degree_of[a], self._degree_of[b], self._degree_of[gk]
+            di, dj, dk = self.degree_of[a], self.degree_of[b], self.degree_of[gk]
             if di + dj != dk:
                 raise InputError(
                     f"structure constant violates grading: deg {di}+{dj} -> {dk}"
@@ -179,8 +172,79 @@ class GradedAlgebra:
             if gk in row and row[gk] != q:
                 raise InputError(f"conflicting structure constants at ({a},{b})")
             row[gk] = q
-        self._table = table
-        self._generators = None
+        self.table = table
+        self.generators = None  # filled by GradedAlgebra.generators
+
+    def to_payload(self) -> dict:
+        triples = []
+        for (a, b), row in sorted(self.table.items()):
+            for gk in sorted(row):
+                triples.append([a, b, gk, format_rat(row[gk])])
+        return {"degrees": list(self.dims), "mult": triples}
+
+    @classmethod
+    def from_payload(cls, payload: dict) -> "Structure":
+        try:
+            dims = payload["degrees"]
+            mult = payload["mult"]
+        except KeyError as e:
+            raise InputError(f"algebra payload missing section {e}") from None
+        if not (isinstance(dims, list) and all(type(d) is int for d in dims)):
+            raise InputError(f"degrees {dims!r} is not a list of integers")
+        if not isinstance(mult, list):
+            raise InputError(f"mult {mult!r} is not a list of structure constants")
+        entries = []
+        for entry in mult:
+            if not (isinstance(entry, list) and len(entry) == 4):
+                raise InputError(f"malformed structure constant {entry!r}")
+            a, b, k, q = entry
+            entries.append((a, b, k, parse_rat(q, "structure constant")))
+        return cls(dims, entries)
+
+
+class GradedAlgebra:
+    """Graded commutative rational algebra with unit: a ``Structure`` and
+    per-degree ordered basis labels.  Immutable after construction.
+    Algebras on one structure object differ only in their labels, so every
+    verdict that reads indices alone holds for all of them."""
+
+    def __init__(self, dims, labels, mult_entries):
+        self._bind(Structure(dims, mult_entries), labels)
+
+    @classmethod
+    def on(cls, structure: Structure, labels) -> "GradedAlgebra":
+        """An algebra on an already checked structure; only the labels are
+        checked."""
+        alg = cls.__new__(cls)
+        alg._bind(structure, labels)
+        return alg
+
+    def _bind(self, structure: Structure, labels):
+        self.structure = structure
+        self.dims = structure.dims
+        self.top_degree = structure.top_degree
+        self.total_dim = structure.total_dim
+        self._offsets = structure.offsets
+        self._degree_of = structure.degree_of
+        self._table = structure.table
+        if not (
+            isinstance(labels, (list, tuple))
+            and all(isinstance(ls, (list, tuple)) for ls in labels)
+        ):
+            raise InputError(f"basis labels {labels!r} are not one list per degree")
+        self.labels = tuple(tuple(ls) for ls in labels)
+        if len(self.labels) != len(self.dims) or any(
+            len(ls) != d for ls, d in zip(self.labels, self.dims)
+        ):
+            raise InputError("labels do not match dimensions")
+        flat = [l for ls in self.labels for l in ls]
+        for l in flat:
+            if type(l) is not str:
+                raise InputError(f"basis label {l!r} is not a string")
+        if len(set(flat)) != len(flat):
+            raise InputError("basis labels must be globally unique")
+        self._label_to_g = {l: g for g, l in enumerate(flat)}
+        self._flat_labels = flat
 
     # -- basic lookups ----------------------------------------------------
 
@@ -263,10 +327,10 @@ class GradedAlgebra:
         product of two positive-degree classes of total degree k, since
         those lower classes are polynomials in the lower generators; so
         monomials in the generators span each degree, and leaving out any
-        one generator of degree k loses it from the span.  Computed once;
-        the algebra is immutable.
+        one generator of degree k loses it from the span.  Computed once
+        per structure; it reads the structure constants only.
         """
-        if self._generators is None:
+        if self.structure.generators is None:
             gens = []
             for k in range(1, self.top_degree + 1):
                 cols = self.global_indices(k)
@@ -286,8 +350,8 @@ class GradedAlgebra:
                         rank += 1
                     else:
                         rows.pop()
-            self._generators = tuple(gens)
-        return self._generators
+            self.structure.generators = tuple(gens)
+        return self.structure.generators
 
     # -- invariant checks ---------------------------------------------------
 
@@ -344,38 +408,42 @@ class GradedAlgebra:
     # -- serialization -------------------------------------------------------
 
     def to_payload(self) -> dict:
-        triples = []
-        for (a, b), row in sorted(self._table.items()):
-            for gk in sorted(row):
-                triples.append([a, b, gk, format_rat(row[gk])])
-        return {
-            "degrees": list(self.dims),
-            "basis_labels": [list(ls) for ls in self.labels],
-            "mult": triples,
-        }
+        payload = self.structure.to_payload()
+        payload["basis_labels"] = [list(ls) for ls in self.labels]
+        return payload
 
     @classmethod
     def from_payload(cls, payload: dict) -> "GradedAlgebra":
-        try:
-            dims = payload["degrees"]
-            labels = payload["basis_labels"]
-            mult = payload["mult"]
-        except KeyError as e:
-            raise InputError(f"algebra payload missing section {e}") from None
-        if not (isinstance(dims, list) and all(type(d) is int for d in dims)):
-            raise InputError(f"degrees {dims!r} is not a list of integers")
-        if not isinstance(mult, list):
-            raise InputError(f"mult {mult!r} is not a list of structure constants")
-        entries = []
-        for entry in mult:
-            if not (isinstance(entry, list) and len(entry) == 4):
-                raise InputError(f"malformed structure constant {entry!r}")
-            a, b, k, q = entry
-            entries.append((a, b, k, parse_rat(q, "structure constant")))
-        return cls(dims, labels, entries)
+        if "basis_labels" not in payload:
+            raise InputError("algebra payload missing section 'basis_labels'")
+        return cls.on(Structure.from_payload(payload), payload["basis_labels"])
 
     def __repr__(self):
         return f"GradedAlgebra(dims={list(self.dims)})"
+
+
+def _product(alg: GradedAlgebra, x: dict, y: dict) -> dict:
+    """The product of two coefficient dicts of ``alg``, zeros left out: the
+    sum ``GradedAlgebra.multiply`` makes, without an ``Element`` around it,
+    for the law checks that run it on every generator and basis pair."""
+    out: dict[int, Fraction] = {}
+    for gi, qi in x.items():
+        for gj, qj in y.items():
+            q = qi * qj
+            for gk, c in alg.product_basis(gi, gj).items():
+                out[gk] = out.get(gk, ZERO) + q * c
+    return {gk: q for gk, q in out.items() if q}
+
+
+def _image(columns: list, x: dict) -> dict:
+    """The image of a coefficient dict under a map with these columns,
+    zeros left out: ``GradedMap.apply`` without the ``Element``s, for the
+    law checks."""
+    out: dict[int, Fraction] = {}
+    for g, q in x.items():
+        for h, v in columns[g].items():
+            out[h] = out.get(h, ZERO) + q * v
+    return {h: v for h, v in out.items() if v}
 
 
 def algebra_from_products(dims, labels, products) -> GradedAlgebra:
@@ -429,6 +497,17 @@ class GradedMap:
     def from_images(cls, source, target, shift, images) -> "GradedMap":
         """Build from a list of target Elements, one per global source index."""
         return cls(source, target, shift, [img.coeffs for img in images])
+
+    def rebased(self, source: GradedAlgebra, target: GradedAlgebra) -> "GradedMap":
+        """This map between two other algebras on the structures of its
+        own; the two share the columns, which were checked once."""
+        if source.structure is not self.source.structure or (
+            target.structure is not self.target.structure
+        ):
+            raise InputError("a map moves only between algebras on its own structures")
+        out = GradedMap.__new__(GradedMap)
+        out.source, out.target, out.shift, out.columns = source, target, self.shift, self.columns
+        return out
 
     @classmethod
     def identity(cls, alg: GradedAlgebra) -> "GradedMap":
@@ -506,17 +585,15 @@ class GradedMap:
             return False
         if self.apply_basis(0) != self.target.unit():
             return False
-        src, tgt = self.source, self.target
+        src, tgt, cols = self.source, self.target, self.columns
         for gi in src.generators():
-            fi = self.apply_basis(gi)
-            bi = src.basis_element(gi)
             di = src.degree_of(gi)
             for k in range(1, src.top_degree - di + 1):
                 if not tgt.dim(di + k):
                     continue
                 for gj in src.global_indices(k):
-                    left = self.apply(src.multiply(bi, src.basis_element(gj)))
-                    if left != tgt.multiply(fi, self.apply_basis(gj)):
+                    left = _image(cols, src.product_basis(gi, gj))
+                    if left != _product(tgt, cols[gi], cols[gj]):
                         return False
         return True
 
@@ -538,18 +615,15 @@ def projection_formula_holds(pullback: GradedMap, pushforward: GradedMap) -> boo
     big, small = pullback.source, pullback.target
     if pushforward.source is not small or pushforward.target is not big:
         raise InputError("pushforward does not pair with the pullback")
-    pushed = [pushforward.apply_basis(gb) for gb in range(small.total_dim)]
+    pushed = pushforward.columns
     for ga in big.generators():
-        a = big.basis_element(ga)
-        pa = pullback.apply_basis(ga)
+        a, pa = {ga: ONE}, pullback.columns[ga]
         shift = big.degree_of(ga) + pushforward.shift
         for gb in range(small.total_dim):
             if not big.dim(small.degree_of(gb) + shift):
                 continue
-            b = small.basis_element(gb)
-            left = pushforward.apply(small.multiply(pa, b))
-            right = big.multiply(a, pushed[gb])
-            if left != right:
+            left = _image(pushed, _product(small, pa, {gb: ONE}))
+            if left != _product(big, a, pushed[gb]):
                 return False
     return True
 

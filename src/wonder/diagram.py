@@ -14,14 +14,17 @@ decomposition, the rewrite rules and the duality reports.
 
 A diagram may declare generators of a permutation group acting on it
 (``Permutation``).  ``BurrowDiagram.symmetry`` checks once that each is an
-automorphism of everything the ring and the laws read; ``validate`` then
-runs the costly laws once per orbit, and the engine computes one product
-per orbit of basis pairs.
+automorphism of everything the ring and the laws read, and the engine then
+computes one product per orbit of basis pairs.
+
+Burrows of one shape share one ``Structure`` and edges of one shape share
+their map columns and Chern coefficient dicts (``BurrowEdge.rebased``), so
+``validate`` and the symmetry check decide each law once per distinct
+datum (``edge_datum``), exactly: equal data give equal verdicts.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 from wonder.algebra import (
@@ -70,6 +73,10 @@ class ChernPolynomial:
         """c_i for 1 <= i <= deg."""
         return self.coeffs[i - 1]
 
+    def rebased(self, alg: GradedAlgebra) -> "ChernPolynomial":
+        """The same coefficients in another algebra on the same structure."""
+        return ChernPolynomial(self.deg, tuple(c.rebased(alg) for c in self.coeffs))
+
 
 @dataclass
 class BurrowEdge:
@@ -78,6 +85,47 @@ class BurrowEdge:
     pullback: GradedMap  # big -> small, shift 0
     pushforward: GradedMap  # small -> big, shift = codim difference
     chern: ChernPolynomial
+
+    def rebased(
+        self, small: str, big: str, small_alg: GradedAlgebra, big_alg: GradedAlgebra
+    ) -> "BurrowEdge":
+        """The same data on another pair of burrows whose algebras are on
+        the structures of this edge's: the maps share their columns and
+        the Chern coefficients their dicts, so nothing is copied or
+        checked again."""
+        return BurrowEdge(
+            small,
+            big,
+            self.pullback.rebased(big_alg, small_alg),
+            self.pushforward.rebased(small_alg, big_alg),
+            self.chern.rebased(big_alg),
+        )
+
+
+def edge_datum(edge: BurrowEdge, small: GradedAlgebra, big: GradedAlgebra):
+    """What the laws of one edge read, by identity: the structures of its
+    burrow algebras, the pushforward shift, the columns of both maps and
+    the Chern coefficient dicts.  Edges made by ``BurrowEdge.rebased``
+    from one edge share all of these, so one verdict serves them all.
+    None when the maps or the coefficients are not on the edge's own
+    algebras."""
+    pull, push = edge.pullback, edge.pushforward
+    if not (
+        pull.source is big
+        and pull.target is small
+        and push.source is small
+        and push.target is big
+        and all(c.alg is big for c in edge.chern.coeffs)
+    ):
+        return None
+    return (
+        big.structure,
+        small.structure,
+        push.shift,
+        id(pull.columns),
+        id(push.columns),
+        *(id(c.coeffs) for c in edge.chern.coeffs),
+    )
 
 
 NESTED_OR_DISJOINT = "nested-or-disjoint"
@@ -114,26 +162,6 @@ class Symmetry:
 
     generators: tuple
     problems: list
-
-
-def orbit_labels(items, moves) -> dict:
-    """The orbit of each item under the group generated by the callables in
-    ``moves`` (each maps an item to an item), labelled by the orbit's first
-    item in the given order."""
-    label = {}
-    for it in items:
-        if it in label:
-            continue
-        label[it] = it
-        stack = [it]
-        while stack:
-            cur = stack.pop()
-            for move in moves:
-                nxt = move(cur)
-                if nxt not in label:
-                    label[nxt] = it
-                    stack.append(nxt)
-    return label
 
 
 @dataclass
@@ -243,6 +271,7 @@ class BurrowDiagram:
         for k, gen in enumerate(self.symmetry_generators, start=1):
             self._check_permutation_shape(k, gen)
         self._symmetry: Symmetry | None = None
+        self._data = None
 
     def _check_permutation_shape(self, k: int, gen: Permutation):
         """Each map of a declared generator must be a bijection of known ids
@@ -442,6 +471,15 @@ class BurrowDiagram:
             self.burrows[burrow_id].codim
         )
 
+    def edge_data(self) -> dict:
+        """Each edge's ``edge_datum``, computed once."""
+        if self._data is None:
+            self._data = {
+                (small, big): edge_datum(e, self.burrows[small].algebra, self.burrows[big].algebra)
+                for (small, big), e in self.edges.items()
+            }
+        return self._data
+
     # -- symmetry ------------------------------------------------------------------
 
     def symmetry(self) -> Symmetry:
@@ -464,10 +502,12 @@ class BurrowDiagram:
         reads it only through its restriction to Z (the ``chern-shape`` row
         reads the lift itself, so it stays per edge).  With one failing
         generator the group is trivial, so nothing relies on a false
-        declaration."""
+        declaration.  Each comparison reads shared data only (structures,
+        map columns, coefficient dicts and basis permutations), so it runs
+        once per distinct combination of them."""
         if self._symmetry is None:
             problems = []
-            restricted = {}  # edge -> its lower Chern coefficients pulled back
+            restricted = {}  # edge datum -> its lower Chern coefficients pulled back
             for k, gen in enumerate(self.symmetry_generators, start=1):
                 detail = self._automorphism_failure(gen, restricted)
                 if detail:
@@ -490,21 +530,37 @@ class BurrowDiagram:
             if image != self.explicit_nests:
                 return "the explicit nests are not carried onto themselves"
         else:
-            for x, y in itertools.combinations(self._ids, 2):
-                if self.is_nest((x, y)) != self.is_nest((el(x), el(y))):
+            # per element x, the elements y where {x, y} and its image differ
+            # in the nest relation; both relations are symmetric, so the
+            # first x with such a y has none before it, and the first pair
+            # in order is named
+            compatible, bit = self._compatibility(), self._bit
+            bits = [(bit[y], bit[el(y)]) for y in self._ids]
+            for x in self._ids:
+                image = compatible[el(x)]
+                pulled = sum(b for b, image_bit in bits if image & image_bit)
+                differ = pulled ^ compatible[x]
+                if differ:
+                    y = self._ids[(differ & -differ).bit_length() - 1]
                     return f"{{{x}, {y}}} and its image differ in the nest relation"
-        # per burrow, the basis permutation and the index each image index
-        # comes from; None when each index stays
-        perms, sources = {}, {}
+        # per burrow, the basis permutation, an id shared by equal ones (None
+        # when each index stays) and the index each image index comes from
+        perms, ids, sources, interned, isomorphic = {}, {}, {}, {}, {}
         for bid, node in self.burrows.items():
             image = self.burrows[bu(bid)]
             perms[bid] = perm = gen.bases.get(bid)
+            ids[bid] = None if perm is None else interned.setdefault(tuple(perm), len(interned))
             sources[bid] = perm and sorted(range(len(perm)), key=perm.__getitem__)
             if image.codim != node.codim or image.defining_set != frozenset(
                 map(el, node.defining_set)
             ):
                 return f"burrow {bid} and its image differ in codim or defining set"
-            if not node.algebra.relabels_onto(image.algebra, gen.basis(bid, node.algebra.total_dim)):
+            key = (node.algebra.structure, image.algebra.structure, ids[bid])
+            if key not in isomorphic:
+                isomorphic[key] = node.algebra.relabels_onto(
+                    image.algebra, gen.basis(bid, node.algebra.total_dim)
+                )
+            if not isomorphic[key]:
                 return f"basis map of {bid} is not an algebra isomorphism"
 
         def moved(vec: dict, p) -> dict:
@@ -518,35 +574,49 @@ class BurrowDiagram:
                 cols = [cols[g] for g in sources[a]]
             return m.shift == m2.shift and cols == m2.columns
 
-        def lower_chern(key, edge):
-            if key not in restricted:
-                restricted[key] = [
+        def lower_chern(datum, edge):
+            if datum not in restricted:
+                restricted[datum] = [
                     edge.pullback.apply(c).coeffs for c in edge.chern.coeffs[:-1]
                 ]
-            return restricted[key]
+            return restricted[datum]
 
-        for key, edge in self.edges.items():
-            small, big = key
-            ns, nb = self.burrows[small], self.burrows[big]
-            if edge.pullback.source is not nb.algebra or edge.pullback.target is not ns.algebra:
-                return f"edge {small}<{big} has the wrong endpoints"
-            image_key = (bu(small), bu(big))
-            image = self.edges.get(image_key)
-            if image is None:
-                return f"edge {small}<{big} has no image edge"
-            if image is edge and perms[small] is None and perms[big] is None:
-                continue
+        def failure(edge, image, datum, image_datum, small, big) -> str:
+            """Which datum of the edge is not carried to its image's, or ''."""
             if not (
                 carried(edge.pullback, image.pullback, big, small)
                 and carried(edge.pushforward, image.pushforward, small, big)
             ):
-                return f"maps of edge {small}<{big} are not carried to those of its image"
+                return "maps"
             if edge.chern.deg != image.chern.deg or image.chern.coeffs[-1].coeffs != moved(
                 edge.chern.coeffs[-1].coeffs, perms[big]
             ):
+                return "top"
+            lower = [moved(c, perms[small]) for c in lower_chern(datum, edge)]
+            return "" if lower == lower_chern(image_datum, image) else "lower"
+
+        data = self.edge_data()
+        image_of = {b: bu(b) for b in self.burrows}
+        verdicts = {}  # (datum, image datum, permutation ids) -> failure
+        for (small, big), edge in self.edges.items():
+            if data[small, big] is None:
+                return f"edge {small}<{big} has the wrong endpoints"
+            image_key = (image_of[small], image_of[big])
+            image = self.edges.get(image_key)
+            if image is None:
+                return f"edge {small}<{big} has no image edge"
+            if image is edge and ids[small] is None and ids[big] is None:
+                continue
+            datum, image_datum = data[small, big], data[image_key]
+            key = (datum, image_datum, ids[small], ids[big])
+            if key not in verdicts:
+                verdicts[key] = failure(edge, image, datum, image_datum, small, big)
+            kind = verdicts[key]
+            if kind == "maps":
+                return f"maps of edge {small}<{big} are not carried to those of its image"
+            if kind == "top":
                 return f"top Chern coefficient of edge {small}<{big} is not carried to its image's"
-            lower = [moved(c, perms[small]) for c in lower_chern(key, edge)]
-            if lower != lower_chern(image_key, image):
+            if kind == "lower":
                 return (
                     f"Chern coefficients of edge {small}<{big} restricted to {small} are "
                     "not carried to its image's"
@@ -558,39 +628,30 @@ class BurrowDiagram:
     def validate(self) -> ValidationReport:
         rep = ValidationReport()
         d = self.socle_degree
-        group = self.symmetry()
-        for subject, detail in group.problems:
+        for subject, detail in self.symmetry().problems:
             rep.add("symmetry", subject, False, detail)
-        moves = [gen.burrow for gen in group.generators]
 
-        # Every law below is kept by each checked generator, so one burrow
-        # or edge per orbit decides it for the whole orbit; rows copied
-        # from a passing first member read exactly as computed ones, and
-        # the other members of an orbit whose first member fails are
-        # computed one by one.
-        passed = {}
-        orbit = orbit_labels(self.burrows, moves)
-        associative = True
+        # Every law of one burrow or edge reads its data and the structures
+        # of its algebras only, so it is decided once per distinct datum
+        # (``edge_datum``) and read for every burrow or edge that shares it:
+        # equal data give equal verdicts.
+        socle, associative = {}, {}
         for b in self.burrows.values():
-            if passed.get(orbit[b.id]):
-                rep.add("socle", b.id, True)
-                continue
-            sr = socle_check(b.algebra, d - b.codim)
-            rep.add(
-                "socle",
-                b.id,
-                sr.ok,
-                "" if sr.ok else "; ".join(sr.problems),
-            )
+            structure = b.algebra.structure
+            key = (structure, d - b.codim)
+            if key not in socle:
+                sr = socle_check(b.algebra, d - b.codim)
+                socle[key] = sr.ok, "" if sr.ok else "; ".join(sr.problems)
+            rep.add("socle", b.id, *socle[key])
             # the generator checks below are exact on associative algebras
-            bad = b.algebra.check_associativity()
+            if structure not in associative:
+                associative[structure] = b.algebra.check_associativity()
+            bad = associative[structure]
             if bad:
-                associative = False
                 g, x, y = (b.algebra.label_of(i) for i in bad[0])
                 rep.add(
                     "associativity", b.id, False, f"({g}*{x})*{y} != {g}*({x}*{y})"
                 )
-            passed.setdefault(orbit[b.id], sr.ok and not bad)
 
         # elements with no known burrow fail here and are skipped below
         unplaced = set()
@@ -638,36 +699,22 @@ class BurrowDiagram:
                     "" if ok else f"defining set folds to {folded!r}",
                 )
 
-        # the ring-hom and projection-formula rows check generators only,
-        # which decides the full laws (and so is kept by the group) when
-        # every burrow algebra is associative
-        edge_moves = [
-            lambda e, s=gen.burrow: (s(e[0]), s(e[1])) for gen in group.generators
-        ]
-        orbit = orbit_labels(self.edges, edge_moves if associative else ())
-        passed = {}
-        ring_maps = True
-        misshapen = set()  # edges whose maps have the wrong endpoints
+        data, laws = self.edge_data(), {}
+        misshapen = set()  # edges whose data are not on their burrow algebras
         for (small, big), edge in sorted(self.edges.items()):
             nb, ns = self.burrows[big], self.burrows[small]
             c = ns.codim - nb.codim
             subject = f"{small}<{big}"
-            if edge.pullback.source is not nb.algebra or edge.pullback.target is not ns.algebra:
-                rep.add("edge-shape", subject, False, "pullback endpoints wrong")
+            datum = data[small, big]
+            if datum is None:
+                rep.add("edge-shape", subject, False, "maps or Chern classes not on its burrow algebras")
                 misshapen.add((small, big))
                 continue
+            if datum not in laws:
+                laws[datum] = _edge_laws(edge, ns.algebra)
+            surj_bad, hom, formula, shape, fundamental = laws[datum]
             shift_ok = edge.pushforward.shift == c
-            if passed.get(orbit[small, big]):
-                surj_bad, hom, formula = [], True, True
-            else:
-                surj = edge.pullback.surjective_degrees()
-                surj_bad = [k for k, ok in enumerate(surj) if not ok]
-                hom = edge.pullback.is_ring_hom()
-                formula = shift_ok and projection_formula_holds(
-                    edge.pullback, edge.pushforward
-                )
-                passed.setdefault(orbit[small, big], not surj_bad and hom and formula)
-            ring_maps = ring_maps and hom
+            degree_ok = edge.chern.deg == c
             rep.add(
                 "pullback-surjective",
                 subject,
@@ -683,30 +730,19 @@ class BurrowDiagram:
             )
             if shift_ok:
                 rep.add("projection-formula", subject, formula)
-            ok = edge.chern.deg == c
             rep.add(
                 "chern-degree",
                 subject,
-                ok,
-                "" if ok else f"chern degree {edge.chern.deg} != codim diff {c}",
+                degree_ok,
+                "" if degree_ok else f"chern degree {edge.chern.deg} != codim diff {c}",
             )
-            if ok and c >= 1:
-                shape_ok = True
-                detail = ""
-                for i in range(1, c + 1):
-                    ci = edge.chern.coefficient(i)
-                    if not ci.is_zero() and ci.degree() != i:
-                        shape_ok = False
-                        detail = f"coefficient {i} has degree {ci.degree()}"
-                        break
-                rep.add("chern-shape", subject, shape_ok, detail)
-                fc = edge.pushforward.apply(ns.algebra.unit())
-                ok = edge.chern.coefficient(c) == fc
+            if degree_ok:
+                rep.add("chern-shape", subject, not shape, shape)
                 rep.add(
                     "chern-fundamental-class",
                     subject,
-                    ok,
-                    "" if ok else "top coefficient differs from the class of the "
+                    fundamental,
+                    "" if fundamental else "top coefficient differs from the class of the "
                     "small burrow",
                 )
 
@@ -732,30 +768,32 @@ class BurrowDiagram:
         # functoriality: composite pullback along a chain equals the edge map.
         # Both sides are ring maps once the associativity and ring-hom
         # checks pass, so they agree everywhere when they agree on the unit
-        # and the generators; then the verdict is kept by the group and one
-        # edge per orbit decides it.  The first failing edge in this order
-        # is the first of its orbit, so the detail is the one a scan of
-        # every edge would give.  Edges failing edge-shape are left out,
-        # as direct maps and as links.
+        # and the generators.  The verdict of a chain reads the structure of
+        # the big algebra and the columns of the three maps, so it is
+        # decided once per distinct combination of them.  Edges failing
+        # edge-shape are left out, as direct maps and as links.
         ok = True
         detail = ""
         order = {b: i for i, b in enumerate(self.burrows)}
-        if not ring_maps:
-            orbit = {e: e for e in self.edges}
-        seen = set()
+        above = {b: set() for b in self.burrows}  # the burrows with an edge out of b
+        for small, big in self.edges:
+            above[small].add(big)
+        chains = {}
         for (small, big), edge in self.edges.items():
-            if orbit[small, big] in seen or (small, big) in misshapen:
+            if (small, big) in misshapen:
                 continue
-            seen.add(orbit[small, big])
             direct = edge.pullback
-            for mid in sorted(self._below[big], key=order.__getitem__):
-                if small not in self._below[mid] or misshapen & {(small, mid), (mid, big)}:
+            for mid in sorted(self._below[big] & above[small], key=order.__getitem__):
+                if (small, mid) in misshapen or (mid, big) in misshapen:
                     continue
-                link, upper = self.pullback(mid, small), self.pullback(big, mid)
-                if any(
-                    direct.apply_basis(g) != link.apply(upper.apply_basis(g))
-                    for g in (0, *direct.source.generators())
-                ):
+                link, upper = self.edges[small, mid].pullback, self.edges[mid, big].pullback
+                key = (direct.source.structure, id(direct.columns), id(link.columns), id(upper.columns))
+                if key not in chains:
+                    chains[key] = all(
+                        direct.apply_basis(g) == link.apply(upper.apply_basis(g))
+                        for g in (0, *direct.source.generators())
+                    )
+                if not chains[key]:
                     ok = False
                     detail = f"{big} -> {mid} -> {small}"
                     break
@@ -817,3 +855,26 @@ class BurrowDiagram:
                         f"{order[top]} and {other}"
                     )
         return ""
+
+
+def _edge_laws(edge: BurrowEdge, small: GradedAlgebra):
+    """The verdicts of the laws that read one edge's data alone: the
+    degrees where the pullback is not surjective, whether it is a ring map,
+    whether the projection formula holds, the chern-shape detail ('' when
+    every coefficient c_i lies in degree i) and whether the top coefficient
+    is the class of the small burrow.  ``validate`` reports the last three
+    only on edges whose shift and Chern degree match their codims."""
+    pull, push, chern = edge.pullback, edge.pushforward, edge.chern
+    surj_bad = [k for k, ok in enumerate(pull.surjective_degrees()) if not ok]
+    shape = ""
+    for i, ci in enumerate(chern.coeffs, start=1):
+        degrees = {ci.alg.degree_of(g) for g in ci.coeffs}
+        if degrees - {i}:
+            shape = (
+                f"coefficient {i} has degree {degrees.pop()}"
+                if len(degrees) == 1
+                else f"coefficient {i} is not homogeneous"
+            )
+            break
+    fundamental = chern.coefficient(chern.deg) == push.apply(small.unit())
+    return surj_bad, pull.is_ring_hom(), projection_formula_holds(pull, push), shape, fundamental

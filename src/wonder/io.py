@@ -2,17 +2,28 @@
 
 Three kinds of files share one dialect, distinguished by a ``kind`` field:
 
-* ``diagram``  - elements, burrows (degrees, basis_labels, mult), edges
-  (pullback / pushforward matrices, chern vectors; the edge set is the
-  containment order, from which meets are derived), intersections (singles:
-  the burrow of each element; a ``meets`` field, which older files carry,
-  is rejected), nests, socle_degree, and relations:
-  ``[element id, name, ambient class]`` entries in the model's order, each
-  saying that the element's exceptional class annihilates the class; and,
+* ``diagram``  - elements; two shared tables, ``structures`` (each
+  distinct ``{"degrees", "mult"}`` of the burrow algebras) and ``maps``
+  (each distinct ``{"pullback", "pushforward", "chern"}``: map entries
+  ``[degree, row, column, value]`` and the Chern classes c_1 .. c_c as
+  ``[basis index, value]`` pairs of the big burrow); burrows (id, codim,
+  defining_set, basis_labels and the index of their ``structure``); edges
+  ``[small, big, maps index]`` (the edge set is the containment order, from
+  which meets are derived; the pushforward shift is the codim difference);
+  intersections (singles: the burrow of each element; a ``meets`` field,
+  which older files carry, is rejected), nests, socle_degree, and
+  relations: ``[element id, name, ambient class]`` entries in the model's
+  order, classes by basis label, each saying that the element's
+  exceptional class annihilates the class; and,
   written only when the diagram declares one, symmetry: a list of
   generators, each ``{"elements": {id: image}, "burrows": {id: image},
   "bases": {burrow id: [image index, ...]}}`` with fixed ids and kept
-  basis orders left out.  The loader rejects (``InputError``) a generator
+  basis orders left out.  A table index that is not an integer in range
+  (a bool, a negative number, one past the end) is rejected naming its
+  burrow or edge, and so is a ``maps`` entry that does not fit the
+  algebras of an edge that reads it.  Files without the two tables, which
+  kept an algebra on every burrow and maps on every edge, are an older
+  format and are rejected.  The loader rejects (``InputError``) a generator
   that is not of that shape, names an unknown id, does not map ids
   bijectively, or lists a basis map that is not a permutation of the
   burrow's indices.  Whether it is an automorphism is for
@@ -24,14 +35,17 @@ Three kinds of files share one dialect, distinguished by a ``kind`` field:
 * ``oracle``   - a base ring plus a scripted sequence of construction steps.
 
 Rational entries are written as ``"p/q"`` strings (``"p"`` when integral).
-Dumps are canonical: load -> dump -> load is the identity.
+Dumps are canonical: each table lists each distinct entry once, in order of
+first use, and load -> dump -> load is the identity.  The loader builds one
+``Structure`` per ``structures`` entry and checks each ``maps`` entry once
+per pair of structures that reads it; every burrow and edge shares them.
 """
 
 from __future__ import annotations
 
 import json
 
-from wonder.algebra import Element, GradedAlgebra, GradedMap
+from wonder.algebra import Element, GradedAlgebra, GradedMap, Structure
 from wonder.diagram import (
     NESTED_OR_DISJOINT,
     BuildingElement,
@@ -167,6 +181,21 @@ def load_ring(text: str):
 # -- diagram files ------------------------------------------------------------
 
 
+def _interned(table: list, index: dict, entry) -> int:
+    """Position of the entry in the table, appended when no equal entry is
+    there yet."""
+    key = repr(entry)
+    if key not in index:
+        index[key] = len(table)
+        table.append(entry)
+    return index[key]
+
+
+def _class_payload(elem: Element) -> list:
+    """A class as ``[basis index, value]`` pairs, sorted by index."""
+    return [[g, format_rat(q)] for g, q in sorted(elem.coeffs.items())]
+
+
 def diagram_payload(diagram: BurrowDiagram) -> dict:
     elements = []
     for e in sorted(diagram.elements.values(), key=lambda e: e.id):
@@ -174,24 +203,37 @@ def diagram_payload(diagram: BurrowDiagram) -> dict:
         if e.index_set is not None:
             entry["index_set"] = sorted(e.index_set)
         elements.append(entry)
+    # each distinct entry once, in order of first use; objects shared in
+    # memory are written once, and equal ones from different objects meet
+    # in the table
+    structures, structure_index, structure_of = [], {}, {}
     burrows = []
     for b in sorted(diagram.burrows.values(), key=lambda b: b.id):
-        entry = b.algebra.to_payload()
-        entry["id"] = b.id
-        entry["codim"] = b.codim
-        entry["defining_set"] = sorted(b.defining_set)
-        burrows.append(entry)
-    edges = []
-    for (small, big), e in sorted(diagram.edges.items()):
-        edges.append(
+        s = b.algebra.structure
+        if s not in structure_of:
+            structure_of[s] = _interned(structures, structure_index, s.to_payload())
+        burrows.append(
             {
-                "small": small,
-                "big": big,
-                "pullback": _map_payload(e.pullback),
-                "pushforward": _map_payload(e.pushforward),
-                "chern": [_element_payload(c) for c in e.chern.coeffs],
+                "id": b.id,
+                "codim": b.codim,
+                "defining_set": sorted(b.defining_set),
+                "basis_labels": [list(ls) for ls in b.algebra.labels],
+                "structure": structure_of[s],
             }
         )
+    maps, map_index, map_of = [], {}, {}
+    data = diagram.edge_data()
+    edges = []
+    for (small, big), e in sorted(diagram.edges.items()):
+        shared = data[small, big]
+        if shared not in map_of:
+            datum = {
+                "pullback": _map_payload(e.pullback),
+                "pushforward": _map_payload(e.pushforward),
+                "chern": [_class_payload(c) for c in e.chern.coeffs],
+            }
+            map_of[shared] = _interned(maps, map_index, datum)
+        edges.append([small, big, map_of[shared]])
     if diagram.nest_rule == NESTED_OR_DISJOINT:
         nests = NESTED_OR_DISJOINT
     else:
@@ -200,7 +242,9 @@ def diagram_payload(diagram: BurrowDiagram) -> dict:
         "kind": "diagram",
         "socle_degree": diagram.socle_degree,
         "elements": elements,
+        "structures": structures,
         "burrows": burrows,
+        "maps": maps,
         "edges": edges,
         "intersections": {"singles": dict(sorted(diagram.singles.items()))},
         "nests": nests,
@@ -260,23 +304,54 @@ def _relations_from(alg: GradedAlgebra, entries) -> list:
     return out
 
 
-def _edge_from(entry, nodes) -> BurrowEdge:
-    """One edge of a diagram file; the shift of its pushforward is the
-    difference of the loaded codims. Each malformed part names the edge."""
-    small, big = entry["small"], entry["big"]
+def _ref(value, size: int, what: str) -> int:
+    """An index into a table of ``size`` entries; a bool, a negative number,
+    one past the end or anything else raises InputError naming the field."""
+    if type(value) is not int or not 0 <= value < size:
+        raise InputError(f"{what} {value!r} is not an index of its table (0..{size - 1})")
+    return value
+
+
+def _class_from(alg: GradedAlgebra, payload, where: str) -> Element:
+    """A class written as ``[basis index, value]`` pairs."""
+    if not isinstance(payload, list) or not all(
+        isinstance(p, list) and len(p) == 2 for p in payload
+    ):
+        raise InputError(f"{where} class {payload!r} is not a list of [basis index, value]")
+    coeffs = {}
+    for g, q in payload:
+        if type(g) is not int or not 0 <= g < alg.total_dim or g in coeffs:
+            raise InputError(f"{where} basis index {g!r} is out of range or repeated")
+        coeffs[g] = parse_rat(q, "class coefficient")
+    return Element(alg, coeffs)
+
+
+def _edge_from(entry, nodes, maps, made) -> BurrowEdge:
+    """One edge of a diagram file, ``[small, big, maps index]``.  Its datum
+    is read and checked once per (``maps`` entry, structures of the two
+    burrows, codim difference), the shift of the pushforward; every other
+    edge with the same key shares it.  Each malformed part names the first
+    edge that reads it."""
+    if not (isinstance(entry, list) and len(entry) == 3):
+        raise InputError(f"edge {entry!r} is not [small, big, maps]")
+    small, big, ref = entry
     where = f"edge {small}<{big}"
     for bid in (small, big):
         if not (isinstance(bid, str) and bid in nodes):
             raise InputError(f"{where} names an unknown burrow {bid!r}")
     ns, nb = nodes[small], nodes[big]
-    pull = _map_from(nb.algebra, ns.algebra, 0, entry["pullback"], f"{where} pullback")
-    push = _map_from(
-        ns.algebra, nb.algebra, ns.codim - nb.codim, entry["pushforward"], f"{where} pushforward"
-    )
-    if not isinstance(entry["chern"], list):
-        raise InputError(f"{where} chern is not a list of classes")
-    chern = tuple(_element_from(nb.algebra, c) for c in entry["chern"])
-    return BurrowEdge(small, big, pull, push, ChernPolynomial(len(chern), chern))
+    ref = _ref(ref, len(maps), f"{where} maps")
+    shift = ns.codim - nb.codim
+    key = (ref, nb.algebra.structure, ns.algebra.structure, shift)
+    if key not in made:
+        datum = maps[ref]
+        pull = _map_from(nb.algebra, ns.algebra, 0, datum["pullback"], f"{where} pullback")
+        push = _map_from(ns.algebra, nb.algebra, shift, datum["pushforward"], f"{where} pushforward")
+        if not isinstance(datum["chern"], list):
+            raise InputError(f"{where} chern is not a list of classes")
+        chern = tuple(_class_from(nb.algebra, c, f"{where} chern") for c in datum["chern"])
+        made[key] = BurrowEdge(small, big, pull, push, ChernPolynomial(len(chern), chern))
+    return made[key].rebased(small, big, ns.algebra, nb.algebra)
 
 
 def diagram_from_payload(payload: dict) -> BurrowDiagram:
@@ -284,6 +359,12 @@ def diagram_from_payload(payload: dict) -> BurrowDiagram:
         raise InputError(
             f"expected a diagram file, got kind={payload.get('kind')!r}"
         )
+    for table in ("structures", "maps"):
+        if table not in payload:
+            raise InputError(
+                f"diagram file has no {table} table; files that keep an algebra on "
+                "each burrow and maps on each edge are an older format, not read"
+            )
     try:
         elements = [
             BuildingElement(
@@ -295,17 +376,25 @@ def diagram_from_payload(payload: dict) -> BurrowDiagram:
             )
             for e in _objects(payload["elements"], "elements")
         ]
+        structures = [Structure.from_payload(s) for s in _objects(payload["structures"], "structures")]
         burrows = [
             BurrowNode(
                 _str_field(b["id"], "burrow id"),
                 frozenset(_str_list(b["defining_set"], f"burrow {b['id']} defining_set")),
                 _int_field(b["codim"], f"burrow {b['id']} codim"),
-                GradedAlgebra.from_payload(b),
+                GradedAlgebra.on(
+                    structures[_ref(b["structure"], len(structures), f"burrow {b['id']} structure")],
+                    b["basis_labels"],
+                ),
             )
             for b in _objects(payload["burrows"], "burrows")
         ]
         nodes = {b.id: b for b in burrows}
-        edges = [_edge_from(e, nodes) for e in _objects(payload["edges"], "edges")]
+        maps, made = _objects(payload["maps"], "maps"), {}
+        edges = payload["edges"]
+        if not isinstance(edges, list):
+            raise InputError(f"edges {edges!r} is not a list of [small, big, maps]")
+        edges = [_edge_from(e, nodes, maps, made) for e in edges]
         inter = payload["intersections"]
         if not isinstance(inter, dict):
             raise InputError(f"intersections {inter!r} is not an object")

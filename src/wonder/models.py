@@ -7,8 +7,9 @@ frozen blocks, closed under joins with one building element at a time;
 algebras, restriction maps, adjoint pushforwards and Chern data all derive
 from the configuration combinatorics.  An inclusion's maps and Chern data
 depend only on the shapes of the two burrow algebras and on where the
-blocks go, so a build computes them once per such edge shape and gives
-every edge its own maps, through the ``GradedMap`` constructor.
+blocks go, so a build computes them once per such edge shape and every
+edge of that shape shares them (``BurrowEdge.rebased``); burrow algebras
+of one shape likewise share one ``Structure``.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from wonder.algebra import (
     adjoint_pushforward,
     algebra_from_products,
     socle_check,
-    tensor_algebra,
 )
 from wonder.diagram import (
     NESTED_OR_DISJOINT,
@@ -44,12 +44,25 @@ MARKERS = ("0", "1", "inf")
 # -- truncated power algebras (products of projective lines / planes) ---------
 
 
+def _on_structure(structures, shape, dims, labels, products) -> GradedAlgebra:
+    """The algebra with these labels on the structure of its shape: taken
+    from ``structures`` (shape -> structure, or None) when it holds the
+    shape, else built from ``products`` and kept there."""
+    if structures is not None and shape in structures:
+        return GradedAlgebra.on(structures[shape], labels)
+    alg = algebra_from_products(dims, labels, products)
+    if structures is not None:
+        structures[shape] = alg.structure
+    return alg
+
+
 class _PowerAlg:
     """Algebra of a product of projective spaces, one factor per block
     token, with generator labels h<token>.  Its structure constants depend
-    on its shape (r, number of tokens) only."""
+    on its shape (r, number of tokens) only, so it takes its ``Structure``
+    from ``structures`` (shape -> structure) when that holds its shape."""
 
-    def __init__(self, tokens, r):
+    def __init__(self, tokens, r, structures=None):
         self.tokens = tuple(tokens)
         self.r = r
         self.shape = (r, len(self.tokens))
@@ -72,7 +85,7 @@ class _PowerAlg:
                 return {}
             return {self.index[s]: ONE}
 
-        self.alg = algebra_from_products(dims, labels, products)
+        self.alg = _on_structure(structures, self.shape, dims, labels, products)
 
     def _label(self, e):
         parts = []
@@ -133,10 +146,11 @@ class _CurveAlg:
     the cross class of the other two blocks.  Basis classes and products
     are computed on token positions, so the structure constants depend on
     the shape (genus, basis over positions) only; tokens enter the labels,
-    and so the basis order, and nothing else.
+    and so the basis order, and nothing else.  It takes its ``Structure``
+    from ``structures`` (shape -> structure) when that holds its shape.
     """
 
-    def __init__(self, tokens, genus):
+    def __init__(self, tokens, genus, structures=None):
         self.tokens = tuple(tokens)
         self.genus = genus
         self.pos = {t: p for p, t in enumerate(self.tokens)}
@@ -166,7 +180,7 @@ class _CurveAlg:
                 return {}
             return {self.index[key]: coeff}
 
-        self.alg = algebra_from_products(dims, labels, products)
+        self.alg = _on_structure(structures, self.shape, dims, labels, products)
 
     def _label(self, b):
         pts, match = b
@@ -286,7 +300,14 @@ def _cfg_with(cfg, idxs, mk):
     ``idxs`` and, unless ``mk`` is None, freezes them at marker ``mk``: the
     blocks meeting ``idxs`` merge with it, None when the merged block would
     carry two markers; otherwise the other block frozen at its marker, if
-    any, merges too."""
+    any, merges too.  ``cfg`` itself when the join leaves it as it is: all
+    of ``idxs`` lie in one block, and that block carries ``mk`` or ``mk``
+    is None (no two blocks of a configuration carry one marker)."""
+    for blk, m in cfg:
+        if idxs[0] in blk:
+            if (mk is None or m == mk) and blk.issuperset(idxs):
+                return cfg
+            break
     merged, rest = set(idxs), []
     for blk, m in cfg:
         if blk.isdisjoint(idxs):
@@ -358,10 +379,10 @@ class _ProductModel:
 
     # -- burrow algebras ------------------------------------------------------
 
-    def _make_burrow(self, tokens):
+    def _make_burrow(self, tokens, structures):
         if self.fiber == "curve":
-            return _CurveAlg(tokens, self.genus)
-        return _PowerAlg(tokens, FIBERS[self.fiber])
+            return _CurveAlg(tokens, self.genus, structures)
+        return _PowerAlg(tokens, FIBERS[self.fiber], structures)
 
     def _tangent_factor(self, wrap, token) -> Element:
         """Total tangent class of one fiber factor, in the burrow algebra."""
@@ -410,7 +431,7 @@ class _ProductModel:
         for a in cfgs:  # the list grows while it is walked
             for k, (idxs, mk) in enumerate(loci):
                 j = _cfg_with(a, idxs, mk)
-                if j == a:
+                if j is a:
                     defining[a] |= 1 << k
                 elif j is not None and j not in defining:
                     defining[j] = 0
@@ -420,10 +441,10 @@ class _ProductModel:
         by_id = {bid: c for c, bid in cid.items()}
         mask = {cid[c]: m for c, m in defining.items()}
         layouts = {bid: _Layout(cfg) for bid, cfg in by_id.items()}
-        wraps = {bid: self._make_burrow(layouts[bid].tokens) for bid in by_id}
-
-        # burrow algebras of one shape have the same structure constants, so
-        # one socle check and one pairing serve them all
+        # burrow algebras of one shape share one structure, so one socle
+        # check and one pairing serve them all
+        structures = {}
+        wraps = {bid: self._make_burrow(layouts[bid].tokens, structures) for bid in by_id}
         pairings = {}
         for bid, w in wraps.items():
             if w.shape not in pairings:
@@ -445,7 +466,8 @@ class _ProductModel:
         # a burrow lies inside another exactly when its defining set holds
         # the other's; an inclusion's maps and Chern data depend only on the
         # two algebra shapes and the two token-position images, so they are
-        # computed once per such edge shape, for this build only
+        # computed once per such edge shape, for this build only, and every
+        # edge of that shape shares them
         holders = [  # per element, the positions in ids of the burrows inside it
             {p for p, bid in enumerate(ids) if mask[bid] >> k & 1} for k in range(len(loci))
         ]
@@ -464,12 +486,8 @@ class _ProductModel:
                 section = tuple(lb.slot[i] for i in ls.leads)
                 key = (wb.shape, ws.shape, image, section)
                 if key not in edge_data:
-                    edge_data[key] = self._edge_data(wb, ws, image, section, pairings)
-                pull_cols, push_cols, c, coeffs = edge_data[key]
-                pull = GradedMap(wb.alg, ws.alg, 0, pull_cols)
-                push = GradedMap(ws.alg, wb.alg, c, push_cols)
-                chern = ChernPolynomial(c, tuple(wb.alg.element(d) for d in coeffs))
-                edges.append(BurrowEdge(small, big, pull, push, chern))
+                    edge_data[key] = self._edge(small, big, wb, ws, image, section, pairings)
+                edges.append(edge_data[key].rebased(small, big, ws.alg, wb.alg))
         relations = self._relations(wraps[cid[discrete]], elements)
         return BurrowDiagram(
             socle_degree=self.fiber_dim * n,
@@ -529,9 +547,9 @@ class _ProductModel:
             gens.append(Permutation(elements, burrows, bases))
         return gens
 
-    def _edge_data(self, wb, ws, image, section, pairings):
-        """Columns of the pullback and the pushforward, the codimension and
-        the Chern coefficients (as coefficient dicts) of one inclusion."""
+    def _edge(self, small, big, wb, ws, image, section, pairings) -> BurrowEdge:
+        """The inclusion of burrow small in burrow big: pullback,
+        pushforward and Chern data."""
         pull = wb.map_to(ws, image)
         push = adjoint_pushforward(pull, pairings[ws.shape], pairings[wb.shape])
         c = push.shift
@@ -547,7 +565,7 @@ class _ProductModel:
         lift = ws.map_to(wb, section)
         coeffs = [lift.apply(total.homogeneous_part(i)) for i in range(1, c)]
         coeffs.append(push.apply(ws.alg.unit()))
-        return pull.columns, push.columns, c, [x.coeffs for x in coeffs]
+        return BurrowEdge(small, big, pull, push, ChernPolynomial(c, tuple(coeffs)))
 
     def _relations(self, ambient_wrap, elements):
         """Generators of the ideal that each exceptional class annihilates,
@@ -614,52 +632,7 @@ def keel_model(n: int) -> BurrowDiagram:
     return _ProductModel(n, "p1", markers=MARKERS).build()
 
 
-# -- simple diagrams and corruption helpers -----------------------------------
-
-
-def single_center_diagram(
-    y: GradedAlgebra,
-    z: GradedAlgebra,
-    pullback: GradedMap,
-    pushforward: GradedMap,
-    chern,
-    *,
-    socle_degree: int,
-    element_id: str = "Z",
-) -> BurrowDiagram:
-    """Diagram with a single building element; useful for synthetic duality
-    experiments and as the smallest validation fixture."""
-    codim = pushforward.shift
-    zb = f"B{element_id}"
-    element = BuildingElement(element_id, codim)
-    burrows = [
-        BurrowNode("Y", frozenset(), 0, y),
-        BurrowNode(zb, frozenset((element_id,)), codim, z),
-    ]
-    edge = BurrowEdge(zb, "Y", pullback, pushforward, ChernPolynomial(codim, tuple(chern)))
-    return BurrowDiagram(
-        socle_degree=socle_degree,
-        elements=[element],
-        burrows=burrows,
-        edges=[edge],
-        singles={element_id: zb},
-        nests=[[element_id]],
-    )
-
-
-def point_blowup_p2_diagram() -> BurrowDiagram:
-    """The plane with one point center; the classical first fixture."""
-    plane = _PowerAlg(["0"], 2)
-    pt = GradedAlgebra([1], [["1"]], [])
-    images = [pt.unit()] + [pt.zero()] * (plane.alg.total_dim - 1)
-    pull = GradedMap.from_images(plane.alg, pt, 0, images)
-    sp_pt = socle_check(pt, 0).pairing
-    sp_pl = socle_check(plane.alg, 2).pairing
-    push = adjoint_pushforward(pull, sp_pt, sp_pl)
-    chern = [plane.alg.zero(), push.apply(pt.unit())]
-    return single_center_diagram(
-        plane.alg, pt, pull, push, chern, socle_degree=2, element_id="P"
-    )
+# -- dead-class extensions ---------------------------------------------------
 
 
 def trivial_extension(alg: GradedAlgebra, degree: int, label: str = "dead"):
@@ -685,83 +658,6 @@ def trivial_extension(alg: GradedAlgebra, degree: int, label: str = "dead"):
                 if gi != 0 and gj != 0:
                     entries.append((remap[gi], remap[gj], remap[gk], q))
     return GradedAlgebra(dims, labels, entries), remap, dead
-
-
-def _remap_element(elem: Element, new_alg: GradedAlgebra, remap) -> Element:
-    return new_alg.element({remap[g]: q for g, q in elem.coeffs.items()})
-
-
-def corrupt_burrow(
-    diagram: BurrowDiagram, burrow_id: str, degree: int, label: str = "dead"
-) -> BurrowDiagram:
-    """Insert a square-zero dead class into one burrow and, to keep all
-    restriction maps surjective, into every burrow containing it; the dead
-    classes map onto each other down the containment chains and to zero
-    elsewhere.  The result validates but fails duality at the chosen degree.
-    """
-    target = diagram.burrows[burrow_id]
-    if degree <= 0 or degree >= diagram.socle_degree - target.codim:
-        raise InputError("degree must be strictly inside the burrow's range")
-    affected = {
-        b.id for b in diagram.burrows.values() if diagram.burrow_contains(b.id, burrow_id)
-    }
-    new_algs = {}
-    remaps = {}
-    deads = {}
-    for b in diagram.burrows.values():
-        if b.id in affected:
-            alg, remap, dead = trivial_extension(b.algebra, degree, label)
-            new_algs[b.id], remaps[b.id], deads[b.id] = alg, remap, dead
-        else:
-            new_algs[b.id] = b.algebra
-            remaps[b.id] = {g: g for g in range(b.algebra.total_dim)}
-
-    def rebuild_map(old: GradedMap, src_id: str, dst_id: str, dead_to_dead: bool):
-        src, dst = new_algs[src_id], new_algs[dst_id]
-        src_old = diagram.burrows[src_id].algebra
-        images = [dst.zero()] * src.total_dim
-        for g in range(src_old.total_dim):
-            images[remaps[src_id][g]] = _remap_element(
-                old.apply_basis(g), dst, remaps[dst_id]
-            )
-        if src_id in deads:
-            if dead_to_dead and dst_id in deads:
-                images[deads[src_id]] = dst.basis_element(deads[dst_id])
-            else:
-                images[deads[src_id]] = dst.zero()
-        return GradedMap.from_images(src, dst, old.shift, images)
-
-    burrows = [
-        BurrowNode(b.id, b.defining_set, b.codim, new_algs[b.id])
-        for b in diagram.burrows.values()
-    ]
-    edges = []
-    for (small, big), e in diagram.edges.items():
-        pull = rebuild_map(e.pullback, big, small, dead_to_dead=True)
-        push = rebuild_map(e.pushforward, small, big, dead_to_dead=False)
-        coeffs = tuple(
-            _remap_element(c, new_algs[big], remaps[big]) for c in e.chern.coeffs
-        )
-        edges.append(BurrowEdge(small, big, pull, push, ChernPolynomial(e.chern.deg, coeffs)))
-    amb = diagram.ambient_id
-    relations = [
-        (x, name, _remap_element(cls, new_algs[amb], remaps[amb]))
-        for x, name, cls in diagram.relations
-    ]
-    nests = (
-        NESTED_OR_DISJOINT
-        if diagram.nest_rule == NESTED_OR_DISJOINT
-        else [sorted(s) for s in diagram.explicit_nests]
-    )
-    return BurrowDiagram(
-        socle_degree=diagram.socle_degree,
-        elements=list(diagram.elements.values()),
-        burrows=burrows,
-        edges=edges,
-        singles=dict(diagram.singles),
-        nests=nests,
-        relations=relations,
-    )
 
 
 # -- synthetic Gorenstein algebras via apolarity -------------------------------
@@ -930,135 +826,3 @@ def synthetic_broken(dim_vector, k: int, seed: int) -> GradedAlgebra:
     if k != d - k:
         out, _, _ = trivial_extension(out, d - k, "dead2")
     return out
-
-
-_SHAPES = [
-    (1, 1, 1),
-    (1, 2, 1),
-    (1, 1, 1, 1),
-    (1, 2, 2, 1),
-    (1, 3, 3, 1),
-]
-
-
-def random_gorenstein(seed: int) -> GradedAlgebra:
-    rnd = random.Random(f"shape:{seed}")
-    return synthetic_gorenstein(rnd.choice(_SHAPES), seed)
-
-
-def random_blowup_input(seed: int, *, broken: str | None = None):
-    """A consistent (ambient, center, pullback, pushforward, chern) tuple
-    with both sides perfect (broken=None) or a dead class inserted into the
-    ambient ("ambient"), the center ("center"), or both ("both").
-
-    Returns a dict with keys y, z, pullback, pushforward, chern, socle.
-    """
-    rnd = random.Random(f"blowup:{seed}:{broken}")
-    z0 = random_gorenstein(seed)
-    c = rnd.choice([2, 3])
-    taxis = _PowerAlg(["t"], c)
-    break_amb = broken in ("ambient", "both")
-    break_ctr = broken in ("center", "both")
-    if break_ctr and z0.top_degree < 2:
-        z0 = synthetic_gorenstein((1, 2, 2, 1), seed + 7)
-    y0, pair_index = tensor_algebra(z0, taxis.alg)
-    socle = z0.top_degree + c
-
-    kz = None
-    if break_ctr:
-        kz = rnd.randint(1, z0.top_degree - 1)
-        z, z_remap, z_dead = trivial_extension(z0, kz, "deadz")
-    else:
-        z, z_remap, z_dead = z0, {g: g for g in range(z0.total_dim)}, None
-
-    # the ambient must surject onto the center, so a center dead class
-    # forces a matching ambient one
-    y = y0
-    y_remap = {g: g for g in range(y0.total_dim)}
-    y_deads = []
-    if break_ctr:
-        y, y_remap, ydead = trivial_extension(y0, kz, "deady0")
-        y_deads.append((ydead, "to_center"))
-    if break_amb:
-        ka = rnd.randint(1, socle - 1)
-        prev_total = y.total_dim
-        y2, r2, ydead2 = trivial_extension(y, ka, "deady1")
-        y_remap = {g: r2[y_remap[g]] for g in y_remap}
-        y_deads = [(r2[dd], tag) for dd, tag in y_deads]
-        y_deads.append((ydead2, "zero"))
-        y = y2
-
-    # pullback: kill the fiber variable, remap the center part
-    rev = {g: key for key, g in pair_index.items()}
-    images = [z.zero()] * y.total_dim
-    for g0 in range(y0.total_dim):
-        gz, gt = rev[g0]
-        if gt == 0:
-            images[y_remap[g0]] = z.basis_element(z_remap[gz])
-        else:
-            images[y_remap[g0]] = z.zero()
-    for dd, tag in y_deads:
-        images[dd] = z.basis_element(z_dead) if tag == "to_center" else z.zero()
-    pull = GradedMap.from_images(y, z, 0, images)
-
-    # pushforward: adjoint on the perfect core, dead classes to zero
-    sp_z0 = socle_check(z0, z0.top_degree).pairing
-    sp_y0 = socle_check(y0, y0.top_degree).pairing
-    pull0 = GradedMap.from_images(
-        y0,
-        z0,
-        0,
-        [
-            z0.basis_element(rev[g0][0]) if rev[g0][1] == 0 else z0.zero()
-            for g0 in range(y0.total_dim)
-        ],
-    )
-    push0 = adjoint_pushforward(pull0, sp_z0, sp_y0)
-    push_images = [y.zero()] * z.total_dim
-    for gz in range(z0.total_dim):
-        push_images[z_remap[gz]] = _remap_element(push0.apply_basis(gz), y, y_remap)
-    if z_dead is not None:
-        push_images[z_dead] = y.zero()
-    push = GradedMap.from_images(z, y, c, push_images)
-
-    chern = []
-    for i in range(1, c):
-        coeffs = {}
-        for g in y.global_indices(i):
-            q = rnd.randint(-2, 2)
-            if q:
-                coeffs[g] = q
-        chern.append(y.element(coeffs))
-    chern.append(push.apply(z.unit()))
-    return {
-        "y": y,
-        "z": z,
-        "pullback": pull,
-        "pushforward": push,
-        "chern": chern,
-        "socle": socle,
-    }
-
-
-def random_bundle_input(seed: int, *, broken: bool = False):
-    """A base algebra with Chern classes of a random bundle; returns a dict
-    with keys z, rank, chern, socle."""
-    rnd = random.Random(f"bundle:{seed}:{broken}")
-    if broken:
-        shapes = [(1, 2, 1), (1, 2, 2, 1), (1, 3, 3, 1)]
-        dims = rnd.choice(shapes)
-        k = rnd.choice([i for i in range(1, len(dims) - 1)])
-        z = synthetic_broken(dims, k, seed)
-    else:
-        z = random_gorenstein(seed)
-    r = rnd.choice([2, 3])
-    chern = []
-    for i in range(1, r + 1):
-        coeffs = {}
-        if i <= z.top_degree:
-            for g in z.global_indices(i):
-                q = rnd.randint(-2, 2)
-                if q:
-                    coeffs[g] = q
-        chern.append(z.element(coeffs))
-    return {"z": z, "rank": r, "chern": chern, "socle": z.top_degree}

@@ -1,0 +1,312 @@
+"""Constructors that only the tests use: single-center diagrams, the plane
+with one point center, a burrow corrupted by a dead class, seeded random
+blow-up and bundle inputs, and helpers that edit one burrow's or one edge's
+data in a diagram file payload.  Import them as ``from builders import
+...``; pytest puts this directory on the import path."""
+
+import copy
+import random
+
+from wonder.algebra import (
+    Element,
+    GradedAlgebra,
+    GradedMap,
+    adjoint_pushforward,
+    socle_check,
+    tensor_algebra,
+)
+from wonder.diagram import (
+    NESTED_OR_DISJOINT,
+    BuildingElement,
+    BurrowDiagram,
+    BurrowEdge,
+    BurrowNode,
+    ChernPolynomial,
+)
+from wonder.errors import InputError
+from wonder.models import (
+    _PowerAlg,
+    synthetic_broken,
+    synthetic_gorenstein,
+    trivial_extension,
+)
+
+
+def single_center_diagram(
+    y: GradedAlgebra,
+    z: GradedAlgebra,
+    pullback: GradedMap,
+    pushforward: GradedMap,
+    chern,
+    *,
+    socle_degree: int,
+    element_id: str = "Z",
+) -> BurrowDiagram:
+    """Diagram with a single building element; useful for synthetic duality
+    experiments and as the smallest validation fixture."""
+    codim = pushforward.shift
+    zb = f"B{element_id}"
+    element = BuildingElement(element_id, codim)
+    burrows = [
+        BurrowNode("Y", frozenset(), 0, y),
+        BurrowNode(zb, frozenset((element_id,)), codim, z),
+    ]
+    edge = BurrowEdge(zb, "Y", pullback, pushforward, ChernPolynomial(codim, tuple(chern)))
+    return BurrowDiagram(
+        socle_degree=socle_degree,
+        elements=[element],
+        burrows=burrows,
+        edges=[edge],
+        singles={element_id: zb},
+        nests=[[element_id]],
+    )
+
+
+def point_blowup_p2_diagram() -> BurrowDiagram:
+    """The plane with one point center; the classical first fixture."""
+    plane = _PowerAlg(["0"], 2)
+    pt = GradedAlgebra([1], [["1"]], [])
+    images = [pt.unit()] + [pt.zero()] * (plane.alg.total_dim - 1)
+    pull = GradedMap.from_images(plane.alg, pt, 0, images)
+    sp_pt = socle_check(pt, 0).pairing
+    sp_pl = socle_check(plane.alg, 2).pairing
+    push = adjoint_pushforward(pull, sp_pt, sp_pl)
+    chern = [plane.alg.zero(), push.apply(pt.unit())]
+    return single_center_diagram(
+        plane.alg, pt, pull, push, chern, socle_degree=2, element_id="P"
+    )
+
+
+def _remap_element(elem: Element, new_alg: GradedAlgebra, remap) -> Element:
+    return new_alg.element({remap[g]: q for g, q in elem.coeffs.items()})
+
+
+def corrupt_burrow(
+    diagram: BurrowDiagram, burrow_id: str, degree: int, label: str = "dead"
+) -> BurrowDiagram:
+    """Insert a square-zero dead class into one burrow and, to keep all
+    restriction maps surjective, into every burrow containing it; the dead
+    classes map onto each other down the containment chains and to zero
+    elsewhere.  The result validates but fails duality at the chosen degree.
+    """
+    target = diagram.burrows[burrow_id]
+    if degree <= 0 or degree >= diagram.socle_degree - target.codim:
+        raise InputError("degree must be strictly inside the burrow's range")
+    affected = {
+        b.id for b in diagram.burrows.values() if diagram.burrow_contains(b.id, burrow_id)
+    }
+    new_algs = {}
+    remaps = {}
+    deads = {}
+    for b in diagram.burrows.values():
+        if b.id in affected:
+            alg, remap, dead = trivial_extension(b.algebra, degree, label)
+            new_algs[b.id], remaps[b.id], deads[b.id] = alg, remap, dead
+        else:
+            new_algs[b.id] = b.algebra
+            remaps[b.id] = {g: g for g in range(b.algebra.total_dim)}
+
+    def rebuild_map(old: GradedMap, src_id: str, dst_id: str, dead_to_dead: bool):
+        src, dst = new_algs[src_id], new_algs[dst_id]
+        src_old = diagram.burrows[src_id].algebra
+        images = [dst.zero()] * src.total_dim
+        for g in range(src_old.total_dim):
+            images[remaps[src_id][g]] = _remap_element(
+                old.apply_basis(g), dst, remaps[dst_id]
+            )
+        if src_id in deads:
+            if dead_to_dead and dst_id in deads:
+                images[deads[src_id]] = dst.basis_element(deads[dst_id])
+            else:
+                images[deads[src_id]] = dst.zero()
+        return GradedMap.from_images(src, dst, old.shift, images)
+
+    burrows = [
+        BurrowNode(b.id, b.defining_set, b.codim, new_algs[b.id])
+        for b in diagram.burrows.values()
+    ]
+    edges = []
+    for (small, big), e in diagram.edges.items():
+        pull = rebuild_map(e.pullback, big, small, dead_to_dead=True)
+        push = rebuild_map(e.pushforward, small, big, dead_to_dead=False)
+        coeffs = tuple(
+            _remap_element(c, new_algs[big], remaps[big]) for c in e.chern.coeffs
+        )
+        edges.append(BurrowEdge(small, big, pull, push, ChernPolynomial(e.chern.deg, coeffs)))
+    amb = diagram.ambient_id
+    relations = [
+        (x, name, _remap_element(cls, new_algs[amb], remaps[amb]))
+        for x, name, cls in diagram.relations
+    ]
+    nests = (
+        NESTED_OR_DISJOINT
+        if diagram.nest_rule == NESTED_OR_DISJOINT
+        else [sorted(s) for s in diagram.explicit_nests]
+    )
+    return BurrowDiagram(
+        socle_degree=diagram.socle_degree,
+        elements=list(diagram.elements.values()),
+        burrows=burrows,
+        edges=edges,
+        singles=dict(diagram.singles),
+        nests=nests,
+        relations=relations,
+    )
+
+
+_SHAPES = [
+    (1, 1, 1),
+    (1, 2, 1),
+    (1, 1, 1, 1),
+    (1, 2, 2, 1),
+    (1, 3, 3, 1),
+]
+
+
+def random_gorenstein(seed: int) -> GradedAlgebra:
+    rnd = random.Random(f"shape:{seed}")
+    return synthetic_gorenstein(rnd.choice(_SHAPES), seed)
+
+
+def random_blowup_input(seed: int, *, broken: str | None = None):
+    """A consistent (ambient, center, pullback, pushforward, chern) tuple
+    with both sides perfect (broken=None) or a dead class inserted into the
+    ambient ("ambient"), the center ("center"), or both ("both").
+
+    Returns a dict with keys y, z, pullback, pushforward, chern, socle.
+    """
+    rnd = random.Random(f"blowup:{seed}:{broken}")
+    z0 = random_gorenstein(seed)
+    c = rnd.choice([2, 3])
+    taxis = _PowerAlg(["t"], c)
+    break_amb = broken in ("ambient", "both")
+    break_ctr = broken in ("center", "both")
+    if break_ctr and z0.top_degree < 2:
+        z0 = synthetic_gorenstein((1, 2, 2, 1), seed + 7)
+    y0, pair_index = tensor_algebra(z0, taxis.alg)
+    socle = z0.top_degree + c
+
+    kz = None
+    if break_ctr:
+        kz = rnd.randint(1, z0.top_degree - 1)
+        z, z_remap, z_dead = trivial_extension(z0, kz, "deadz")
+    else:
+        z, z_remap, z_dead = z0, {g: g for g in range(z0.total_dim)}, None
+
+    # the ambient must surject onto the center, so a center dead class
+    # forces a matching ambient one
+    y = y0
+    y_remap = {g: g for g in range(y0.total_dim)}
+    y_deads = []
+    if break_ctr:
+        y, y_remap, ydead = trivial_extension(y0, kz, "deady0")
+        y_deads.append((ydead, "to_center"))
+    if break_amb:
+        ka = rnd.randint(1, socle - 1)
+        prev_total = y.total_dim
+        y2, r2, ydead2 = trivial_extension(y, ka, "deady1")
+        y_remap = {g: r2[y_remap[g]] for g in y_remap}
+        y_deads = [(r2[dd], tag) for dd, tag in y_deads]
+        y_deads.append((ydead2, "zero"))
+        y = y2
+
+    # pullback: kill the fiber variable, remap the center part
+    rev = {g: key for key, g in pair_index.items()}
+    images = [z.zero()] * y.total_dim
+    for g0 in range(y0.total_dim):
+        gz, gt = rev[g0]
+        if gt == 0:
+            images[y_remap[g0]] = z.basis_element(z_remap[gz])
+        else:
+            images[y_remap[g0]] = z.zero()
+    for dd, tag in y_deads:
+        images[dd] = z.basis_element(z_dead) if tag == "to_center" else z.zero()
+    pull = GradedMap.from_images(y, z, 0, images)
+
+    # pushforward: adjoint on the perfect core, dead classes to zero
+    sp_z0 = socle_check(z0, z0.top_degree).pairing
+    sp_y0 = socle_check(y0, y0.top_degree).pairing
+    pull0 = GradedMap.from_images(
+        y0,
+        z0,
+        0,
+        [
+            z0.basis_element(rev[g0][0]) if rev[g0][1] == 0 else z0.zero()
+            for g0 in range(y0.total_dim)
+        ],
+    )
+    push0 = adjoint_pushforward(pull0, sp_z0, sp_y0)
+    push_images = [y.zero()] * z.total_dim
+    for gz in range(z0.total_dim):
+        push_images[z_remap[gz]] = _remap_element(push0.apply_basis(gz), y, y_remap)
+    if z_dead is not None:
+        push_images[z_dead] = y.zero()
+    push = GradedMap.from_images(z, y, c, push_images)
+
+    chern = []
+    for i in range(1, c):
+        coeffs = {}
+        for g in y.global_indices(i):
+            q = rnd.randint(-2, 2)
+            if q:
+                coeffs[g] = q
+        chern.append(y.element(coeffs))
+    chern.append(push.apply(z.unit()))
+    return {
+        "y": y,
+        "z": z,
+        "pullback": pull,
+        "pushforward": push,
+        "chern": chern,
+        "socle": socle,
+    }
+
+
+def random_bundle_input(seed: int, *, broken: bool = False):
+    """A base algebra with Chern classes of a random bundle; returns a dict
+    with keys z, rank, chern, socle."""
+    rnd = random.Random(f"bundle:{seed}:{broken}")
+    if broken:
+        shapes = [(1, 2, 1), (1, 2, 2, 1), (1, 3, 3, 1)]
+        dims = rnd.choice(shapes)
+        k = rnd.choice([i for i in range(1, len(dims) - 1)])
+        z = synthetic_broken(dims, k, seed)
+    else:
+        z = random_gorenstein(seed)
+    r = rnd.choice([2, 3])
+    chern = []
+    for i in range(1, r + 1):
+        coeffs = {}
+        if i <= z.top_degree:
+            for g in z.global_indices(i):
+                q = rnd.randint(-2, 2)
+                if q:
+                    coeffs[g] = q
+        chern.append(z.element(coeffs))
+    return {"z": z, "rank": r, "chern": chern, "socle": z.top_degree}
+
+
+# -- diagram file payloads -----------------------------------------------------
+
+
+def edge_entry(payload: dict, small: str, big: str) -> list:
+    """The ``[small, big, maps]`` entry of one edge of a diagram payload."""
+    return next(e for e in payload["edges"] if e[:2] == [small, big])
+
+
+def own_maps(payload: dict, edge: list) -> dict:
+    """A copy of the edge's ``maps`` datum that this edge alone refers to,
+    so that changing it changes this edge only."""
+    datum = copy.deepcopy(payload["maps"][edge[2]])
+    edge[2] = len(payload["maps"])
+    payload["maps"].append(datum)
+    return datum
+
+
+def own_structure(payload: dict, burrow: dict) -> dict:
+    """A copy of the burrow's ``structures`` entry that this burrow alone
+    refers to, so that changing it changes this burrow only."""
+    structure = copy.deepcopy(payload["structures"][burrow["structure"]])
+    burrow["structure"] = len(payload["structures"])
+    payload["structures"].append(structure)
+    return structure

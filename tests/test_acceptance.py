@@ -21,15 +21,16 @@ from wonder.duality import (
 )
 from wonder.engine import build_ring, presentation_report
 from wonder.fixtures import fm_p1_3_oracle, keel_3_oracle
-from wonder.models import (
+from wonder.models import fm_power
+from wonder.nests import li_decomposition
+from wonder.oracle import compare_with_oracle, run_oracle
+
+from builders import (
     corrupt_burrow,
-    fm_power,
     point_blowup_p2_diagram,
     random_blowup_input,
     random_bundle_input,
 )
-from wonder.nests import li_decomposition
-from wonder.oracle import compare_with_oracle, run_oracle
 
 
 def report(n, text):

@@ -11,12 +11,9 @@ from wonder.blowup import (
     projective_bundle,
 )
 from wonder.errors import InputError
-from wonder.models import (
-    _PowerAlg,
-    point_blowup_p2_diagram,
-    random_blowup_input,
-    random_bundle_input,
-)
+from wonder.models import _PowerAlg
+
+from builders import point_blowup_p2_diagram, random_blowup_input, random_bundle_input
 
 F = Fraction
 

@@ -8,6 +8,8 @@ from wonder.engine import build_ring, presentation_report
 from wonder.errors import ComputationError, InputError, InvariantViolation
 from wonder.models import _PowerAlg
 
+from builders import edge_entry, own_maps
+
 
 MISSING = object()  # a parametrized field that is deleted, not set
 
@@ -225,11 +227,11 @@ def test_validate_rejects_negative_map_index(tmp_path, capsys, pos, too_large):
     d = tmp_path / "d.json"
     main(["model", "fm-p1", "--n", "2", "--out", str(d)])
     payload = json.loads(d.read_text())
-    dims = {b["id"]: b["degrees"] for b in payload["burrows"]}
-    edge = payload["edges"][0]
-    entry = edge["pullback"][0]
+    dims = {b["id"]: payload["structures"][b["structure"]]["degrees"] for b in payload["burrows"]}
+    small, big, ref = payload["edges"][0]
+    entry = payload["maps"][ref]["pullback"][0]
     k = entry[0]
-    wrap = [len(dims[edge["big"]]), dims[edge["small"]][k], dims[edge["big"]][k]]
+    wrap = [len(dims[big]), dims[small][k], dims[big][k]]
     entry[pos] = wrap[pos] if too_large else entry[pos] - wrap[pos]
     d.write_text(json.dumps(payload))
     code, out, err = run(capsys, "validate", str(d))
@@ -255,13 +257,13 @@ def test_validate_rejects_malformed_rational(tmp_path, capsys, where, value):
     d = tmp_path / "d.json"
     main(["model", "keel", "--n", "2", "--out", str(d)])
     payload = json.loads(d.read_text())
-    edge = next(e for e in payload["edges"] if e["chern"][0])
+    datum = next(m for m in payload["maps"] if m["chern"][0])
     if where == "chern":
-        edge["chern"][0][0][1] = value
+        datum["chern"][0][0][1] = value
     elif where == "relations":
         payload["relations"][0][2][0][1] = value
     else:
-        edge[where][0][3] = value
+        datum[where][0][3] = value
     d.write_text(json.dumps(payload))
     code, out, err = run(capsys, "validate", str(d))
     assert code == 1 and out == ""
@@ -306,34 +308,74 @@ def test_validate_rejects_malformed_relation(tmp_path, capsys, entry, message):
     assert message in err and "Traceback" not in err
 
 
-def _cut_pullback_entry(edge):
-    edge["pullback"][0] = edge["pullback"][0][:3]
+def _cut_pullback_entry(edge, datum):
+    datum["pullback"][0] = datum["pullback"][0][:3]
 
 
 @pytest.mark.parametrize(
     "mutate,message",
     [
         (_cut_pullback_entry, "is not [degree, row, column, value]"),
-        (lambda edge: edge.update(pullback=5), "pullback is not a list of map entries"),
-        (lambda edge: edge.update(pushforward=5), "pushforward is not a list of map entries"),
-        (lambda edge: edge.update(chern=5), "chern is not a list of classes"),
-        (lambda edge: edge.update(small="nope"), "names an unknown burrow 'nope'"),
+        (lambda edge, datum: datum.update(pullback=5), "pullback is not a list of map entries"),
+        (lambda edge, datum: datum.update(pushforward=5), "pushforward is not a list of map entries"),
+        (lambda edge, datum: datum.update(chern=5), "chern is not a list of classes"),
+        (lambda edge, datum: edge.__setitem__(0, "nope"), "names an unknown burrow 'nope'"),
     ],
     ids=["short-map-entry", "pullback-int", "pushforward-int", "chern-int", "unknown-burrow"],
 )
 def test_validate_rejects_malformed_edge(tmp_path, capsys, mutate, message):
-    """A malformed edge of a diagram file exits 1 with a message that names
-    the edge, never with a traceback."""
+    """A malformed edge of a diagram file, or a malformed entry of the maps
+    table, exits 1 with a message that names the first edge reading it,
+    never with a traceback."""
     d = tmp_path / "d.json"
     main(["model", "keel", "--n", "2", "--out", str(d)])
     payload = json.loads(d.read_text())
-    edge = next(e for e in payload["edges"] if e["chern"][0])
-    mutate(edge)
+    ref = next(r for r, m in enumerate(payload["maps"]) if m["chern"][0])
+    edge = next(e for e in payload["edges"] if e[2] == ref)
+    mutate(edge, payload["maps"][ref])
     d.write_text(json.dumps(payload))
     code, out, err = run(capsys, "validate", str(d))
     assert code == 1 and out == ""
-    assert f"edge {edge['small']}<{edge['big']}" in err and message in err
+    assert f"edge {edge[0]}<{edge[1]}" in err and message in err
     assert "Traceback" not in err
+
+
+def _inline_format(payload):
+    """The payload as older diagram files had it: degrees and structure
+    constants on every burrow, and on every edge an object with its maps
+    and its Chern classes by basis label."""
+    labels = {b["id"]: [l for ls in b["basis_labels"] for l in ls] for b in payload["burrows"]}
+    for b in payload["burrows"]:
+        b.update(payload["structures"][b.pop("structure")])
+    edges = []
+    for small, big, ref in payload["edges"]:
+        datum = dict(payload["maps"][ref])
+        datum["chern"] = [[[labels[big][g], q] for g, q in c] for c in datum["chern"]]
+        edges.append({"small": small, "big": big, **datum})
+    payload["edges"] = edges
+    del payload["structures"], payload["maps"]
+
+
+def test_validate_refuses_the_older_inline_format(tmp_path, capsys):
+    """A diagram file that keeps an algebra on each burrow and inline maps
+    on each edge, as older files did, is refused with exit 1, not read."""
+    d = tmp_path / "d.json"
+    main(["model", "keel", "--n", "2", "--out", str(d)])
+    payload = json.loads(d.read_text())
+    _inline_format(payload)
+    assert "pullback" in payload["edges"][0] and "mult" in payload["burrows"][0]
+    d.write_text(json.dumps(payload))
+    for command in ("validate", "build"):
+        code, out, err = run(capsys, command, str(d))
+        assert code == 1 and out == ""
+        assert "no structures table" in err and "older format" in err
+        assert "Traceback" not in err
+
+
+def _point_edge_reads_a_line_datum(payload):
+    """The point 1@0|2@1 in the ambient reads the datum of the line 12 in
+    it, whose degree-1 pullback entries the point has no room for."""
+    edge_entry(payload, "1@0|2@1", "1|2")[2] = edge_entry(payload, "12", "1|2")[2]
 
 
 @pytest.mark.parametrize(
@@ -343,7 +385,7 @@ def test_validate_rejects_malformed_edge(tmp_path, capsys, mutate, message):
         (lambda p: p["elements"][0].update(codim="x"), "element D12 codim 'x' is not an integer"),
         (lambda p: p["burrows"][0].update(codim="x"), "burrow 12 codim 'x' is not an integer"),
         (lambda p: p.update(socle_degree="x"), "socle_degree 'x' is not an integer"),
-        (lambda p: p["burrows"][0].update(degrees=["x"]), "degrees ['x'] is not a list of integers"),
+        (lambda p: p["structures"][0].update(degrees=["x"]), "degrees ['x'] is not a list of integers"),
         (
             lambda p: p["intersections"].update(meets=[["12", "12@0", "12@0"]]),
             "diagram field intersections.meets is not read",
@@ -363,8 +405,8 @@ def test_validate_rejects_malformed_edge(tmp_path, capsys, mutate, message):
         (lambda p: p["burrows"][0].update(id=5), "burrow id 5 is not a string"),
         (lambda p: p["elements"].__setitem__(0, 5), "elements is not a list of objects"),
         (lambda p: p["burrows"].__setitem__(0, "12"), "burrows is not a list of objects"),
-        (lambda p: p.update(edges=5), "edges is not a list of objects"),
-        (lambda p: p["burrows"][0].update(mult=5), "mult 5 is not a list of structure constants"),
+        (lambda p: p.update(edges=5), "edges 5 is not a list of [small, big, maps]"),
+        (lambda p: p["structures"][0].update(mult=5), "mult 5 is not a list of structure constants"),
         (
             lambda p: p["symmetry"][0].update(elements={"D1@0": "D2@0", "D2@0": "D2@0"}),
             "symmetry generator 1: element map is not a bijection",
@@ -381,6 +423,21 @@ def test_validate_rejects_malformed_edge(tmp_path, capsys, mutate, message):
             lambda p: p["symmetry"][0]["bases"].update({"1|2": [0, 2, 1, "3"]}),
             "symmetry basis map of 1|2 [0, 2, 1, '3'] is not a list of integers",
         ),
+        (lambda p: p["burrows"][0].update(structure=True), "burrow 12 structure True is not an index"),
+        (lambda p: p["burrows"][0].update(structure=-1), "burrow 12 structure -1 is not an index"),
+        (
+            lambda p: p["burrows"][0].update(structure=len(p["structures"])),
+            "burrow 12 structure 3 is not an index of its table (0..2)",
+        ),
+        (lambda p: p["edges"][0].__setitem__(2, True), "edge 12<1|2 maps True is not an index"),
+        (lambda p: p["edges"][0].__setitem__(2, -1), "edge 12<1|2 maps -1 is not an index"),
+        (
+            lambda p: p["edges"][0].__setitem__(2, len(p["maps"])),
+            "edge 12<1|2 maps 5 is not an index of its table (0..4)",
+        ),
+        (lambda p: p["edges"][0].__setitem__(2, "0"), "edge 12<1|2 maps '0' is not an index"),
+        (lambda p: p["edges"].__setitem__(0, ["12", "1|2"]), "edge ['12', '1|2'] is not [small, big, maps]"),
+        (_point_edge_reads_a_line_datum, "edge 1@0|2@1<1|2 pullback entry (1,0,0) out of range"),
     ],
     ids=[
         "codim-float",
@@ -410,6 +467,15 @@ def test_validate_rejects_malformed_edge(tmp_path, capsys, mutate, message):
         "symmetry-unknown-id",
         "symmetry-short-basis-map",
         "symmetry-str-basis-entry",
+        "structure-ref-bool",
+        "structure-ref-negative",
+        "structure-ref-past-end",
+        "maps-ref-bool",
+        "maps-ref-negative",
+        "maps-ref-past-end",
+        "maps-ref-str",
+        "edge-short",
+        "datum-misfit",
     ],
 )
 def test_validate_rejects_malformed_diagram_field(tmp_path, capsys, mutate, message):
@@ -419,6 +485,9 @@ def test_validate_rejects_malformed_diagram_field(tmp_path, capsys, mutate, mess
     to burrow ids, element and burrow ids are strings, and a symmetry
     generator maps known
     ids bijectively and each burrow's basis by a permutation of integers.
+    A burrow's ``structure`` and an edge's ``maps`` are indices into their
+    tables (Python would take True as 1 and -1 as the last entry), and a
+    ``maps`` datum must fit the edge that reads it.
     Anything else exits 1 naming the field, where it used to be truncated
     (1.5 read as 1), read a string as its set of characters, or end in a
     traceback."""
@@ -458,17 +527,33 @@ def test_short_chern_polynomial_to_the_ambient(tmp_path, capsys):
     main(["model", "keel", "--n", "2", "--out", str(d)])
     payload = json.loads(d.read_text())
     ambient = next(b["id"] for b in payload["burrows"] if b["codim"] == 0)
-    edge = next(e for e in payload["edges"] if e["big"] == ambient and len(e["chern"]) == 2)
-    del edge["chern"][0]
+    edge = next(
+        e for e in payload["edges"] if e[1] == ambient and len(payload["maps"][e[2]]["chern"]) == 2
+    )
+    del own_maps(payload, edge)["chern"][0]
     d.write_text(json.dumps(payload))
-    subject = f"{edge['small']}<{edge['big']}"
+    subject = f"{edge[0]}<{edge[1]}"
     code, out, err = run(capsys, "validate", str(d))
     assert code == 1 and "Traceback" not in err
     assert f"FAIL chern-degree [{subject}] - chern degree 1 != codim diff 2" in out
-    assert f"class-nonzero [{edge['small']}]" not in out
+    assert f"class-nonzero [{edge[0]}]" not in out
     for command in ("build", "decompose", "presentation", "discrepancy", "blocks"):
         code, out, err = run(capsys, command, str(d))
         assert code == 1 and "chern-degree" in err, command
+
+
+def test_validate_reports_a_chern_coefficient_of_mixed_degree(tmp_path, capsys):
+    """A Chern class c_1 with a unit term added lies in degrees 0 and 1: its
+    chern-shape row fails naming it, where reading its degree raised."""
+    d = tmp_path / "d.json"
+    main(["model", "keel", "--n", "2", "--out", str(d)])
+    payload = json.loads(d.read_text())
+    edge = next(e for e in payload["edges"] if payload["maps"][e[2]]["chern"][0])
+    own_maps(payload, edge)["chern"][0].insert(0, [0, "1"])
+    d.write_text(json.dumps(payload))
+    code, out, err = run(capsys, "validate", str(d))
+    assert code == 1 and "Traceback" not in err
+    assert f"FAIL chern-shape [{edge[0]}<{edge[1]}] - coefficient 1 is not homogeneous" in out
 
 
 @pytest.mark.parametrize(

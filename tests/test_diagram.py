@@ -8,13 +8,16 @@ from wonder.algebra import GradedAlgebra, GradedMap
 from wonder.diagram import BurrowDiagram, BurrowEdge, ChernPolynomial
 from wonder.engine import build_ring
 from wonder.errors import InputError
-from wonder.models import (
-    fm_power,
-    keel_model,
+from wonder.models import fm_power, keel_model
+from wonder.nests import standard_bound
+
+from builders import (
+    edge_entry,
+    own_maps,
+    own_structure,
     point_blowup_p2_diagram,
     single_center_diagram,
 )
-from wonder.nests import standard_bound
 
 
 def test_plane_point_fixture_validates():
@@ -157,19 +160,19 @@ def test_false_symmetry_fails_and_falls_back(fm3_diagram):
     assert hom == [f"{small}<{big}"]
 
 
-def _edge_entry(payload, small, big):
-    return next(e for e in payload["edges"] if (e["small"], e["big"]) == (small, big))
-
-
 def _drop_edge(small, big):
     def mutate(payload):
-        payload["edges"].remove(_edge_entry(payload, small, big))
+        payload["edges"].remove(edge_entry(payload, small, big))
 
     return mutate
 
 
 def _set_pushforward_entry(payload):
-    _edge_entry(payload, "13|2", "1|2|3")["pushforward"][0][3] = "2"
+    own_maps(payload, edge_entry(payload, "13|2", "1|2|3"))["pushforward"][0][3] = "2"
+
+
+def _set_structure_constant(payload):
+    own_structure(payload, payload["burrows"][2])["mult"][0][3] = "2"
 
 
 @pytest.mark.parametrize(
@@ -180,7 +183,7 @@ def _set_pushforward_entry(payload):
         (lambda p: p["elements"][2].update(index_set=["1", "2"]), "differ in the nest relation"),
         (_drop_edge("123", "13|2"), "edge 123<1|23 has no image edge"),
         (lambda p: p["burrows"][2].update(defining_set=[]), "differ in codim or defining set"),
-        (lambda p: p["burrows"][2]["mult"][0].__setitem__(3, "2"), "basis map of 13|2"),
+        (_set_structure_constant, "basis map of 13|2"),
         (_set_pushforward_entry, "maps of edge 13|2<1|2|3"),
     ],
     ids=["codim", "singles", "nest", "edge", "defining-set", "algebra", "pushforward"],
@@ -200,8 +203,8 @@ def test_symmetry_check_names_the_first_datum_it_does_not_keep(mutate, detail):
 
 
 def _unit_pullbacks_doubled(payload):
-    for edge in payload["edges"]:
-        edge["pullback"][0][3] = "2"
+    for datum in payload["maps"]:
+        datum["pullback"][0][3] = "2"
 
 
 def _diagonal_edges_dropped(payload):
@@ -560,3 +563,105 @@ def test_generator_checks_agree_with_full_reference(name):
         others = all(e.ok for key, e in verdicts.items() if key not in full)
         assert report.ok == (others and all(full.values()))
         assert not report.ok
+
+
+# Mutations of the shared tables of the keel n=3 file, as `wonder model keel
+# --n 3` writes it: one entry of the structures or the maps table serves many
+# burrows or edges, and every one of them must see the change.
+
+
+def _most_shared(refs) -> int:
+    """The table index that the most references name."""
+    return max(set(refs), key=lambda r: (refs.count(r), -r))
+
+
+def test_perturbed_shared_structure_fails_on_every_burrow_using_it(keel3_diagram):
+    """One structure constant of the structures entry shared by the most
+    burrows with a nonempty table (the twelve P1 x P1 burrows) is doubled:
+    the ring-hom law fails on the pullbacks into those burrows and the
+    projection formula on edges at them, every such burrow is named, and no
+    row outside their edges fails."""
+    payload = io.diagram_payload(keel3_diagram)
+    refs = [b["structure"] for b in payload["burrows"] if payload["structures"][b["structure"]]["mult"]]
+    ref = _most_shared(refs)
+    assert refs.count(ref) == 12
+    payload["structures"][ref]["mult"][0][3] = "2"
+    bad = io.diagram_from_payload(payload)
+    on = {b["id"] for b in payload["burrows"] if b["structure"] == ref}
+    problems = bad.validate().problems()
+    assert {e.check for e in problems} == {"pullback-ring-hom", "projection-formula"}
+    touched = set()
+    for e in problems:
+        small, big = e.subject.split("<")
+        assert {small, big} & on, e
+        touched |= {small, big} & on
+    assert touched == on
+    hom = {e.subject for e in problems if e.check == "pullback-ring-hom"}
+    assert hom == {f"{b}<{bad.ambient_id}" for b in on}
+
+
+def test_perturbed_shared_maps_datum_fails_on_every_edge_reading_it(keel3_diagram):
+    """The unit entry of the pullback in the maps entry shared by the most
+    edges is doubled: exactly those edges fail the ring-hom law, every chain
+    through them fails functoriality, and the declared symmetry still holds,
+    since every edge of an orbit reads the same changed datum."""
+    payload = io.diagram_payload(keel3_diagram)
+    refs = [ref for _, _, ref in payload["edges"]]
+    ref = _most_shared(refs)
+    assert refs.count(ref) == 111
+    payload["maps"][ref]["pullback"][0][3] = "2"
+    bad = io.diagram_from_payload(payload)
+    problems = bad.validate().problems()
+    assert bad.symmetry().generators and not bad.symmetry().problems
+    assert {e.check for e in problems} == {"pullback-ring-hom", "pullback-functorial"}
+    hom = {e.subject for e in problems if e.check == "pullback-ring-hom"}
+    assert hom == {f"{small}<{big}" for small, big, r in payload["edges"] if r == ref}
+
+
+@pytest.mark.parametrize(
+    "perm,detail",
+    [
+        ([0, 2, 1, 3], "maps of edge 12@inf|3<1@inf|2|3 are not carried to those of its image"),
+        ([0, 3, 2, 1], "basis map of 1@inf|2|3 is not an algebra isomorphism"),
+    ],
+    ids=["automorphism", "not-an-automorphism"],
+)
+def test_false_basis_permutation_fails_where_other_burrows_share_its_data(
+    keel3_diagram, perm, detail
+):
+    """The marker swap (0 1), the third generator, fixes 1@inf|2|3 and keeps
+    each index of its basis.  Declaring the swap of h1 and h23 there, an
+    automorphism of its algebra, breaks the maps of its edges; declaring a
+    map that moves degrees breaks the algebra.  Earlier burrows share its
+    structure and earlier edges its edge data, with the identity there and
+    passing verdicts, so the check must key each verdict on the basis
+    permutations as well as on the data."""
+    payload = io.diagram_payload(keel3_diagram)
+    assert "1@inf|2|3" not in payload["symmetry"][2]["bases"]
+    payload["symmetry"][2]["bases"]["1@inf|2|3"] = perm
+    bad = io.diagram_from_payload(payload)
+    assert bad.symmetry().problems == [("generator 3", detail)]
+    assert ("symmetry", "generator 3") in {(e.check, e.subject) for e in bad.validate().problems()}
+
+
+def test_socle_degree_is_checked_per_codim_on_a_shared_structure():
+    """The point 12@0 of keel n=2 given codim 1: its algebra shares the
+    point structure with the other points, which keep codim 2, so the
+    socle row fails on 12@0 alone."""
+    payload = io.diagram_payload(keel_model(2))
+    next(b for b in payload["burrows"] if b["id"] == "12@0")["codim"] = 1
+    bad = io.diagram_from_payload(payload)
+    socle = [(e.subject, e.detail) for e in bad.validate().problems() if e.check == "socle"]
+    assert socle == [("12@0", "expected socle degree 1 outside stored range; socle dimension 0 at degree 1")]
+
+
+def test_pushforward_on_another_algebra_of_its_structure_fails_edge_shape(keel2_diagram):
+    """An edge whose pushforward starts at another point algebra, one of the
+    same structure, shares its columns with the correct edges but not its
+    algebras: it fails its edge-shape row, is left out of the laws, and
+    validate returns its report instead of reusing their verdicts."""
+    d = keel2_diagram
+    edge = d.edges[("12@0", "12")]
+    push = edge.pushforward.rebased(d.burrows["1@0|2@1"].algebra, d.burrows["12"].algebra)
+    bad = _rebuilt(d, BurrowEdge("12@0", "12", edge.pullback, push, edge.chern))
+    assert [(e.check, e.subject) for e in bad.validate().problems()] == [("edge-shape", "12@0<12")]

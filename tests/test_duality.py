@@ -12,7 +12,9 @@ from wonder.duality import (
 )
 from wonder.engine import build_ring
 from wonder.errors import InputError
-from wonder.models import _PowerAlg, corrupt_burrow, synthetic_broken
+from wonder.models import _PowerAlg, synthetic_broken
+
+from builders import corrupt_burrow
 
 
 def test_equivalence_fm3(fm3_diagram, fm3_ring):

@@ -6,12 +6,14 @@ or the ring writer that alters any structure constant, basis label or
 ordering changes the digest. Each report digest pins the stdout and the exit
 code of one CLI command on one model. The synthetic digests pin the
 algebras ``synthetic_gorenstein`` and ``synthetic_broken`` build. The
+round-trip test loads each model's diagram text and dumps it again. The
 scalar-kind tests walk the same models: every stored scalar is an ``int`` or
 a non-integral ``Fraction``.  The generator tests check that
 ``GradedAlgebra.generators`` is a minimal generating set of every burrow
 algebra of these models and of the synthetic algebras."""
 
 import hashlib
+import json
 from fractions import Fraction
 
 import pytest
@@ -98,21 +100,21 @@ EXTRA_DIAGRAMS = {
     "keel-1": lambda: keel_model(1),
 }
 GOLDEN_DIAGRAMS = {
-    "fm-curve-2": "615dd9a540bf98aaa170deaaadccb7960de4c425de851e869d6ddeb559b3b5d2",
-    "fm-curve-3-g2": "1d4031bb40ea46ac3242f15ecff7e11e9794f06fb49b3b49a78b692536c05187",
-    "fm-curve-4": "4c5b4aa16eac18991f2997534638055cac6d06d8ab437b17104ac994afe4a21d",
-    "fm-p1-2": "e86840ed2e6136aa6f81a325c8e22631a94a8a6ec2d36f7a34c5c7ae4cbba738",
-    "fm-p1-3": "fffaacbdf1d595168cb6f8a6e7d7e16a32de19d910973ab51b7d616ca50a994b",
-    "fm-p1-4": "f3398816d802612d6d11375e361c21434432d348184950ae2fab48f368b90f95",
-    "fm-p1-5": "e53d1c96ae6d8bba78905d9dce884c774995f856cbeaa7e1e907742e34777fac",
-    "fm-p2-2": "78859b244ab49a2a8a53c89dcdbee7a87d418e3fef941fde98216447f115cbb9",
-    "fm-p2-3": "68c4718f0f81a3d5d744fc2d8955bea922fa652fcb35f0305fa4c10536f143a2",
-    "fm-p2-4": "23428398652d66ebbe3670c1ecc06978704768542d327236439ec71b93a49295",
-    "fm-p2-4-min3": "f4f98d25a5d9942ade8c0d74c924cbbca729b390607738c4f9dadaabd5ea3b9c",
-    "keel-1": "ab3fbe767994553bd08e85c210350b9b3ae23d53d4305e4961ea9826f854aea0",
-    "keel-2": "cc509b0ab9d1793b020b38cfb70476907ba94d0dcf9d63b44a7782abb7ab1a28",
-    "keel-3": "fc356c3945f365983a52615e02bf0233937c05481ae948183295568a6e31175f",
-    "keel-4": "398b4d7028286d1ba043498d02a1f63eb310e22eb89195bbc0f3240ad7a5c0d5",
+    "fm-curve-2": "aca855ae48dc38fff36eb38c60ed854c58f2fbe7d0fa01cae03957c1c22e1697",
+    "fm-curve-3-g2": "268f6411000c8e28b918b093714dc4303a69ab1aaa3f3d7dbbc3b99ba63c94c3",
+    "fm-curve-4": "71c311cb2196b2e2f4b7fab4c1e4ef7df8a73f403391f0d114948add565ecdf5",
+    "fm-p1-2": "cd083a0936cdfaadd9788838bed817e3222b5f0ab552da298240f6b8fde0325f",
+    "fm-p1-3": "fd81253d8f3c4e3039065bf1d59bc7fe55e39a15cfd6a9b4c86623c0ee300c3b",
+    "fm-p1-4": "09e7a09c1d3594249d0c41b5a609e45086594f142043140d86751b18245b5193",
+    "fm-p1-5": "56d43bc4f986b66d7c31916f5042890554e3da24fde8d1646f415cd8090b887c",
+    "fm-p2-2": "3833ab2ffbb9571a53109e1072f6dd556d71f1afcc11e88454d17520e1be3f25",
+    "fm-p2-3": "a2203aa9ae1f16b46d3f8107d0f8cdfa10dc0128c302123cacfbe45eea4887ac",
+    "fm-p2-4": "8e56536902edf608ffed82e92fdb4d248f711df3156412152df90c6af8853b1f",
+    "fm-p2-4-min3": "7337bbea140f160a2d01a49e0c2112c3332367b2b1af37f15c122eb587396b45",
+    "keel-1": "58584a2d6f12b08fd04ccb2d5e44d60dc5f874871e52b05dd245bd5893a1757b",
+    "keel-2": "18ba4a96169293c56385a5fac2a88666ee36ded07d4d6b41f5cb5fdbd566b492",
+    "keel-3": "5cd458b35dc3c3afd7af37f8c485f9227f86b24fabf61e349b5281d35a1016c6",
+    "keel-4": "50502932ecfef1b320eef19df96fb8eb11d6678f1573944ba750afa2038e1cf7",
 }
 
 
@@ -121,6 +123,21 @@ def test_diagram_text_digest(built, name):
     diagram = built(name)[0] if name in GOLDEN else EXTRA_DIAGRAMS[name]()
     text = io.dump_diagram(diagram)
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == GOLDEN_DIAGRAMS[name]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_diagram_load_dump_load_is_the_identity(built, name):
+    """Dumping a loaded diagram gives back the text it was loaded from, and
+    the loaded diagram shares one structure per ``structures`` entry and
+    one datum per ``maps`` entry, as many as the model shares."""
+    diagram = built(name)[0]
+    text = io.dump_diagram(diagram)
+    loaded = io.load_diagram(text)
+    assert io.dump_diagram(loaded) == text
+    payload = json.loads(text)
+    for d in (diagram, loaded):
+        assert len({b.algebra.structure for b in d.burrows.values()}) == len(payload["structures"])
+        assert len(set(d.edge_data().values())) == len(payload["maps"])
 
 
 def _exact_kind(q) -> bool:

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from wonder import io
@@ -27,6 +29,20 @@ def test_curve_round_trip(curve3_diagram):
 
     ring = build_ring(reloaded, validate=False)
     assert ring.dims == [1, 7, 7, 1]
+
+
+def test_dump_writes_equal_data_once(keel2_diagram):
+    """A file that lists an entry of the structures or the maps table twice
+    loads, and dumps to the text that lists it once: the tables hold each
+    distinct entry once, whatever objects carry it."""
+    text = io.dump_diagram(keel2_diagram)
+    payload = json.loads(text)
+    burrow, edge = payload["burrows"][-1], payload["edges"][-1]
+    payload["structures"].append(payload["structures"][burrow["structure"]])
+    burrow["structure"] = len(payload["structures"]) - 1
+    payload["maps"].append(payload["maps"][edge[2]])
+    edge[2] = len(payload["maps"]) - 1
+    assert io.dump_diagram(io.diagram_from_payload(payload)) == text
 
 
 def test_ring_round_trip():

@@ -9,14 +9,13 @@ from wonder import models
 from wonder.errors import InputError
 from wonder.models import (
     _CurveAlg,
-    corrupt_burrow,
     fm_power,
     keel_model,
-    point_blowup_p2_diagram,
-    random_blowup_input,
     synthetic_broken,
     synthetic_gorenstein,
 )
+
+from builders import corrupt_burrow, point_blowup_p2_diagram, random_blowup_input
 
 F = Fraction
 
@@ -149,6 +148,27 @@ def test_single_element_join_matches_union_find(monkeypatch, n, build, conflicts
         element = _cfg_join(n, discrete, frozenset(((frozenset(idxs), mk),)))
         assert out == _cfg_join(n, cfg, element), (cfg, idxs, mk)
     assert any(out is None for *_, out in calls) == conflicts
+
+
+def test_unchanged_join_returns_the_configuration_itself(monkeypatch):
+    """A join that leaves the configuration as it is (the element's indices
+    in one block, carrying the element's marker or none) returns the
+    configuration itself, so the closure builds no frozenset for it; every
+    other join returns a different configuration."""
+    calls = []
+    join = models._cfg_with
+
+    def recorded(cfg, idxs, mk):
+        out = join(cfg, idxs, mk)
+        calls.append((cfg, out))
+        return out
+
+    monkeypatch.setattr(models, "_cfg_with", recorded)
+    diagram = keel_model(3)
+    assert all((out == cfg) == (out is cfg) for cfg, out in calls)
+    # the unchanged joins are the defining sets, element by element
+    kept = sum(out is cfg for cfg, out in calls)
+    assert kept == sum(len(b.defining_set) for b in diagram.burrows.values()) > 0
 
 
 def test_keel1_all_divisors():
@@ -286,7 +306,7 @@ def test_corrupt_burrow_guards(fm3_diagram):
 
 
 def test_random_blowup_inputs_validate_as_diagrams():
-    from wonder.models import single_center_diagram
+    from builders import single_center_diagram
 
     inp = random_blowup_input(1)
     diagram = single_center_diagram(
