@@ -306,13 +306,7 @@ class GradedAlgebra:
         return self._table.get((a, b), {})
 
     def multiply(self, x: Element, y: Element) -> Element:
-        out: dict[int, Fraction] = {}
-        for gi, qi in x.coeffs.items():
-            for gj, qj in y.coeffs.items():
-                q = qi * qj
-                for gk, c in self.product_basis(gi, gj).items():
-                    out[gk] = out.get(gk, ZERO) + q * c
-        return Element(self, out)
+        return Element(self, _product(self, x.coeffs, y.coeffs))
 
     def generators(self) -> tuple[int, ...]:
         """A minimal set of basis indices that generates the algebra.
@@ -423,9 +417,9 @@ class GradedAlgebra:
 
 
 def _product(alg: GradedAlgebra, x: dict, y: dict) -> dict:
-    """The product of two coefficient dicts of ``alg``, zeros left out: the
-    sum ``GradedAlgebra.multiply`` makes, without an ``Element`` around it,
-    for the law checks that run it on every generator and basis pair."""
+    """The product of two coefficient dicts of ``alg``, zeros left out:
+    ``GradedAlgebra.multiply`` without the ``Element``s, which the law
+    checks run on every generator and basis pair."""
     out: dict[int, Fraction] = {}
     for gi, qi in x.items():
         for gj, qj in y.items():
@@ -437,8 +431,7 @@ def _product(alg: GradedAlgebra, x: dict, y: dict) -> dict:
 
 def _image(columns: list, x: dict) -> dict:
     """The image of a coefficient dict under a map with these columns,
-    zeros left out: ``GradedMap.apply`` without the ``Element``s, for the
-    law checks."""
+    zeros left out: ``GradedMap.apply`` without the ``Element``s."""
     out: dict[int, Fraction] = {}
     for g, q in x.items():
         for h, v in columns[g].items():
@@ -528,11 +521,7 @@ class GradedMap:
     def apply(self, x: Element) -> Element:
         if x.alg is not self.source:
             raise InputError("element not in the source algebra")
-        out: dict[int, Fraction] = {}
-        for g, q in x.coeffs.items():
-            for h, v in self.columns[g].items():
-                out[h] = out.get(h, ZERO) + q * v
-        return Element(self.target, out)
+        return Element(self.target, _image(self.columns, x.coeffs))
 
     def surjective_degrees(self) -> list[bool]:
         out = []

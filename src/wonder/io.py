@@ -225,7 +225,9 @@ def diagram_payload(diagram: BurrowDiagram) -> dict:
     data = diagram.edge_data()
     edges = []
     for (small, big), e in sorted(diagram.edges.items()):
-        shared = data[small, big]
+        # an edge whose maps are not on its own algebras has no shared
+        # datum and keeps an entry of its own
+        shared = data[small, big] or (small, big)
         if shared not in map_of:
             datum = {
                 "pullback": _map_payload(e.pullback),

@@ -46,13 +46,12 @@ MARKERS = ("0", "1", "inf")
 
 def _on_structure(structures, shape, dims, labels, products) -> GradedAlgebra:
     """The algebra with these labels on the structure of its shape: taken
-    from ``structures`` (shape -> structure, or None) when it holds the
-    shape, else built from ``products`` and kept there."""
-    if structures is not None and shape in structures:
+    from ``structures`` (shape -> structure) when it holds the shape, else
+    built from ``products`` and kept there."""
+    if shape in structures:
         return GradedAlgebra.on(structures[shape], labels)
     alg = algebra_from_products(dims, labels, products)
-    if structures is not None:
-        structures[shape] = alg.structure
+    structures[shape] = alg.structure
     return alg
 
 
@@ -85,7 +84,9 @@ class _PowerAlg:
                 return {}
             return {self.index[s]: ONE}
 
-        self.alg = _on_structure(structures, self.shape, dims, labels, products)
+        self.alg = _on_structure(
+            {} if structures is None else structures, self.shape, dims, labels, products
+        )
 
     def _label(self, e):
         parts = []
@@ -180,7 +181,9 @@ class _CurveAlg:
                 return {}
             return {self.index[key]: coeff}
 
-        self.alg = _on_structure(structures, self.shape, dims, labels, products)
+        self.alg = _on_structure(
+            {} if structures is None else structures, self.shape, dims, labels, products
+        )
 
     def _label(self, b):
         pts, match = b

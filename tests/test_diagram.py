@@ -665,3 +665,35 @@ def test_pushforward_on_another_algebra_of_its_structure_fails_edge_shape(keel2_
     push = edge.pushforward.rebased(d.burrows["1@0|2@1"].algebra, d.burrows["12"].algebra)
     bad = _rebuilt(d, BurrowEdge("12@0", "12", edge.pullback, push, edge.chern))
     assert [(e.check, e.subject) for e in bad.validate().problems()] == [("edge-shape", "12@0<12")]
+
+
+def test_edges_off_their_own_algebras_are_dumped_with_their_own_maps(keel2_diagram):
+    """Two edges whose pushforwards start at other point algebras, with
+    different columns, have no shared datum; each is written with its own
+    maps entry, so loading the dump gives back both sets of columns."""
+    d = keel2_diagram
+    pushes = {}
+    for small, other, k in (("12@0", "1@0|2@1", 1), ("12@1", "1@0|2@inf", 2)):
+        push = d.edges[(small, "12")].pushforward
+        pushes[small, "12"] = GradedMap(
+            d.burrows[other].algebra,
+            push.target,
+            push.shift,
+            [{h: k * v for h, v in col.items()} for col in push.columns],
+        )
+    bad = BurrowDiagram(
+        socle_degree=d.socle_degree,
+        elements=list(d.elements.values()),
+        burrows=list(d.burrows.values()),
+        edges=[
+            BurrowEdge(*key, e.pullback, pushes[key], e.chern) if key in pushes else e
+            for key, e in d.edges.items()
+        ],
+        singles=dict(d.singles),
+        nests=d.nest_rule,
+        relations=d.relations,
+    )
+    assert all(bad.edge_data()[key] is None for key in pushes)
+    loaded = io.load_diagram(io.dump_diagram(bad))
+    for key, push in pushes.items():
+        assert loaded.edges[key].pushforward.columns == push.columns
