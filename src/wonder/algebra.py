@@ -12,8 +12,10 @@ an ``int`` when integral, otherwise a ``Fraction``, never a float.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 
 from wonder.errors import InputError
 from wonder.exact_linalg import (
@@ -26,6 +28,8 @@ from wonder.exact_linalg import (
     rat,
     solve_rows,
 )
+
+_NO_PRODUCT: Mapping = MappingProxyType({})  # the product of a pair with none stored
 
 
 class Element:
@@ -123,9 +127,12 @@ class Element:
 class Structure:
     """The dimensions and structure constants of a graded commutative
     algebra with unit, without basis labels.  Checked once on
-    construction; every ``GradedAlgebra`` built on it shares its table and
-    the verdicts that read the table alone, such as its generators.
-    Associativity is not enforced here; ``check_associativity`` tests it."""
+    construction; every ``GradedAlgebra`` built on it shares its rows and
+    the verdicts that read the rows alone, such as its generators.
+    ``rows[a][b]`` is the product of basis indices a and b (its nonzero
+    coordinates; unit products included, zero products absent), one dict
+    shared with ``rows[b][a]``.  Associativity is not enforced here;
+    ``check_associativity`` tests it."""
 
     def __init__(self, dims, mult_entries):
         self.dims = tuple(int(d) for d in dims)
@@ -144,8 +151,10 @@ class Structure:
         for k, d in enumerate(self.dims):
             self.degree_of.extend([k] * d)
 
-        table: dict[tuple[int, int], dict[int, Fraction]] = {}
-        n = self.total_dim
+        n, deg = self.total_dim, self.degree_of
+        # the unit products: rows[g][0] and rows[0][g] are {g: 1}
+        rows = self.rows = [{0: {g: ONE}} for g in range(n)]
+        rows[0] = {g: row[0] for g, row in enumerate(rows)}
         for gi, gj, gk, q in mult_entries:
             if not (
                 type(gi) is type(gj) is type(gk) is int
@@ -157,29 +166,60 @@ class Structure:
                     f"structure constant index outside 0..{n - 1}: "
                     f"({gi!r},{gj!r},{gk!r})"
                 )
-            q = rat(q)
+            if type(q) is not int:
+                q = rat(q)
             if not q:
                 continue
-            a, b = (gi, gj) if gi <= gj else (gj, gi)
-            if a == 0 or b == 0:
+            if gi == 0 or gj == 0:
                 raise InputError("unit products are implicit; do not store them")
-            di, dj, dk = self.degree_of[a], self.degree_of[b], self.degree_of[gk]
-            if di + dj != dk:
+            if deg[gi] + deg[gj] != deg[gk]:
                 raise InputError(
-                    f"structure constant violates grading: deg {di}+{dj} -> {dk}"
+                    f"structure constant violates grading: deg {deg[gi]}+{deg[gj]} -> {deg[gk]}"
                 )
-            row = table.setdefault((a, b), {})
-            if gk in row and row[gk] != q:
-                raise InputError(f"conflicting structure constants at ({a},{b})")
+            row = rows[gi].get(gj)
+            if row is None:
+                row = rows[gi][gj] = rows[gj][gi] = {}
+            elif gk in row and row[gk] != q:
+                raise InputError(f"conflicting structure constants at ({gi},{gj})")
             row[gk] = q
-        self.table = table
         self.generators = None  # filled by GradedAlgebra.generators
+
+    @classmethod
+    def from_products(cls, dims, products) -> "Structure":
+        """A structure from ``((a, b), row)`` pairs with 0 < a <= b, each
+        row the nonzero coordinates of the product of a and b, checked row
+        by row; the rows are kept, not copied, when their values are ints."""
+        out = cls(dims, ())
+        n, deg, rows = out.total_dim, out.degree_of, out.rows
+        # the index range of each degree; none above the top
+        span = [(o, o + d) for o, d in zip(out.offsets, out.dims)] + [(n, 0)] * len(out.dims)
+        for (a, b), row in products:
+            if not row:
+                continue
+            if not (type(a) is type(b) is int and 0 < a <= b < n):
+                if a == 0:
+                    raise InputError("unit products are implicit; do not store them")
+                raise InputError(f"structure constant index outside 0..{n - 1}: ({a!r},{b!r})")
+            lo, hi = span[deg[a] + deg[b]]
+            for h, q in row.items():
+                if not (lo <= h < hi and q):
+                    raise InputError(
+                        f"structure constant ({a},{b}) -> {h!r} is 0 or violates grading"
+                    )
+                if type(q) is not int:  # kept as ``rat`` gives it
+                    row = {h: rat(q) for h, q in row.items()}
+            rows[a][b] = rows[b][a] = row
+        return out
 
     def to_payload(self) -> dict:
         triples = []
-        for (a, b), row in sorted(self.table.items()):
-            for gk in sorted(row):
-                triples.append([a, b, gk, format_rat(row[gk])])
+        for a in range(1, self.total_dim):
+            row = self.rows[a]
+            for b in sorted(row):
+                if b >= a:
+                    prod = row[b]
+                    for k in sorted(prod):
+                        triples.append([a, b, k, str(prod[k])])  # str(q) is format_rat(q)
         return {"degrees": list(self.dims), "mult": triples}
 
     @classmethod
@@ -226,7 +266,7 @@ class GradedAlgebra:
         self.total_dim = structure.total_dim
         self._offsets = structure.offsets
         self._degree_of = structure.degree_of
-        self._table = structure.table
+        self._rows = structure.rows
         if not (
             isinstance(labels, (list, tuple))
             and all(isinstance(ls, (list, tuple)) for ls in labels)
@@ -297,13 +337,10 @@ class GradedAlgebra:
 
     # -- multiplication ----------------------------------------------------
 
-    def product_basis(self, gi: int, gj: int) -> dict[int, Fraction]:
-        if gi == 0:
-            return {gj: ONE}
-        if gj == 0:
-            return {gi: ONE}
-        a, b = (gi, gj) if gi <= gj else (gj, gi)
-        return self._table.get((a, b), {})
+    def product_basis(self, gi: int, gj: int) -> Mapping[int, Fraction]:
+        """The nonzero coordinates of the product of two basis indices;
+        read-only."""
+        return self._rows[gi].get(gj, _NO_PRODUCT)
 
     def multiply(self, x: Element, y: Element) -> Element:
         return Element(self, _product(self, x.coeffs, y.coeffs))
@@ -363,26 +400,30 @@ class GradedAlgebra:
         law, extended bilinearly, gives ((g*m)*y)*z = (g*(m*y))*z
         = g*((m*y)*z), which the induction hypothesis for m turns into
         g*(m*(y*z)); and the checked law gives (g*m)*(y*z) = g*(m*(y*z)).
+        Both sides are read off ``Structure.rows`` for all c at once; a c
+        is compared only where one side has a nonzero product to sum.
         """
-
-        def times(vec, h):
-            out: dict[int, Fraction] = {}
-            for k, q in vec.items():
-                for gk, c in self.product_basis(k, h).items():
-                    out[gk] = out.get(gk, ZERO) + q * c
-            return {gk: q for gk, q in out.items() if q}
-
-        bad = []
+        rows, deg, bad = self._rows, self._degree_of, []
         for g in self.generators():
-            room = self.top_degree - self._degree_of[g]
+            row_g, room = rows[g], self.top_degree - deg[g]
             for b in range(1, self.total_dim):
-                db = self._degree_of[b]
-                if db >= room:
+                if deg[b] >= room:
                     break
-                gb = self.product_basis(g, b)
-                for c in range(1, self._offsets[room - db] + self.dims[room - db]):
-                    if times(gb, c) != times(self.product_basis(b, c), g):
-                        bad.append((g, b, c))
+                end = self._offsets[room - deg[b]] + self.dims[room - deg[b]]
+                # (g*b)*c - g*(b*c) by c; a c in neither sum has both sides zero
+                diff: dict[int, dict] = {}
+                for k, q in row_g.get(b, _NO_PRODUCT).items():
+                    for c, kc in rows[k].items():
+                        out = diff.setdefault(c, {})
+                        for h, v in kc.items():
+                            out[h] = out.get(h, ZERO) + q * v
+                for c, bc in rows[b].items():
+                    if 0 < c < end:
+                        out = diff.setdefault(c, {})
+                        for k, q in bc.items():
+                            for h, v in rows[k].get(g, _NO_PRODUCT).items():
+                                out[h] = out.get(h, ZERO) - q * v
+                bad.extend((g, b, c) for c in sorted(diff) if c and any(diff[c].values()))
         return bad
 
     def relabels_onto(self, other: "GradedAlgebra", perm) -> bool:
@@ -390,13 +431,15 @@ class GradedAlgebra:
         ``perm[g]`` in ``other``) keeps degrees and carries every structure
         constant of this algebra to one of ``other``, and ``other`` has no
         others: an isomorphism of graded algebras."""
-        if other.dims != self.dims or len(other._table) != len(self._table):
+        if other.dims != self.dims or sum(map(len, other._rows)) != sum(map(len, self._rows)):
             return False
         if any(other._degree_of[perm[g]] != k for g, k in enumerate(self._degree_of)):
             return False
         return all(
-            other.product_basis(perm[a], perm[b]) == {perm[k]: q for k, q in row.items()}
-            for (a, b), row in self._table.items()
+            other.product_basis(perm[a], perm[b]) == {perm[k]: q for k, q in prod.items()}
+            for a, row in enumerate(self._rows)
+            for b, prod in row.items()
+            if a <= b
         )
 
     # -- serialization -------------------------------------------------------

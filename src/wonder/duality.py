@@ -44,14 +44,19 @@ class EquivalenceReport:
 
 def pd_equivalence_report(diagram: BurrowDiagram, ring: WonderRing) -> EquivalenceReport:
     """Verdicts for every burrow and for the ring, asserting that the ring
-    has a perfect pairing exactly when every burrow does."""
+    has a perfect pairing exactly when every burrow does.  A burrow's
+    verdict reads its structure and its socle degree only, so it is taken
+    once per such pair and shared by the burrows that have it."""
     d = diagram.socle_degree
-    burrow_verdicts = {}
+    burrow_verdicts, verdicts = {}, {}
     for b in diagram.burrows.values():
-        rep = socle_check(b.algebra, d - b.codim)
-        if not rep.ok:
-            raise InputError(f"burrow {b.id} fails its socle check: {rep.problems}")
-        burrow_verdicts[b.id] = pd_verdict(rep.pairing)
+        key = (b.algebra.structure, d - b.codim)
+        if key not in verdicts:
+            rep = socle_check(b.algebra, d - b.codim)
+            if not rep.ok:
+                raise InputError(f"burrow {b.id} fails its socle check: {rep.problems}")
+            verdicts[key] = pd_verdict(rep.pairing)
+        burrow_verdicts[b.id] = verdicts[key]
     ring_v = _duality(ring).verdict
     all_burrows_pd = all(v.is_pd for v in burrow_verdicts.values())
     ok = ring_v.is_pd == all_burrows_pd

@@ -25,6 +25,8 @@ import os
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import compress
+from operator import itemgetter
 from types import MappingProxyType
 
 from wonder.algebra import (
@@ -32,6 +34,7 @@ from wonder.algebra import (
     GradedAlgebra,
     GradedMap,
     SoclePairing,
+    Structure,
     section_of,
     socle_check,
 )
@@ -568,14 +571,10 @@ class WonderRing:
             labels = [[] for _ in range(len(self.dims))]
             for deg, _, _, _, lbl in self.basis:
                 labels[deg].append(lbl)
-            # the cache holds every pair i <= j; unit products are implicit
-            entries = [
-                (i, j, k, q)
-                for (i, j), row in self._cache.items()
-                if i
-                for k, q in row.items()
-            ]
-            self._algebra = GradedAlgebra(self.dims, labels, entries)
+            # the cache holds every pair i <= j; the unit products (i = 0)
+            # are implicit, and left out here by their i
+            products = compress(self._cache.items(), map(itemgetter(0), self._cache))
+            self._algebra = GradedAlgebra.on(Structure.from_products(self.dims, products), labels)
         return self._algebra
 
     def pairing(self) -> SoclePairing:

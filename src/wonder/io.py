@@ -44,6 +44,7 @@ per pair of structures that reads it; every burrow and edge shares them.
 from __future__ import annotations
 
 import json
+from itertools import chain
 
 from wonder.algebra import Element, GradedAlgebra, GradedMap, Structure
 from wonder.diagram import (
@@ -59,8 +60,48 @@ from wonder.errors import InputError
 from wonder.exact_linalg import format_rat, parse_rat
 
 
+# the compact C encoder with a raw newline between items: strings escape
+# their control characters, so a raw newline only ever separates items
+_LINES = json.JSONEncoder(separators=("\n", ": "))
+_SCALARS = {str, int, float, bool, type(None)}
+
+
 def _dump_json(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, indent=1) + "\n"
+    """``json.dumps(payload, sort_keys=True, indent=1)`` and a newline,
+    without the pure-Python encoder that ``indent`` selects: a list of
+    scalars, or of nonempty lists of scalars, is one ``_LINES`` call
+    indented by replacing its newlines."""
+    out = []
+    _write(out, payload, "\n")
+    return "".join(out) + "\n"
+
+
+def _write(out: list, value, nl: str):
+    """Append the text of ``value``; ``nl`` starts its line."""
+    inner, cell = nl + " ", nl + "  "
+    if not value or not isinstance(value, (dict, list, tuple)):
+        out.append(_LINES.encode(value))
+    elif isinstance(value, dict):
+        for i, (k, v) in enumerate(sorted(value.items())):
+            key = _LINES.encode(k if isinstance(k, str) else json.dumps(k))
+            out.append(("," if i else "{") + inner + key + ": ")
+            _write(out, v, inner)
+        out.append(nl + "}")
+    elif set(map(type, value)) <= _SCALARS:
+        out.append("[" + inner + _LINES.encode(value)[1:-1].replace("\n", "," + inner) + nl + "]")
+    elif set(map(type, value)) <= {list, tuple} and all(value) and (
+        set(map(type, chain.from_iterable(value))) <= _SCALARS
+    ):
+        # rows "[a\nb]" joined by "\n": a raw "]\n[" can only join two rows,
+        # and no raw NUL occurs, so it can stand for the joins
+        text = _LINES.encode(value)[2:-2].replace("]\n[", "\0").replace("\n", "," + cell)
+        rows = text.replace("\0", inner + "]," + inner + "[" + cell)
+        out.append("[" + inner + "[" + cell + rows + inner + "]" + nl + "]")
+    else:
+        for i, v in enumerate(value):
+            out.append(("," if i else "[") + inner)
+            _write(out, v, inner)
+        out.append(nl + "]")
 
 
 def _load_json(text: str) -> dict:

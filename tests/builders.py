@@ -1,8 +1,11 @@
 """Constructors that only the tests use: single-center diagrams, the plane
 with one point center, a burrow corrupted by a dead class, seeded random
-blow-up and bundle inputs, and helpers that edit one burrow's or one edge's
-data in a diagram file payload.  Import them as ``from builders import
-...``; pytest puts this directory on the import path."""
+blow-up and bundle inputs, helpers that edit one burrow's or one edge's
+data in a diagram file payload, and reference versions of the structure
+constant table (keyed by index pairs) and of the associativity check
+(triple by triple) that ``algebra`` replaced by its row tables.  Import
+them as ``from builders import ...``; pytest puts this directory on the
+import path."""
 
 import copy
 import random
@@ -24,6 +27,7 @@ from wonder.diagram import (
     ChernPolynomial,
 )
 from wonder.errors import InputError
+from wonder.exact_linalg import rat
 from wonder.models import (
     _PowerAlg,
     synthetic_broken,
@@ -310,3 +314,52 @@ def own_structure(payload: dict, burrow: dict) -> dict:
     burrow["structure"] = len(payload["structures"])
     payload["structures"].append(structure)
     return structure
+
+
+# -- reference structure constants --------------------------------------------
+
+
+def pair_table(entries) -> dict:
+    """``(a, b) -> {k: q}`` with a <= b from ``(gi, gj, gk, q)`` entries,
+    zeros left out: the table ``Structure`` kept before its rows."""
+    table = {}
+    for gi, gj, gk, q in entries:
+        if rat(q):
+            table.setdefault((min(gi, gj), max(gi, gj)), {})[gk] = rat(q)
+    return table
+
+
+def pair_table_product(table: dict, gi: int, gj: int) -> dict:
+    """The product of two basis indices looked up in a ``pair_table``."""
+    if gi == 0:
+        return {gj: 1}
+    if gj == 0:
+        return {gi: 1}
+    return table.get((min(gi, gj), max(gi, gj)), {})
+
+
+def associativity_reference(alg: GradedAlgebra) -> list:
+    """The failing ``(g, b, c)`` of ``GradedAlgebra.check_associativity``,
+    found triple by triple: (g*b)*c against g*(b*c) for each generator g
+    and every b, c of positive degree below the top, zero triples
+    included."""
+
+    def times(vec, h):
+        out = {}
+        for k, q in vec.items():
+            for gk, c in alg.product_basis(k, h).items():
+                out[gk] = out.get(gk, 0) + q * c
+        return {gk: q for gk, q in out.items() if q}
+
+    bad = []
+    for g in alg.generators():
+        room = alg.top_degree - alg.degree_of(g)
+        for b in range(1, alg.total_dim):
+            db = alg.degree_of(b)
+            if db >= room:
+                break
+            gb = alg.product_basis(g, b)
+            for c in range(1, alg.offset(room - db) + alg.dim(room - db)):
+                if times(gb, c) != times(alg.product_basis(b, c), g):
+                    bad.append((g, b, c))
+    return bad

@@ -5,6 +5,7 @@ import pytest
 from wonder.algebra import (
     GradedAlgebra,
     GradedMap,
+    Structure,
     adjoint_pushforward,
     pd_verdict,
     projection_formula_holds,
@@ -13,8 +14,11 @@ from wonder.algebra import (
     socle_kernel_elements,
     tensor_algebra,
 )
+from wonder.engine import build_ring
 from wonder.errors import InputError
-from wonder.models import _PowerAlg, synthetic_broken
+from wonder.models import _PowerAlg, fm_power, keel_model, synthetic_broken
+
+from builders import associativity_reference, pair_table, pair_table_product
 
 F = Fraction
 
@@ -276,3 +280,130 @@ def test_associativity_on_generators_agrees_with_all_triples(make):
             )
         broken += bool(bad)
     assert broken
+
+
+# -- row tables against the pair-keyed references ---------------------------
+
+SHIPPED = {
+    "fm-p1-3": lambda: fm_power("p1", 3),
+    "fm-p2-3": lambda: fm_power("p2", 3),
+    "fm-p2-4-min3": lambda: fm_power("p2", 4, min_size=3),
+    "fm-curve-3": lambda: fm_power("curve", 3, genus=2),
+    "keel-3": lambda: keel_model(3),
+}
+
+
+@pytest.fixture(scope="module")
+def shipped():
+    """Each shipped model's diagram and built ring, made once."""
+    made = {}
+
+    def get(name):
+        if name not in made:
+            diagram = SHIPPED[name]()
+            made[name] = diagram, build_ring(diagram, validate=False)
+        return made[name]
+
+    return get
+
+
+def _structures(diagram) -> list:
+    """One burrow algebra per distinct structure of the diagram."""
+    return list({b.algebra.structure: b.algebra for b in diagram.burrows.values()}.values())
+
+
+def _entries(alg) -> list:
+    return [(a, b, k, F(q)) for a, b, k, q in alg.to_payload()["mult"]]
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED))
+def test_associativity_matches_the_triple_loop_on_shipped_structures(shipped, name):
+    for alg in _structures(shipped(name)[0]):
+        assert alg.check_associativity() == associativity_reference(alg) == []
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED))
+def test_associativity_matches_the_triple_loop_on_moved_constants(shipped, name):
+    """One structure constant g*b -> k moved by one, with g a generator,
+    deg g + deg b below the top and k*c nonzero for some c other than g:
+    (g*b)*c moves by k*c and g*(b*c) does not move, so the check fails,
+    on the same triples as the triple loop."""
+    import random
+
+    rnd = random.Random(name)
+    moved = 0
+    for alg in _structures(shipped(name)[0]):
+        slots = [
+            (g, b)
+            for g in alg.generators()
+            for b in range(1, alg.total_dim)
+            if alg.degree_of(g) + alg.degree_of(b) < alg.top_degree
+        ]
+        rnd.shuffle(slots)
+        for g, b in slots[:4]:
+            k = rnd.choice(
+                [
+                    k
+                    for k in alg.global_indices(alg.degree_of(g) + alg.degree_of(b))
+                    if any(alg.product_basis(k, c) for c in range(1, alg.total_dim) if c != g)
+                ]
+            )
+            q = alg.product_basis(g, b).get(k, 0) + 1
+            kept = [e for e in _entries(alg) if (e[0], e[1], e[2]) != (min(g, b), max(g, b), k)]
+            bent = GradedAlgebra(alg.dims, alg.labels, [*kept, (b, g, k, q)])
+            bad = bent.check_associativity()
+            assert bad and bad == associativity_reference(bent)
+            moved += 1
+    assert moved
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED))
+def test_product_basis_matches_the_pair_table(shipped, name):
+    """On every pair of indices, unit and above-socle pairs included, the
+    ring's ``product_basis`` is the engine's product and the pair-keyed
+    lookup of the entries the engine made; a burrow algebra rebuilt from
+    its entries, shuffled and with the pairs swapped, gives the same
+    products."""
+    import random
+
+    diagram, ring = shipped(name)
+    alg = ring.as_algebra()
+    entries = [(i, j, k, q) for (i, j), row in ring._cache.items() if i for k, q in row.items()]
+    table = pair_table(entries)
+    n = alg.total_dim
+    for gi in range(n):
+        for gj in range(n):
+            assert alg.product_basis(gi, gj) == pair_table_product(table, gi, gj)
+            assert alg.product_basis(gi, gj) == ring.basis_product(gi, gj)
+    rnd = random.Random(name)
+    for burrow in _structures(diagram):
+        entries = [(b, a, k, q) for a, b, k, q in _entries(burrow)]
+        rnd.shuffle(entries)
+        rebuilt, table = GradedAlgebra(burrow.dims, burrow.labels, entries), pair_table(entries)
+        for gi in range(burrow.total_dim):
+            for gj in range(burrow.total_dim):
+                got = rebuilt.product_basis(gi, gj)
+                assert got == pair_table_product(table, gi, gj) == burrow.product_basis(gi, gj)
+
+
+def test_structure_from_products_checks_each_row():
+    """Structure.from_products keeps well-formed rows, stores an integral
+    Fraction as an int, and rejects an index out of range, a > b, a unit
+    product, a target outside the degree of the product, a product above
+    the top degree and a zero constant."""
+    dims = (1, 2, 1)  # 0 | 1 2 | 3
+    s = Structure.from_products(dims, [((1, 2), {3: F(2, 1)}), ((1, 1), {}), ((2, 2), {3: F(1, 2)})])
+    assert s.rows[2][1] is s.rows[1][2] and s.rows[1][2] == {3: 2}
+    assert type(s.rows[1][2][3]) is int and 1 not in s.rows[1] and s.rows[2][2] == {3: F(1, 2)}
+    assert Structure.from_payload(s.to_payload()).rows == s.rows
+    for bad in [
+        ((1, 4), {3: 1}),
+        ((2, 1), {3: 1}),
+        ((0, 1), {1: 1}),
+        ((1, 2), {2: 1}),
+        ((1, 3), {3: 1}),
+        ((1, 2), {3: 0}),
+        ((1.0, 2), {3: 1}),
+    ]:
+        with pytest.raises(InputError):
+            Structure.from_products(dims, [bad])

@@ -102,6 +102,40 @@ def test_empty_building_set_report():
     assert report.failing_burrows == ["Y"]
 
 
+def test_equivalence_report_checks_each_structure_once(keel3_diagram, keel3_ring, monkeypatch):
+    """The 77 burrows of keel3 share at most 4 (structure, socle degree)
+    pairs; the socle check and the verdict run once for each, and every
+    burrow still has its verdict."""
+    wonder.duality._duality(keel3_ring)  # the ring's own verdict, taken before counting
+    calls = {"socle_check": [], "pd_verdict": []}
+
+    def counted(name, fn, key):
+        def wrapper(*args):
+            calls[name].append(key(*args))
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        wonder.duality,
+        "socle_check",
+        counted("socle_check", wonder.duality.socle_check, lambda alg, k: (alg.structure, k)),
+    )
+    monkeypatch.setattr(
+        wonder.duality,
+        "pd_verdict",
+        counted("pd_verdict", wonder.duality.pd_verdict, lambda sp: (sp.algebra.structure, sp.degree)),
+    )
+    report = pd_equivalence_report(keel3_diagram, keel3_ring)
+    d = keel3_diagram.socle_degree
+    pairs = {(b.algebra.structure, d - b.codim) for b in keel3_diagram.burrows.values()}
+    assert len(pairs) <= 4
+    for seen in calls.values():
+        assert len(seen) == len(set(seen)) and set(seen) == pairs
+    assert sorted(report.burrow_verdicts) == sorted(keel3_diagram.burrows)
+    assert report.ok and report.failing_burrows == []
+
+
 def test_keel3_duality(keel3_diagram, keel3_ring):
     report = pd_equivalence_report(keel3_diagram, keel3_ring)
     assert report.ok and report.ring_verdict.is_pd

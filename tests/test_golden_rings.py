@@ -6,8 +6,9 @@ or the ring writer that alters any structure constant, basis label or
 ordering changes the digest. Each report digest pins the stdout and the exit
 code of one CLI command on one model. The synthetic digests pin the
 algebras ``synthetic_gorenstein`` and ``synthetic_broken`` build. The
-round-trip test loads each model's diagram text and dumps it again. The
-scalar-kind tests walk the same models: every stored scalar is an ``int`` or
+round-trip test loads each model's diagram text and dumps it again, and the
+writer test compares the file writer with ``json.dumps`` on every diagram
+and ring payload of these models. The scalar-kind tests walk the same models: every stored scalar is an ``int`` or
 a non-integral ``Fraction``.  The generator tests check that
 ``GradedAlgebra.generators`` is a minimal generating set of every burrow
 algebra of these models and of the synthetic algebras."""
@@ -123,6 +124,19 @@ def test_diagram_text_digest(built, name):
     diagram = built(name)[0] if name in GOLDEN else EXTRA_DIAGRAMS[name]()
     text = io.dump_diagram(diagram)
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == GOLDEN_DIAGRAMS[name]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_DIAGRAMS))
+def test_writer_matches_json_dumps(built, name):
+    """The file writer gives the text of ``json.dumps(sort_keys=True,
+    indent=1)`` on each model's diagram payload and, where the model has a
+    ring digest, on its ring payload."""
+    diagram = built(name)[0] if name in GOLDEN else EXTRA_DIAGRAMS[name]()
+    payloads = [io.diagram_payload(diagram)]
+    if name in GOLDEN:
+        payloads.append(io.ring_payload(built(name)[1].as_algebra(), diagram.socle_degree))
+    for payload in payloads:
+        assert io._dump_json(payload) == json.dumps(payload, sort_keys=True, indent=1) + "\n"
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))

@@ -1,10 +1,12 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wonder import io
 from wonder.errors import InputError
-from wonder.fixtures import keel_2_oracle
+from wonder.fixtures import keel_2_oracle, oracle_fixture
 from wonder.models import fm_power, synthetic_gorenstein
 
 
@@ -74,3 +76,52 @@ def test_wrong_kind():
     text = io.dump_ring(synthetic_gorenstein((1, 1, 1), 0), 2)
     with pytest.raises(InputError, match="expected a diagram"):
         io.load_diagram(text)
+
+
+# -- the file writer against json.dumps ---------------------------------------
+
+
+def _json_text(payload) -> str:
+    return json.dumps(payload, sort_keys=True, indent=1) + "\n"
+
+
+# strings with quotes, backslashes, control characters, "]", newlines and
+# non-ASCII; ints past 64 bits; objects keyed by strings or by ints
+_TEXT = st.text(st.sampled_from('ab"\\/]\n[\x00\x1f\x7f é€😀 ,:') | st.characters())
+_SCALAR = (
+    _TEXT
+    | st.integers()
+    | st.integers(min_value=-(2**200), max_value=2**200)
+    | st.booleans()
+    | st.none()
+    | st.floats()
+)
+_PAYLOAD = st.recursive(
+    _SCALAR,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(_TEXT, inner, max_size=4)
+    | st.dictionaries(st.integers(), inner, max_size=3)
+    | st.lists(st.lists(_SCALAR, max_size=4), max_size=4),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.dictionaries(_TEXT, _PAYLOAD, max_size=5))
+def test_writer_matches_json_dumps(payload):
+    assert io._dump_json(payload) == _json_text(payload)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.lists(_SCALAR, min_size=1, max_size=5), min_size=1, max_size=6))
+def test_writer_matches_json_dumps_on_rows(rows):
+    """Lists of nonempty flat lists, the shape of structure constant and
+    map entries, at two depths."""
+    payload = {"mult": rows, "maps": [{"pullback": rows, "chern": [rows, []]}]}
+    assert io._dump_json(payload) == _json_text(payload)
+
+
+@pytest.mark.parametrize("name, n", [("fm-p1", 3), ("keel", 2), ("keel", 3)])
+def test_writer_matches_json_dumps_on_oracle_fixtures(name, n):
+    payload = oracle_fixture(name, n)
+    assert io.dump_oracle(payload) == _json_text(payload)
