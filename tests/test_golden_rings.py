@@ -5,7 +5,9 @@ text ``wonder build`` writes. A change to the engine, the nest decomposition
 or the ring writer that alters any structure constant, basis label or
 ordering changes the digest. Each report digest pins the stdout and the exit
 code of one CLI command on one model. The synthetic digests pin the
-algebras ``synthetic_gorenstein`` and ``synthetic_broken`` build. The
+algebras ``synthetic_gorenstein`` and ``synthetic_broken`` build, and the
+oracle digests the rings that ``run_oracle``, ``blow_up`` and
+``bundle_result`` build. The
 round-trip test loads each model's diagram text and dumps it again, and the
 writer test compares the file writer with ``json.dumps`` on every diagram
 and ring payload of these models. The scalar-kind tests walk the same models: every stored scalar is an ``int`` or
@@ -20,10 +22,15 @@ from fractions import Fraction
 import pytest
 
 from wonder import io
+from wonder.blowup import blow_up, bundle_result
 from wonder.cli import main
 from wonder.engine import build_ring
 from wonder.exact_linalg import rank_rows
-from wonder.models import fm_power, keel_model, synthetic_broken, synthetic_gorenstein
+from wonder.fixtures import oracle_fixture
+from wonder.models import _PowerAlg, fm_power, keel_model, synthetic_broken, synthetic_gorenstein
+from wonder.oracle import run_oracle
+
+from builders import random_blowup_input, random_bundle_input
 
 GOLDEN = {
     "fm-p1-3": (
@@ -373,3 +380,58 @@ def test_burrow_generators_are_minimal(built, name):
 @pytest.mark.parametrize("dims,k,seed", sorted(GOLDEN_SYNTH, key=repr))
 def test_synthetic_generators_are_minimal(synthetic, dims, k, seed):
     _assert_minimal_generators(synthetic(dims, k, seed))
+
+
+def _oracle_ring(name):
+    """(algebra, socle degree) of one GOLDEN_ORACLE case: a shipped oracle
+    fixture replayed, one random blow-up or bundle input, or the bundle
+    P(O + O(1)) over a line, whose nonzero c_1 goes through the reduction."""
+    kind, arg = name.split(":")
+    if kind == "fixture":
+        model, n = arg.rsplit("-", 1)
+        run = run_oracle(oracle_fixture(model, int(n)))
+        return run.algebra, run.socle_degree
+    if kind == "blow_up":
+        inp = random_blowup_input(int(arg))
+        res = blow_up(inp["y"], inp["z"], inp["pullback"], inp["pushforward"], inp["chern"])
+        return res.algebra, inp["socle"]
+    if kind == "bundle":
+        inp = random_bundle_input(int(arg))
+        return bundle_result(inp["z"], inp["chern"]).algebra, inp["socle"] + inp["rank"] - 1
+    line = _PowerAlg(["x"], 1).alg
+    run = run_oracle(
+        {
+            "kind": "oracle",
+            "base": io.ring_payload(line, 1),
+            "steps": [{"op": "projective_bundle", "name": "xi", "chern": [[["hx", "1"]], []]}],
+        }
+    )
+    return run.algebra, run.socle_degree
+
+
+# sha256 of ``io.dump_ring`` of the rings the blow-up oracle builds.
+GOLDEN_ORACLE = {
+    "fixture:fm-p1-3": "01f08d98513b090a02d0375ed104167beead77df076d736e9ddcb0a9416ab6c9",
+    "fixture:keel-2": "c443472d6c5db23f924998115b8bcfc808e0bc2e1ee874a7f94c020dd102bd33",
+    "fixture:keel-3": "360ed54ec7078fb7fffd33035788362788c4658edabd1fbc8e86034834209439",
+    "blow_up:0": "1809f96cf2f80860a4ba12dd393160d44f1368738072719bef2ff907a462cb55",
+    "blow_up:1": "6431e1b197ee87ef9e4ea3f1cfa8388eafeee256b9cee16fbca272cc18af83d7",
+    "blow_up:2": "7b0d6551587fc4c30687d0ba1abcafeb0cfc54a1509f63cc914ce1b055ab36bd",
+    "blow_up:3": "2c4329aee5ce6989bdb3a175835590169330f9c4e6e35012322f313c5478f220",
+    "blow_up:4": "50a7e6f106858d80b3b15d35cc4b62c63ac9e0ac293be4d77259c934688e7cee",
+    "blow_up:5": "62870fee2eed275981c80d376e6048be140eaa04d69f3621064aeafc185ccce2",
+    "bundle:0": "b721cd012ae212433257e140cca8feffa38af70e3041dc1bd344ce970a88e284",
+    "bundle:1": "a998a12cd2439202968792a6902c9b49b8ee292d9e85d624d08aff8d01198aab",
+    "bundle:2": "7d4e3d7a758ab5a1bf981d445f08eb9c0609e30f57c079b08bcdad0f41337a23",
+    "bundle:3": "0ea39ca61ef16b30151179fdc7af17064dcdb3aade2133e32bb612cde2350726",
+    "bundle:4": "542e3ff59e606ad2ff82a8be5c21e3c27a553e7462672dcfa84ded7d59d5b83f",
+    "bundle:5": "499183a929b5c87829381692b0771e519144975d8d134cf1b5597e082f6b869a",
+    "line-bundle:O+O(1)": "3817ded1281a04fea81fa391448755a07e03ce4e2af50f4cfb3b5c5bb2152840",
+}
+
+
+@pytest.mark.parametrize("name", list(GOLDEN_ORACLE))
+def test_oracle_ring_digest(name):
+    alg, socle = _oracle_ring(name)
+    text = io.dump_ring(alg, socle)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == GOLDEN_ORACLE[name]
