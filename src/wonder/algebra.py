@@ -484,16 +484,17 @@ def _image(columns: list, x: dict) -> dict:
 
 def algebra_from_products(dims, labels, products) -> GradedAlgebra:
     """Build an algebra from a callable ``products(gi, gj) -> dict`` defined
-    on non-unit basis pairs gi <= gj."""
-    probe = GradedAlgebra(dims, labels, [])
-    entries = []
-    for gi in range(1, probe.total_dim):
-        for gj in range(gi, probe.total_dim):
-            if probe.degree_of(gi) + probe.degree_of(gj) > probe.top_degree:
-                continue
-            for gk, q in products(gi, gj).items():
-                entries.append((gi, gj, gk, q))
-    return GradedAlgebra(dims, labels, entries)
+    on non-unit basis pairs gi <= gj up to the top degree; zero
+    coefficients are left out."""
+    deg = [k for k, d in enumerate(dims) for _ in range(d)]
+    n, top = len(deg), len(dims) - 1
+    rows = (
+        ((gi, gj), {gk: q for gk, q in products(gi, gj).items() if q})
+        for gi in range(1, n)
+        for gj in range(gi, n)
+        if deg[gi] + deg[gj] <= top
+    )
+    return GradedAlgebra.on(Structure.from_products(dims, rows), labels)
 
 
 class GradedMap:

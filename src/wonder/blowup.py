@@ -1,12 +1,16 @@
 """Single-step constructions: the ring of a blow-up along one center and of
 a projective bundle, plus duality-propagation checks.
 
-The blow-up ring is built directly on the additive decomposition
+One builder makes both rings on the additive decomposition
 
-    ambient part  +  (center part) * E^k,   k = 1 .. c-1,
+    ambient part  +  (center part) * t^k,   k < n,
 
-with the monic relation in -E normative for all signs.  Both defining
-relations of the quotient presentation are verified to hold in the output.
+and reduces the powers of t over the center by one monic relation.  A
+blow-up along a center of codimension c has t = E, n = c, k >= 1 and the
+relation of Keel's formula, whose last term goes into the ambient part
+through the pushforward; both defining relations of its quotient
+presentation are verified to hold in the output.  A projective bundle of
+rank r has t = xi, n = r, k >= 0 and no ambient part.
 """
 
 from __future__ import annotations
@@ -30,6 +34,13 @@ from wonder.exact_linalg import ONE, ZERO
 def block_label(name: str, zlabel: str, k: int) -> str:
     power = name if k == 1 else f"{name}^{k}"
     return power if zlabel == "1" else f"{zlabel}*{power}"
+
+
+def _check_chern(chern, alg: GradedAlgebra, what: str):
+    """Each chern[i - 1] is zero or a class of ``alg`` of degree i."""
+    for i, ci in enumerate(chern, start=1):
+        if ci.coeffs and (ci.alg is not alg or any(alg.degree_of(g) != i for g in ci.coeffs)):
+            raise InputError(f"{what} {i} malformed")
 
 
 @dataclass
@@ -71,9 +82,7 @@ def blow_up(
         raise InputError("pushforward endpoints wrong")
     if pushforward.shift != c:
         raise InputError("pushforward shift must equal the codimension")
-    for i, ci in enumerate(chern, start=1):
-        if not ci.is_zero() and (ci.alg is not y or ci.degree() != i):
-            raise InputError(f"Chern coefficient {i} malformed")
+    _check_chern(chern, y, "Chern coefficient")
 
     fc = pushforward.apply(z.unit())
     if chern[-1] != fc:
@@ -106,110 +115,110 @@ def blow_up(
             name=name,
         )
 
-    top = y.top_degree
-    dims = []
-    labels = []
-    blocks = []
-    y_to_res = {}
-    ze_to_res = {}
-    g = 0
-    for i in range(top + 1):
-        lab = []
-        n = 0
-        for gy in y.global_indices(i):
-            y_to_res[gy] = g
-            lab.append(y.label_of(gy))
-            blocks.append(("Y", gy))
-            n += 1
-            g += 1
-        for k in range(1, c):
-            zdeg = i - k
-            if 0 <= zdeg <= z.top_degree:
-                for gz in z.global_indices(zdeg):
-                    ze_to_res[(k, gz)] = g
-                    lab.append(block_label(name, z.label_of(gz), k))
-                    blocks.append((k, gz))
-                    n += 1
-                    g += 1
-        dims.append(n)
-        labels.append(lab)
-
-    restricted_chern = [pullback.apply(ci) for ci in chern[:-1]]  # c_1 .. c_{c-1}
-
-    def reduce_epower(m: int, u: Element):
-        """u * E^m as (ambient element, {(k, gz): coeff}) with k < c."""
-        amb = y.zero()
-        ep: dict = {}
-        stack = [(m, u)]
-        while stack:
-            mm, uu = stack.pop()
-            if uu.is_zero():
-                continue
-            if mm < c:
-                for gz, q in uu.coeffs.items():
-                    key = (mm, gz)
-                    ep[key] = ep.get(key, ZERO) + q
-                continue
-            for i, ci in enumerate(restricted_chern, start=1):
-                term = z.multiply(uu, ci)
-                if not term.is_zero():
-                    sign = ONE if i % 2 else -ONE
-                    stack.append((mm - i, term.scale(sign)))
-            pu = pushforward.apply(uu)
-            sign = ONE if c % 2 else -ONE  # (-1)^(c+1)
-            if mm - c == 0:
-                amb = amb + pu.scale(sign)
-            else:
-                stack.append((mm - c, pullback.apply(pu).scale(sign)))
-        return amb, ep
-
-    def emit(amb: Element, ep: dict) -> dict:
-        out = {}
-        for gy, q in amb.coeffs.items():
-            out[y_to_res[gy]] = out.get(y_to_res[gy], ZERO) + q
-        for key, q in ep.items():
-            if key in ze_to_res:
-                out[ze_to_res[key]] = out.get(ze_to_res[key], ZERO) + q
-            elif q:
-                raise InputError("reduction left an out-of-range block")
-        return out
-
-    def products(gi, gj):
-        bi, bj = blocks[gi], blocks[gj]
-        if bi[0] == "Y" and bj[0] == "Y":
-            return {y_to_res[gk]: q for gk, q in y.product_basis(bi[1], bj[1]).items()}
-        if bi[0] == "Y" or bj[0] == "Y":
-            (_, gy), (k, gz) = (bi, bj) if bi[0] == "Y" else (bj, bi)
-            res = z.multiply(pullback.apply_basis(gy), z.basis_element(gz))
-            return emit(y.zero(), {(k, g2): q for g2, q in res.coeffs.items()})
-        j, gz = bi
-        k, gw = bj
-        u = z.multiply(z.basis_element(gz), z.basis_element(gw))
-        amb, ep = reduce_epower(j + k, u)
-        return emit(amb, ep)
-
-    algebra = algebra_from_products(dims, labels, products)
-    e_class = algebra.basis_element(ze_to_res[(1, 0)])
-    y_embed = GradedMap.from_images(
-        y, algebra, 0, [algebra.basis_element(y_to_res[g2]) for g2 in range(y.total_dim)]
+    # E^c = sum_i (-1)^(i+1) c_i E^(c-i); the last term, at E^0, is the
+    # pushforward of the center class it multiplies
+    signs = [ONE if i % 2 else -ONE for i in range(1, c + 1)]
+    algebra, e_class, blocks, y_embed, z_embeds = _block_ring(
+        z,
+        [pullback.apply(ci).scale(s) for ci, s in zip(chern, signs)],
+        name,
+        y=y,
+        pullback=pullback,
+        to_y=lambda u: pushforward.apply(u).scale(signs[-1]),
     )
-    z_embeds = {
-        k: GradedMap.from_images(
-            z,
-            algebra,
-            k,
-            [
-                algebra.basis_element(ze_to_res[(k, g2)])
-                if (k, g2) in ze_to_res
-                else algebra.zero()
-                for g2 in range(z.total_dim)
-            ],
-        )
-        for k in range(1, c)
-    }
-    result = BlowupResult(algebra, e_class, c, tuple(blocks), y_embed, z_embeds, name)
+    result = BlowupResult(algebra, e_class, c, blocks, y_embed, z_embeds, name)
     _verify_blowup_relations(result, y, z, pullback, chern)
     return result
+
+
+def _block_ring(z, chern, name, *, y=None, pullback=None, to_y=None):
+    """The ring spanned by the blocks z * t^k, k < n = len(chern), after a
+    block of ``y`` when one is given (a blow-up: then k >= 1 and t = E),
+    with powers of t reduced over ``z`` by
+
+        t^n = chern[0] t^(n-1) + ... + chern[n-1],   chern[i] classes of z.
+
+    The last term of t^n * u, which reaches exponent 0, is ``to_y(u)`` in
+    ``y`` for a blow-up and lands in block 0 for a bundle.  A class of
+    ``y`` multiplies the blocks through ``pullback``.  Returns the algebra,
+    the class t, the block of each index, the embedding of ``y`` (None for
+    a bundle) and the embeddings of ``z`` by block."""
+    n = len(chern)
+    tags = range(0 if y is None else 1, n)
+    top = z.top_degree + n - 1 if y is None else y.top_degree
+    blocks, dims, labels = [], [], []
+    for i in range(top + 1):
+        row = [("Y", g) for g in (() if y is None else y.global_indices(i))]
+        row += [(k, g) for k in tags for g in z.global_indices(i - k)]
+        blocks += row
+        dims.append(len(row))
+        labels.append(
+            [
+                y.label_of(g) if k == "Y"
+                else block_label(name, z.label_of(g), k) if k
+                else z.label_of(g)
+                for k, g in row
+            ]
+        )
+    index = {block: g for g, block in enumerate(blocks)}
+
+    def place(out: dict, tag, coeffs):
+        """Add the coefficients of a class of block ``tag`` to ``out``."""
+        for g, q in coeffs.items():
+            if (tag, g) not in index:
+                what = "reduction" if y is not None else "bundle reduction"
+                raise InputError(f"{what} left an out-of-range block")
+            h = index[(tag, g)]
+            out[h] = out.get(h, ZERO) + q
+        return out
+
+    def reduce(m: int, u: Element) -> dict:
+        """u * t^m, u a class of z, in result indices."""
+        out: dict = {}
+        stack = [(m, u)]
+        while stack:
+            m, u = stack.pop()
+            if u.is_zero():
+                continue
+            if m < n:
+                place(out, m, u.coeffs)
+                continue
+            for i, ci in enumerate(chern, start=1):
+                if i == m and to_y is not None:
+                    place(out, "Y", to_y(u).coeffs)
+                else:
+                    stack.append((m - i, z.multiply(u, ci)))
+        return out
+
+    def lift(block):
+        """A block as (exponent of t, class of z)."""
+        tag, g = block
+        if tag == "Y":
+            return 0, pullback.apply_basis(g)
+        return tag, z.basis_element(g)
+
+    def products(a, b):
+        if blocks[a][0] == blocks[b][0] == "Y":
+            return place({}, "Y", y.product_basis(blocks[a][1], blocks[b][1]))
+        (j, u), (k, w) = lift(blocks[a]), lift(blocks[b])
+        return reduce(j + k, z.multiply(u, w))
+
+    algebra = algebra_from_products(dims, labels, products)
+
+    def embed(source, tag, shift):
+        return GradedMap.from_images(
+            source,
+            algebra,
+            shift,
+            [
+                algebra.basis_element(index[(tag, g)]) if (tag, g) in index else algebra.zero()
+                for g in range(source.total_dim)
+            ],
+        )
+
+    y_embed = None if y is None else embed(y, "Y", 0)
+    z_embeds = {k: embed(z, k, k) for k in tags}
+    return algebra, algebra.basis_element(index[(1, 0)]), tuple(blocks), y_embed, z_embeds
 
 
 def _verify_blowup_relations(result, y, z, pullback, chern):
@@ -252,9 +261,7 @@ def bundle_result(z: GradedAlgebra, chern, *, name: str = "xi") -> ProjectiveBun
     r = len(chern)
     if r < 1:
         raise InputError("bundle rank must be >= 1")
-    for i, ci in enumerate(chern, start=1):
-        if not ci.is_zero() and (ci.alg is not z or ci.degree() != i):
-            raise InputError(f"Chern class {i} malformed")
+    _check_chern(chern, z, "Chern class")
     if r == 1:
         return ProjectiveBundle(
             algebra=z,
@@ -263,80 +270,8 @@ def bundle_result(z: GradedAlgebra, chern, *, name: str = "xi") -> ProjectiveBun
             blocks=tuple((0, g) for g in range(z.total_dim)),
             z_embeds={0: GradedMap.identity(z)},
         )
-    top = z.top_degree + r - 1
-    dims, labels, blocks = [], [], []
-    ze_to_res = {}
-    g = 0
-    for i in range(top + 1):
-        lab = []
-        n = 0
-        for k in range(r):
-            zdeg = i - k
-            if 0 <= zdeg <= z.top_degree:
-                for gz in z.global_indices(zdeg):
-                    ze_to_res[(k, gz)] = g
-                    lab.append(
-                        z.label_of(gz) if k == 0 else block_label(name, z.label_of(gz), k)
-                    )
-                    blocks.append((k, gz))
-                    n += 1
-                    g += 1
-        dims.append(n)
-        labels.append(lab)
-
-    def reduce_xipower(m: int, u: Element) -> dict:
-        out: dict = {}
-        stack = [(m, u)]
-        while stack:
-            mm, uu = stack.pop()
-            if uu.is_zero():
-                continue
-            if mm < r:
-                for gz, q in uu.coeffs.items():
-                    key = (mm, gz)
-                    out[key] = out.get(key, ZERO) + q
-                continue
-            for i, ci in enumerate(chern, start=1):
-                term = z.multiply(uu, ci)
-                if not term.is_zero():
-                    stack.append((mm - i, -term))
-        return out
-
-    def products(gi, gj):
-        j, gz = blocks[gi]
-        k, gw = blocks[gj]
-        u = z.multiply(z.basis_element(gz), z.basis_element(gw))
-        ep = reduce_xipower(j + k, u)
-        out = {}
-        for key, q in ep.items():
-            if key in ze_to_res:
-                out[ze_to_res[key]] = out.get(ze_to_res[key], ZERO) + q
-            elif q:
-                raise InputError("bundle reduction left an out-of-range block")
-        return out
-
-    algebra = algebra_from_products(dims, labels, products)
-    xi = algebra.basis_element(ze_to_res[(1, 0)])
-    z_embeds = {
-        k: GradedMap.from_images(
-            z,
-            algebra,
-            k,
-            [
-                algebra.basis_element(ze_to_res[(k, g2)])
-                if (k, g2) in ze_to_res
-                else algebra.zero()
-                for g2 in range(z.total_dim)
-            ],
-        )
-        for k in range(r)
-    }
-    return ProjectiveBundle(algebra, xi, r, tuple(blocks), z_embeds)
-
-
-def projective_bundle(z: GradedAlgebra, chern, *, name: str = "xi") -> GradedAlgebra:
-    """Projective-bundle ring; socle shifts up by rank - 1."""
-    return bundle_result(z, chern, name=name).algebra
+    algebra, xi, blocks, _, z_embeds = _block_ring(z, [-ci for ci in chern], name)
+    return ProjectiveBundle(algebra, xi, r, blocks, z_embeds)
 
 
 @dataclass
@@ -377,6 +312,30 @@ def _block_pattern_ok(result: BlowupResult, sp) -> bool:
     return True
 
 
+def _propagation(kind, what, inputs, output, block_check=None) -> PropagationReport:
+    """Socle checks of the ``inputs`` ({tag: (algebra, socle degree)}) and
+    of the output, then their duality verdicts: the output has a perfect
+    pairing exactly when every input does.  A violation raises, because it
+    can only be a bug or data that slipped validation."""
+    reports = {tag: socle_check(*arg) for tag, arg in {**inputs, "output": output}.items()}
+    problems = [f"{tag}: " + "; ".join(rep.problems) for tag, rep in reports.items() if not rep.ok]
+    if problems:
+        return PropagationReport(kind, {}, None, True, True, problems)
+    pairing = reports.pop("output").pairing
+    verdicts = {tag: pd_verdict(rep.pairing) for tag, rep in reports.items()}
+    out = pd_verdict(pairing)
+    equiv = out.is_pd == all(v.is_pd for v in verdicts.values())
+    block_ok = block_check is None or block_check(pairing)
+    if not equiv:
+        inputs_pd = ", ".join(f"{tag}={v.is_pd}" for tag, v in verdicts.items())
+        raise InvariantViolation(
+            f"duality equivalence violated for {what}: inputs ({inputs_pd}) vs output={out.is_pd}"
+        )
+    if not block_ok:
+        raise InvariantViolation("pairing blocks violate the triangular pattern")
+    return PropagationReport(kind, verdicts, out, equiv, block_ok, [])
+
+
 def check_blowup_propagation(
     y: GradedAlgebra,
     z: GradedAlgebra,
@@ -384,54 +343,23 @@ def check_blowup_propagation(
     socle_degree: int,
 ) -> PropagationReport:
     """Duality transfers along a blow-up: the output has a perfect pairing
-    exactly when both inputs do (given a nonzero center class).  A violation
-    raises, because it can only be a bug or data that slipped validation."""
-    problems = []
-    c = result.codim
-    sy = socle_check(y, socle_degree)
-    sz = socle_check(z, socle_degree - c)
-    so = socle_check(result.algebra, socle_degree)
-    for tag2, rep in (("ambient", sy), ("center", sz), ("output", so)):
-        if not rep.ok:
-            problems.append(f"{tag2}: " + "; ".join(rep.problems))
-    if problems:
-        return PropagationReport("blow_up", {}, None, True, True, problems)
-    verdicts = {"ambient": pd_verdict(sy.pairing), "center": pd_verdict(sz.pairing)}
-    out = pd_verdict(so.pairing)
-    expected = verdicts["ambient"].is_pd and verdicts["center"].is_pd
-    equiv = out.is_pd == expected
-    block_ok = c == 1 or _block_pattern_ok(result, so.pairing)
-    report = PropagationReport("blow_up", verdicts, out, equiv, block_ok, [])
-    if not equiv:
-        raise InvariantViolation(
-            f"duality equivalence violated for a blow-up: inputs "
-            f"(ambient={verdicts['ambient'].is_pd}, center={verdicts['center'].is_pd}) "
-            f"vs output={out.is_pd}"
-        )
-    if not block_ok:
-        raise InvariantViolation("pairing blocks violate the triangular pattern")
-    return report
+    exactly when both inputs do (given a nonzero center class)."""
+    return _propagation(
+        "blow_up",
+        "a blow-up",
+        {"ambient": (y, socle_degree), "center": (z, socle_degree - result.codim)},
+        (result.algebra, socle_degree),
+        None if result.codim == 1 else lambda sp: _block_pattern_ok(result, sp),
+    )
 
 
 def check_bundle_propagation(
     z: GradedAlgebra, bundle: ProjectiveBundle, socle_degree: int
 ) -> PropagationReport:
     """Duality transfers along a projective bundle (socle shifted by r-1)."""
-    problems = []
-    sz = socle_check(z, socle_degree)
-    so = socle_check(bundle.algebra, socle_degree + bundle.rank - 1)
-    for tag2, rep in (("base", sz), ("output", so)):
-        if not rep.ok:
-            problems.append(f"{tag2}: " + "; ".join(rep.problems))
-    if problems:
-        return PropagationReport("projective_bundle", {}, None, True, True, problems)
-    verdicts = {"base": pd_verdict(sz.pairing)}
-    out = pd_verdict(so.pairing)
-    equiv = out.is_pd == verdicts["base"].is_pd
-    report = PropagationReport("projective_bundle", verdicts, out, equiv, True, [])
-    if not equiv:
-        raise InvariantViolation(
-            f"duality equivalence violated for a projective bundle: base="
-            f"{verdicts['base'].is_pd} vs output={out.is_pd}"
-        )
-    return report
+    return _propagation(
+        "projective_bundle",
+        "a projective bundle",
+        {"base": (z, socle_degree)},
+        (bundle.algebra, socle_degree + bundle.rank - 1),
+    )

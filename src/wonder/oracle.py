@@ -37,11 +37,39 @@ class OracleRun:
         return list(self.algebra.dims)
 
 
+_KINDS = {dict: "an object", list: "a list", str: "a string", int: "an integer"}
+
+
+def _field(obj: dict, key: str, kind: type, where: str, default=None):
+    """``obj[key]`` (``default`` when absent and given), which must be a
+    ``kind``; anything else raises InputError naming the field."""
+    if key not in obj and default is None:
+        raise InputError(f"{where} lacks field {key!r}")
+    value = obj.get(key, default)
+    if not isinstance(value, kind):
+        raise InputError(f"{where} field {key!r} is not {_KINDS[kind]}: {value!r}")
+    return value
+
+
+def _labelled(entries, width: int, what: str) -> list:
+    """A list of ``width``-item lists whose items but the last are labels."""
+    if not isinstance(entries, list):
+        raise InputError(f"{what} {entries!r} is not a list")
+    for entry in entries:
+        if not (
+            isinstance(entry, list)
+            and len(entry) == width
+            and all(type(x) is str for x in entry[:-1])
+        ):
+            raise InputError(f"malformed {what} entry {entry!r}")
+    return entries
+
+
 def _decode_map(payload_entries, source, target):
     """[target_label, source_label, coeff] triples into a degree-0 map."""
     images = [target.zero() for _ in range(source.total_dim)]
     coeffs: dict[int, dict] = {}
-    for tgt_label, src_label, q in payload_entries:
+    for tgt_label, src_label, q in _labelled(payload_entries, 3, "pullback"):
         g = source.global_index(src_label)
         coeffs.setdefault(g, {})[tgt_label] = parse_rat(q)
     for g, vec in coeffs.items():
@@ -49,45 +77,47 @@ def _decode_map(payload_entries, source, target):
     return GradedMap.from_images(source, target, 0, images)
 
 
+def _chern(step: dict, alg: GradedAlgebra, where: str) -> list:
+    """The Chern classes of a step, each a list of [label, coeff] pairs
+    over the basis of ``alg``."""
+    return [
+        alg.from_labels({lbl: parse_rat(q) for lbl, q in _labelled(vec, 2, "chern")})
+        for vec in _field(step, "chern", list, where)
+    ]
+
+
 def run_oracle(payload: dict) -> OracleRun:
     """Apply the scripted steps to the base ring and report the final
     dimension vector and duality verdict."""
-    base_alg, socle = ring_from_payload({**payload["base"], "kind": "ring"})
-    current = base_alg
+    base = _field(payload, "base", dict, "oracle fixture")
+    current, socle = ring_from_payload({**base, "kind": "ring"})
     steps = []
-    for step in payload["steps"]:
+    for n, step in enumerate(_field(payload, "steps", list, "oracle fixture")):
+        where = f"oracle step {n}"
+        if not isinstance(step, dict):
+            raise InputError(f"{where} is not an object: {step!r}")
         op = step.get("op")
-        name = step.get("name", "E")
-        if op == "blow_up":
-            center, center_socle = ring_from_payload({**step["center"], "kind": "ring"})
-            pull = _decode_map(step["pullback"], current, center)
-            chern = [
-                current.from_labels({lbl: parse_rat(q) for lbl, q in vec})
-                for vec in step["chern"]
-            ]
-            push_spec = step.get("pushforward", "adjoint")
-            if push_spec == "adjoint":
-                sp_small = socle_check(center, center_socle).pairing
-                sp_big = socle_check(current, socle).pairing
-                if sp_small is None or sp_big is None:
-                    raise InputError("adjoint pushforward needs perfect pairings")
-                push = adjoint_pushforward(pull, sp_small, sp_big)
-            else:
-                raise InputError("explicit pushforward payloads are not supported")
-            result = blow_up(current, center, pull, push, chern, name=name)
-            current = result.algebra
-            steps.append((name, op, result))
-        elif op == "projective_bundle":
-            chern = [
-                current.from_labels({lbl: parse_rat(q) for lbl, q in vec})
-                for vec in step["chern"]
-            ]
-            result = bundle_result(current, chern, name=name)
-            socle = socle + result.rank - 1
-            current = result.algebra
-            steps.append((name, op, result))
-        else:
+        if op not in ("blow_up", "projective_bundle"):
             raise InputError(f"unknown oracle step op {op!r}")
+        name = _field(step, "name", str, where, "E")
+        chern = _chern(step, current, where)
+        if op == "projective_bundle":
+            result = bundle_result(current, chern, name=name)
+            socle += result.rank - 1
+        else:
+            center_payload = _field(step, "center", dict, where)
+            center, center_socle = ring_from_payload({**center_payload, "kind": "ring"})
+            pull = _decode_map(_field(step, "pullback", list, where), current, center)
+            if step.get("pushforward", "adjoint") != "adjoint":
+                raise InputError("explicit pushforward payloads are not supported")
+            sp_small = socle_check(center, center_socle).pairing
+            sp_big = socle_check(current, socle).pairing
+            if sp_small is None or sp_big is None:
+                raise InputError("adjoint pushforward needs perfect pairings")
+            push = adjoint_pushforward(pull, sp_small, sp_big)
+            result = blow_up(current, center, pull, push, chern, name=name)
+        current = result.algebra
+        steps.append((name, op, result))
     rep = socle_check(current, socle)
     verdict = pd_verdict(rep.pairing) if rep.ok else None
     return OracleRun(current, socle, steps, verdict, rep.problems)
@@ -128,30 +158,41 @@ def _correspondence_images(ring: WonderRing, run: OracleRun, entries):
     exceptional block."""
     alg = run.algebra
     images = {}
-    block_of = {}
-    for name, op, result in run.steps:
-        block_of[name] = result
+    block_of = {name: result for name, op, result in run.steps}
     for i, (deg, si, g, key, lbl) in enumerate(ring.basis):
         nest_ids, mu, _ = key
         if not nest_ids:
             amb_label = ring.diagram.ambient.algebra.label_of(g)
             images[i] = alg.from_labels({amb_label: 1})
+    if not isinstance(entries, list):
+        raise InputError(f"correspondence {entries!r} is not a list")
     for entry in entries:
-        nest_ids = tuple(sorted(entry["nest"]))
-        mu = tuple(sorted((x, int(k)) for x, k in entry["mu"]))
-        name = entry["step"]
-        power = int(entry["power"])
+        where = "correspondence entry"
+        if not isinstance(entry, dict):
+            raise InputError(f"{where} {entry!r} is not an object")
+        nest = _field(entry, "nest", list, where)
+        if not all(type(x) is str for x in nest):
+            raise InputError(f"{where} field 'nest' is not a list of labels: {nest!r}")
+        mu = _labelled(_field(entry, "mu", list, where), 2, "correspondence mu")
+        if not all(type(k) is int for _, k in mu):
+            raise InputError(f"{where} field 'mu' has a non-integer exponent: {mu!r}")
+        nest_ids = tuple(sorted(nest))
+        mu = tuple(sorted(map(tuple, mu)))
+        name = _field(entry, "step", str, where)
+        if name not in block_of:
+            raise InputError(f"{where} names no oracle step: {name!r}")
+        power = _field(entry, "power", int, where)
+        if power not in block_of[name].z_embeds:
+            raise InputError(f"oracle step {name!r} has no block of power {power}")
         scale = parse_rat(entry.get("scale", "1"))
-        basis_map = entry.get("basis_map", {})
-        result = block_of[name]
-        center = result.z_embeds[power].source if result.z_embeds else None
+        basis_map = _field(entry, "basis_map", dict, where, {})
         for i, (deg, si, g, key, lbl) in enumerate(ring.basis):
             if key[0] != nest_ids or key[1] != mu:
                 continue
             burrow_alg = ring.diagram.burrows[ring.summands[si].burrow].algebra
             blabel = burrow_alg.label_of(g)
             zlabel = basis_map.get(blabel, blabel)
-            target_label = block_label(result.name, zlabel, power)
+            target_label = block_label(name, zlabel, power)
             images[i] = alg.from_labels({target_label: 1}).scale(scale)
     return images
 

@@ -8,7 +8,6 @@ from wonder.blowup import (
     bundle_result,
     check_blowup_propagation,
     check_bundle_propagation,
-    projective_bundle,
 )
 from wonder.errors import InputError
 from wonder.models import _PowerAlg
@@ -118,7 +117,7 @@ def test_inconsistent_pushforward_rejected():
 
 def test_projective_bundle_rank_one():
     z = _PowerAlg(["x"], 1).alg
-    out = projective_bundle(z, [z.zero()])
+    out = bundle_result(z, [z.zero()]).algebra
     assert out is z
 
 

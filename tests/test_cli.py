@@ -112,6 +112,52 @@ def test_oracle_and_compare(tmp_path, capsys):
     assert "result: pass" in out
 
 
+def _no_center(fx):
+    del fx["steps"][0]["center"]
+
+
+def _step_is_int(fx):
+    fx["steps"][0] = 5
+
+
+def _short_pullback_entry(fx):
+    fx["steps"][0]["pullback"][0] = fx["steps"][0]["pullback"][0][:2]
+
+
+def _base_is_int(fx):
+    fx["base"] = 3
+
+
+def _steps_is_object(fx):
+    fx["steps"] = {}
+
+
+@pytest.mark.parametrize(
+    "mutate,field",
+    [
+        (_no_center, "'center'"),
+        (_step_is_int, "oracle step 0"),
+        (_short_pullback_entry, "pullback"),
+        (_base_is_int, "'base'"),
+        (_steps_is_object, "'steps'"),
+    ],
+)
+def test_oracle_rejects_malformed_fixture(tmp_path, capsys, mutate, field):
+    """A malformed keel --n 2 oracle fixture exits 1 from both commands that
+    read it, with a message naming the field, not a traceback."""
+    d = tmp_path / "d.json"
+    fx = tmp_path / "fx.json"
+    main(["model", "keel", "--n", "2", "--out", str(d)])
+    main(["model", "keel-oracle", "--n", "2", "--out", str(fx)])
+    payload = json.loads(fx.read_text())
+    mutate(payload)
+    fx.write_text(json.dumps(payload))
+    for argv in (["oracle", str(fx)], ["compare", "--diagram", str(d), "--oracle", str(fx)]):
+        code, out, err = run(capsys, *argv)
+        assert code == 1, (argv[0], out)
+        assert field in err and "Traceback" not in err, (argv[0], err)
+
+
 def test_synth_model(tmp_path, capsys):
     r = tmp_path / "r.json"
     assert main(["model", "synth", "--dims", "1,2,1", "--seed", "7", "--out", str(r)]) == 0

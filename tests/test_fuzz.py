@@ -1,7 +1,9 @@
-"""Seeded one-field mutations of the keel --n 2 diagram file and of its ring
-file, run through the command line in process: every mutant ends in exit 0,
-1 or 2, never in an exception escaping ``main``.  The diagram mutants go
-through every subcommand that reads a diagram file."""
+"""Seeded one-field mutations of the keel --n 2 diagram file, of its ring
+file and of its oracle fixture, run through the command line in process:
+every mutant ends in exit 0, 1 or 2, never in an exception escaping
+``main``.  The diagram mutants go through every subcommand that reads a
+diagram file, the fixture mutants through ``oracle`` and through
+``compare`` against the keel --n 2 diagram."""
 
 import json
 import random
@@ -11,6 +13,7 @@ import pytest
 from wonder import io
 from wonder.cli import main
 from wonder.engine import build_ring
+from wonder.fixtures import keel_2_oracle
 from wonder.models import keel_model
 
 DELETE = object()  # the mutation that removes the field
@@ -43,19 +46,21 @@ def _mutants(payload, count, seed):
 
 def _crashes(tmp_path, capsys, payload, commands, count, seed):
     """(mutation, command, what went wrong) for every mutant and command
-    that did not end in exit 0, 1 or 2."""
+    that did not end in exit 0, 1 or 2.  A command is a subcommand name or
+    a list of arguments; the mutant's file name goes last."""
     out = []
     f = tmp_path / "mutant.json"
     for mutant, what in _mutants(payload, count, seed):
         f.write_text(json.dumps(mutant))
         for command in commands:
+            argv = [command] if isinstance(command, str) else list(command)
             try:
-                code = main([command, str(f)])
+                code = main([*argv, str(f)])
             except Exception as e:  # noqa: BLE001 - any escape is the failure
                 code = f"{type(e).__name__}: {e}"
             capsys.readouterr()
             if code not in (0, 1, 2):
-                out.append((what, command, code))
+                out.append((what, argv[0], code))
     return out
 
 
@@ -80,3 +85,11 @@ def test_diagram_mutants_exit_cleanly_in_the_reports(tmp_path, capsys, keel2_fil
 def test_ring_mutants_exit_cleanly(tmp_path, capsys, keel2_files):
     _, ring = keel2_files
     assert _crashes(tmp_path, capsys, ring, ("pd", "betti"), 120, 0) == []
+
+
+def test_oracle_fixture_mutants_exit_cleanly(tmp_path, capsys, keel2_files):
+    diagram, _ = keel2_files
+    d = tmp_path / "d.json"
+    d.write_text(json.dumps(diagram))
+    commands = ("oracle", ["compare", "--diagram", str(d), "--oracle"])
+    assert _crashes(tmp_path, capsys, keel_2_oracle(), commands, 120, 0) == []
