@@ -57,8 +57,7 @@ def _add_common(p, *, rewrites: bool = False, out: bool = False, as_json: bool =
             "--max-rewrites",
             type=int,
             default=None,
-            help="cap on the rewrite steps of one normal-form call "
-            "(or set WONDER_MAX_REWRITES)",
+            help="cap on the rewrite steps of one normal-form call",
         )
     if out:
         p.add_argument("--out", default="-", help="output file or - for stdout")

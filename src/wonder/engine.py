@@ -15,13 +15,12 @@ coordinates, filled children first along the termination measure. The
 product table goes by summand pairs: their basis vectors share one merged
 pattern, a pair whose support is not a nest is zero with no ambient product,
 and any other basis product is one ambient product of two cached lifts
-followed by memo lookups. The rewrite cap (``max_rewrites``,
-``WONDER_MAX_REWRITES``) counts the rewrite steps one normal-form call
-actually performs, that is its memo misses."""
+followed by memo lookups. The rewrite cap (``max_rewrites``) counts the
+rewrite steps one normal-form call actually performs, that is its memo
+misses."""
 
 from __future__ import annotations
 
-import os
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -59,16 +58,6 @@ def _merged(sa: Summand, sb: Summand) -> tuple:
     return tuple(sorted(exps.items()))
 
 
-def _default_cap() -> int:
-    env = os.environ.get("WONDER_MAX_REWRITES")
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise InputError(f"WONDER_MAX_REWRITES is not an integer: {env!r}")
-    return DEFAULT_MAX_REWRITES
-
-
 class WonderRing:
     """Graded ring of the compactification, built on the additive basis.
     Its elements are ``algebra.Element`` instances whose algebra is the
@@ -76,7 +65,7 @@ class WonderRing:
 
     def __init__(self, diagram: BurrowDiagram, *, max_rewrites: int | None = None):
         self.diagram = diagram
-        self.max_rewrites = max_rewrites if max_rewrites is not None else _default_cap()
+        self.max_rewrites = DEFAULT_MAX_REWRITES if max_rewrites is None else max_rewrites
         self.summands, self.poincare = li_decomposition(diagram)
         d = diagram.socle_degree
         amb = diagram.ambient.algebra

@@ -290,12 +290,6 @@ def test_declared_symmetry_changes_no_output(model, strip_symmetry):
     assert texts[0] == texts[1]
 
 
-def test_env_cap_override(fm3_diagram, monkeypatch):
-    monkeypatch.setenv("WONDER_MAX_REWRITES", "1")
-    ring = WonderRing(fm3_diagram)
-    assert ring.max_rewrites == 1
-
-
 def test_presentation_fm3(fm3_ring):
     report = presentation_report(fm3_ring)
     assert report.ok, report.summary()
