@@ -165,10 +165,10 @@ def _block_ring(z, chern, name, *, y=None, pullback=None, to_y=None):
     def place(out: dict, tag, coeffs):
         """Add the coefficients of a class of block ``tag`` to ``out``."""
         for g, q in coeffs.items():
-            if (tag, g) not in index:
+            h = index.get((tag, g))
+            if h is None:
                 what = "reduction" if y is not None else "bundle reduction"
                 raise InputError(f"{what} left an out-of-range block")
-            h = index[(tag, g)]
             out[h] = out.get(h, ZERO) + q
         return out
 
