@@ -166,8 +166,8 @@ def _correspondence_images(ring: WonderRing, run: OracleRun, entries):
             images[i] = alg.from_labels({amb_label: 1})
     if not isinstance(entries, list):
         raise InputError(f"correspondence {entries!r} is not a list")
-    for entry in entries:
-        where = "correspondence entry"
+    for n, entry in enumerate(entries):
+        where = f"correspondence entry {n}"
         if not isinstance(entry, dict):
             raise InputError(f"{where} {entry!r} is not an object")
         nest = _field(entry, "nest", list, where)
