@@ -32,6 +32,10 @@ from wonder.exact_linalg import ONE, ZERO
 
 
 def block_label(name: str, zlabel: str, k: int) -> str:
+    """Label of the center class ``zlabel`` times t^k, t the class ``name``;
+    block 0 (a bundle's) keeps the bare center labels."""
+    if k == 0:
+        return zlabel
     power = name if k == 1 else f"{name}^{k}"
     return power if zlabel == "1" else f"{zlabel}*{power}"
 
@@ -154,9 +158,7 @@ def _block_ring(z, chern, name, *, y=None, pullback=None, to_y=None):
         dims.append(len(row))
         labels.append(
             [
-                y.label_of(g) if k == "Y"
-                else block_label(name, z.label_of(g), k) if k
-                else z.label_of(g)
+                y.label_of(g) if k == "Y" else block_label(name, z.label_of(g), k)
                 for k, g in row
             ]
         )

@@ -12,12 +12,15 @@ it does to coeff * E^e depends only on the exponent pattern e. So each ring
 builds one checked plan per pattern (zero, standard, or one rewrite) and a
 memo from (exponent pattern, ambient basis index) to sparse ring
 coordinates, filled children first along the termination measure. The
-product table goes by summand pairs: their basis vectors share one merged
-pattern, a pair whose support is not a nest is zero with no ambient product,
-and any other basis product is one ambient product of two cached lifts
-followed by memo lookups. The rewrite cap (``max_rewrites``) counts the
-rewrite steps one normal-form call actually performs, that is its memo
-misses."""
+product table is sparse and goes by summand pairs: their basis vectors
+share one merged pattern, and a pair whose support is not a nest is zero
+with no entry and no per-pair work. Within the other pairs, a sub-block of
+burrow degrees (ka, kb) whose pattern the plans alone show to vanish on
+ambient degree ka + kb (memoised per pattern and degree) is skipped the same
+way. Any other basis product is one ambient product of two cached lifts
+followed by memo lookups. Once the table is filled, a pair with no entry is
+zero. The rewrite cap (``max_rewrites``) counts the rewrite steps one
+normal-form call actually performs, that is its memo misses."""
 
 from __future__ import annotations
 
@@ -103,6 +106,8 @@ class WonderRing:
         # -> sparse ring coordinates
         self._plans: dict[tuple, tuple] = {}
         self._memo: dict[tuple, dict] = {}
+        # (exponent pattern, ambient degree) -> ``_vanishes_in``
+        self._zero_in: dict[tuple, bool] = {}
         self._cache: dict[tuple, Mapping] = {}
         self._complete = False
         self._algebra: GradedAlgebra | None = None
@@ -199,6 +204,12 @@ class WonderRing:
         sign = ONE if (p + 1) % 2 == 0 else -ONE  # (-1)^(p+1)
         return p, tuple((ek, cf.scale(sign)) for ek, cf in acc.items() if not cf.is_zero())
 
+    def _plan(self, pattern: tuple) -> tuple:
+        plan = self._plans.get(pattern)
+        if plan is None:  # a plan that raises is not stored
+            plan = self._plans[pattern] = self._make_plan(pattern)
+        return plan
+
     def _make_plan(self, pattern: tuple) -> tuple:
         """What one step does to E^pattern * (ambient basis class g), any g:
         ``_ZERO_PLAN`` off the nests; (_STANDARD, restriction columns to the
@@ -286,9 +297,7 @@ class WonderRing:
             children = pending.get(key)
             if children is None:
                 pattern, g = key
-                plan = self._plans.get(pattern)
-                if plan is None:  # a plan that raises is not stored
-                    plan = self._plans[pattern] = self._make_plan(pattern)
+                plan = self._plan(pattern)
                 if plan[0] is not _REWRITE:
                     if plan is _ZERO_PLAN:
                         memo[key] = {}
@@ -350,6 +359,31 @@ class WonderRing:
         """Whether the pattern's support is not a nest (its monomials are 0)."""
         return not self.diagram.is_nest(x for x, _ in pattern)
 
+    def _vanishes_in(self, pattern: tuple, k: int) -> bool:
+        """Whether the plans alone show NF(pattern, c) = 0 for every ambient
+        class c of degree k: a zero plan; a standard plan whose restriction
+        columns of degree k are all zero; a rewrite whose children all
+        vanish in degree k + (degree of their coefficient).  Sufficient, not
+        necessary: cancellation between children goes unseen."""
+        key = (pattern, k)
+        zero = self._zero_in.get(key)
+        if zero is None:
+            plan = self._plan(pattern)
+            amb = self._amb
+            if plan is _ZERO_PLAN:
+                zero = True
+            elif plan[0] is _STANDARD:
+                columns = plan[1]
+                zero = not any(columns[g] for g in amb.global_indices(k))
+            else:
+                zero = all(
+                    self._vanishes_in(child, k + amb.degree_of(h))
+                    for child, cf, _ in plan[2]
+                    for h in cf
+                )
+            self._zero_in[key] = zero
+        return zero
+
     def _product(self, a: int, b: int, pattern: tuple, trace=None, memo=None) -> Mapping:
         """Normal form of the product of basis vectors a and b with the given
         merged exponent pattern: the ambient product of their lifts, reduced
@@ -365,11 +399,13 @@ class WonderRing:
 
     def basis_product(self, i: int, j: int) -> Mapping[int, Fraction]:
         """Coordinates of the product of two basis vectors; nonzero
-        coefficients only. Zero products are one shared read-only mapping."""
+        coefficients only. Zero products are one shared read-only mapping;
+        once ``build_all_products`` has run, a pair it stored nothing for is
+        zero."""
         a, b = (i, j) if i <= j else (j, i)
         cached = self._cache.get((a, b))
         if cached is None:
-            if self.degree_of(a) + self.degree_of(b) > self.diagram.socle_degree:
+            if self._complete or self.degree_of(a) + self.degree_of(b) > self.diagram.socle_degree:
                 return _EMPTY
             pattern = _merged(self.summand_of(a), self.summand_of(b))
             zero = self._vanishes(pattern)
@@ -459,17 +495,27 @@ class WonderRing:
         return perms
 
     def build_all_products(self):
-        """Fill the product cache for every basis pair up to the socle, one
-        summand pair (block) at a time: the block's merged exponent pattern
-        and its nest test are taken once, and a block whose support is not a
-        nest is zero without any ambient product.
+        """Fill the product table, one summand pair (block) at a time: the
+        block's merged exponent pattern and its nest test are taken once.
+        A block whose support is not a nest is zero: it gets no per-pair
+        loop and no entries.  Any other block splits into sub-blocks by the
+        burrow degrees (ka, kb) of its two basis vectors; the lifts of such a
+        pair multiply to an ambient class of degree ka + kb, and a sub-block
+        where ``_vanishes_in`` clears the pattern in that degree is zero and
+        gets no entries either.  Each remaining pair goes through
+        ``_product``, and the table stores its row, empty or not.  Once the
+        fill is complete, a pair with no entry is zero (``basis_product``).
 
         With a checked symmetry group (``BurrowDiagram.symmetry``), one pair
         per orbit goes through ``_product`` and the rest of its orbit is
-        filled by relabelling: cache[(s i, s j)] = s(cache[(i, j)]) under
+        filled by relabelling: table[(s i, s j)] = s(table[(i, j)]) under
         the basis permutations of ``_basis_permutations``.  The group also
-        permutes the blocks, so the blocks of an orbit after its first are
-        already filled, or zero with no nest test.
+        permutes the blocks, so only the first block of each orbit is
+        visited: the others are zero, or filled by the relabelling.
+
+        The fill writes a fresh table.  A row that ``basis_product`` stored
+        earlier is reused in place of ``_product`` (it is the same normal
+        form), but its orbit is relabelled all the same.
 
         Proof.  Write R for the ring, generated by the ambient algebra A(Y)
         and the classes E_x subject to the relations the rewriting uses:
@@ -478,7 +524,16 @@ class WonderRing:
         NF(mu, c) (``_normalize``) is the coordinate vector of the class
         E^mu * c of R on the additive basis, whatever route the rewriting
         takes, and the basis vector of (N, mu, g) is E^mu * lift(g), with
-        lift the section of the pullback to Z_N (``section``).
+        lift the section of the pullback to Z_N (``section``), a map of
+        degree 0.
+        Skipped sub-blocks.  Let c have degree k.  If the plan of mu is
+        zero, E^mu = 0; if it is standard, NF(mu, c) reads the restriction
+        of c to the support's burrow, whose degree-k columns are all zero
+        when the test clears; if it is a rewrite, NF(mu, c) is a sum of
+        terms NF(child, q * c * h), one per basis class h of degree e of a
+        child's coefficient, so by induction on the termination measure
+        each term is zero when its child clears degree k + e.  So a cleared
+        sub-block holds only zero products.
         Lemma: E^mu * k = 0 when k restricts to zero on the burrow Z_S of
         the support S of mu.  E^mu is carried by the exceptional locus
         over Z_S, which maps to Z_S, so E^mu * k only sees k restricted to
@@ -497,61 +552,80 @@ class WonderRing:
         vector E^mu * lift(g) to E^(s mu) * s(lift(g)); s(lift(g)) restricts
         to s g on s Z_N, so by the lemma that is the basis vector of
         (s N, s mu, s g): the induced permutation.  Hence s carries the
-        product of basis vectors i and j, whose coordinates cache[(i, j)]
-        holds, to the product of s i and s j.  The tests compare the filled
-        cache with the one filled pair by pair and check the lemma on the
-        engine's normal forms."""
+        product of basis vectors i and j, whose coordinates table[(i, j)]
+        holds, to the product of s i and s j.
+        Absent means zero.  A pair i <= j up to the socle lies in a block
+        g B, for B the first block of its orbit and g in the group.  If B is
+        zero, so is g B.  Otherwise g^-1 (i, j) lies in B, in a skipped
+        sub-block (a zero product, carried to zero by g) or in a pair the
+        fill stored, whose orbit the relabelling stored with it.
+        The tests compare the tables of the three fills (by orbits, pair by
+        pair, and with no symmetry), compute every skipped pair, and check
+        the lemma on the engine's normal forms."""
         if self._complete:
             return
         perms = self._basis_permutations()
         d = self.diagram.socle_degree
-        deg = [e[0] for e in self.basis]
-        blocks: list[list[int]] = [[] for _ in self.summands]
-        for i, e in enumerate(self.basis):
-            blocks[e[1]].append(i)  # ascending index, so ascending degree
-        cache = self._cache
-        moves = [[self.basis[p[block[0]]][1] for block in blocks] for p in perms]
-        zero_orbit: dict[tuple, bool] = {}
-        for sa, block_a in enumerate(blocks):
-            for sb in range(sa, len(blocks)):
-                if self.summands[sa].shift + self.summands[sb].shift > d:
+        shifts = [s.shift for s in self.summands]
+        # per block: (burrow degree, basis indices of that degree), ascending
+        runs: list[list] = [[] for _ in self.summands]
+        for i, (deg, si, *_) in enumerate(self.basis):
+            k, run = deg - shifts[si], runs[si]
+            if run and run[-1][0] == k:
+                run[-1][1].append(i)
+            else:
+                run.append((k, [i]))
+        moves = [[self.basis[p[run[0][1][0]]][1] for run in runs] for p in perms]
+        old, table = self._cache, {}
+        # blocks of visited orbits that the loop has not reached yet; the
+        # group keeps shifts, so it reaches and drops each of them
+        later: set = set()
+        for sa in range(len(runs)):
+            for sb in range(sa, len(runs)):
+                shift = shifts[sa] + shifts[sb]
+                if shift > d:
                     continue
-                zero = zero_orbit.get((sa, sb))
-                if zero is False:
+                if (sa, sb) in later:
+                    later.remove((sa, sb))
                     continue
-                if zero is None:
-                    pattern = _merged(self.summands[sa], self.summands[sb])
-                    zero = zero_orbit[sa, sb] = self._vanishes(pattern)
-                    stack = [(sa, sb)]
-                    while stack:
-                        x, y = stack.pop()
-                        for q in moves:
-                            image = (q[x], q[y]) if q[x] <= q[y] else (q[y], q[x])
-                            if image not in zero_orbit:
-                                zero_orbit[image] = zero
-                                stack.append(image)
-                block_b = blocks[sb]
-                for pos, i in enumerate(block_a):
-                    for j in block_b[pos:] if sa == sb else block_b:
-                        if deg[i] + deg[j] > d:
+                stack = [(sa, sb)]
+                while stack:
+                    x, y = stack.pop()
+                    for q in moves:
+                        image = (q[x], q[y]) if q[x] <= q[y] else (q[y], q[x])
+                        if image != (sa, sb) and image not in later:
+                            later.add(image)
+                            stack.append(image)
+                pattern = _merged(self.summands[sa], self.summands[sb])
+                if self._vanishes(pattern):
+                    continue
+                for ka, run_a in runs[sa]:
+                    for kb, run_b in runs[sb]:
+                        if shift + ka + kb > d:
                             break
-                        key = (i, j) if i <= j else (j, i)
-                        if key in cache:
+                        if (sa == sb and kb < ka) or self._vanishes_in(pattern, ka + kb):
                             continue
-                        if zero:  # so is every pair of its orbit
-                            cache[key] = _EMPTY
-                            continue
-                        cache[key] = row = self._product(*key, pattern)
-                        stack = [(key, row)]
-                        while stack:
-                            (a, b), row = stack.pop()
-                            for p in perms:
-                                x, y = p[a], p[b]
-                                image = (x, y) if x <= y else (y, x)
-                                if image not in cache:
-                                    moved = {p[k]: c for k, c in row.items()} or _EMPTY
-                                    cache[image] = moved
-                                    stack.append((image, moved))
+                        same = sa == sb and ka == kb
+                        for pos, i in enumerate(run_a):
+                            for j in run_b[pos:] if same else run_b:
+                                key = (i, j) if i <= j else (j, i)
+                                if key in table:
+                                    continue
+                                row = old.get(key)
+                                if row is None:
+                                    row = self._product(*key, pattern)
+                                table[key] = row
+                                stack = [(key, row)]
+                                while stack:
+                                    (a, b), row = stack.pop()
+                                    for p in perms:
+                                        x, y = p[a], p[b]
+                                        image = (x, y) if x <= y else (y, x)
+                                        if image not in table:
+                                            moved = {p[k]: c for k, c in row.items()} or _EMPTY
+                                            table[image] = moved
+                                            stack.append((image, moved))
+        self._cache = table
         self._complete = True
 
     def as_algebra(self) -> GradedAlgebra:
@@ -560,8 +634,8 @@ class WonderRing:
             labels = [[] for _ in range(len(self.dims))]
             for deg, _, _, _, lbl in self.basis:
                 labels[deg].append(lbl)
-            # the cache holds every pair i <= j; the unit products (i = 0)
-            # are implicit, and left out here by their i
+            # only the stored rows, pairs absent from the table being zero;
+            # the unit products (i = 0) are implicit, and left out by their i
             products = compress(self._cache.items(), map(itemgetter(0), self._cache))
             self._algebra = GradedAlgebra.on(Structure.from_products(self.dims, products), labels)
         return self._algebra

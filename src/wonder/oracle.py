@@ -102,6 +102,11 @@ def run_oracle(payload: dict) -> OracleRun:
         name = _field(step, "name", str, where, "E")
         chern = _chern(step, current, where)
         if op == "projective_bundle":
+            rank = _field(step, "rank", int, where, len(chern))
+            if rank != len(chern):
+                raise InputError(
+                    f"{where} field 'rank' is {rank}, but field 'chern' has {len(chern)} classes"
+                )
             result = bundle_result(current, chern, name=name)
             socle += result.rank - 1
         else:

@@ -4,6 +4,7 @@ import pytest
 
 from wonder.algebra import GradedAlgebra, GradedMap, socle_check
 from wonder.blowup import (
+    block_label,
     blow_up,
     bundle_result,
     check_blowup_propagation,
@@ -135,6 +136,18 @@ def test_projective_bundle_line_rank_two():
     assert res.algebra.dims == (1, 2, 1)
     report = check_bundle_propagation(z, res, 1)
     assert report.ok and report.output_verdict.is_pd
+
+
+def test_bundle_labels_come_from_block_label():
+    """Every class of a bundle ring, block 0 included, carries the label
+    ``block_label`` gives its block, so fixtures can name any block."""
+    inp = random_bundle_input(3)
+    z = inp["z"]
+    res = bundle_result(z, inp["chern"], name="xi")
+    assert block_label("xi", "hx", 0) == "hx"
+    labels = [block_label("xi", z.label_of(g), k) for k, g in res.blocks]
+    assert [res.algebra.label_of(h) for h in range(res.algebra.total_dim)] == labels
+    assert any(k == 0 for k, _ in res.blocks)
 
 
 def test_bundle_socle_shift():

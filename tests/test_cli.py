@@ -132,6 +132,10 @@ def _steps_is_object(fx):
     fx["steps"] = {}
 
 
+def _bundle_rank_disagrees(fx):
+    fx["steps"].append({"op": "projective_bundle", "name": "xi", "rank": 3, "chern": [[], []]})
+
+
 @pytest.mark.parametrize(
     "mutate,field",
     [
@@ -140,6 +144,7 @@ def _steps_is_object(fx):
         (_short_pullback_entry, "pullback"),
         (_base_is_int, "'base'"),
         (_steps_is_object, "'steps'"),
+        (_bundle_rank_disagrees, "'rank'"),
     ],
 )
 def test_oracle_rejects_malformed_fixture(tmp_path, capsys, mutate, field):

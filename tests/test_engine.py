@@ -171,28 +171,41 @@ def test_basis_products_hold_no_zero_coefficients(fm3_ring, keel3_ring, fm5_ring
     [lambda: fm_power("p2", 3), lambda: keel_model(3), lambda: fm_power("p1", 5)],
     ids=["fm-p2-3", "keel-3", "fm-p1-5"],
 )
-def test_product_table_does_not_depend_on_route_or_order(model):
-    # fm-p1 n=5 has products whose coefficients cancel to zero
+def test_product_table_does_not_depend_on_route_or_order(model, strip_symmetry):
+    """Every basis product, zeros included, reads the same after the fill by
+    orbits, the fill pair by pair, and the fill with the symmetry removed;
+    each zero reads as the one shared empty mapping.  fm-p1 n=5 has
+    products whose coefficients cancel to zero."""
     diagram = model()
-    blocks = WonderRing(diagram)
-    blocks.build_all_products()
+    orbits = WonderRing(diagram)
+    orbits.build_all_products()
+    direct = WonderRing(strip_symmetry(diagram))
+    direct.build_all_products()
     pairs = WonderRing(diagram)
     n = len(pairs.basis)
     for i in reversed(range(n)):
         for j in reversed(range(i, n)):
             pairs.basis_product(j, i)
-    assert pairs._cache == blocks._cache
-    empty = {key for key, row in blocks._cache.items() if row is _EMPTY}
-    assert empty and empty == {key for key, row in pairs._cache.items() if row is _EMPTY}
-    assert all(row for key, row in blocks._cache.items() if key not in empty)
+    zeros = 0
+    for i in range(n):
+        for j in range(n):
+            row = pairs.basis_product(i, j)
+            assert orbits.basis_product(i, j) == row == direct.basis_product(i, j), (i, j)
+            if not row:
+                zeros += 1
+                assert orbits.basis_product(i, j) is row is direct.basis_product(i, j) is _EMPTY
+    assert zeros
 
 
 def test_fmp2_4_min3_builds_one_plan_per_pattern(monkeypatch, strip_symmetry):
-    """The 3,042 normal forms of the fm-p2 n=4 (min size 3) product table
-    share 129 exponent patterns; each pattern's plan is built once, and the
-    blocks whose support is not a nest need none.  That is the direct fill,
-    with no declared symmetry; the fill by orbits of the declared S_4 needs
-    only some of those normal forms, again with one plan per pattern."""
+    """The 2,578 normal forms of the fm-p2 n=4 (min size 3) product table
+    share 117 exponent patterns.  The fill builds 129 plans, each once:
+    those patterns' and the ones only the vanishing test of the skipped
+    sub-blocks reads; the blocks whose support is not a nest need none.
+    That is the direct fill, with no declared symmetry; the fill by orbits
+    of the declared S_4 needs only some of those normal forms, again with
+    one plan per pattern.  Both tables hold 6,007 of the 17,170 pairs up to
+    the socle: none in a zero block or a skipped sub-block."""
     calls = []
     make_plan = WonderRing._make_plan
 
@@ -204,15 +217,15 @@ def test_fmp2_4_min3_builds_one_plan_per_pattern(monkeypatch, strip_symmetry):
     diagram = fm_power("p2", 4, min_size=3)
     ring = WonderRing(strip_symmetry(diagram))
     ring.build_all_products()
-    assert len(ring._memo) == 3042
-    assert len({pattern for pattern, _ in ring._memo}) == 129
-    assert len(calls) <= 129
-    assert len(set(calls)) == len(calls)
+    assert len(ring._memo) == 2578
+    assert len({pattern for pattern, _ in ring._memo}) == 117
+    assert len(set(calls)) == len(calls) == 129
     calls.clear()
     orbits = WonderRing(diagram)
     orbits.build_all_products()
     assert set(orbits._memo) < set(ring._memo)
     assert len(set(calls)) == len(calls) <= 129
+    assert len(orbits._cache) == len(ring._cache) == 6007
 
 
 @pytest.mark.parametrize(
@@ -221,9 +234,9 @@ def test_fmp2_4_min3_builds_one_plan_per_pattern(monkeypatch, strip_symmetry):
     ids=["fm-p2-4-min3", "keel-3"],
 )
 def test_orbit_fill_equals_direct_fill(model, strip_symmetry):
-    """The cache filled one pair per orbit of the declared group equals the
-    one filled pair by pair, and the direct cache is equivariant: for every
-    generator s, cache[(s i, s j)] = s(cache[(i, j)])."""
+    """The table filled one pair per orbit of the declared group equals the
+    one filled with no symmetry, entry for entry, and the direct table is
+    equivariant: for every generator s, table[(s i, s j)] = s(table[(i, j)])."""
     diagram = model()
     assert diagram.symmetry().generators and not diagram.symmetry().problems
     orbits = WonderRing(diagram)
@@ -398,3 +411,29 @@ def test_nest_with_empty_intersection_is_input_error():
     ring = WonderRing(diagram)
     with pytest.raises(InputError, match="empty intersection"):
         ring.monomial({"D1@0": 1, "D1@1": 1})
+
+
+def test_products_read_before_the_fill_leave_the_ring_unchanged(keel3_diagram):
+    """A pair read before ``build_all_products`` still has its orbit
+    relabelled by the fill: reading any one nonzero product of keel --n 3
+    first, or running ``presentation_report`` on fm-p2 n=4 (min size 3)
+    first, leaves the ring text unchanged."""
+
+    def text(ring):
+        return io.dump_ring(ring.as_algebra(), ring.diagram.socle_degree)
+
+    full = build_ring(keel3_diagram, validate=False)
+    want = text(full)
+    n = len(full.basis)
+    pairs = [(i, j) for i in range(1, n) for j in range(i, n) if full.basis_product(i, j)]
+    assert len(pairs) == 56
+    for i, j in pairs:
+        ring = WonderRing(keel3_diagram)
+        ring.basis_product(i, j)
+        assert text(ring) == want, (i, j)
+
+    diagram = fm_power("p2", 4, min_size=3)
+    want = text(build_ring(diagram, validate=False))
+    ring = WonderRing(diagram)
+    assert presentation_report(ring).ok
+    assert text(ring) == want

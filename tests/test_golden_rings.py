@@ -10,7 +10,9 @@ oracle digests the rings that ``run_oracle``, ``blow_up`` and
 ``bundle_result`` build. The
 round-trip test loads each model's diagram text and dumps it again, and the
 writer test compares the file writer with ``json.dumps`` on every diagram
-and ring payload of these models. The scalar-kind tests walk the same models: every stored scalar is an ``int`` or
+and ring payload of these models. The skipped-product test computes, on
+each model, every product the fill skips as zero and finds it zero. The
+scalar-kind tests walk the same models: every stored scalar is an ``int`` or
 a non-integral ``Fraction``.  The generator tests check that
 ``GradedAlgebra.generators`` is a minimal generating set of every burrow
 algebra of these models and of the synthetic algebras."""
@@ -24,7 +26,7 @@ import pytest
 from wonder import io
 from wonder.blowup import blow_up, bundle_result
 from wonder.cli import main
-from wonder.engine import build_ring
+from wonder.engine import _merged, build_ring
 from wonder.exact_linalg import rank_rows
 from wonder.fixtures import oracle_fixture
 from wonder.models import _PowerAlg, fm_power, keel_model, synthetic_broken, synthetic_gorenstein
@@ -171,6 +173,35 @@ def _structure_constants(alg):
     for i in range(alg.total_dim):
         for j in range(i, alg.total_dim):
             yield from alg.product_basis(i, j).values()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_skipped_products_are_zero(built, name):
+    """Every pair up to the socle that the product fill skips is zero and
+    has no table entry: a pair in a block whose merged pattern is not a
+    nest, or in a sub-block whose two burrow degrees sum to an ambient
+    degree where ``_vanishes_in`` clears the block's pattern.  ``_product``
+    computes each pair of the latter kind, on a copy of the memo."""
+    diagram, ring = built(name)
+    d = diagram.socle_degree
+    memo = dict(ring._memo)
+    n = len(ring.basis)
+    skipped = 0
+    for i in range(n):
+        deg_i, si = ring.basis[i][:2]
+        for j in range(i, n):
+            deg_j, sj = ring.basis[j][:2]
+            if deg_i + deg_j > d:
+                break
+            pattern = _merged(ring.summands[si], ring.summands[sj])
+            if not ring._vanishes(pattern):
+                k = deg_i + deg_j - ring.summands[si].shift - ring.summands[sj].shift
+                if not ring._vanishes_in(pattern, k):
+                    continue
+                assert not ring._product(i, j, pattern, memo=memo), (i, j)
+            assert (i, j) not in ring._cache, (i, j)
+            skipped += 1
+    assert skipped
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
