@@ -256,6 +256,7 @@ GOLDEN_REPORTS = {
     ("fm-p2-4-min3", "decompose"): "c372bf0d66a3a1d185ac2484a18fe210eed8c88d667df373fd158454bbe4976f",
     ("fm-p2-4-min3", "presentation"): "5996c2386bb0b1ee20bff240c21a479bf75c240826dce1481f0e97845cf78c85",
     ("fm-p2-4-min3", "discrepancy"): "e92bac0f7765aa712c73ab9488411063fce0279fe65847c247029b5f7a8e2f1a",
+    ("fm-p2-4-min3", "blocks"): "1121cfccd5913f0a63fec40a6ffd44ea64f9dc135c66634ba001d10bcf4302a2",
     ("fm-p2-4-min3", "pd"): "1e846ae58df49af1463529658f5c1eeac2ee2f4a3d9df01fb7eac992cb360b45",
     ("fm-curve-3-g2", "validate"): "0d2ba16d3a935d6ad2f93c9edcf6e262e7d438584b131e6fdc95c5499955cd57",
     ("fm-curve-3-g2", "decompose"): "a0f8f5fa52b26dded3a212a70c674030004a72b00522efb7e029c116a3bbdcc9",
