@@ -27,6 +27,7 @@ from wonder.exact_linalg import (
     rank_rows,
     rat,
     solve_rows,
+    sparse_rank,
 )
 
 _NO_PRODUCT: Mapping = MappingProxyType({})  # the product of a pair with none stored
@@ -668,8 +669,10 @@ def projection_formula_holds(pullback: GradedMap, pushforward: GradedMap) -> boo
 class SoclePairing:
     """Pairing data of an algebra whose top nonzero degree is 1-dimensional.
 
-    gram(k) is the matrix of A^k x A^(d-k) -> A^d in the socle coordinate;
-    gram(d-k) is its transpose by commutativity.
+    gram(k) is the matrix of A^k x A^(d-k) -> A^d in the socle coordinate,
+    stored sparse: row i, for the i-th basis class of degree k, is a dict
+    from the position j of a class in degree d-k to their nonzero pairing,
+    keys ascending.  gram(d-k) is its transpose by commutativity.
     """
 
     algebra: GradedAlgebra
@@ -677,7 +680,7 @@ class SoclePairing:
     socle_index: int
     grams: tuple
 
-    def gram(self, k: int):
+    def gram(self, k: int) -> list[dict]:
         return self.grams[k]
 
     def pair(self, x: Element, y: Element) -> Fraction:
@@ -710,15 +713,25 @@ def socle_check(alg: GradedAlgebra, expected_degree: int) -> SocleReport:
     if problems:
         return SocleReport(False, None, problems)
     socle_index = alg.offset(d)
+    rows = alg.structure.rows
     grams = [None] * (d + 1)
     for k in range(d // 2 + 1):
-        cols = alg.global_indices(d - k)
-        gram = [
-            [alg.product_basis(gi, gj).get(socle_index, ZERO) for gj in cols]
-            for gi in alg.global_indices(k)
-        ]
-        grams[d - k] = [[row[j] for row in gram] for j in range(alg.dim(d - k))]
+        # a product reaches the socle only from complementary degrees
+        lo = alg.offset(d - k)
+        gram = []
+        for gi in alg.global_indices(k):
+            row = {}
+            for gj, prod in rows[gi].items():
+                q = prod.get(socle_index)
+                if q:
+                    row[gj - lo] = q
+            gram.append(dict(sorted(row.items())))
         grams[k] = gram
+        if d - k != k:
+            transpose = grams[d - k] = [{} for _ in range(alg.dim(d - k))]
+            for i, row in enumerate(gram):
+                for j, q in row.items():
+                    transpose[j][i] = q
     return SocleReport(True, SoclePairing(alg, d, socle_index, tuple(grams)), [])
 
 
@@ -738,12 +751,18 @@ def pd_verdict(sp: SoclePairing) -> PdVerdict:
     for k in range(d + 1):
         kc = min(k, d - k)
         if kc not in ranks:
-            ranks[kc] = rank_rows(sp.gram(kc))
+            ranks[kc] = sparse_rank(sp.gram(kc))
         r = ranks[kc]
         kernels.append((alg.dim(k) - r, alg.dim(d - k) - r))
         discrepancies.append(alg.dim(k) - r)
     is_pd = all(l == 0 and r == 0 for l, r in kernels)
     return PdVerdict(is_pd, tuple(kernels), tuple(discrepancies))
+
+
+def _dense_gram(sp: SoclePairing, k: int) -> list[list]:
+    """gram(k) as dense rows, for the Bareiss-based kernel and solve."""
+    cols = range(sp.algebra.dim(sp.degree - k))
+    return [[row.get(j, ZERO) for j in cols] for row in sp.gram(k)]
 
 
 def socle_kernel_elements(sp: SoclePairing, k: int) -> list[Element]:
@@ -752,7 +771,7 @@ def socle_kernel_elements(sp: SoclePairing, k: int) -> list[Element]:
     if k < 0 or k > sp.degree:
         raise InputError(f"degree {k} out of range 0..{sp.degree}")
     alg = sp.algebra
-    vecs = nullspace_rows(sp.gram(sp.degree - k), alg.dim(k))
+    vecs = nullspace_rows(_dense_gram(sp, sp.degree - k), alg.dim(k))
     return [alg.from_vector(k, v) for v in vecs]
 
 
@@ -763,6 +782,7 @@ def adjoint_pushforward(
     pairings; satisfies the projection formula by construction."""
     big, small = pullback.source, pullback.target
     c = sp_big.degree - sp_small.degree
+    grams = {}  # comp -> _dense_gram(sp_big, comp)
     images = []
     for g in range(small.total_dim):
         k = small.degree_of(g)
@@ -775,7 +795,9 @@ def adjoint_pushforward(
         rhs = []
         for gy in big.global_indices(comp):
             rhs.append(sp_small.pair(z, pullback.apply_basis(gy)))
-        sol = solve_rows(sp_big.gram(comp), rhs, cols=big.dim(tk))
+        if comp not in grams:
+            grams[comp] = _dense_gram(sp_big, comp)
+        sol = solve_rows(grams[comp], rhs, cols=big.dim(tk))
         if sol is None:
             raise InputError("pairing is not perfect; adjoint pushforward undefined")
         images.append(big.from_vector(tk, sol))

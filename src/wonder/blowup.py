@@ -303,13 +303,12 @@ def _block_pattern_ok(result: BlowupResult, sp) -> bool:
 
     for i in range(d + 1):
         gram = sp.gram(i)
-        rows = list(alg.global_indices(i))
-        cols = list(alg.global_indices(d - i))
-        for ri, gr in enumerate(rows):
+        cols = alg.global_indices(d - i)
+        for gr, row in zip(alg.global_indices(i), gram):
             j = tag(result.blocks[gr])
-            for ci, gc in enumerate(cols):
-                k = tag(result.blocks[gc])
-                if j + k < c and (j, k) != (0, 0) and gram[ri][ci] != 0:
+            for ci in row:
+                k = tag(result.blocks[cols[ci]])
+                if j + k < c and (j, k) != (0, 0):
                     return False
     return True
 

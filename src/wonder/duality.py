@@ -4,7 +4,8 @@ structure for any diagram with a built ring.
 The three reports read one record per ring, built on first use from
 ``ring.pairing()`` and kept on the ring: the ring's verdict (one rank per
 degree pair), the nonzero summand pairs and block-structure violations of
-one scan of the Gram entries, and each summand's rows in each degree."""
+one scan of the nonzero Gram entries, and each summand's rows in each
+degree."""
 
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ from wonder.algebra import PdVerdict, pd_verdict, socle_check
 from wonder.diagram import BurrowDiagram
 from wonder.engine import WonderRing
 from wonder.errors import InputError, InvariantViolation
-from wonder.exact_linalg import rank_rows
+from wonder.exact_linalg import sparse_rank
 from wonder.nests import Summand, standard_bound
 
 
@@ -132,10 +133,10 @@ def _duality(ring: WonderRing) -> _Duality:
         nonzero, violations = [], []
         for k in range(d + 1):
             pairs = {}  # summand pair -> its violations at degree k
+            cols = owners[d - k]
             for si, row in zip(owners[k], sp.gram(k)):
-                for sj, q in zip(owners[d - k], row):
-                    if q == 0:
-                        continue
+                for j in row:
+                    sj = cols[j]
                     if (si, sj) not in pairs:
                         sa, sb = ring.summands[si], ring.summands[sj]
                         pairs[si, sj] = _pair_violations(ring.diagram, sa, sb, k)
@@ -210,8 +211,10 @@ def discrepancy_table(diagram: BurrowDiagram, ring: WonderRing) -> DiscrepancyRe
                     f"summand {_summand_key(ring.summands[si])} has no complementary partner"
                 )
                 continue
-            sub = [[gram[i][j] for j in cols.get(sj, ())] for i in sub_rows]
-            disc = len(sub_rows) - rank_rows(sub)
+            block = set(cols.get(sj, ()))
+            disc = len(sub_rows) - sparse_rank(
+                {j: q for j, q in gram[i].items() if j in block} for i in sub_rows
+            )
             block_disc[(_summand_key(ring.summands[si]), k)] = disc
             sums[k] += disc
     discs = data.verdict.discrepancies

@@ -1,16 +1,21 @@
-"""Exact rational linear algebra: rank, nullspace and solve on dense rows.
+"""Exact rational linear algebra: a sparse rank kernel, and rank, nullspace
+and solve on dense rows.
 
 A rational scalar is an ``int`` when it is integral and a
 ``fractions.Fraction`` (in lowest terms, positive denominator, never 1)
 otherwise; ``rat`` brings any exact scalar into that form.  Never a float.
-Matrices are reduced by clearing denominators row-wise and running the
-fraction-free (Bareiss) integer kernel; back-substitution is done over the
-rationals, so ``nullspace_rows`` and ``solve_rows`` return ``Fraction``s.
+``sparse_rank`` takes a matrix as sparse rows (dicts from column to
+scalar) and eliminates with sparsest-first pivots; ``rank_rows`` hands it
+dense rows.  ``nullspace_rows`` and ``solve_rows`` clear denominators
+row-wise and run the fraction-free (Bareiss) integer kernel, whose
+leftmost pivot columns their callers may rely on; back-substitution is
+done over the rationals, so they return ``Fraction``s.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import lcm
 
 from wonder.errors import InputError
@@ -107,12 +112,62 @@ def _scaled_int_rows(dense) -> list[list[int]]:
     return out
 
 
+def sparse_rank(rows) -> int:
+    """Rank of a matrix given as sparse rows, each a dict from column to
+    exact scalar (zero values are skipped); the input is not mutated.
+
+    Gaussian elimination that pivots on the sparsest remaining row, at its
+    column with the fewest remaining entries, so a matrix close to a
+    permutation matrix is reduced with little fill-in.  A multiplier stays
+    an ``int`` when the pivot divides the entry exactly."""
+    live = {}  # row number -> its remaining nonzero entries
+    at = {}  # column -> the live rows with an entry in it
+    for r, row in enumerate(rows):
+        row = {c: v for c, v in row.items() if v}
+        if row:
+            live[r] = row
+            for c in row:
+                at.setdefault(c, set()).add(r)
+    heap = [(len(row), r) for r, row in live.items()]
+    heapify(heap)
+    rank = 0
+    while heap:
+        n, r = heappop(heap)
+        top = live.get(r)
+        if top is None or len(top) != n:
+            continue  # the row was cleared, or has changed length since
+        del live[r]
+        rank += 1
+        for c in top:
+            at[c].discard(r)
+        col = min(top, key=lambda c: len(at[c]))
+        piv = top.pop(col)
+        for r2 in at.pop(col):
+            row = live[r2]
+            a = row.pop(col)
+            if type(a) is int and type(piv) is int and not a % piv:
+                f = a // piv
+            else:
+                f = Fraction(a, piv)
+            for c, v in top.items():
+                q = row.get(c, ZERO) - f * v
+                if q:
+                    if c not in row:
+                        at[c].add(r2)
+                    row[c] = q
+                else:
+                    del row[c]
+                    at[c].discard(r2)
+            if row:
+                heappush(heap, (len(row), r2))
+            else:
+                del live[r2]
+    return rank
+
+
 def rank_rows(dense) -> int:
     """Rank of a dense rational matrix (list of rows of exact scalars)."""
-    if not dense or not dense[0]:
-        return 0
-    r, _, _ = bareiss_echelon(_scaled_int_rows(dense), len(dense[0]))
-    return r
+    return sparse_rank(dict(enumerate(row)) for row in dense)
 
 
 def nullspace_rows(dense, cols: int) -> list[tuple[Fraction, ...]]:

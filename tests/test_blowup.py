@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 import pytest
 
 from wonder.algebra import GradedAlgebra, GradedMap, socle_check
@@ -14,8 +12,6 @@ from wonder.errors import InputError
 from wonder.models import _PowerAlg
 
 from builders import point_blowup_p2_diagram, random_blowup_input, random_bundle_input
-
-F = Fraction
 
 
 def plane_inputs():
@@ -180,4 +176,4 @@ def test_block_pattern_on_plane():
     sp = socle_check(res.algebra, 2).pairing
     # ambient block pairs only with itself; the exceptional block pairs with
     # itself through the reduction
-    assert sp.gram(1) == [[F(1), F(0)], [F(0), F(-1)]]
+    assert sp.gram(1) == [{0: 1}, {1: -1}]

@@ -154,17 +154,26 @@ def fm3_dead_ring(fm3_diagram):
 
 @pytest.mark.parametrize("name", ["fm3_ring", "keel3_ring", "curve3_ring", "fm3_dead_ring"])
 def test_ring_gram_matches_multiplication(request, name):
-    """Every Gram entry is the socle coefficient of the product of the two
-    basis classes, computed here through full multiplication."""
+    """Every Gram entry, read off the sparse rows, is the socle coefficient
+    of the product of the two basis classes, computed here through full
+    multiplication; no zero is stored, every key is a position in the
+    complementary degree, and gram(d-k) is exactly the transpose of gram(k)."""
     sp = request.getfixturevalue(name).pairing()
     alg, d = sp.algebra, sp.degree
     for k in range(d + 1):
         rows, cols = alg.global_indices(k), alg.global_indices(d - k)
-        assert [len(row) for row in sp.gram(k)] == [len(cols)] * len(rows)
+        gram = sp.gram(k)
+        assert len(gram) == len(rows)
+        for row in gram:
+            assert all(q != 0 for q in row.values())
+            assert set(row) <= set(range(len(cols)))
         for i, gi in enumerate(rows):
             for j, gj in enumerate(cols):
                 product = alg.multiply(alg.basis_element(gi), alg.basis_element(gj))
-                assert sp.gram(k)[i][j] == product.coefficient(sp.socle_index)
+                assert gram[i].get(j, 0) == product.coefficient(sp.socle_index)
+        entries = {(i, j): q for i, row in enumerate(gram) for j, q in row.items()}
+        transpose = {(i, j): q for j, row in enumerate(sp.gram(d - k)) for i, q in row.items()}
+        assert entries == transpose
 
 
 def test_reports_share_one_socle_check(fm3_diagram, monkeypatch):

@@ -1,9 +1,10 @@
 import copy
 import sys
 from fractions import Fraction
+from math import lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from wonder.errors import InputError
@@ -15,6 +16,7 @@ from wonder.exact_linalg import (
     rank_rows,
     rat,
     solve_rows,
+    sparse_rank,
 )
 
 F = Fraction
@@ -154,6 +156,62 @@ def test_bareiss_matches_gauss_jordan(case):
         for c, basis_row in zip(want_pivots, rref):
             rest = [a - rest[c] * b for a, b in zip(rest, basis_row)]
         assert not any(rest), "echelon row outside the input row space"
+
+
+scalars = st.one_of(
+    st.integers(min_value=-6, max_value=6),
+    st.builds(F, st.integers(min_value=-6, max_value=6), st.integers(min_value=2, max_value=5)).map(rat),
+)
+
+
+@st.composite
+def rank_cases(draw):
+    """(columns, dense rows): ints and Fractions mixed, entries zero with odds
+    from none to four in five, and rows that are zero, repeat an earlier
+    row or combine two earlier ones."""
+    ncols = draw(st.integers(min_value=1, max_value=7))
+    zero_odds = draw(st.integers(min_value=0, max_value=4))
+    rows = []
+    for _ in range(draw(st.integers(min_value=0, max_value=7))):
+        kind = draw(st.sampled_from(["random", "zero", "repeat", "combine"]))
+        if kind == "zero":
+            rows.append([0] * ncols)
+        elif kind == "repeat" and rows:
+            rows.append(list(draw(st.sampled_from(rows))))
+        elif kind == "combine" and rows:
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            s, t = draw(scalars), draw(scalars)
+            rows.append([rat(s * x + t * y) for x, y in zip(a, b)])
+        else:
+            rows.append([
+                0 if draw(st.integers(min_value=0, max_value=4)) < zero_odds else draw(scalars)
+                for _ in range(ncols)
+            ])
+    return ncols, rows
+
+
+def bareiss_rank(dense, ncols):
+    """The reference rank: denominators cleared row by row, then Bareiss."""
+    ints = []
+    for row in dense:
+        mult = lcm(*(F(v).denominator for v in row))
+        ints.append([int(v * mult) for v in row])
+    return bareiss_echelon(ints, ncols)[0]
+
+
+@seed(2015)
+@settings(max_examples=300, deadline=None)
+@given(rank_cases())
+def test_sparse_rank_matches_bareiss(case):
+    ncols, dense = case
+    sparse = [{j: v for j, v in enumerate(row) if v} for row in dense]
+    transpose = [{i: row[j] for i, row in enumerate(dense) if row[j]} for j in range(ncols)]
+    before = copy.deepcopy((dense, sparse, transpose))
+    want = bareiss_rank(dense, ncols)
+    assert sparse_rank(sparse) == want
+    assert sparse_rank(transpose) == want
+    assert rank_rows(dense) == want
+    assert (dense, sparse, transpose) == before
 
 
 def test_rat_round_trip():
