@@ -5,11 +5,12 @@ A rational scalar is an ``int`` when it is integral and a
 ``fractions.Fraction`` (in lowest terms, positive denominator, never 1)
 otherwise; ``rat`` brings any exact scalar into that form.  Never a float.
 ``sparse_rank`` takes a matrix as sparse rows (dicts from column to
-scalar) and eliminates with sparsest-first pivots; ``rank_rows`` hands it
-dense rows.  ``nullspace_rows`` and ``solve_rows`` clear denominators
-row-wise and run the fraction-free (Bareiss) integer kernel, whose
-leftmost pivot columns their callers may rely on; back-substitution is
-done over the rationals, so they return ``Fraction``s.
+scalar) and eliminates with sparsest-first pivots, leaving a matrix at
+least half full to the Bareiss kernel; ``rank_rows`` hands it dense rows.
+``nullspace_rows`` and ``solve_rows`` clear denominators row-wise and run
+the fraction-free (Bareiss) integer kernel, whose leftmost pivot columns
+their callers may rely on; back-substitution is done over the rationals,
+so they return ``Fraction``s.
 """
 
 from __future__ import annotations
@@ -119,7 +120,9 @@ def sparse_rank(rows) -> int:
     Gaussian elimination that pivots on the sparsest remaining row, at its
     column with the fewest remaining entries, so a matrix close to a
     permutation matrix is reduced with little fill-in.  A multiplier stays
-    an ``int`` when the pivot divides the entry exactly."""
+    an ``int`` when the pivot divides the entry exactly.  A matrix with at
+    least half of its entries nonzero, over its nonzero rows and columns,
+    goes to the Bareiss kernel instead, which is faster on dense rows."""
     live = {}  # row number -> its remaining nonzero entries
     at = {}  # column -> the live rows with an entry in it
     for r, row in enumerate(rows):
@@ -128,6 +131,15 @@ def sparse_rank(rows) -> int:
             live[r] = row
             for c in row:
                 at.setdefault(c, set()).add(r)
+    if 2 * sum(map(len, live.values())) >= len(live) * len(at) > 0:
+        pos = {c: j for j, c in enumerate(at)}
+        dense = []
+        for row in live.values():
+            out = [ZERO] * len(pos)
+            for c, v in row.items():
+                out[pos[c]] = v
+            dense.append(out)
+        return bareiss_echelon(_scaled_int_rows(dense), len(pos))[0]
     heap = [(len(row), r) for r, row in live.items()]
     heapify(heap)
     rank = 0

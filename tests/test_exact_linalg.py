@@ -160,33 +160,39 @@ def test_bareiss_matches_gauss_jordan(case):
 
 scalars = st.one_of(
     st.integers(min_value=-6, max_value=6),
-    st.builds(F, st.integers(min_value=-6, max_value=6), st.integers(min_value=2, max_value=5)).map(rat),
+    st.builds(
+        F, st.integers(min_value=-6, max_value=6), st.integers(min_value=2, max_value=5)
+    ).map(rat),
 )
 
 
 @st.composite
 def rank_cases(draw):
-    """(columns, dense rows): ints and Fractions mixed, entries zero with odds
-    from none to four in five, and rows that are zero, repeat an earlier
-    row or combine two earlier ones."""
-    ncols = draw(st.integers(min_value=1, max_value=7))
-    zero_odds = draw(st.integers(min_value=0, max_value=4))
+    """(columns, dense rows): ints and Fractions mixed.  A random row has up
+    to ``fill`` nonzero entries; row i of the band has entries in columns
+    i and i + 1 (mod the width), so a long band makes the elimination fill
+    in; other rows are zero, repeat an earlier row or combine two."""
+    ncols = draw(st.integers(min_value=1, max_value=9))
+    fill = draw(st.integers(min_value=1, max_value=ncols))
+    style = draw(st.sampled_from(["band", "random"]))
+    kinds = st.sampled_from([style, style, style, "zero", "repeat", "combine"])
     rows = []
-    for _ in range(draw(st.integers(min_value=0, max_value=7))):
-        kind = draw(st.sampled_from(["random", "zero", "repeat", "combine"]))
-        if kind == "zero":
-            rows.append([0] * ncols)
+    for i in range(draw(st.integers(min_value=0, max_value=9))):
+        kind = draw(kinds)
+        row = [0] * ncols
+        if kind == "band":
+            row[i % ncols] = draw(scalars)
+            row[(i + 1) % ncols] = draw(scalars)
         elif kind == "repeat" and rows:
-            rows.append(list(draw(st.sampled_from(rows))))
+            row = list(draw(st.sampled_from(rows)))
         elif kind == "combine" and rows:
             a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
             s, t = draw(scalars), draw(scalars)
-            rows.append([rat(s * x + t * y) for x, y in zip(a, b)])
-        else:
-            rows.append([
-                0 if draw(st.integers(min_value=0, max_value=4)) < zero_odds else draw(scalars)
-                for _ in range(ncols)
-            ])
+            row = [rat(s * x + t * y) for x, y in zip(a, b)]
+        elif kind != "zero":
+            for j in draw(st.sets(st.integers(min_value=0, max_value=ncols - 1), max_size=fill)):
+                row[j] = draw(scalars)
+        rows.append(row)
     return ncols, rows
 
 
