@@ -132,14 +132,8 @@ def sparse_rank(rows) -> int:
             for c in row:
                 at.setdefault(c, set()).add(r)
     if 2 * sum(map(len, live.values())) >= len(live) * len(at) > 0:
-        pos = {c: j for j, c in enumerate(at)}
-        dense = []
-        for row in live.values():
-            out = [ZERO] * len(pos)
-            for c, v in row.items():
-                out[pos[c]] = v
-            dense.append(out)
-        return bareiss_echelon(_scaled_int_rows(dense), len(pos))[0]
+        dense = [[row.get(c, ZERO) for c in at] for row in live.values()]
+        return bareiss_echelon(_scaled_int_rows(dense), len(at))[0]
     heap = [(len(row), r) for r, row in live.items()]
     heapify(heap)
     rank = 0
