@@ -22,12 +22,12 @@ from wonder.exact_linalg import (
     ONE,
     ZERO,
     format_rat,
-    nullspace_rows,
     parse_rat,
     rank_rows,
     rat,
-    solve_rows,
+    sparse_kernel,
     sparse_rank,
+    sparse_solve,
 )
 
 _NO_PRODUCT: Mapping = MappingProxyType({})  # the product of a pair with none stored
@@ -551,14 +551,18 @@ class GradedMap:
     def identity(cls, alg: GradedAlgebra) -> "GradedMap":
         return cls(alg, alg, 0, [{g: ONE} for g in range(alg.total_dim)])
 
-    def matrix(self, k: int) -> list[list]:
-        """Dense degree-k block for exact linear algebra: one row per target
-        basis index of degree k + shift, one column per source one."""
-        cols = [self.columns[g] for g in self.source.global_indices(k)]
-        return [
-            [col.get(h, ZERO) for col in cols]
-            for h in self.target.global_indices(k + self.shift)
-        ]
+    def rows(self, k: int) -> list[dict]:
+        """Degree-k block as sparse rows for the exact kernels: one dict per
+        target basis index of degree k + shift, from the position of a
+        source one of degree k to its nonzero entry."""
+        tk = k + self.shift
+        out = [{} for _ in range(self.target.dim(tk))]
+        if out:
+            lo = self.target.offset(tk)
+            for j, g in enumerate(self.source.global_indices(k)):
+                for h, v in self.columns[g].items():
+                    out[h - lo][j] = v
+        return out
 
     def apply_basis(self, g: int) -> Element:
         return Element(self.target, self.columns[g])
@@ -572,7 +576,7 @@ class GradedMap:
         out = []
         for k in range(self.source.top_degree + 1):
             tdim = self.target.dim(k + self.shift)
-            out.append(tdim == 0 or rank_rows(self.matrix(k)) == tdim)
+            out.append(tdim == 0 or sparse_rank(self.rows(k)) == tdim)
         return out
 
     def is_surjective(self) -> bool:
@@ -588,13 +592,13 @@ class GradedMap:
         for k in range(self.source.top_degree + 1):
             if self.source.dim(k) == 0:
                 continue
-            if rank_rows(self.matrix(k)) < self.source.dim(k):
+            if sparse_rank(self.rows(k)) < self.source.dim(k):
                 return False
         return True
 
     def kernel_elements(self, k: int) -> list[Element]:
-        vecs = nullspace_rows(self.matrix(k), self.source.dim(k))
-        return [self.source.from_vector(k, v) for v in vecs]
+        """Exact basis of the degree-k kernel, as ``sparse_kernel`` gives it."""
+        return _kernel(self.source, k, self.rows(k))
 
     def is_ring_hom(self) -> bool:
         """True for a degree-0 map f with f(1) = 1 and f(a*b) = f(a)*f(b)
@@ -759,10 +763,12 @@ def pd_verdict(sp: SoclePairing) -> PdVerdict:
     return PdVerdict(is_pd, tuple(kernels), tuple(discrepancies))
 
 
-def _dense_gram(sp: SoclePairing, k: int) -> list[list]:
-    """gram(k) as dense rows, for the Bareiss-based kernel and solve."""
-    cols = range(sp.algebra.dim(sp.degree - k))
-    return [[row.get(j, ZERO) for j in cols] for row in sp.gram(k)]
+def _kernel(alg: GradedAlgebra, k: int, rows) -> list[Element]:
+    """The ``sparse_kernel`` basis of sparse rows over degree k of ``alg``,
+    as Elements."""
+    lo = alg.offset(k) if alg.dim(k) else 0
+    basis = sparse_kernel(rows, alg.dim(k))
+    return [Element(alg, {lo + i: q for i, q in v.items()}) for v in basis]
 
 
 def socle_kernel_elements(sp: SoclePairing, k: int) -> list[Element]:
@@ -770,53 +776,56 @@ def socle_kernel_elements(sp: SoclePairing, k: int) -> list[Element]:
     in complementary degree."""
     if k < 0 or k > sp.degree:
         raise InputError(f"degree {k} out of range 0..{sp.degree}")
-    alg = sp.algebra
-    vecs = nullspace_rows(_dense_gram(sp, sp.degree - k), alg.dim(k))
-    return [alg.from_vector(k, v) for v in vecs]
+    return _kernel(sp.algebra, k, sp.gram(sp.degree - k))
 
 
 def adjoint_pushforward(
     pullback: GradedMap, sp_small: SoclePairing, sp_big: SoclePairing
 ) -> GradedMap:
     """The pushforward determined against a pullback by the two perfect
-    pairings; satisfies the projection formula by construction."""
+    pairings; satisfies the projection formula by construction.
+
+    The image of a small class z of degree k is the big class x of degree
+    k + c, c the difference of the socle degrees, with <x, y> = <z, pull(y)>
+    for every big class y of the complementary degree.  One elimination of
+    that big Gram serves every z of degree k; the right-hand sides are read
+    off the small Gram rows of the classes in each pull(y)."""
     big, small = pullback.source, pullback.target
     c = sp_big.degree - sp_small.degree
-    grams = {}  # comp -> _dense_gram(sp_big, comp)
-    images = []
-    for g in range(small.total_dim):
-        k = small.degree_of(g)
+    columns = [{} for _ in range(small.total_dim)]
+    for k in range(small.top_degree + 1):
         tk = k + c
-        if tk > big.top_degree:
-            images.append(big.zero())
-            continue
-        comp = sp_big.degree - tk
-        z = small.basis_element(g)
-        rhs = []
-        for gy in big.global_indices(comp):
-            rhs.append(sp_small.pair(z, pullback.apply_basis(gy)))
-        if comp not in grams:
-            grams[comp] = _dense_gram(sp_big, comp)
-        sol = solve_rows(grams[comp], rhs, cols=big.dim(tk))
-        if sol is None:
+        if not small.dim(k) or tk > sp_big.degree:
+            continue  # a class pushed past the big socle has image 0
+        comp = sp_big.degree - tk  # the small complementary degree as well
+        gram, lo = sp_small.gram(comp), small.offset(comp)
+        rhs = [{} for _ in range(small.dim(k))]  # rhs[i][j] = <z_i, pull(y_j)>
+        for j, gy in enumerate(big.global_indices(comp)):
+            for h, v in pullback.columns[gy].items():
+                for i, w in gram[h - lo].items():
+                    rhs[i][j] = rhs[i].get(j, ZERO) + v * w
+        sols = sparse_solve(sp_big.gram(comp), big.dim(tk), rhs)
+        if None in sols:
             raise InputError("pairing is not perfect; adjoint pushforward undefined")
-        images.append(big.from_vector(tk, sol))
-    return GradedMap.from_images(small, big, c, images)
+        off = big.offset(tk)
+        for g, sol in zip(small.global_indices(k), sols):
+            columns[g] = {off + i: q for i, q in sol.items()}
+    return GradedMap(small, big, c, columns)
 
 
 def section_of(pullback: GradedMap) -> GradedMap:
-    """A right inverse of a surjective degree-0 map (free choices set to 0)."""
+    """A right inverse of a surjective degree-0 map (free choices set to 0),
+    from one elimination per degree for all its unit right-hand sides."""
     big, small = pullback.source, pullback.target
-    blocks = [pullback.matrix(k) for k in range(small.top_degree + 1)]
-    images = []
-    for g in range(small.total_dim):
-        k = small.degree_of(g)
-        rhs = [ONE if gg == g else ZERO for gg in small.global_indices(k)]
-        sol = solve_rows(blocks[k], rhs, cols=big.dim(k))
-        if sol is None:
+    columns = []
+    for k in range(small.top_degree + 1):
+        units = [{i: ONE} for i in range(small.dim(k))]
+        sols = sparse_solve(pullback.rows(k), big.dim(k), units)
+        if None in sols:
             raise InputError(f"map is not surjective at degree {k}; no section")
-        images.append(big.from_vector(k, sol))
-    return GradedMap.from_images(small, big, 0, images)
+        off = big.offset(k) if sols else 0
+        columns.extend({off + i: q for i, q in sol.items()} for sol in sols)
+    return GradedMap(small, big, 0, columns)
 
 
 def tensor_algebra(a: GradedAlgebra, b: GradedAlgebra):

@@ -732,13 +732,20 @@ def presentation_report(ring: WonderRing) -> PresentationReport:
             fam_nonnest.check(f"E[{s}]*E[{t}]", e_class[s] * e_class[t])
 
     fam_kernel = RelationFamily("restriction kernels")
+    # elements whose restriction maps share columns share the kernel, as in
+    # the chain verdicts of ``BurrowDiagram.validate``
+    kernels = {}  # id of the map columns -> (degree, kernel class in the ring)
     for x in ids:
         pull = dia.pullback(dia.ambient_id, dia.singles[x])
-        for k in range(amb.top_degree + 1):
-            for ker in pull.kernel_elements(k):
-                fam_kernel.check(
-                    f"(deg-{k} kernel class)*E[{x}]", ring.from_ambient(ker) * e_class[x]
-                )
+        key = id(pull.columns)
+        if key not in kernels:
+            kernels[key] = [
+                (k, ring.from_ambient(ker))
+                for k in range(amb.top_degree + 1)
+                for ker in pull.kernel_elements(k)
+            ]
+        for k, ker in kernels[key]:
+            fam_kernel.check(f"(deg-{k} kernel class)*E[{x}]", ker * e_class[x])
 
     fam_monic = RelationFamily("monic relations")
     for x in ids:

@@ -35,7 +35,7 @@ from wonder.diagram import (
     Permutation,
 )
 from wonder.errors import InputError
-from wonder.exact_linalg import ONE, ZERO, bareiss_echelon, solve_rows
+from wonder.exact_linalg import ONE, ZERO, bareiss_echelon, sparse_solve
 
 FIBERS = {"p1": 1, "p2": 2}  # fiber name -> projective dimension
 MARKERS = ("0", "1", "inf")
@@ -744,6 +744,7 @@ def synthetic_gorenstein(dim_vector, seed: int, *, retries: int = 40) -> GradedA
 
 def _apolar_algebra(f_coeffs, r, d) -> GradedAlgebra | None:
     chosen = []  # per degree: (alpha list, image vectors)
+    systems = []  # per degree: (all monomials, image matrix, pivot columns)
     for k in range(d + 1):
         alphas = _monomials(r, k)
         vectors = [_apolar_image(f_coeffs, r, d, a) for a in alphas]
@@ -757,8 +758,17 @@ def _apolar_algebra(f_coeffs, r, d) -> GradedAlgebra | None:
         if k == 0 and rank != 1:
             return None
         chosen.append(sel)
+        systems.append((alphas, mat, pivots))
     if len(chosen[d]) != 1:
         return None
+
+    # the class of every monomial over the chosen basis of its degree, from
+    # one elimination per degree; the chosen images span all the others
+    coords = {}
+    for alphas, mat, pivots in systems:
+        basis_rows = [{j: row[p] for j, p in enumerate(pivots) if row[p]} for row in mat]
+        images = [{i: v for i, v in enumerate(col) if v} for col in zip(*mat)]
+        coords.update(zip(alphas, sparse_solve(basis_rows, len(pivots), images)))
 
     dims = [len(sel) for sel in chosen]
     labels = [[_monomial_label(a) for a, _ in sel] for sel in chosen]
@@ -769,15 +779,6 @@ def _apolar_algebra(f_coeffs, r, d) -> GradedAlgebra | None:
             index[a] = g
             g += 1
 
-    def express(k, alpha):
-        """Coefficients of the class of x^alpha over the chosen basis."""
-        image = _apolar_image(f_coeffs, r, d, alpha)
-        basis_vecs = [v for _, v in chosen[k]]
-        rows = len(basis_vecs[0])
-        mat = [[basis_vecs[j][i] for j in range(len(basis_vecs))] for i in range(rows)]
-        sol = solve_rows(mat, image, cols=len(basis_vecs))
-        return sol
-
     def products(gi, gj):
         ka = _deg_of(gi)
         kb = _deg_of(gj)
@@ -786,15 +787,11 @@ def _apolar_algebra(f_coeffs, r, d) -> GradedAlgebra | None:
         alpha = tuple(
             x + y for x, y in zip(_alpha_of(gi), _alpha_of(gj))
         )
-        sol = express(ka + kb, alpha)
+        sol = coords[alpha]
         if sol is None:
             raise InputError("apolar product failed to express in the basis")
-        out = {}
         off = sum(dims[: ka + kb])
-        for i, q in enumerate(sol):
-            if q:
-                out[off + i] = q
-        return out
+        return {off + i: q for i, q in sol.items()}
 
     flat = []
     for k, sel in enumerate(chosen):

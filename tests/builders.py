@@ -1,14 +1,18 @@
 """Constructors that only the tests use: single-center diagrams, the plane
 with one point center, a burrow corrupted by a dead class, seeded random
 blow-up and bundle inputs, helpers that edit one burrow's or one edge's
-data in a diagram file payload, and reference versions of the structure
+data in a diagram file payload, reference versions of the structure
 constant table (keyed by index pairs) and of the associativity check
-(triple by triple) that ``algebra`` replaced by its row tables.  Import
+(triple by triple) that ``algebra`` replaced by its row tables, and the
+dense Bareiss solve, kernel, adjoint pushforward and section that the
+sparse kernels of ``exact_linalg`` replaced.  Import
 them as ``from builders import ...``; pytest puts this directory on the
 import path."""
 
 import copy
 import random
+from fractions import Fraction
+from math import lcm
 
 from wonder.algebra import (
     Element,
@@ -27,7 +31,7 @@ from wonder.diagram import (
     ChernPolynomial,
 )
 from wonder.errors import InputError
-from wonder.exact_linalg import rat
+from wonder.exact_linalg import bareiss_echelon, rat
 from wonder.models import (
     _PowerAlg,
     synthetic_broken,
@@ -363,3 +367,90 @@ def associativity_reference(alg: GradedAlgebra) -> list:
                 if times(gb, c) != times(alg.product_basis(b, c), g):
                     bad.append((g, b, c))
     return bad
+
+
+def _int_rows(dense) -> list:
+    """Denominators cleared row by row, as integer rows."""
+    out = []
+    for row in dense:
+        mult = lcm(*(Fraction(v).denominator for v in row)) if row else 1
+        out.append([int(v * mult) for v in row])
+    return out
+
+
+def nullspace_rows_reference(dense, cols: int) -> list:
+    """Kernel basis of dense rows by Bareiss echelon and back-substitution
+    over the rationals: one vector per free column, ascending."""
+    if cols == 0:
+        return []
+    if not dense:
+        return [tuple(Fraction(int(c == f)) for c in range(cols)) for f in range(cols)]
+    rank, pivots, ech = bareiss_echelon(_int_rows(dense), cols)
+    basis = []
+    for f in (c for c in range(cols) if c not in pivots):
+        v = [Fraction(0)] * cols
+        v[f] = Fraction(1)
+        for i in range(rank - 1, -1, -1):
+            p, row = pivots[i], ech[i]
+            s = sum((Fraction(row[c]) * v[c] for c in range(p + 1, cols)), Fraction(0))
+            v[p] = -s / row[p]
+        basis.append(tuple(v))
+    return basis
+
+
+def solve_rows_reference(dense, rhs, cols: int) -> tuple | None:
+    """One solution of ``A x = rhs`` with the free variables 0, by Bareiss
+    echelon of the augmented matrix; None when it is inconsistent."""
+    if not dense:
+        return (Fraction(0),) * cols
+    aug = [list(row) + [b] for row, b in zip(dense, rhs)]
+    rank, pivots, ech = bareiss_echelon(_int_rows(aug), cols + 1)
+    if cols in pivots:
+        return None
+    v = [Fraction(0)] * cols + [Fraction(-1)]
+    for i in range(rank - 1, -1, -1):
+        p, row = pivots[i], ech[i]
+        s = sum((Fraction(row[c]) * v[c] for c in range(p + 1, cols + 1)), Fraction(0))
+        v[p] = -s / row[p]
+    return tuple(v[:cols])
+
+
+def _dense_gram(sp, k: int) -> list:
+    cols = range(sp.algebra.dim(sp.degree - k))
+    return [[row.get(j, 0) for j in cols] for row in sp.gram(k)]
+
+
+def adjoint_pushforward_reference(pullback: GradedMap, sp_small, sp_big) -> GradedMap:
+    """``adjoint_pushforward`` class by class: each right-hand side from
+    products of Elements, one dense solve each."""
+    big, small = pullback.source, pullback.target
+    c = sp_big.degree - sp_small.degree
+    images = []
+    for g in range(small.total_dim):
+        tk = small.degree_of(g) + c
+        if tk > big.top_degree:
+            images.append(big.zero())
+            continue
+        comp = sp_big.degree - tk
+        z = small.basis_element(g)
+        rhs = [sp_small.pair(z, pullback.apply_basis(gy)) for gy in big.global_indices(comp)]
+        sol = solve_rows_reference(_dense_gram(sp_big, comp), rhs, big.dim(tk))
+        if sol is None:
+            raise InputError("pairing is not perfect; adjoint pushforward undefined")
+        images.append(big.from_vector(tk, sol))
+    return GradedMap.from_images(small, big, c, images)
+
+
+def section_of_reference(pullback: GradedMap) -> GradedMap:
+    """``section_of`` class by class, one dense solve per unit vector."""
+    big, small = pullback.source, pullback.target
+    images = []
+    for g in range(small.total_dim):
+        k = small.degree_of(g)
+        rhs = [int(gg == g) for gg in small.global_indices(k)]
+        dense = [[row.get(j, 0) for j in range(big.dim(k))] for row in pullback.rows(k)]
+        sol = solve_rows_reference(dense, rhs, big.dim(k))
+        if sol is None:
+            raise InputError(f"map is not surjective at degree {k}; no section")
+        images.append(big.from_vector(k, sol))
+    return GradedMap.from_images(small, big, 0, images)

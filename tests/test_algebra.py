@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -14,11 +15,20 @@ from wonder.algebra import (
     socle_kernel_elements,
     tensor_algebra,
 )
+from wonder import blowup, models, oracle
 from wonder.engine import build_ring
 from wonder.errors import InputError
+from wonder.fixtures import fm_p1_3_oracle, keel_2_oracle, keel_3_oracle
 from wonder.models import _PowerAlg, fm_power, keel_model, synthetic_broken
 
-from builders import associativity_reference, pair_table, pair_table_product
+from builders import (
+    adjoint_pushforward_reference,
+    associativity_reference,
+    pair_table,
+    pair_table_product,
+    random_gorenstein,
+    section_of_reference,
+)
 
 F = Fraction
 
@@ -186,11 +196,11 @@ def test_graded_map_rejects_image_of_wrong_degree():
 
 
 def test_graded_map_images_and_blocks():
-    """Columns keep nonzero exact scalars only; matrix(k) is the dense block."""
+    """Columns keep nonzero exact scalars only; rows(k) is the sparse block."""
     plane = poly_plane()
     f = GradedMap(plane, plane, 1, [{1: F(4, 2)}, {2: 0}, {}])
     assert f.columns == [{1: 2}, {}, {}] and type(f.columns[0][1]) is int
-    assert f.matrix(0) == [[2]] and f.matrix(1) == [[0]] and f.matrix(2) == []
+    assert f.rows(0) == [{0: 2}] and f.rows(1) == [{}] and f.rows(2) == []
     assert f.apply(plane.unit().scale(3)) == plane.basis_element(1).scale(6)
 
 
@@ -206,6 +216,102 @@ def test_section_and_adjoint_projection_formula():
     assert push.shift == 2
     assert projection_formula_holds(pull, push)
     assert push.apply(pt.unit()) == plane.basis_element(2)  # the point class
+
+
+def _same_map_or_error(build, reference, *args):
+    """The map ``build(*args)`` has exactly the columns of ``reference``,
+    scalar kinds and key order included, or both raise the same
+    InputError."""
+    try:
+        want = [list(col.items()) for col in reference(*args).columns]
+    except InputError as err:
+        with pytest.raises(InputError, match=f"^{err}$"):
+            build(*args)
+        return False
+    got = [list(col.items()) for col in build(*args).columns]
+    assert got == want and [[type(q) for _, q in c] for c in got] == [
+        [type(q) for _, q in c] for c in want
+    ]
+    return True
+
+
+def _checked_pushforwards(monkeypatch, module) -> list:
+    """Route ``module.adjoint_pushforward`` through a check against the
+    dense reference, with ``section_of`` of each pullback; returns the list
+    of checked pullbacks."""
+    seen = []
+
+    def checked(pull, sp_small, sp_big):
+        assert _same_map_or_error(adjoint_pushforward, adjoint_pushforward_reference, pull, sp_small, sp_big)
+        _same_map_or_error(section_of, section_of_reference, pull)
+        seen.append(pull)
+        return adjoint_pushforward(pull, sp_small, sp_big)
+
+    monkeypatch.setattr(module, "adjoint_pushforward", checked)
+    return seen
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: fm_power("p2", 4, min_size=3), lambda: keel_model(3)],
+    ids=["fm-p2-4-min3", "keel-3"],
+)
+def test_pushforwards_and_sections_match_the_dense_reference(monkeypatch, build):
+    """Every distinct edge shape of the models: the model computes one
+    adjoint pushforward per shape, and it and the section of its pullback
+    equal the class-by-class dense Bareiss solves."""
+    seen = _checked_pushforwards(monkeypatch, models)
+    build()
+    assert seen
+
+
+@pytest.mark.parametrize("fixture", [fm_p1_3_oracle, keel_2_oracle, keel_3_oracle])
+def test_oracle_steps_match_the_dense_reference(monkeypatch, fixture):
+    """Every blow-up step of the three oracle fixtures: the adjoint
+    pushforward, and the section that ``blow_up`` takes of the pullback."""
+    seen = _checked_pushforwards(monkeypatch, oracle)
+    sections = []
+
+    def checked_section(pull):
+        assert _same_map_or_error(section_of, section_of_reference, pull)
+        sections.append(pull)
+        return section_of(pull)
+
+    monkeypatch.setattr(blowup, "section_of", checked_section)
+    run = oracle.run_oracle(fixture())
+    assert run.verdict.is_pd and seen and len(sections) == len(seen)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_random_maps_match_the_dense_reference(seed):
+    """Degree-0 maps with random small integer entries, zeros included, from
+    a Gorenstein algebra times a projective space onto the algebra: the
+    adjoint pushforward and the section (when there is one) equal the dense
+    reference, so the right-hand sides weigh every map and Gram entry."""
+    rnd = random.Random(f"adjoint:{seed}")
+    small = random_gorenstein(seed)
+    big = tensor_algebra(small, _PowerAlg(["t"], rnd.choice([1, 2])).alg)[0]
+    columns = [
+        {h: rnd.randint(-3, 3) for h in small.global_indices(big.degree_of(g))}
+        for g in range(big.total_dim)
+    ]
+    pull = GradedMap(big, small, 0, columns)
+    sp_small = socle_check(small, small.top_degree).pairing
+    sp_big = socle_check(big, big.top_degree).pairing
+    _same_map_or_error(adjoint_pushforward, adjoint_pushforward_reference, pull, sp_small, sp_big)
+    _same_map_or_error(section_of, section_of_reference, pull)
+
+
+def test_imperfect_pairing_has_no_adjoint_pushforward():
+    """A degenerate big pairing with a right-hand side outside its image
+    raises, as the dense reference does."""
+    line = poly_line()
+    big = GradedAlgebra([1, 2, 1], [["1"], ["a", "b"], ["s"]], [(1, 1, 3, F(1))])
+    pull = GradedMap(big, line, 0, [{0: 1}, {1: 1}, {1: 1}, {}])
+    sp_small, sp_big = socle_check(line, 1).pairing, socle_check(big, 2).pairing
+    for push in (adjoint_pushforward, adjoint_pushforward_reference):
+        with pytest.raises(InputError, match="pairing is not perfect; adjoint pushforward undefined"):
+            push(pull, sp_small, sp_big)
 
 
 def test_constructed_algebra_rejects_bad_grading():

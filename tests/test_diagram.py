@@ -49,8 +49,7 @@ def _rebuilt(diagram, edge=None, symmetry=(), drop=()):
 
 def _perturbed(m, k):
     """A copy of the graded map m whose first nonzero degree-k entry is raised by 1."""
-    mat = m.matrix(k)
-    i, j = next((i, j) for i, row in enumerate(mat) for j, v in enumerate(row) if v)
+    i, j = next((i, j) for i, row in enumerate(m.rows(k)) for j in row)
     columns = [dict(col) for col in m.columns]
     g = m.source.offset(k) + j
     h = m.target.offset(k + m.shift) + i

@@ -16,8 +16,12 @@ from wonder.exact_linalg import (
     rank_rows,
     rat,
     solve_rows,
+    sparse_kernel,
     sparse_rank,
+    sparse_solve,
 )
+
+from builders import nullspace_rows_reference, solve_rows_reference
 
 F = Fraction
 
@@ -218,6 +222,99 @@ def test_sparse_rank_matches_bareiss(case):
     assert sparse_rank(transpose) == want
     assert rank_rows(dense) == want
     assert (dense, sparse, transpose) == before
+
+
+@st.composite
+def solve_cases(draw):
+    """(columns, dense rows, right-hand sides): square, under- and
+    overdetermined band, sparse and dense matrices of ints and Fractions
+    mixed, with up to seven right-hand sides.  A right-hand side is a
+    combination of columns (consistent), a unit vector, zero, or drawn at
+    random (on a matrix of low rank, mostly inconsistent)."""
+    shape = draw(st.sampled_from(["square", "tall", "wide"]))
+    ncols = draw(st.integers(min_value=1, max_value=8))
+    nrows = {
+        "square": ncols,
+        "tall": ncols + draw(st.integers(min_value=1, max_value=4)),
+        "wide": draw(st.integers(min_value=0, max_value=ncols - 1)),
+    }[shape]
+    style = draw(st.sampled_from(["band", "sparse", "dense"]))
+    rows = []
+    for i in range(nrows):
+        row = [0] * ncols
+        if style == "band":
+            row[i % ncols] = draw(scalars)
+            row[(i + 1) % ncols] = draw(scalars)
+        elif style == "dense":
+            row = [draw(scalars) for _ in range(ncols)]
+        else:
+            for j in draw(st.sets(st.integers(min_value=0, max_value=ncols - 1), max_size=3)):
+                row[j] = draw(scalars)
+        if rows and draw(st.integers(min_value=0, max_value=4)) == 0:
+            row = list(draw(st.sampled_from(rows)))  # a repeated row lowers the rank
+        rows.append(row)
+    rhs = []
+    for _ in range(draw(st.integers(min_value=0, max_value=7))):
+        kind = draw(st.sampled_from(["combination", "unit", "zero", "random"]))
+        if kind == "combination":
+            x = [draw(scalars) for _ in range(ncols)]
+            b = [rat(sum(a * q for a, q in zip(row, x))) for row in rows]
+        elif kind == "unit" and nrows:
+            i = draw(st.integers(min_value=0, max_value=nrows - 1))
+            b = [int(r == i) for r in range(nrows)]
+        elif kind == "random":
+            b = [draw(scalars) for _ in range(nrows)]
+        else:
+            b = [0] * nrows
+        rhs.append(b)
+    return ncols, rows, rhs
+
+
+def _canonical(q) -> bool:
+    return type(q) is int or (type(q) is Fraction and q.denominator != 1)
+
+
+@seed(2015)
+@settings(max_examples=300, deadline=None)
+@given(solve_cases())
+def test_sparse_solve_and_kernel_match_bareiss(case):
+    """One elimination for many right-hand sides gives, for each, exactly the
+    dense Bareiss solution (free variables 0, leftmost pivots) or its None,
+    and exactly the Bareiss kernel basis; the wrappers agree, and no input
+    is mutated."""
+    ncols, dense, rhs = case
+    sparse = [{j: v for j, v in enumerate(row) if v} for row in dense]
+    columns = [{i: v for i, v in enumerate(b) if v} for b in rhs]
+    before = copy.deepcopy((dense, rhs, sparse, columns))
+    want = [solve_rows_reference(dense, b, ncols) for b in rhs]
+    got = sparse_solve(sparse, ncols, columns)
+    assert len(got) == len(want)
+    for sol, ref in zip(got, want):
+        if ref is None:
+            assert sol is None
+            continue
+        assert list(sol) == sorted(sol) and all(map(_canonical, sol.values()))
+        assert tuple(sol.get(c, 0) for c in range(ncols)) == ref
+    for b, ref in zip(rhs, want):
+        out = solve_rows(dense, b, cols=ncols)
+        assert out == ref
+        assert out is None or all(type(v) is Fraction for v in out)
+    kernel = nullspace_rows_reference(dense, ncols)
+    basis = sparse_kernel(sparse, ncols)
+    assert [tuple(v.get(c, 0) for c in range(ncols)) for v in basis] == kernel
+    assert all(list(v) == sorted(v) and all(map(_canonical, v.values())) for v in basis)
+    assert nullspace_rows(dense, ncols) == kernel
+    assert all(type(v) is Fraction for vec in nullspace_rows(dense, ncols) for v in vec)
+    assert (dense, rhs, sparse, columns) == before
+
+
+def test_sparse_solve_takes_rows_with_no_entries():
+    """A right-hand side entry on an empty row is inconsistent unless zero;
+    zero entries of the input are ignored."""
+    rows = [{0: 2, 1: 0}, {}, {1: F(1, 2)}]
+    assert sparse_solve(rows, 3, [{0: 4, 2: 1}, {1: 1}, {1: 0}, {}]) == [{0: 2, 1: 2}, None, {}, {}]
+    assert sparse_kernel(rows, 3) == [{2: 1}]
+    assert sparse_solve([], 2, [{}]) == [{}] and sparse_kernel([], 2) == [{0: 1}, {1: 1}]
 
 
 def test_rat_round_trip():
