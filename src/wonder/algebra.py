@@ -23,9 +23,9 @@ from wonder.exact_linalg import (
     ZERO,
     format_rat,
     parse_rat,
-    rank_rows,
     rat,
     sparse_kernel,
+    sparse_pivots,
     sparse_rank,
     sparse_solve,
 )
@@ -352,8 +352,10 @@ class GradedAlgebra:
         Chosen degree by degree: in degree k, a basis element becomes a
         generator when it is not in the span of the products g*b of the
         generators g found so far with the basis b of degree k - deg g, nor
-        of the generators already taken in degree k.  So every class x of
-        positive degree is a sum of products g*m of a generator g and a
+        of the basis elements before it in degree k (the same span as of
+        the generators already taken there); one elimination per degree
+        finds them, as the pivots among the unit columns.  So every class x
+        of positive degree is a sum of products g*m of a generator g and a
         class m with deg m < deg x (m = 1 allowed), whatever the structure
         constants.  When the algebra is associative, that span is every
         product of two positive-degree classes of total degree k, since
@@ -365,23 +367,20 @@ class GradedAlgebra:
         if self.structure.generators is None:
             gens = []
             for k in range(1, self.top_degree + 1):
-                cols = self.global_indices(k)
-                rows = []
+                # one column per product g*b, then the unit column of each
+                # basis element of degree k; a generator is a unit column
+                # that is a pivot, not in the span of the columns before it
+                off = self.offset(k)
+                rows = [{} for _ in range(self.dims[k])]
+                j = 0
                 for g in gens:
                     for b in self.global_indices(k - self._degree_of[g]):
-                        prod = self.product_basis(g, b)
-                        if prod:
-                            rows.append([prod.get(h, ZERO) for h in cols])
-                rank = rank_rows(rows)
-                for h in cols:
-                    if rank == self.dims[k]:
-                        break
-                    rows.append([ONE if c == h else ZERO for c in cols])
-                    if rank_rows(rows) > rank:
-                        gens.append(h)
-                        rank += 1
-                    else:
-                        rows.pop()
+                        for h, v in self.product_basis(g, b).items():
+                            rows[h - off][j] = v
+                        j += 1
+                for i, row in enumerate(rows):
+                    row[j + i] = ONE
+                gens.extend(off + p - j for p in sparse_pivots(rows) if p >= j)
             self.structure.generators = tuple(gens)
         return self.structure.generators
 
@@ -804,7 +803,7 @@ def adjoint_pushforward(
             for h, v in pullback.columns[gy].items():
                 for i, w in gram[h - lo].items():
                     rhs[i][j] = rhs[i].get(j, ZERO) + v * w
-        sols = sparse_solve(sp_big.gram(comp), big.dim(tk), rhs)
+        sols = sparse_solve(sp_big.gram(comp), rhs)
         if None in sols:
             raise InputError("pairing is not perfect; adjoint pushforward undefined")
         off = big.offset(tk)
@@ -820,7 +819,7 @@ def section_of(pullback: GradedMap) -> GradedMap:
     columns = []
     for k in range(small.top_degree + 1):
         units = [{i: ONE} for i in range(small.dim(k))]
-        sols = sparse_solve(pullback.rows(k), big.dim(k), units)
+        sols = sparse_solve(pullback.rows(k), units)
         if None in sols:
             raise InputError(f"map is not surjective at degree {k}; no section")
         off = big.offset(k) if sols else 0

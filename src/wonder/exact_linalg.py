@@ -1,26 +1,25 @@
-"""Exact rational linear algebra: sparse kernels for rank and for solves
-with many right-hand sides, and their dense-row wrappers.
+"""Exact rational linear algebra: one elimination for ranks, pivots,
+solves and kernels.
 
 A rational scalar is an ``int`` when it is integral and a
 ``fractions.Fraction`` (in lowest terms, positive denominator, never 1)
 otherwise; ``rat`` brings any exact scalar into that form.  Never a float.
-Both kernels take a matrix as sparse rows (dicts from column to scalar)
-and leave a matrix at least half full, over its nonzero rows and columns,
-to the fraction-free (Bareiss) integer kernel.  ``sparse_rank`` pivots
-sparsest first.  ``sparse_solve`` and ``sparse_kernel`` share one
-elimination, ``_reduce``, that takes the pivots leftmost (a column is a
-pivot exactly when it is not a combination of the columns before it) and
-carries any number of right-hand sides through the same pass; a solution
-sets the free variables to 0, and a kernel vector is 1 at one free column
-and 0 at the others, so both are unique.  ``rank_rows``, ``nullspace_rows``
-and ``solve_rows`` hand them dense rows; the last two return
-``Fraction``s.
+A matrix is given as sparse rows, dicts from column to scalar.  ``_forward``
+eliminates it column by column, so its pivots are the leftmost ones (a
+column is a pivot exactly when it is not a combination of the columns
+before it), and leaves a matrix of two or more nonzero rows that is at
+least half full, over those rows and their nonzero columns, to the
+fraction-free (Bareiss) integer kernel.
+``sparse_pivots`` and ``sparse_rank`` read the pivots off that forward
+pass.  ``sparse_solve`` carries any number of right-hand sides through it,
+and it and ``sparse_kernel`` back-substitute (``_back``); a solution sets
+the free variables to 0, and a kernel vector is 1 at one free column and 0
+at the others, so both are unique.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from heapq import heapify, heappop, heappush
 from math import lcm
 
 from wonder.errors import InputError
@@ -60,19 +59,6 @@ def format_rat(q) -> str:
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"
-
-
-def bareiss_echelon(rows, ncols):
-    """Fraction-free (Bareiss) row reduction of an integer matrix.
-
-    ``rows`` is a sequence of equal-length integer rows; the input is not
-    mutated.  Returns ``(rank, pivot_cols, echelon)`` where ``echelon`` holds
-    the first ``rank`` rows of an integer row-echelon form with the same row
-    space as the input.
-    """
-    m = [list(r) for r in rows]
-    pivots = _bareiss(m, ncols)
-    return len(pivots), pivots, m[: len(pivots)]
 
 
 def _bareiss(m, ncols) -> list[int]:
@@ -132,133 +118,88 @@ def _div(a, b):
     return q.numerator if q.denominator == 1 else q
 
 
-def _live_rows(rows):
-    """The nonzero rows of a sparse matrix by row number, zeros dropped,
-    and each column's set of row numbers; whether the matrix is at least
-    half full over those rows and columns."""
+def _forward(rows, rhs=()) -> tuple[list, set]:
+    """The forward pass of the elimination of ``[A | B]``, pivoting only in
+    the columns of A.
+
+    ``rows`` are the rows of A as sparse dicts from column (a nonnegative
+    int) to scalar; the j-th of ``rhs`` is the column j of B as a sparse dict
+    from row number to scalar, carried at column ``~j``.  Zero values are
+    skipped, and neither is mutated.  Returns ``(echelon, bad)``:
+    ``echelon`` lists ``(p, pivot entry, the rest of its row)`` for each
+    pivot column p, ascending, a row with no entry before p; ``bad`` is the
+    set of j for which ``A x = b_j`` has no solution.
+
+    A sparse A is eliminated column by column, ascending, on the sparsest
+    row with an entry there, so the pivots are the leftmost ones (a column
+    is a pivot exactly when it is not a combination of the columns before
+    it) and a row never gains an entry in a column already passed.  A
+    multiplier stays an ``int`` when the pivot divides the entry exactly.
+    A matrix of two or more nonzero rows that is at least half full, over
+    those rows and their nonzero columns, goes through Bareiss on integer
+    rows instead, which is faster on dense rows and finds the same
+    pivots."""
     live = {}  # row number -> its remaining nonzero entries
-    at = {}  # column -> the live rows with an entry in it
+    at = {}  # column of A -> the live rows with an entry in it
     for r, row in enumerate(rows):
         row = {c: v for c, v in row.items() if v}
         if row:
             live[r] = row
             for c in row:
                 at.setdefault(c, set()).add(r)
-    dense = 2 * sum(map(len, live.values())) >= len(live) * len(at) > 0
-    return live, at, dense
-
-
-def sparse_rank(rows) -> int:
-    """Rank of a matrix given as sparse rows, each a dict from column to
-    exact scalar (zero values are skipped); the input is not mutated.
-
-    Gaussian elimination that pivots on the sparsest remaining row, at its
-    column with the fewest remaining entries, so a matrix close to a
-    permutation matrix is reduced with little fill-in.  A multiplier stays
-    an ``int`` when the pivot divides the entry exactly.  A matrix with at
-    least half of its entries nonzero, over its nonzero rows and columns,
-    goes to the Bareiss kernel instead, which is faster on dense rows."""
-    live, at, dense = _live_rows(rows)
+    dense = len(live) > 1 and 2 * sum(map(len, live.values())) >= len(live) * len(at)
+    for j, b in enumerate(rhs):
+        for r, v in b.items():
+            if v:
+                live.setdefault(r, {})[~j] = v
     if dense:
-        dense = [[row.get(c, ZERO) for c in at] for row in live.values()]
-        return bareiss_echelon(_scaled_int_rows(dense), len(at))[0]
-    heap = [(len(row), r) for r, row in live.items()]
-    heapify(heap)
-    rank = 0
-    while heap:
-        n, r = heappop(heap)
-        top = live.get(r)
-        if top is None or len(top) != n:
-            continue  # the row was cleared, or has changed length since
-        del live[r]
-        rank += 1
-        for c in top:
-            at[c].discard(r)
-        col = min(top, key=lambda c: len(at[c]))
+        cols = sorted(at)
+        keys = cols + [~j for j in range(len(rhs))]
+        m = _scaled_int_rows([[row.get(c, ZERO) for c in keys] for row in live.values()])
+        pivots = _bareiss(m, len(cols))
+        echelon = [
+            (cols[p], m[i][p], {keys[c]: v for c, v in enumerate(m[i]) if v and c != p})
+            for i, p in enumerate(pivots)
+        ]
+        # the rows past the pivot rows are zero in the columns of A
+        return echelon, {~keys[c] for row in m[len(pivots) :] for c, v in enumerate(row) if v}
+    echelon = []
+    for col in sorted(at):
+        rs = at.pop(col)
+        if not rs:
+            continue  # a free column
+        r = min(rs, key=lambda r: (len(live[r]), r)) if len(rs) > 1 else next(iter(rs))
+        rs.discard(r)
+        top = live.pop(r)
         piv = top.pop(col)
-        for r2 in at.pop(col):
+        for c in top:
+            s = at.get(c)
+            if s is not None:
+                s.discard(r)
+        echelon.append((col, piv, top))
+        for r2 in rs:
             row = live[r2]
             f = _div(row.pop(col), piv)
             for c, v in top.items():
                 q = row.get(c, ZERO) - f * v
+                s = at.get(c)  # None for a column of B
                 if q:
-                    if c not in row:
-                        at[c].add(r2)
+                    if s is not None and c not in row:
+                        s.add(r2)
                     row[c] = q
                 else:
                     del row[c]
-                    at[c].discard(r2)
-            if row:
-                heappush(heap, (len(row), r2))
-            else:
+                    if s is not None:
+                        s.discard(r2)
+            if not row:
                 del live[r2]
-    return rank
+    return echelon, {~c for row in live.values() for c in row}  # only B is left
 
 
-def _reduce(rows, ncols: int, rhs) -> tuple[dict, set]:
-    """The reduced row echelon form of ``[A | B]``, pivoting only in the
-    columns of A.
-
-    ``rows`` are the rows of A as sparse dicts over the columns
-    ``0..ncols-1``; the j-th of ``rhs`` is the column j of B as a sparse
-    dict from row number to scalar, stored at column ``ncols + j``.  Neither
-    is mutated.  Returns ``(reduced, bad)``: ``reduced`` maps each pivot
-    column p, ascending from the last, to its row divided by the pivot
-    entry, with no entry in another pivot column; ``bad`` is the set of j
-    for which ``A x = b_j`` has no solution.
-
-    A sparse A is eliminated column by column, ascending, on the sparsest
-    row with an entry there, so the pivots are the leftmost ones and a row
-    never gains an entry in a column already passed.  A matrix at least
-    half full goes through Bareiss on integer rows instead."""
-    live, at, dense = _live_rows(rows)
-    for j, b in enumerate(rhs):
-        key = ncols + j
-        for r, v in b.items():
-            if v:
-                live.setdefault(r, {})[key] = v
-    echelon = []  # (pivot column, pivot entry, the rest of its row), ascending
-    if dense:
-        cols = sorted(at)
-        keys = cols + [ncols + j for j in range(len(rhs))]
-        m = _scaled_int_rows([[row.get(c, ZERO) for c in keys] for row in live.values()])
-        pivots = _bareiss(m, len(cols))
-        for i, p in enumerate(pivots):
-            row = {keys[c]: v for c, v in enumerate(m[i]) if v and c != p}
-            echelon.append((cols[p], m[i][p], row))
-        residue = [{keys[c]: v for c, v in enumerate(row) if v} for row in m[len(pivots) :]]
-    else:
-        for col in sorted(at):
-            rs = at.pop(col)
-            if not rs:
-                continue  # a free column
-            r = min(rs, key=lambda r: (len(live[r]), r))
-            rs.discard(r)
-            top = live.pop(r)
-            piv = top.pop(col)
-            for c in top:
-                s = at.get(c)
-                if s is not None:
-                    s.discard(r)
-            echelon.append((col, piv, top))
-            for r2 in rs:
-                row = live[r2]
-                f = _div(row.pop(col), piv)
-                for c, v in top.items():
-                    q = row.get(c, ZERO) - f * v
-                    s = at.get(c)  # None past ncols
-                    if q:
-                        if s is not None and c not in row:
-                            s.add(r2)
-                        row[c] = q
-                    else:
-                        del row[c]
-                        if s is not None:
-                            s.discard(r2)
-                if not row:
-                    del live[r2]
-        residue = live.values()  # only entries of B are left
-    bad = {c - ncols for row in residue for c in row}
+def _back(echelon) -> dict:
+    """Back-substitution on ``_forward``'s echelon: the reduced row echelon
+    form, as a dict from each pivot column p, descending, to its row divided
+    by the pivot entry, with no entry in another pivot column."""
     reduced = {}
     for p, piv, row in reversed(echelon):
         out = {}
@@ -269,66 +210,47 @@ def _reduce(rows, ncols: int, rhs) -> tuple[dict, set]:
             else:
                 for c2, v2 in below.items():
                     out[c2] = out.get(c2, ZERO) - v * v2
-        reduced[p] = {c: _div(v, piv) for c, v in sorted(out.items()) if v}
-    return reduced, bad
+        reduced[p] = {c: _div(v, piv) for c, v in out.items() if v}
+    return reduced
 
 
-def sparse_solve(rows, ncols: int, rhs) -> list[dict | None]:
+def sparse_pivots(rows) -> list[int]:
+    """The leftmost pivot columns, ascending, of a matrix given as sparse
+    rows: a column is one exactly when it is not a combination of the
+    columns before it."""
+    return [p for p, _, _ in _forward(rows)[0]]
+
+
+def sparse_rank(rows) -> int:
+    """Rank of a matrix given as sparse rows: its number of pivots."""
+    return len(_forward(rows)[0])
+
+
+def sparse_solve(rows, rhs) -> list[dict | None]:
     """Solutions of ``A x = b`` for every b in ``rhs``, from one elimination.
 
-    ``rows`` are the rows of A as sparse dicts over the columns
-    ``0..ncols-1``; each b is a sparse dict from row number to scalar.  A
-    solution is a dict from column to nonzero scalar, ascending, with every
-    free variable 0 and the pivot columns leftmost; ``None`` when the system
-    is inconsistent."""
-    reduced, bad = _reduce(rows, ncols, rhs)
+    ``rows`` are the rows of A as sparse dicts; each b is a sparse dict from
+    row number to scalar.  A solution is a dict from column to nonzero
+    scalar, ascending, with every free variable 0 and the pivot columns
+    leftmost; ``None`` when the system is inconsistent."""
+    echelon, bad = _forward(rows, rhs)
+    reduced = _back(echelon)
     out = [{} for _ in rhs]
     for p in sorted(reduced):
         for c, v in reduced[p].items():
-            if c >= ncols:
-                out[c - ncols][p] = v
+            if c < 0:
+                out[~c][p] = v
     return [None if j in bad else sol for j, sol in enumerate(out)]
 
 
 def sparse_kernel(rows, ncols: int) -> list[dict]:
     """Basis of the right kernel of A (sparse rows over ``0..ncols-1``), one
     vector per free column f, ascending: 1 at f, 0 at the other free
-    columns, each a dict from column to nonzero scalar, ascending."""
-    reduced, _ = _reduce(rows, ncols, ())
+    columns, so its other entries are at pivot columns before f; each a
+    dict from column to nonzero scalar, ascending."""
+    reduced = _back(_forward(rows)[0])
     basis = {f: {f: ONE} for f in range(ncols) if f not in reduced}
     for p, row in reduced.items():
         for f, v in row.items():
             basis[f][p] = -v
     return [dict(sorted(v.items())) for v in basis.values()]
-
-
-def _sparse(dense) -> list[dict]:
-    return [dict(enumerate(row)) for row in dense]
-
-
-def rank_rows(dense) -> int:
-    """Rank of a dense rational matrix (list of rows of exact scalars)."""
-    return sparse_rank(_sparse(dense))
-
-
-def nullspace_rows(dense, cols: int) -> list[tuple[Fraction, ...]]:
-    """Exact basis of the right kernel of a dense rational matrix, as
-    ``sparse_kernel`` orders it."""
-    return [
-        tuple(Fraction(v.get(c, ZERO)) for c in range(cols))
-        for v in sparse_kernel(_sparse(dense), cols)
-    ]
-
-
-def solve_rows(dense, rhs, cols: int | None = None) -> tuple[Fraction, ...] | None:
-    """One exact solution of ``A x = rhs`` (free variables set to 0), or
-    ``None`` when the system is inconsistent."""
-    nrows = len(dense)
-    if len(rhs) != nrows:
-        raise ValueError(f"rhs length {len(rhs)} != row count {nrows}")
-    if cols is None:
-        cols = len(dense[0]) if nrows else 0
-    [sol] = sparse_solve(_sparse(dense), cols, [dict(enumerate(rhs))])
-    if sol is None:
-        return None
-    return tuple(Fraction(sol.get(c, ZERO)) for c in range(cols))

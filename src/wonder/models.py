@@ -35,7 +35,7 @@ from wonder.diagram import (
     Permutation,
 )
 from wonder.errors import InputError
-from wonder.exact_linalg import ONE, ZERO, bareiss_echelon, sparse_solve
+from wonder.exact_linalg import ONE, ZERO, sparse_kernel
 
 FIBERS = {"p1": 1, "p2": 2}  # fiber name -> projective dimension
 MARKERS = ("0", "1", "inf")
@@ -743,41 +743,34 @@ def synthetic_gorenstein(dim_vector, seed: int, *, retries: int = 40) -> GradedA
 
 
 def _apolar_algebra(f_coeffs, r, d) -> GradedAlgebra | None:
-    chosen = []  # per degree: (alpha list, image vectors)
-    systems = []  # per degree: (all monomials, image matrix, pivot columns)
+    chosen = []  # per degree: the basis monomials
+    coords = {}  # every monomial -> its class over the basis of its degree
     for k in range(d + 1):
         alphas = _monomials(r, k)
         vectors = [_apolar_image(f_coeffs, r, d, a) for a in alphas]
-        cols = len(vectors)
-        rows = len(vectors[0]) if vectors else 0
-        mat = [[vectors[j][i] for j in range(cols)] for i in range(rows)]
-        if rows == 0:
+        if not vectors or not vectors[0]:
             return None
-        rank, pivots, _ = bareiss_echelon(mat, cols)
-        sel = [(alphas[j], vectors[j]) for j in pivots]
-        if k == 0 and rank != 1:
+        # one column per monomial; the leftmost pivots are the basis, and
+        # the kernel vector of a free column f (its largest column) is 1 at
+        # f and minus f's class at the pivots
+        rows = [{j: v[i] for j, v in enumerate(vectors) if v[i]} for i in range(len(vectors[0]))]
+        kernel = {max(v): v for v in sparse_kernel(rows, len(alphas))}
+        pivots = [j for j in range(len(alphas)) if j not in kernel]
+        if k == 0 and len(pivots) != 1:
             return None
-        chosen.append(sel)
-        systems.append((alphas, mat, pivots))
+        index = {p: i for i, p in enumerate(pivots)}
+        for j, a in enumerate(alphas):
+            v = kernel.get(j)
+            if v is None:
+                coords[a] = {index[j]: ONE}
+            else:
+                coords[a] = {index[p]: -q for p, q in v.items() if p != j}
+        chosen.append([alphas[p] for p in pivots])
     if len(chosen[d]) != 1:
         return None
 
-    # the class of every monomial over the chosen basis of its degree, from
-    # one elimination per degree; the chosen images span all the others
-    coords = {}
-    for alphas, mat, pivots in systems:
-        basis_rows = [{j: row[p] for j, p in enumerate(pivots) if row[p]} for row in mat]
-        images = [{i: v for i, v in enumerate(col) if v} for col in zip(*mat)]
-        coords.update(zip(alphas, sparse_solve(basis_rows, len(pivots), images)))
-
     dims = [len(sel) for sel in chosen]
-    labels = [[_monomial_label(a) for a, _ in sel] for sel in chosen]
-    index = {}
-    g = 0
-    for k, sel in enumerate(chosen):
-        for a, _ in sel:
-            index[a] = g
-            g += 1
+    labels = [[_monomial_label(a) for a in sel] for sel in chosen]
 
     def products(gi, gj):
         ka = _deg_of(gi)
@@ -787,15 +780,12 @@ def _apolar_algebra(f_coeffs, r, d) -> GradedAlgebra | None:
         alpha = tuple(
             x + y for x, y in zip(_alpha_of(gi), _alpha_of(gj))
         )
-        sol = coords[alpha]
-        if sol is None:
-            raise InputError("apolar product failed to express in the basis")
         off = sum(dims[: ka + kb])
-        return {off + i: q for i, q in sol.items()}
+        return {off + i: q for i, q in coords[alpha].items()}
 
     flat = []
     for k, sel in enumerate(chosen):
-        for a, _ in sel:
+        for a in sel:
             flat.append((k, a))
 
     def _deg_of(g2):

@@ -3,11 +3,12 @@ with one point center, a burrow corrupted by a dead class, seeded random
 blow-up and bundle inputs, helpers that edit one burrow's or one edge's
 data in a diagram file payload, reference versions of the structure
 constant table (keyed by index pairs) and of the associativity check
-(triple by triple) that ``algebra`` replaced by its row tables, and the
-dense Bareiss solve, kernel, adjoint pushforward and section that the
-sparse kernels of ``exact_linalg`` replaced.  Import
-them as ``from builders import ...``; pytest puts this directory on the
-import path."""
+(triple by triple) that ``algebra`` replaced by its row tables, the
+greedy generator choice (one rank per candidate) that one elimination per
+degree replaced, and the dense Bareiss echelon, solve, kernel, adjoint
+pushforward and section that the sparse elimination of ``exact_linalg``
+replaced.  Import them as ``from builders import ...``; pytest puts this
+directory on the import path."""
 
 import copy
 import random
@@ -31,7 +32,7 @@ from wonder.diagram import (
     ChernPolynomial,
 )
 from wonder.errors import InputError
-from wonder.exact_linalg import bareiss_echelon, rat
+from wonder.exact_linalg import ONE, rat, sparse_rank
 from wonder.models import (
     _PowerAlg,
     synthetic_broken,
@@ -367,6 +368,61 @@ def associativity_reference(alg: GradedAlgebra) -> list:
                 if times(gb, c) != times(alg.product_basis(b, c), g):
                     bad.append((g, b, c))
     return bad
+
+
+def generators_reference(alg) -> tuple:
+    """``GradedAlgebra.generators`` by the greedy choice it replaced: in
+    each degree, one rank per candidate basis element, which becomes a
+    generator when it raises the rank of the products g*b of the generators
+    so far and the generators already taken in that degree."""
+    gens = []
+    for k in range(1, alg.top_degree + 1):
+        cols = alg.global_indices(k)
+        rows = []
+        for g in gens:
+            for b in alg.global_indices(k - alg.degree_of(g)):
+                prod = alg.product_basis(g, b)
+                if prod:
+                    rows.append(dict(prod))
+        rank = sparse_rank(rows)
+        for h in cols:
+            if rank == alg.dim(k):
+                break
+            rows.append({h: ONE})
+            if sparse_rank(rows) > rank:
+                gens.append(h)
+                rank += 1
+            else:
+                rows.pop()
+    return tuple(gens)
+
+
+def bareiss_echelon(rows, ncols):
+    """Fraction-free (Bareiss) row reduction of an integer matrix, the
+    dense reference for the exact eliminations.
+
+    ``rows`` is a sequence of equal-length integer rows; the input is not
+    mutated.  Returns ``(rank, pivot_cols, echelon)`` where ``echelon`` holds
+    the first ``rank`` rows of an integer row-echelon form with the same row
+    space as the input, its pivots the leftmost nonzero columns."""
+    m = [list(r) for r in rows]
+    rank = 0
+    prev = 1
+    pivots = []
+    for col in range(ncols):
+        pr = next((r for r in range(rank, len(m)) if m[r][col]), None)
+        if pr is None:
+            continue
+        m[rank], m[pr] = m[pr], m[rank]
+        top = m[rank]
+        piv = top[col]
+        for r in range(rank + 1, len(m)):
+            f = m[r][col]
+            m[r] = [(piv * a - f * b) // prev for a, b in zip(m[r], top)]
+        prev = piv
+        pivots.append(col)
+        rank += 1
+    return rank, pivots, m[:rank]
 
 
 def _int_rows(dense) -> list:

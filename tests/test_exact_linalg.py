@@ -9,69 +9,62 @@ from hypothesis import strategies as st
 
 from wonder.errors import InputError
 from wonder.exact_linalg import (
-    bareiss_echelon,
     format_rat,
-    nullspace_rows,
     parse_rat,
-    rank_rows,
     rat,
-    solve_rows,
     sparse_kernel,
+    sparse_pivots,
     sparse_rank,
     sparse_solve,
 )
 
-from builders import nullspace_rows_reference, solve_rows_reference
+from builders import bareiss_echelon, nullspace_rows_reference, solve_rows_reference
 
 F = Fraction
 
 
 def q(rows):
-    return [[F(v) for v in row] for row in rows]
+    """Dense rows as sparse rows of Fractions, their zeros kept as entries."""
+    return [{j: F(v) for j, v in enumerate(row)} for row in rows]
 
 
 def test_rank_empty():
-    assert rank_rows([]) == 0
+    assert sparse_rank([]) == 0
 
 
 def test_rank_identity():
-    assert rank_rows(q([[1, 0], [0, 1]])) == 2
+    assert sparse_rank(q([[1, 0], [0, 1]])) == 2
 
 
 def test_rank_proportional_rows():
-    assert rank_rows(q([[1, 2], [2, 4]])) == 1
+    assert sparse_rank(q([[1, 2], [2, 4]])) == 1
 
 
 def test_nullspace_identity():
-    assert nullspace_rows(q([[1, 0, 0], [0, 1, 0], [0, 0, 1]]), 3) == []
+    assert sparse_kernel(q([[1, 0, 0], [0, 1, 0], [0, 0, 1]]), 3) == []
 
 
 def test_nullspace_zero_matrix():
-    basis = nullspace_rows(q([[0, 0, 0], [0, 0, 0]]), 3)
-    assert len(basis) == 3
+    basis = sparse_kernel(q([[0, 0, 0], [0, 0, 0]]), 3)
+    assert basis == [{0: 1}, {1: 1}, {2: 1}]
 
 
 def test_nullspace_one_relation():
-    (v,) = nullspace_rows(q([[1, 1]]), 2)
+    (v,) = sparse_kernel(q([[1, 1]]), 2)
     assert v[0] == -v[1] and v[1] != 0
 
 
 def test_solve_identity():
-    assert solve_rows(q([[1, 0], [0, 1]]), [F(1), F(2)]) == (F(1), F(2))
+    assert sparse_solve(q([[1, 0], [0, 1]]), [{0: F(1), 1: F(2)}]) == [{0: 1, 1: 2}]
 
 
 def test_solve_underdetermined():
-    sol = solve_rows(q([[1, 1]]), [F(3)])
-    assert sol is not None and sol[0] + sol[1] == 3
+    [sol] = sparse_solve(q([[1, 1]]), [{0: F(3)}])
+    assert sol is not None and sol.get(0, 0) + sol.get(1, 0) == 3
 
 
 def test_solve_inconsistent():
-    assert solve_rows(q([[0]]), [F(1)]) is None
-
-
-def test_solve_dimension_mismatch():
-    with pytest.raises(ValueError):
-        solve_rows(q([[1, 0]]), [F(1), F(2)])
+    assert sparse_solve(q([[0]]), [{0: F(1)}]) == [None]
 
 
 rationals = st.builds(
@@ -86,31 +79,35 @@ matrices = st.integers(min_value=1, max_value=5).flatmap(
 )
 
 
+def _canonical(q) -> bool:
+    return type(q) is int or (type(q) is Fraction and q.denominator != 1)
+
+
 @settings(max_examples=60, deadline=None)
 @given(matrices)
 def test_rank_nullity(rows):
     cols = len(rows[0])
-    assert rank_rows(rows) + len(nullspace_rows(rows, cols)) == cols
+    assert sparse_rank(q(rows)) + len(sparse_kernel(q(rows), cols)) == cols
 
 
 @settings(max_examples=60, deadline=None)
 @given(matrices)
 def test_nullspace_vectors_annihilate(rows):
-    for v in nullspace_rows(rows, len(rows[0])):
-        assert all(isinstance(x, Fraction) for x in v)
+    for v in sparse_kernel(q(rows), len(rows[0])):
+        assert all(map(_canonical, v.values()))
         for row in rows:
-            assert sum(a * b for a, b in zip(row, v)) == 0
+            assert sum(row[c] * x for c, x in v.items()) == 0
 
 
 @settings(max_examples=60, deadline=None)
 @given(matrices, st.lists(rationals, min_size=1, max_size=5))
 def test_solve_solves(rows, rhs):
     rhs = (rhs * len(rows))[: len(rows)]
-    sol = solve_rows(rows, rhs)
+    [sol] = sparse_solve(q(rows), [dict(enumerate(rhs))])
     if sol is None:
         return
     for row, b in zip(rows, rhs):
-        assert sum(a * x for a, x in zip(row, sol)) == b
+        assert sum(row[c] * x for c, x in sol.items()) == b
 
 
 def gauss_jordan(rows, ncols):
@@ -200,27 +197,33 @@ def rank_cases(draw):
     return ncols, rows
 
 
-def bareiss_rank(dense, ncols):
-    """The reference rank: denominators cleared row by row, then Bareiss."""
+def bareiss_pivots(dense, ncols):
+    """The reference pivots: denominators cleared row by row, then Bareiss."""
     ints = []
     for row in dense:
         mult = lcm(*(F(v).denominator for v in row))
         ints.append([int(v * mult) for v in row])
-    return bareiss_echelon(ints, ncols)[0]
+    return bareiss_echelon(ints, ncols)[1]
 
 
 @seed(2015)
 @settings(max_examples=300, deadline=None)
 @given(rank_cases())
 def test_sparse_rank_matches_bareiss(case):
+    """The rank and the leftmost pivots of a matrix and of its transpose
+    are the Bareiss ones, with or without the zero entries of the rows."""
     ncols, dense = case
     sparse = [{j: v for j, v in enumerate(row) if v} for row in dense]
     transpose = [{i: row[j] for i, row in enumerate(dense) if row[j]} for j in range(ncols)]
     before = copy.deepcopy((dense, sparse, transpose))
-    want = bareiss_rank(dense, ncols)
+    pivots = bareiss_pivots(dense, ncols)
+    want = len(pivots)
     assert sparse_rank(sparse) == want
     assert sparse_rank(transpose) == want
-    assert rank_rows(dense) == want
+    assert sparse_rank([dict(enumerate(row)) for row in dense]) == want
+    assert sparse_pivots(sparse) == pivots
+    dense_t = [[row[j] for row in dense] for j in range(ncols)]
+    assert sparse_pivots(transpose) == bareiss_pivots(dense_t, len(dense))
     assert (dense, sparse, transpose) == before
 
 
@@ -270,24 +273,22 @@ def solve_cases(draw):
     return ncols, rows, rhs
 
 
-def _canonical(q) -> bool:
-    return type(q) is int or (type(q) is Fraction and q.denominator != 1)
-
-
 @seed(2015)
 @settings(max_examples=300, deadline=None)
 @given(solve_cases())
 def test_sparse_solve_and_kernel_match_bareiss(case):
     """One elimination for many right-hand sides gives, for each, exactly the
     dense Bareiss solution (free variables 0, leftmost pivots) or its None,
-    and exactly the Bareiss kernel basis; the wrappers agree, and no input
-    is mutated."""
+    and exactly the Bareiss kernel basis, with or without the zero entries
+    of the rows and right-hand sides; the rank and the kernel add up to the
+    columns, and no input is mutated."""
     ncols, dense, rhs = case
     sparse = [{j: v for j, v in enumerate(row) if v} for row in dense]
     columns = [{i: v for i, v in enumerate(b) if v} for b in rhs]
-    before = copy.deepcopy((dense, rhs, sparse, columns))
+    filled = [dict(enumerate(row)) for row in dense]
+    before = copy.deepcopy((dense, rhs, sparse, columns, filled))
     want = [solve_rows_reference(dense, b, ncols) for b in rhs]
-    got = sparse_solve(sparse, ncols, columns)
+    got = sparse_solve(sparse, columns)
     assert len(got) == len(want)
     for sol, ref in zip(got, want):
         if ref is None:
@@ -295,26 +296,23 @@ def test_sparse_solve_and_kernel_match_bareiss(case):
             continue
         assert list(sol) == sorted(sol) and all(map(_canonical, sol.values()))
         assert tuple(sol.get(c, 0) for c in range(ncols)) == ref
-    for b, ref in zip(rhs, want):
-        out = solve_rows(dense, b, cols=ncols)
-        assert out == ref
-        assert out is None or all(type(v) is Fraction for v in out)
+    assert sparse_solve(filled, [dict(enumerate(b)) for b in rhs]) == got
     kernel = nullspace_rows_reference(dense, ncols)
     basis = sparse_kernel(sparse, ncols)
     assert [tuple(v.get(c, 0) for c in range(ncols)) for v in basis] == kernel
     assert all(list(v) == sorted(v) and all(map(_canonical, v.values())) for v in basis)
-    assert nullspace_rows(dense, ncols) == kernel
-    assert all(type(v) is Fraction for vec in nullspace_rows(dense, ncols) for v in vec)
-    assert (dense, rhs, sparse, columns) == before
+    assert sparse_kernel(filled, ncols) == basis
+    assert sparse_rank(sparse) + len(basis) == ncols
+    assert (dense, rhs, sparse, columns, filled) == before
 
 
 def test_sparse_solve_takes_rows_with_no_entries():
     """A right-hand side entry on an empty row is inconsistent unless zero;
     zero entries of the input are ignored."""
     rows = [{0: 2, 1: 0}, {}, {1: F(1, 2)}]
-    assert sparse_solve(rows, 3, [{0: 4, 2: 1}, {1: 1}, {1: 0}, {}]) == [{0: 2, 1: 2}, None, {}, {}]
+    assert sparse_solve(rows, [{0: 4, 2: 1}, {1: 1}, {1: 0}, {}]) == [{0: 2, 1: 2}, None, {}, {}]
     assert sparse_kernel(rows, 3) == [{2: 1}]
-    assert sparse_solve([], 2, [{}]) == [{}] and sparse_kernel([], 2) == [{0: 1}, {1: 1}]
+    assert sparse_solve([], [{}]) == [{}] and sparse_kernel([], 2) == [{0: 1}, {1: 1}]
 
 
 def test_rat_round_trip():
@@ -354,10 +352,13 @@ def test_parse_rat_rejects_malformed_values(value):
         parse_rat(value)
 
 
-def test_solvers_return_fractions_on_a_zero_matrix():
-    """Back-substitution divides, so it must not start from the int scalars."""
-    [v] = nullspace_rows([[F(0)]], 1)
-    assert v == (1,) and type(v[0]) is Fraction
-    sol = solve_rows([[F(0)]], [F(0)])
-    assert sol == (0,) and type(sol[0]) is Fraction
-    assert all(type(x) is Fraction for x in solve_rows([[F(2), F(0)]], [F(3)]))
+def test_solvers_on_a_zero_matrix():
+    """Back-substitution divides, so its scalars come out as ``rat`` gives
+    them whether the input holds ints or Fractions."""
+    [v] = sparse_kernel([{0: F(0)}], 1)
+    assert v == {0: 1} and type(v[0]) is int
+    assert sparse_solve([{0: F(0)}], [{0: F(0)}]) == [{}]
+    [sol] = sparse_solve([{0: F(2), 1: F(0)}], [{0: F(3)}])
+    assert sol == {0: F(3, 2)} and type(sol[0]) is Fraction
+    [sol] = sparse_solve([{0: F(2), 1: F(0)}], [{0: F(4)}])
+    assert sol == {0: 2} and type(sol[0]) is int

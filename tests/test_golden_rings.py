@@ -15,7 +15,10 @@ each model, every product the fill skips as zero and finds it zero. The
 scalar-kind tests walk the same models: every stored scalar is an ``int`` or
 a non-integral ``Fraction``.  The generator tests check that
 ``GradedAlgebra.generators`` is a minimal generating set of every burrow
-algebra of these models and of the synthetic algebras."""
+algebra of these models and of the synthetic algebras, and that it picks
+the generators of the greedy reference, one rank per candidate, on those
+algebras, on each built ring and on a small algebra where more than one
+choice is minimal."""
 
 import hashlib
 import json
@@ -24,15 +27,16 @@ from fractions import Fraction
 import pytest
 
 from wonder import io
+from wonder.algebra import GradedAlgebra
 from wonder.blowup import blow_up, bundle_result
 from wonder.cli import main
 from wonder.engine import _merged, build_ring
-from wonder.exact_linalg import rank_rows
+from wonder.exact_linalg import sparse_rank
 from wonder.fixtures import oracle_fixture
 from wonder.models import _PowerAlg, fm_power, keel_model, synthetic_broken, synthetic_gorenstein
 from wonder.oracle import run_oracle
 
-from builders import random_blowup_input, random_bundle_input
+from builders import generators_reference, random_blowup_input, random_bundle_input
 
 GOLDEN = {
     "fm-p1-3": (
@@ -387,14 +391,15 @@ def _monomials_span(alg, gens) -> bool:
         for g in gens:
             for b in alg.global_indices(k - alg.degree_of(g)):
                 prod = alg.basis_element(g) * alg.basis_element(b)
-                rows.append([prod.coefficient(h) for h in alg.global_indices(k)])
-        if rank_rows(rows) != alg.dim(k):
+                rows.append({h: prod.coefficient(h) for h in alg.global_indices(k)})
+        if sparse_rank(rows) != alg.dim(k):
             return False
     return True
 
 
 def _assert_minimal_generators(alg):
     gens = alg.generators()
+    assert gens == generators_reference(alg)
     assert list(gens) == sorted(set(gens))
     assert all(0 < g < alg.total_dim for g in gens)
     assert _monomials_span(alg, gens)
@@ -404,14 +409,24 @@ def _assert_minimal_generators(alg):
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_burrow_generators_are_minimal(built, name):
-    diagram, _ = built(name)
+    diagram, ring = built(name)
     for burrow in diagram.burrows.values():
         _assert_minimal_generators(burrow.algebra)
+    alg = ring.as_algebra()
+    assert alg.generators() == generators_reference(alg)
 
 
 @pytest.mark.parametrize("dims,k,seed", sorted(GOLDEN_SYNTH, key=repr))
 def test_synthetic_generators_are_minimal(synthetic, dims, k, seed):
     _assert_minimal_generators(synthetic(dims, k, seed))
+
+
+def test_generators_take_the_first_class_outside_the_span():
+    """x*x = u + v: either of u, v completes degree 2, and the choice is the
+    first one, where on the models above every choice is forced."""
+    alg = GradedAlgebra([1, 1, 2], [["1"], ["x"], ["u", "v"]], [(1, 1, 2, 1), (1, 1, 3, 1)])
+    _assert_minimal_generators(alg)
+    assert alg.generators() == (1, 2)
 
 
 def _oracle_ring(name):
