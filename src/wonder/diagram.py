@@ -19,8 +19,14 @@ computes one product per orbit of basis pairs.
 
 Burrows of one shape share one ``Structure`` and edges of one shape share
 their map columns and Chern coefficient dicts (``BurrowEdge.rebased``), so
-``validate`` and the symmetry check decide each law once per distinct
-datum (``edge_datum``), exactly: equal data give equal verdicts.
+``validate`` decides each law of one burrow or edge once per distinct
+datum (``edge_datum``), exactly: equal data give equal verdicts.  The
+symmetry check likewise compares each distinct (datum, image datum, basis
+permutations) once.  With a checked group, ``validate`` tries the
+containment laws and the functoriality of the pullbacks only on the pairs
+and chains that start at one burrow per orbit, which is exact (see its
+docstring), and its report makes the per-edge rows only when they are
+read.
 """
 
 from __future__ import annotations
@@ -104,28 +110,24 @@ class BurrowEdge:
 
 def edge_datum(edge: BurrowEdge, small: GradedAlgebra, big: GradedAlgebra):
     """What the laws of one edge read, by identity: the structures of its
-    burrow algebras, the pushforward shift, the columns of both maps and
-    the Chern coefficient dicts.  Edges made by ``BurrowEdge.rebased``
+    burrow algebras, the shifts and the columns of both maps and the Chern
+    coefficient dicts.  Edges made by ``BurrowEdge.rebased``
     from one edge share all of these, so one verdict serves them all.
     None when the maps or the coefficients are not on the edge's own
     algebras."""
     pull, push = edge.pullback, edge.pushforward
     if not (
-        pull.source is big
-        and pull.target is small
-        and push.source is small
-        and push.target is big
-        and all(c.alg is big for c in edge.chern.coeffs)
+        pull.source is big and pull.target is small and push.source is small and push.target is big
     ):
         return None
-    return (
-        big.structure,
-        small.structure,
-        push.shift,
-        id(pull.columns),
-        id(push.columns),
-        *(id(c.coeffs) for c in edge.chern.coeffs),
-    )
+    datum = [
+        big.structure, small.structure, pull.shift, push.shift, id(pull.columns), id(push.columns)
+    ]
+    for c in edge.chern.coeffs:
+        if c.alg is not big:
+            return None
+        datum.append(id(c.coeffs))
+    return tuple(datum)
 
 
 NESTED_OR_DISJOINT = "nested-or-disjoint"
@@ -164,7 +166,7 @@ class Symmetry:
     problems: list
 
 
-@dataclass
+@dataclass(slots=True)
 class CheckResult:
     check: str
     subject: str
@@ -172,25 +174,44 @@ class CheckResult:
     detail: str = ""
 
 
-@dataclass
 class ValidationReport:
-    entries: list[CheckResult] = field(default_factory=list)
+    """The rows of one validation, in order.  A batch of rows (``validate``
+    adds those of the per-edge laws so) can be held as its verdict and a
+    function that makes the rows: ``ok`` and a passing ``raise_if_failed``
+    read the verdicts alone, and the rows are made once, when ``entries``,
+    ``problems`` or ``summary`` first reads them."""
+
+    def __init__(self):
+        self._parts = []  # (ok, rows): a list of CheckResult, or a function making them
+        self._entries = None
 
     def add(self, check, subject, ok, detail=""):
-        self.entries.append(CheckResult(check, subject, ok, detail))
+        self._parts.append((ok, [CheckResult(check, subject, ok, detail)]))
+
+    def add_rows(self, ok: bool, rows):
+        """Rows that ``rows()`` makes on read, all passing exactly when ok."""
+        self._parts.append((ok, rows))
+
+    @property
+    def entries(self) -> list[CheckResult]:
+        if self._entries is None:
+            self._entries = [
+                e for _, rows in self._parts for e in (rows if isinstance(rows, list) else rows())
+            ]
+        return self._entries
 
     @property
     def ok(self) -> bool:
-        return all(e.ok for e in self.entries)
+        return all(ok for ok, _ in self._parts)
 
     def problems(self) -> list[CheckResult]:
         return [e for e in self.entries if not e.ok]
 
     def raise_if_failed(self):
-        bad = self.problems()
-        if bad:
-            lines = "; ".join(f"{e.check}[{e.subject}]: {e.detail}" for e in bad[:8])
-            raise InputError(f"diagram validation failed: {lines}")
+        if self.ok:
+            return
+        lines = "; ".join(f"{e.check}[{e.subject}]: {e.detail}" for e in self.problems()[:8])
+        raise InputError(f"diagram validation failed: {lines}")
 
     def summary(self) -> str:
         lines = []
@@ -472,12 +493,16 @@ class BurrowDiagram:
         )
 
     def edge_data(self) -> dict:
-        """Each edge's ``edge_datum``, computed once."""
+        """Each edge's ``edge_datum`` as an integer, equal for equal data,
+        or None; computed once."""
         if self._data is None:
-            self._data = {
-                (small, big): edge_datum(e, self.burrows[small].algebra, self.burrows[big].algebra)
-                for (small, big), e in self.edges.items()
-            }
+            interned, burrows = {}, self.burrows
+            self._data = {}
+            for (small, big), e in self.edges.items():
+                datum = edge_datum(e, burrows[small].algebra, burrows[big].algebra)
+                self._data[small, big] = (
+                    None if datum is None else interned.setdefault(datum, len(interned))
+                )
         return self._data
 
     # -- symmetry ------------------------------------------------------------------
@@ -595,8 +620,28 @@ class BurrowDiagram:
             lower = [moved(c, perms[small]) for c in lower_chern(datum, edge)]
             return "" if lower == lower_chern(image_datum, image) else "lower"
 
-        data = self.edge_data()
+        # when every edge has a datum and an image edge, the verdict of each
+        # distinct (datum, image datum, permutation ids) holds for all its
+        # edges, and one with the datum its own image's and no permutations
+        # compares equal objects; the ordered loop below runs only to name
+        # the first failure
+        data, edges = self.edge_data(), self.edges
         image_of = {b: bu(b) for b in self.burrows}
+        keyed = None  # (datum, image datum, permutation ids) -> an edge with them
+        if None not in data.values():
+            try:
+                keyed = {
+                    (data[e], data[image_of[e[0]], image_of[e[1]]], ids[e[0]], ids[e[1]]): e
+                    for e in edges
+                }
+            except KeyError:  # an edge with no image edge
+                pass
+        if keyed is not None and not any(
+            failure(edges[e], edges[image_of[e[0]], image_of[e[1]]], datum, image_datum, *e)
+            for (datum, image_datum, *perm_ids), e in keyed.items()
+            if datum != image_datum or perm_ids != [None, None]
+        ):
+            return ""
         verdicts = {}  # (datum, image datum, permutation ids) -> failure
         for (small, big), edge in self.edges.items():
             if data[small, big] is None:
@@ -626,15 +671,40 @@ class BurrowDiagram:
     # -- validation ----------------------------------------------------------------
 
     def validate(self) -> ValidationReport:
+        """Check every hypothesis the engine relies on.  The report holds
+        the verdicts of the per-edge laws once per distinct datum and makes
+        the per-edge rows when they are read (``ValidationReport``).
+
+        Every law of one burrow or edge reads its data and the structures
+        of its algebras only, so it is decided once per distinct key (the
+        structure and codim of a burrow; the ``edge_data`` datum and codim
+        difference of an edge) and read for every burrow or edge that
+        shares it: equal data give equal verdicts.
+
+        The containment laws (``_order_failure``) and functoriality
+        (``_chain_failure``) are decided per orbit of the checked group
+        (``symmetry``): only on the edges, pairs and chains whose first
+        burrow is the representative of its orbit.  A passing generator s
+        is a bijection of the burrows that carries the edge set onto
+        itself, each pullback to the pullback of the image edge, and each
+        burrow algebra isomorphically onto its image's.  So s carries lower
+        sets to lower sets: an edge is transitive exactly when its image
+        is, and two burrows have a greatest common lower burrow exactly
+        when their images do.  A chain's composite pullback equals its
+        edge's exactly when the image chain's does; the check compares
+        them on generators, which decides that equality once the algebras
+        are associative and the pullbacks ring maps, so chains go per orbit
+        only when the per-burrow and per-edge laws all hold.  A failing
+        edge, pair or chain then has a failing image whose first burrow is a
+        representative, and on a failure the scan runs again over
+        everything in order, so the detail names the same first failure as
+        without the group.
+        """
         rep = ValidationReport()
         d = self.socle_degree
         for subject, detail in self.symmetry().problems:
             rep.add("symmetry", subject, False, detail)
 
-        # Every law of one burrow or edge reads its data and the structures
-        # of its algebras only, so it is decided once per distinct datum
-        # (``edge_datum``) and read for every burrow or edge that shares it:
-        # equal data give equal verdicts.
         socle, associative = {}, {}
         for b in self.burrows.values():
             structure = b.algebra.structure
@@ -652,6 +722,7 @@ class BurrowDiagram:
                 rep.add(
                     "associativity", b.id, False, f"({g}*{x})*{y} != {g}*({x}*{y})"
                 )
+        burrows_ok = not any(associative.values()) and all(ok for ok, _ in socle.values())
 
         # elements with no known burrow fail here and are skipped below
         unplaced = set()
@@ -678,7 +749,8 @@ class BurrowDiagram:
         # nest-nonempty-burrow rows fold element sets through meets, so they
         # run only when these hold (and the nest table only when every
         # element is placed)
-        detail = self._order_failure()
+        firsts = self._representatives()
+        detail = _first_failure(self._order_failure, firsts)
         rep.add("table-consistency", "elements", not detail, detail)
         consistent = not detail
 
@@ -699,52 +771,28 @@ class BurrowDiagram:
                     "" if ok else f"defining set folds to {folded!r}",
                 )
 
-        data, laws = self.edge_data(), {}
-        misshapen = set()  # edges whose data are not on their burrow algebras
-        for (small, big), edge in sorted(self.edges.items()):
-            nb, ns = self.burrows[big], self.burrows[small]
-            c = ns.codim - nb.codim
-            subject = f"{small}<{big}"
-            datum = data[small, big]
-            if datum is None:
-                rep.add("edge-shape", subject, False, "maps or Chern classes not on its burrow algebras")
-                misshapen.add((small, big))
-                continue
-            if datum not in laws:
-                laws[datum] = _edge_laws(edge, ns.algebra)
-            surj_bad, hom, formula, shape, fundamental = laws[datum]
-            shift_ok = edge.pushforward.shift == c
-            degree_ok = edge.chern.deg == c
-            rep.add(
-                "pullback-surjective",
-                subject,
-                not surj_bad,
-                "" if not surj_bad else f"surjectivity failed at degree {surj_bad[0]}",
-            )
-            rep.add("pullback-ring-hom", subject, hom)
-            rep.add(
-                "pushforward-shift",
-                subject,
-                shift_ok,
-                "" if shift_ok else f"shift {edge.pushforward.shift} != codim diff {c}",
-            )
-            if shift_ok:
-                rep.add("projection-formula", subject, formula)
-            rep.add(
-                "chern-degree",
-                subject,
-                degree_ok,
-                "" if degree_ok else f"chern degree {edge.chern.deg} != codim diff {c}",
-            )
-            if degree_ok:
-                rep.add("chern-shape", subject, not shape, shape)
-                rep.add(
-                    "chern-fundamental-class",
-                    subject,
-                    fundamental,
-                    "" if fundamental else "top coefficient differs from the class of the "
-                    "small burrow",
-                )
+        # the laws of the edges of one (datum, codim difference) give the
+        # same rows; they are made when read
+        data = self.edge_data()
+        codim = {b.id: b.codim for b in self.burrows.values()}
+        groups = {
+            (datum, codim[small] - codim[big]): (small, big) for (small, big), datum in data.items()
+        }
+        rows_of = {
+            (datum, c): _edge_rows(self.edges[key], self.burrows[key[0]].algebra, c)
+            if datum is not None
+            else (("edge-shape", False, "maps or Chern classes not on its burrow algebras"),)
+            for (datum, c), key in groups.items()
+        }
+
+        def edge_rows():
+            for small, big in sorted(self.edges):
+                subject = f"{small}<{big}"
+                for check, ok, detail in rows_of[data[small, big], codim[small] - codim[big]]:
+                    yield CheckResult(check, subject, ok, detail)
+
+        edges_ok = all(ok for rows in rows_of.values() for _, ok, _ in rows)
+        rep.add_rows(edges_ok, edge_rows)
 
         # nonvanishing of burrow classes in the ambient ring; the class is
         # the top Chern coefficient, so an edge failing chern-degree has none
@@ -765,41 +813,8 @@ class BurrowDiagram:
                 "hypothesis",
             )
 
-        # functoriality: composite pullback along a chain equals the edge map.
-        # Both sides are ring maps once the associativity and ring-hom
-        # checks pass, so they agree everywhere when they agree on the unit
-        # and the generators.  The verdict of a chain reads the structure of
-        # the big algebra and the columns of the three maps, so it is
-        # decided once per distinct combination of them.  Edges failing
-        # edge-shape are left out, as direct maps and as links.
-        ok = True
-        detail = ""
-        order = {b: i for i, b in enumerate(self.burrows)}
-        above = {b: set() for b in self.burrows}  # the burrows with an edge out of b
-        for small, big in self.edges:
-            above[small].add(big)
-        chains = {}
-        for (small, big), edge in self.edges.items():
-            if (small, big) in misshapen:
-                continue
-            direct = edge.pullback
-            for mid in sorted(self._below[big] & above[small], key=order.__getitem__):
-                if (small, mid) in misshapen or (mid, big) in misshapen:
-                    continue
-                link, upper = self.edges[small, mid].pullback, self.edges[mid, big].pullback
-                key = (direct.source.structure, id(direct.columns), id(link.columns), id(upper.columns))
-                if key not in chains:
-                    chains[key] = all(
-                        direct.apply_basis(g) == link.apply(upper.apply_basis(g))
-                        for g in (0, *direct.source.generators())
-                    )
-                if not chains[key]:
-                    ok = False
-                    detail = f"{big} -> {mid} -> {small}"
-                    break
-            if not ok:
-                break
-        rep.add("pullback-functorial", "chains", ok, detail)
+        detail = _first_failure(self._chain_failure, firsts if burrows_ok and edges_ok else None)
+        rep.add("pullback-functorial", "chains", not detail, detail)
 
         # nests: singletons, nonempty burrows, downward closure for explicit lists
         ok = all(self.is_nest({x}) for x in self.elements)
@@ -826,21 +841,59 @@ class BurrowDiagram:
             )
         return rep
 
-    def _order_failure(self) -> str:
+    def _representatives(self) -> set | None:
+        """The first burrow in ``_order`` of each orbit of the checked
+        group, or None when the group is trivial."""
+        generators = self.symmetry().generators
+        if not generators:
+            return None
+        firsts, seen = set(), set()
+        for b in self._order:
+            if b in seen:
+                continue
+            firsts.add(b)
+            seen.add(b)
+            stack = [b]
+            while stack:
+                x = stack.pop()
+                for gen in generators:
+                    y = gen.burrow(x)
+                    if y not in seen:
+                        seen.add(y)
+                        stack.append(y)
+        return firsts
+
+    def _order_failure(self, firsts=None) -> str:
         """The first failure of the laws that make the edge set a
         containment order with meets, or '': every chain a < b < c has its
         edge a < c, and any two burrows with a common lower burrow have a
         greatest one.  On transitive edges the lowest bit of a common lower
         set is a maximal burrow of it (see ``_order``), so the set has a
-        greatest burrow exactly when it is that burrow's lower set."""
+        greatest burrow exactly when it is that burrow's lower set.
+
+        With ``firsts`` (see ``validate``), only the edges out of its
+        burrows are tried, and the pairs (a, b) with a in it and b after a
+        in ``_order``.  That covers every orbit of pairs: of all the
+        burrows in the pairs of one orbit, the first in ``_order`` is the
+        first of its own orbit, so in ``firsts``, and the pair holding it
+        has the other burrow after it.  The meet test reads ``_order``,
+        which breaks ties by name, so it is the same on a pair and its
+        image only when no edge is a loop b < b; a loop at a burrow is one
+        at its representative too, and then every pair is tried."""
         order, lower = self._order, self._lower
+        if firsts is not None and any(b in self._below[b] for b in firsts):
+            firsts = None
         for mid, big in self.edges:
+            if firsts is not None and mid not in firsts:
+                continue
             missing = lower[mid] & ~lower[big]
             if missing:
                 small = order[(missing & -missing).bit_length() - 1]
                 return f"{small}<{mid}<{big} has no edge {small}<{big}"
         masks = [lower[b] for b in order]
         for i, mask in enumerate(masks):
+            if firsts is not None and order[i] not in firsts:
+                continue
             for j in range(i + 1, len(masks)):
                 common = mask & masks[j]
                 if not common:
@@ -856,16 +909,61 @@ class BurrowDiagram:
                     )
         return ""
 
+    def _chain_failure(self, firsts=None) -> str:
+        """The first chain small < mid < big, in edge order and then burrow
+        order of mid, whose composite pullback differs from the edge's, as
+        'big -> mid -> small', or ''.  Both sides are ring maps once the
+        associativity and ring-hom checks pass, so they agree everywhere
+        when they agree on the unit and the generators.  The verdict of a
+        chain reads the structure of the big algebra and the columns of the
+        three maps, so it is decided once per distinct combination of them.
+        Edges failing edge-shape are left out, as direct maps and as links.
+        With ``firsts``, only the chains whose small burrow is in it are
+        tried (see ``validate``)."""
+        data = self.edge_data()
+        order = {b: i for i, b in enumerate(self.burrows)}
+        above = {}  # the burrows with an edge out of each small burrow tried
+        for small, big in self.edges:
+            if firsts is None or small in firsts:
+                above.setdefault(small, set()).add(big)
+        chains = {}
+        for (small, big), edge in self.edges.items():
+            if data[small, big] is None or (firsts is not None and small not in firsts):
+                continue
+            direct = edge.pullback
+            for mid in sorted(self._below[big] & above[small], key=order.__getitem__):
+                if data[small, mid] is None or data[mid, big] is None:
+                    continue
+                link, upper = self.edges[small, mid].pullback, self.edges[mid, big].pullback
+                key = (
+                    direct.source.structure, id(direct.columns), id(link.columns), id(upper.columns)
+                )
+                if key not in chains:
+                    chains[key] = all(
+                        direct.apply_basis(g) == link.apply(upper.apply_basis(g))
+                        for g in (0, *direct.source.generators())
+                    )
+                if not chains[key]:
+                    return f"{big} -> {mid} -> {small}"
+        return ""
 
-def _edge_laws(edge: BurrowEdge, small: GradedAlgebra):
-    """The verdicts of the laws that read one edge's data alone: the
-    degrees where the pullback is not surjective, whether it is a ring map,
-    whether the projection formula holds, the chern-shape detail ('' when
-    every coefficient c_i lies in degree i) and whether the top coefficient
-    is the class of the small burrow.  ``validate`` reports the last three
-    only on edges whose shift and Chern degree match their codims."""
+
+def _first_failure(scan, firsts) -> str:
+    """``scan(firsts)`` when it passes; else, or without representatives,
+    the ordered ``scan()`` of everything, which names the first failure."""
+    return "" if firsts is not None and not scan(firsts) else scan()
+
+
+def _edge_rows(edge: BurrowEdge, small: GradedAlgebra, c: int) -> tuple:
+    """The (check, ok, detail) rows of the laws that read one edge's data
+    alone, for an edge with this edge's datum and codim difference c: the
+    pullback is surjective in every degree and a ring map; the pushforward
+    is shifted by c and, if so, the projection formula holds; the Chern
+    polynomial has degree c and, if so, each coefficient c_i lies in degree
+    i and the top one is the class of the small burrow."""
     pull, push, chern = edge.pullback, edge.pushforward, edge.chern
     surj_bad = [k for k, ok in enumerate(pull.surjective_degrees()) if not ok]
+    hom, formula = pull.is_ring_hom(), projection_formula_holds(pull, push)
     shape = ""
     for i, ci in enumerate(chern.coeffs, start=1):
         degrees = {ci.alg.degree_of(g) for g in ci.coeffs}
@@ -877,4 +975,35 @@ def _edge_laws(edge: BurrowEdge, small: GradedAlgebra):
             )
             break
     fundamental = chern.coefficient(chern.deg) == push.apply(small.unit())
-    return surj_bad, pull.is_ring_hom(), projection_formula_holds(pull, push), shape, fundamental
+    rows = [
+        (
+            "pullback-surjective",
+            not surj_bad,
+            "" if not surj_bad else f"surjectivity failed at degree {surj_bad[0]}",
+        ),
+        ("pullback-ring-hom", hom, ""),
+        (
+            "pushforward-shift",
+            push.shift == c,
+            "" if push.shift == c else f"shift {push.shift} != codim diff {c}",
+        ),
+    ]
+    if push.shift == c:
+        rows.append(("projection-formula", formula, ""))
+    rows.append(
+        (
+            "chern-degree",
+            chern.deg == c,
+            "" if chern.deg == c else f"chern degree {chern.deg} != codim diff {c}",
+        )
+    )
+    if chern.deg == c:
+        rows.append(("chern-shape", not shape, shape))
+        rows.append(
+            (
+                "chern-fundamental-class",
+                fundamental,
+                "" if fundamental else "top coefficient differs from the class of the small burrow",
+            )
+        )
+    return tuple(rows)

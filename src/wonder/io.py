@@ -268,7 +268,7 @@ def diagram_payload(diagram: BurrowDiagram) -> dict:
     for (small, big), e in sorted(diagram.edges.items()):
         # an edge whose maps are not on its own algebras has no shared
         # datum and keeps an entry of its own
-        shared = data[small, big] or (small, big)
+        shared = (small, big) if data[small, big] is None else data[small, big]
         if shared not in map_of:
             datum = {
                 "pullback": _map_payload(e.pullback),

@@ -1,7 +1,8 @@
 """Constructors that only the tests use: single-center diagrams, the plane
 with one point center, a burrow corrupted by a dead class, seeded random
 blow-up and bundle inputs, helpers that edit one burrow's or one edge's
-data in a diagram file payload, reference versions of the structure
+data in a diagram file payload, a validation report whose read paths
+are checked to agree, reference versions of the structure
 constant table (keyed by index pairs) and of the associativity check
 (triple by triple) that ``algebra`` replaced by its row tables, the
 greedy generator choice (one rank per candidate) that one elimination per
@@ -319,6 +320,32 @@ def own_structure(payload: dict, burrow: dict) -> dict:
     burrow["structure"] = len(payload["structures"])
     payload["structures"].append(structure)
     return structure
+
+
+# -- validation reports ---------------------------------------------------------
+
+
+def checked_report(diagram: BurrowDiagram):
+    """``diagram.validate()``, once its read paths are seen to agree: a
+    report read first through ``problems()`` and another read through
+    ``ok``, ``raise_if_failed`` and then ``entries`` give the same failing
+    rows; ``ok`` is whether every row passes; and ``raise_if_failed``
+    raises exactly when a row fails, naming the first eight failing rows
+    as "check[subject]: detail"."""
+    problems = diagram.validate().problems()
+    report = diagram.validate()
+    ok = report.ok
+    try:
+        report.raise_if_failed()
+        message = None
+    except InputError as e:
+        message = str(e)
+    failing = [e for e in report.entries if not e.ok]
+    assert ok == (not failing)
+    assert problems == failing == report.problems()
+    named = "; ".join(f"{e.check}[{e.subject}]: {e.detail}" for e in failing[:8])
+    assert message == (None if ok else f"diagram validation failed: {named}")
+    return report
 
 
 # -- reference structure constants --------------------------------------------

@@ -12,6 +12,7 @@ from wonder.models import fm_power, keel_model
 from wonder.nests import standard_bound
 
 from builders import (
+    checked_report,
     edge_entry,
     own_maps,
     own_structure,
@@ -21,14 +22,15 @@ from builders import (
 
 
 def test_plane_point_fixture_validates():
-    report = point_blowup_p2_diagram().validate()
+    report = checked_report(point_blowup_p2_diagram())
     assert report.ok, report.summary()
 
 
-def _rebuilt(diagram, edge=None, symmetry=(), drop=()):
+def _rebuilt(diagram, edge=None, symmetry=(), drop=(), reverse=False):
     """The diagram with edge in place of the one on its burrow pair (or
-    added), without the edges on the burrow pairs in drop, and with the
-    given declared symmetry."""
+    added), without the edges on the burrow pairs in drop, with the given
+    declared symmetry, and with its edges listed in reverse order if
+    asked."""
     by_pair = {key: e for key, e in diagram.edges.items() if key not in drop}
     if edge is not None:
         by_pair[edge.small, edge.big] = edge
@@ -39,7 +41,7 @@ def _rebuilt(diagram, edge=None, symmetry=(), drop=()):
         socle_degree=diagram.socle_degree,
         elements=list(diagram.elements.values()),
         burrows=list(diagram.burrows.values()),
-        edges=list(by_pair.values()),
+        edges=list(by_pair.values())[:: -1 if reverse else 1],
         singles=dict(diagram.singles),
         nests=nests,
         relations=diagram.relations,
@@ -59,7 +61,7 @@ def _perturbed(m, k):
 
 def _fails(diagram, check, subject):
     return any(
-        e.check == check and e.subject == subject for e in diagram.validate().problems()
+        e.check == check and e.subject == subject for e in checked_report(diagram).problems()
     )
 
 
@@ -68,7 +70,7 @@ def test_zeroed_pullback_reported():
     edge = diagram.edges[("BP", "Y")]
     zeroed = GradedMap(edge.pullback.source, edge.pullback.target, 0, [{}] * 3)
     bad = _rebuilt(diagram, BurrowEdge("BP", "Y", zeroed, edge.pushforward, edge.chern))
-    report = bad.validate()
+    report = checked_report(bad)
     assert not report.ok
     assert any(
         e.check == "pullback-surjective" and "degree 0" in e.detail
@@ -84,7 +86,7 @@ def test_zeroed_fundamental_class_reported():
     zero_push = GradedMap.from_images(z, y, 2, [y.zero()] * z.total_dim)
     chern = ChernPolynomial(2, (edge.chern.coefficient(1), y.zero()))
     bad = _rebuilt(diagram, BurrowEdge("BP", "Y", edge.pullback, zero_push, chern))
-    report = bad.validate()
+    report = checked_report(bad)
     assert not report.ok
     assert any("[Z] = 0" in e.detail for e in report.problems())
 
@@ -148,7 +150,7 @@ def test_false_symmetry_fails_and_falls_back(fm3_diagram):
         BurrowEdge(small, big, pull, edge.pushforward, edge.chern),
         fm3_diagram.symmetry_generators,
     )
-    report = bad.validate()
+    report = checked_report(bad)
     assert bad.symmetry().generators == ()
     assert [e.subject for e in report.problems() if e.check == "symmetry"] == [
         "generator 1",
@@ -198,7 +200,7 @@ def test_symmetry_check_names_the_first_datum_it_does_not_keep(mutate, detail):
     problems = dict(diagram.symmetry().problems)
     assert detail in problems["generator 1"]
     assert not diagram.symmetry().generators
-    assert any(e.check == "symmetry" for e in diagram.validate().problems())
+    assert any(e.check == "symmetry" for e in checked_report(diagram).problems())
 
 
 def _unit_pullbacks_doubled(payload):
@@ -224,16 +226,17 @@ def test_orbit_verdicts_equal_computed_ones_on_a_symmetric_fault(
 ):
     """A fault the group keeps: every pullback of keel n=2 sends 1 to 2, or
     the point 123 of fm-p1 n=3 loses its edges into the three diagonals, so
-    that they no longer meet.  The group passes, so
-    validate decides laws once per orbit; the report is the one computed
-    without the group, failing rows included."""
+    that they no longer meet.  The group passes, so validate tries the
+    containment laws and the chains from one burrow per orbit (the laws of
+    one burrow or edge still run once per distinct datum); the report is
+    the one computed without the group, failing rows included."""
     payload = io.diagram_payload(model())
     fault(payload)
     bad = io.diagram_from_payload(payload)
     assert bad.symmetry().generators and not bad.symmetry().problems
-    report = bad.validate()
+    report = checked_report(bad)
     assert any(e.check == check for e in report.problems())
-    assert report.summary() == strip_symmetry(bad).validate().summary()
+    assert report.summary() == checked_report(strip_symmetry(bad)).summary()
 
 
 def _with_chern(diagram, key, i, shift):
@@ -260,7 +263,7 @@ def test_symmetry_compares_lower_chern_coefficients_on_the_small_burrow():
     h1, h2 = amb.from_labels({"h1": 1}), amb.from_labels({"h2": 1})
     assert diagram.edges[key].pullback.apply(h1 - h2).is_zero()
     shifted = _with_chern(diagram, key, 1, h1 - h2)
-    report = shifted.validate()
+    report = checked_report(shifted)
     assert report.ok and shifted.symmetry().generators
     assert not any(e.check == "symmetry" for e in report.entries)
     assert build_ring(shifted).as_algebra().to_payload() == (
@@ -268,7 +271,7 @@ def test_symmetry_compares_lower_chern_coefficients_on_the_small_burrow():
     )
     for i, shift in ((1, h1), (2, amb.from_labels({"h1^2": 1}))):
         moved = _with_chern(diagram, key, i, shift)
-        problems = [e for e in moved.validate().problems() if e.check == "symmetry"]
+        problems = [e for e in checked_report(moved).problems() if e.check == "symmetry"]
         assert problems and not moved.symmetry().generators
     top = _with_chern(diagram, key, 2, amb.from_labels({"h1^2": 1}))
     assert "top Chern coefficient" in top.symmetry().problems[0][1]
@@ -291,7 +294,7 @@ def test_missing_transitive_edge_fails_table_consistency(fm4_diagram):
     without 1234<12|3|4 the chains from 1234 up to 12|3|4 have no edge of
     their own, and the one failure names the first of them."""
     bad = _rebuilt(fm4_diagram, drop={("1234", "12|3|4")})
-    [problem] = bad.validate().problems()
+    [problem] = checked_report(bad).problems()
     assert (problem.check, problem.subject) == ("table-consistency", "elements")
     assert problem.detail == "1234<123|4<12|3|4 has no edge 1234<12|3|4"
 
@@ -307,13 +310,157 @@ def test_two_maximal_common_lower_burrows_fail_table_consistency(keel2_diagram):
     pull = GradedMap(diag, point, 0, like.pullback.columns)
     push = GradedMap(point, diag, like.pushforward.shift, like.pushforward.columns)
     bad = _rebuilt(d, BurrowEdge("1@0|2@1", "12", pull, push, like.chern))
-    [problem] = bad.validate().problems()
+    [problem] = checked_report(bad).problems()
     assert (problem.check, problem.subject) == ("table-consistency", "elements")
     assert problem.detail == (
         "12 and 1@0|2 have two maximal common lower burrows, 12@0 and 1@0|2@1"
     )
     with pytest.raises(InputError, match="'1@0\\|2' and '12' have no greatest"):
         bad.meet("1@0|2", "12")
+
+
+def _orbit_of_edge(diagram, small, big):
+    """The burrow pairs the declared generators carry the pair (small, big) to."""
+    seen, stack = {(small, big)}, [(small, big)]
+    while stack:
+        pair = stack.pop()
+        for gen in diagram.symmetry_generators:
+            image = tuple(map(gen.burrow, pair))
+            if image not in seen:
+                seen.add(image)
+                stack.append(image)
+    return sorted(seen)
+
+
+def _with_orbit_edges(diagram, small, big, make):
+    """The diagram, its symmetry kept, with make(s, b) in place of (or added
+    as) the edge on each pair of the orbit of (small, big)."""
+    out = diagram
+    for s, b in _orbit_of_edge(diagram, small, big):
+        out = _rebuilt(out, make(s, b), diagram.symmetry_generators)
+    return out
+
+
+def _same_failure_without_the_group(bad, strip_symmetry, check) -> str:
+    """The group passes, and the report has the failing rows of the report
+    without it: in the diagram's own edge order, against the same diagram
+    with no group declared; in the sorted order of its file, against the
+    file with its declaration stripped.  Returns the detail of the one
+    failing row of the check, in the diagram's own order."""
+    assert bad.symmetry().generators and not bad.symmetry().problems
+    loaded = io.diagram_from_payload(io.diagram_payload(bad))
+    assert loaded.symmetry().generators
+    for with_group, without in ((bad, _rebuilt(bad)), (loaded, strip_symmetry(loaded))):
+        assert checked_report(with_group).problems() == checked_report(without).problems()
+    [detail] = [e.detail for e in checked_report(bad).problems() if e.check == check]
+    return detail
+
+
+def test_two_maximal_lower_burrows_off_the_representatives_fail(keel2_diagram, strip_symmetry):
+    """The point 1@1|2@inf, which is not the representative of its orbit,
+    put on the diagonal 12 together with every image of that edge: the six
+    off-diagonal points now lie on 12, the group still passes, and the
+    meet law, tried only from one burrow per orbit, fails as it does
+    without the group."""
+    d = keel2_diagram
+    assert "1@1|2@inf" not in d._representatives()
+    like = d.edges[("12@0", "12")]  # the same maps, onto the other points
+    bad = _with_orbit_edges(
+        d,
+        "1@1|2@inf",
+        "12",
+        lambda s, b: like.rebased(s, b, d.burrows[s].algebra, d.burrows[b].algebra),
+    )
+    assert len(bad.edges) == len(d.edges) + 6
+    assert [e.check for e in checked_report(bad).problems()] == ["table-consistency"]
+    assert _same_failure_without_the_group(bad, strip_symmetry, "table-consistency") == (
+        "12 and 1@0|2 have two maximal common lower burrows, 12@0 and 1@0|2@1"
+    )
+
+
+def test_meets_failing_on_no_pair_of_representatives_fail(fm4_diagram, strip_symmetry):
+    """On fm-p1 n=4, 13|24 put inside 12|3|4, and each image of that edge
+    added, all with maps the group keeps (the unit to the unit, all else to
+    zero): then 12|34 lies in 13|2|4, so 12|3|4 and 13|2|4 have two
+    maximal common lower burrows.  The two lie in one orbit, and every
+    pair of representatives still meets, so only a pair of a
+    representative and another burrow shows the failure."""
+    d = fm4_diagram
+    reps = sorted(d._representatives())
+
+    def added(s, b):
+        small, big = d.burrows[s].algebra, d.burrows[b].algebra
+        pull = GradedMap(big, small, 0, [{0: 1}] + [{}] * (big.total_dim - 1))
+        push = GradedMap(small, big, 1, [{}] * small.total_dim)
+        return BurrowEdge(s, b, pull, push, ChernPolynomial(1, (big.zero(),)))
+
+    bad = _with_orbit_edges(d, "13|24", "12|3|4", added)
+    for i, a in enumerate(reps):
+        for b in reps[i + 1 :]:
+            bad.meet(a, b)
+    assert _same_failure_without_the_group(bad, strip_symmetry, "table-consistency") == (
+        "12|3|4 and 13|2|4 have two maximal common lower burrows, 123|4 and 12|34"
+    )
+
+
+def test_missing_transitive_edges_off_the_representatives_are_named(
+    fm4_diagram, strip_symmetry
+):
+    """The point 1234 loses its edges into the six diagonals, with its
+    edges listed in reverse order: the first edge whose transitivity fails
+    starts at 1|234, not the representative of its orbit, and the report
+    names it as it does without the group."""
+    d = fm4_diagram
+    drop = set(_orbit_of_edge(d, "1234", "12|3|4"))
+    bad = _rebuilt(d, symmetry=d.symmetry_generators, drop=drop, reverse=True)
+    assert "1|234" not in bad._representatives()
+    assert _same_failure_without_the_group(bad, strip_symmetry, "table-consistency") == (
+        "1234<1|234<1|2|34 has no edge 1234<1|2|34"
+    )
+
+
+def _graded_scaling(m, sign):
+    """m followed (sign 1) or preceded (sign -1) by the automorphism
+    x -> 2^(deg x) x of its target or source algebra: a graded ring
+    automorphism of any graded algebra, kept by every basis permutation
+    that keeps degrees."""
+
+    def factor(g, h):
+        return F(2) ** (m.target.degree_of(h) if sign > 0 else -m.source.degree_of(g))
+
+    return GradedMap(
+        m.source,
+        m.target,
+        m.shift,
+        [{h: v * factor(g, h) for h, v in col.items()} for g, col in enumerate(m.columns)],
+    )
+
+
+def test_chain_broken_off_the_representatives_fails_functoriality(fm4_diagram, strip_symmetry):
+    """On fm-p1 n=4 the pullback along 134|2 < 13|2|4 is followed by the
+    grading automorphism of 134|2 and the pushforward preceded by its
+    inverse, on that edge and on every image, and the edges are listed in
+    reverse order.  Each map stays a surjective ring map with the
+    projection formula and the same class, so every per-edge law passes
+    and the chains are tried from one burrow per orbit; yet the chains
+    through those edges no longer compose, and the first of them in edge
+    order, from 1|234 (not the representative of its orbit), is named as
+    it is without the group."""
+    d = fm4_diagram
+
+    def scaled(s, b):
+        e = d.edges[s, b]
+        return BurrowEdge(
+            s, b, _graded_scaling(e.pullback, 1), _graded_scaling(e.pushforward, -1), e.chern
+        )
+
+    scaled_orbit = _with_orbit_edges(d, "134|2", "13|2|4", scaled)
+    bad = _rebuilt(scaled_orbit, symmetry=d.symmetry_generators, reverse=True)
+    assert "1|234" not in bad._representatives()
+    assert [e.check for e in checked_report(bad).problems()] == ["pullback-functorial"]
+    assert _same_failure_without_the_group(bad, strip_symmetry, "pullback-functorial") == (
+        "1|2|3|4 -> 1|23|4 -> 1|234"
+    )
 
 
 def test_wrong_endpoint_edge_is_left_out_of_functoriality(keel2_diagram):
@@ -327,7 +474,7 @@ def test_wrong_endpoint_edge_is_left_out_of_functoriality(keel2_diagram):
     pull = GradedMap(diag, other, 0, like.pullback.columns)
     push = GradedMap(other, diag, like.pushforward.shift, like.pushforward.columns)
     bad = _rebuilt(d, BurrowEdge("12@0", "12", pull, push, like.chern))
-    report = bad.validate()
+    report = checked_report(bad)
     assert [(e.check, e.subject) for e in report.problems()] == [("edge-shape", "12@0<12")]
     assert any(e.check == "pullback-functorial" for e in report.entries)
 
@@ -340,7 +487,7 @@ def test_short_chern_polynomial_skips_class_nonzero(keel2_diagram):
     edge = d.edges[("1@0|2@1", "1|2")]
     short = ChernPolynomial(1, edge.chern.coeffs[:1])
     bad = _rebuilt(d, BurrowEdge(edge.small, edge.big, edge.pullback, edge.pushforward, short))
-    report = bad.validate()
+    report = checked_report(bad)
     assert ("chern-degree", "1@0|2@1<1|2") in {(e.check, e.subject) for e in report.problems()}
     assert not any(e.check == "class-nonzero" and e.subject == "1@0|2@1" for e in report.entries)
     assert any(e.check == "class-nonzero" and e.subject == "12@0" for e in report.entries)
@@ -389,7 +536,7 @@ def test_non_associative_burrow_fails_validation():
     )
     assert pull.is_ring_hom() and not _full_ring_hom(pull)
     assert not _full_projection_formula(pull, push)
-    [problem] = diagram.validate().problems()
+    [problem] = checked_report(diagram).problems()
     assert (problem.check, problem.subject) == ("associativity", "Y")
     assert problem.detail == "(x*x)*a != x*(x*a)"
 
@@ -443,7 +590,7 @@ def test_nest_rule_needs_index_sets():
 
 
 def test_functoriality_check_runs(fm4_diagram):
-    report = fm4_diagram.validate()
+    report = checked_report(fm4_diagram)
     assert report.ok
     entries = {e.check for e in report.entries}
     assert "pullback-functorial" in entries
@@ -542,7 +689,7 @@ def test_generator_checks_agree_with_full_reference(name):
     rnd = random.Random(f"mutate {name}")
     for _ in range(12):
         bad = _mutated(diagram, rnd)
-        report = bad.validate()
+        report = checked_report(bad)
         verdicts = {(e.check, e.subject): e for e in report.entries}
         full = {}
         for (small, big), edge in bad.edges.items():
@@ -587,7 +734,7 @@ def test_perturbed_shared_structure_fails_on_every_burrow_using_it(keel3_diagram
     payload["structures"][ref]["mult"][0][3] = "2"
     bad = io.diagram_from_payload(payload)
     on = {b["id"] for b in payload["burrows"] if b["structure"] == ref}
-    problems = bad.validate().problems()
+    problems = checked_report(bad).problems()
     assert {e.check for e in problems} == {"pullback-ring-hom", "projection-formula"}
     touched = set()
     for e in problems:
@@ -610,7 +757,7 @@ def test_perturbed_shared_maps_datum_fails_on_every_edge_reading_it(keel3_diagra
     assert refs.count(ref) == 111
     payload["maps"][ref]["pullback"][0][3] = "2"
     bad = io.diagram_from_payload(payload)
-    problems = bad.validate().problems()
+    problems = checked_report(bad).problems()
     assert bad.symmetry().generators and not bad.symmetry().problems
     assert {e.check for e in problems} == {"pullback-ring-hom", "pullback-functorial"}
     hom = {e.subject for e in problems if e.check == "pullback-ring-hom"}
@@ -640,7 +787,8 @@ def test_false_basis_permutation_fails_where_other_burrows_share_its_data(
     payload["symmetry"][2]["bases"]["1@inf|2|3"] = perm
     bad = io.diagram_from_payload(payload)
     assert bad.symmetry().problems == [("generator 3", detail)]
-    assert ("symmetry", "generator 3") in {(e.check, e.subject) for e in bad.validate().problems()}
+    problems = checked_report(bad).problems()
+    assert ("symmetry", "generator 3") in {(e.check, e.subject) for e in problems}
 
 
 def test_socle_degree_is_checked_per_codim_on_a_shared_structure():
@@ -650,7 +798,7 @@ def test_socle_degree_is_checked_per_codim_on_a_shared_structure():
     payload = io.diagram_payload(keel_model(2))
     next(b for b in payload["burrows"] if b["id"] == "12@0")["codim"] = 1
     bad = io.diagram_from_payload(payload)
-    socle = [(e.subject, e.detail) for e in bad.validate().problems() if e.check == "socle"]
+    socle = [(e.subject, e.detail) for e in checked_report(bad).problems() if e.check == "socle"]
     assert socle == [("12@0", "expected socle degree 1 outside stored range; socle dimension 0 at degree 1")]
 
 
@@ -663,7 +811,8 @@ def test_pushforward_on_another_algebra_of_its_structure_fails_edge_shape(keel2_
     edge = d.edges[("12@0", "12")]
     push = edge.pushforward.rebased(d.burrows["1@0|2@1"].algebra, d.burrows["12"].algebra)
     bad = _rebuilt(d, BurrowEdge("12@0", "12", edge.pullback, push, edge.chern))
-    assert [(e.check, e.subject) for e in bad.validate().problems()] == [("edge-shape", "12@0<12")]
+    problems = checked_report(bad).problems()
+    assert [(e.check, e.subject) for e in problems] == [("edge-shape", "12@0<12")]
 
 
 def test_edges_off_their_own_algebras_are_dumped_with_their_own_maps(keel2_diagram):

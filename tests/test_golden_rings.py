@@ -12,8 +12,9 @@ round-trip test loads each model's diagram text and dumps it again, and the
 writer test compares the file writer with ``json.dumps`` on every diagram
 and ring payload of these models. The skipped-product test computes, on
 each model, every product the fill skips as zero and finds it zero. The
-scalar-kind tests walk the same models: every stored scalar is an ``int`` or
-a non-integral ``Fraction``.  The generator tests check that
+read-path test checks each model's validation report against its rows and
+pins their number. The scalar-kind tests walk the same models: every
+stored scalar is an ``int`` or a non-integral ``Fraction``.  The generator tests check that
 ``GradedAlgebra.generators`` is a minimal generating set of every burrow
 algebra of these models and of the synthetic algebras, and that it picks
 the generators of the greedy reference, one rank per candidate, on those
@@ -36,7 +37,12 @@ from wonder.fixtures import oracle_fixture
 from wonder.models import _PowerAlg, fm_power, keel_model, synthetic_broken, synthetic_gorenstein
 from wonder.oracle import run_oracle
 
-from builders import generators_reference, random_blowup_input, random_bundle_input
+from builders import (
+    checked_report,
+    generators_reference,
+    random_blowup_input,
+    random_bundle_input,
+)
 
 GOLDEN = {
     "fm-p1-3": (
@@ -206,6 +212,31 @@ def test_skipped_products_are_zero(built, name):
             assert (i, j) not in ring._cache, (i, j)
             skipped += 1
     assert skipped
+
+
+# rows of each GOLDEN model's validation report; the benchmark's
+# diagram.checks counter is this number on keel-3 and fm-p2-4-min3
+REPORT_ROWS = {
+    "fm-curve-3-g2": 71,
+    "fm-p1-3": 71,
+    "fm-p1-4": 374,
+    "fm-p1-5": 2327,
+    "fm-p2-3": 71,
+    "fm-p2-4": 374,
+    "fm-p2-4-min3": 89,
+    "keel-2": 323,
+    "keel-3": 2912,
+    "keel-4": 27887,
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_validation_report_read_paths(built, name):
+    """The report's verdicts, failing rows and message agree with its rows
+    (``checked_report``), and it has as many rows as before they were made
+    on read."""
+    report = checked_report(built(name)[0])
+    assert report.ok and len(report.entries) == REPORT_ROWS[name]
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
