@@ -525,7 +525,8 @@ class BurrowDiagram:
         small burrow: the models store a lift of c_i from Z chosen by a
         section, which no symmetry need keep, and every consumer of c_i
         reads it only through its restriction to Z (the ``chern-shape`` row
-        reads the lift itself, so it stays per edge).  With one failing
+        reads the lift itself, so ``validate`` decides it once per distinct
+        edge datum, not once per orbit of data).  With one failing
         generator the group is trivial, so nothing relies on a false
         declaration.  Each comparison reads shared data only (structures,
         map columns, coefficient dicts and basis permutations), so it runs
@@ -620,43 +621,30 @@ class BurrowDiagram:
             lower = [moved(c, perms[small]) for c in lower_chern(datum, edge)]
             return "" if lower == lower_chern(image_datum, image) else "lower"
 
-        # when every edge has a datum and an image edge, the verdict of each
-        # distinct (datum, image datum, permutation ids) holds for all its
-        # edges, and one with the datum its own image's and no permutations
-        # compares equal objects; the ordered loop below runs only to name
-        # the first failure
-        data, edges = self.edge_data(), self.edges
-        image_of = {b: bu(b) for b in self.burrows}
-        keyed = None  # (datum, image datum, permutation ids) -> an edge with them
-        if None not in data.values():
-            try:
-                keyed = {
-                    (data[e], data[image_of[e[0]], image_of[e[1]]], ids[e[0]], ids[e[1]]): e
-                    for e in edges
-                }
-            except KeyError:  # an edge with no image edge
-                pass
-        if keyed is not None and not any(
-            failure(edges[e], edges[image_of[e[0]], image_of[e[1]]], datum, image_datum, *e)
-            for (datum, image_datum, *perm_ids), e in keyed.items()
-            if datum != image_datum or perm_ids != [None, None]
-        ):
-            return ""
-        verdicts = {}  # (datum, image datum, permutation ids) -> failure
-        for (small, big), edge in self.edges.items():
-            if data[small, big] is None:
-                return f"edge {small}<{big} has the wrong endpoints"
-            image_key = (image_of[small], image_of[big])
-            image = self.edges.get(image_key)
-            if image is None:
-                return f"edge {small}<{big} has no image edge"
-            if image is edge and ids[small] is None and ids[big] is None:
-                continue
-            datum, image_datum = data[small, big], data[image_key]
+        # one pass in edge order keeps the first edge of each distinct
+        # (datum, image datum, permutation ids), whose verdict holds for all
+        # its edges, and stops at the first edge with no datum or no image
+        # edge; the keys are then decided in the order of their first edges,
+        # all before that stop, so the first failure in edge order is named
+        data, image_of = self.edge_data(), {b: bu(b) for b in self.burrows}
+        first, stop = {}, ""
+        for pair, datum in data.items():  # in edge order
+            small, big = pair
+            image_datum = data.get((image_of[small], image_of[big]), -1)  # -1: no image edge
+            if datum is None or image_datum == -1:
+                stop = f"edge {small}<{big} has " + (
+                    "the wrong endpoints" if datum is None else "no image edge"
+                )
+                break
             key = (datum, image_datum, ids[small], ids[big])
-            if key not in verdicts:
-                verdicts[key] = failure(edge, image, datum, image_datum, small, big)
-            kind = verdicts[key]
+            if key not in first:
+                first[key] = pair
+        for (datum, image_datum, *perm_ids), (small, big) in first.items():
+            # equal data and no permutations compare equal objects
+            if datum == image_datum and perm_ids == [None, None]:
+                continue
+            edge, image = self.edges[small, big], self.edges[image_of[small], image_of[big]]
+            kind = failure(edge, image, datum, image_datum, small, big)
             if kind == "maps":
                 return f"maps of edge {small}<{big} are not carried to those of its image"
             if kind == "top":
@@ -666,7 +654,7 @@ class BurrowDiagram:
                     f"Chern coefficients of edge {small}<{big} restricted to {small} are "
                     "not carried to its image's"
                 )
-        return ""
+        return stop
 
     # -- validation ----------------------------------------------------------------
 

@@ -5,7 +5,14 @@ import pytest
 
 from wonder import io
 from wonder.algebra import GradedAlgebra, GradedMap
-from wonder.diagram import BurrowDiagram, BurrowEdge, ChernPolynomial
+from wonder.diagram import (
+    BuildingElement,
+    BurrowDiagram,
+    BurrowEdge,
+    BurrowNode,
+    ChernPolynomial,
+    Permutation,
+)
 from wonder.engine import build_ring
 from wonder.errors import InputError
 from wonder.models import fm_power, keel_model
@@ -460,6 +467,123 @@ def test_chain_broken_off_the_representatives_fails_functoriality(fm4_diagram, s
     assert [e.check for e in checked_report(bad).problems()] == ["pullback-functorial"]
     assert _same_failure_without_the_group(bad, strip_symmetry, "pullback-functorial") == (
         "1|2|3|4 -> 1|23|4 -> 1|234"
+    )
+
+
+def test_loop_edges_turn_off_the_representative_pairs(strip_symmetry):
+    """Loop edges d1 < d1 and a2 < a2, swapped with v1 <-> v2 and c1 <-> c2,
+    on point algebras and with no edge to the ambient.  A loop adds one to
+    a burrow's lower count, so c and the burrow below it tie in ``_order``
+    and names break the tie: c1 comes before d1 but a2 before c2.  So c2 and
+    v2 fail the meet test while the pair of c1 and v1 and every pair from a
+    representative pass it.  The loop at the representative a2 makes
+    validate try every pair, and the report is the one without the group."""
+    pt = GradedAlgebra([1], [["1"]], [])
+    codim = {"Y": 0, "v1": 1, "v2": 1, "c1": 2, "c2": 2, "d1": 3, "a2": 3}
+    pairs = [("c1", "v1"), ("d1", "c1"), ("d1", "v1"), ("d1", "d1")]
+    pairs += [("c2", "v2"), ("a2", "c2"), ("a2", "v2"), ("a2", "a2")]
+    edges = [
+        BurrowEdge(
+            s,
+            b,
+            GradedMap(pt, pt, 0, [{0: 1}]),
+            GradedMap(pt, pt, codim[s] - codim[b], [{}]),
+            ChernPolynomial(1, (pt.zero(),)),
+        )
+        for s, b in pairs
+    ]
+    swap = dict(v1="v2", v2="v1", c1="c2", c2="c1", d1="a2", a2="d1")
+    bad = BurrowDiagram(
+        socle_degree=0,
+        elements=[],
+        burrows=[BurrowNode(b, frozenset(), c, pt) for b, c in codim.items()],
+        edges=edges,
+        singles={},
+        nests=[],
+        symmetry=[Permutation(burrows=swap)],
+    )
+    assert bad._order[:6] == ["v1", "v2", "a2", "c1", "c2", "d1"]
+    assert bad._representatives() == {"Y", "v1", "a2", "c1"}
+    assert _same_failure_without_the_group(bad, strip_symmetry, "table-consistency") == (
+        "c2 and v2 have two maximal common lower burrows, a2 and c2"
+    )
+
+
+def test_non_associative_chains_are_tried_in_full(strip_symmetry):
+    """A non-associative Y with an automorphism p swapping a1 <-> a2,
+    e1 <-> e2 and c1 <-> c2: x*x = a1 + a2, so its generators are x, a1 and
+    c1, and p does not keep them.  Y maps to Z1 and Z2, copies of the
+    non-associative ambient of
+    ``test_non_associative_burrow_fails_validation``, and on to the line P1
+    and P2, with zero pushforwards and Chern classes; every map passes its
+    checks on generators, so every per-edge law holds.  The chain through
+    Z1 agrees on the generators, but its composite differs from the direct
+    map on c2, where Z1's pullback breaks the ring law on a*a; so the image
+    chain through Z2, from the burrow P2 that is not the representative,
+    fails on c1.  With associativity failing, validate tries every chain,
+    and the report is the one without the group."""
+    q, h = F(1, 4), F(1, 8)
+    # 1, x, a1, a2, e1, e2, c1, c2, d, s
+    mult = [(1, 1, 2, 1), (1, 1, 3, 1), (1, 2, 4, 1), (1, 3, 5, 1), (1, 4, 8, 1), (1, 5, 8, 1)]
+    mult += [(i, j, k, 1) for i, j in ((2, 2), (2, 3), (3, 3)) for k in (6, 7)]
+    mult += [(1, 6, 9, h), (1, 7, 9, h), (1, 8, 9, 1)]
+    mult += [(i, j, 9, q) for i in (2, 3) for j in (4, 5)]
+    labels = [["1"], ["x"], ["a1", "a2"], ["e1", "e2"], ["c1", "c2", "d"], ["s"]]
+    y = GradedAlgebra([1, 1, 2, 2, 3, 1], labels, mult)
+    # x*x = a, x*a = e, x*e = 2c, a*a = c, x*c = s, a*e = s
+    z_mult = [(1, 1, 2, 1), (1, 2, 3, 1), (1, 3, 4, 2), (2, 2, 4, 1), (1, 4, 5, 1), (2, 3, 5, 1)]
+    z = GradedAlgebra([1] * 6, [["1"], ["x"], ["a"], ["e"], ["c"], ["s"]], z_mult)
+    line = GradedAlgebra(
+        [1] * 5,
+        [["1"], ["t"], ["t2"], ["t3"], ["t4"]],
+        [(i, j, i + j, 1) for i in range(1, 4) for j in range(i, 5 - i)],
+    )
+    p = [0, 1, 3, 2, 5, 4, 7, 6, 8, 9]
+    half = [{0: 1}, {1: 1}, {2: F(1, 2)}, {2: F(1, 2)}, {3: F(1, 2)}, {3: F(1, 2)}]
+    upper = half + [{4: h}, {4: h}, {4: 1}, {5: 1}]
+    link = [{0: 1}, {1: 1}, {2: 1}, {3: 1}, {4: F(1, 2)}, {}]
+    direct = half + [{4: F(1, 16)}, {4: F(3, 16)}, {4: F(1, 2)}, {}]
+    algebra, codim = {"Y": y, "Z": z, "P": line}, {"Y": 0, "Z": 1, "P": 2}
+
+    def edge(small, big, columns, k):
+        s, b = algebra[small[0]], algebra[big[0]]
+        c = codim[small[0]] - codim[big[0]]
+        if k == 2 and big == "Y":
+            columns = [columns[p.index(g)] for g in range(len(columns))]
+        pull, push = GradedMap(b, s, 0, columns), GradedMap(s, b, c, [{}] * s.total_dim)
+        return BurrowEdge(small, big, pull, push, ChernPolynomial(c, (b.zero(),) * c))
+
+    edges = [
+        edge(f"{small}{k}", big if big == "Y" else f"{big}{k}", columns, k)
+        for k in (1, 2)
+        for small, big, columns in (("Z", "Y", upper), ("P", "Z", link), ("P", "Y", direct))
+    ]
+    burrows = [BurrowNode("Y", frozenset(), 0, y)] + [
+        BurrowNode(f"{b}{k}", frozenset({f"{x}{k}"}), codim[b], algebra[b])
+        for b, x in (("Z", "D"), ("P", "E"))
+        for k in (1, 2)
+    ]
+    elements = [BuildingElement(f"{x}{k}", c) for x, c in (("D", 1), ("E", 2)) for k in (1, 2)]
+    swap = Permutation(
+        elements=dict(D1="D2", D2="D1", E1="E2", E2="E1"),
+        burrows=dict(Z1="Z2", Z2="Z1", P1="P2", P2="P1"),
+        bases={"Y": p},
+    )
+    bad = BurrowDiagram(
+        socle_degree=5,
+        elements=elements,
+        burrows=burrows,
+        edges=edges,
+        singles=dict(D1="Z1", D2="Z2", E1="P1", E2="P2"),
+        nests=[["D1"], ["D2"], ["E1"], ["E2"], ["D1", "E1"], ["D2", "E2"]],
+        symmetry=[swap],
+    )
+    assert y.generators() == (1, 2, 6) and bad._representatives() == {"Y", "Z1", "P1"}
+    report = checked_report(bad)
+    assert {e.check for e in report.problems()} >= {"associativity", "pullback-functorial"}
+    assert all(e.ok for e in report.entries if "<" in e.subject)
+    assert _same_failure_without_the_group(bad, strip_symmetry, "pullback-functorial") == (
+        "Y -> Z2 -> P2"
     )
 
 
