@@ -858,18 +858,24 @@ def tensor_algebra(a: GradedAlgebra, b: GradedAlgebra):
                     dims[k] += 1
                     g += 1
 
-    rev = {}
-    for (ga, gb), gg in pair_index.items():
-        rev[gg] = (ga, gb)
+    def products():
+        # (ga1*gb1) * (ga2*gb2) = (ga1*ga2) * (gb1*gb2): a pair is nonzero
+        # only when both factors' rows hold it; each pair once, gi <= gj
+        for (ga1, gb1), gi in pair_index.items():
+            if not gi:
+                continue
+            row = {}
+            for ga2, prod_a in a._rows[ga1].items():
+                for gb2, prod_b in b._rows[gb1].items():
+                    gj = pair_index[(ga2, gb2)]
+                    if gj >= gi:
+                        row[gj] = {
+                            pair_index[(gka, gkb)]: qa * qb
+                            for gka, qa in prod_a.items()
+                            for gkb, qb in prod_b.items()
+                        }
+            for gj in sorted(row):
+                yield (gi, gj), row[gj]
 
-    def products(gi, gj):
-        ga1, gb1 = rev[gi]
-        ga2, gb2 = rev[gj]
-        out = {}
-        for gka, qa in a.product_basis(ga1, ga2).items():
-            for gkb, qb in b.product_basis(gb1, gb2).items():
-                out[pair_index[(gka, gkb)]] = qa * qb
-        return out
-
-    alg = algebra_from_products(dims, labels, products)
+    alg = GradedAlgebra.on(Structure.from_products(dims, products()), labels)
     return alg, pair_index

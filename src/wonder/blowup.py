@@ -11,6 +11,10 @@ relation of Keel's formula, whose last term goes into the ambient part
 through the pushforward; both defining relations of its quotient
 presentation are verified to hold in the output.  A projective bundle of
 rank r has t = xi, n = r, k >= 0 and no ambient part.
+
+The builder hands ``Structure.from_products`` only the pairs whose product
+can be nonzero, and reduces each power of t times a center basis class
+once, since the reduction is linear in the class.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from wonder.algebra import (
     GradedAlgebra,
     GradedMap,
     PdVerdict,
-    algebra_from_products,
+    Structure,
     pd_verdict,
     section_of,
     socle_check,
@@ -80,8 +84,10 @@ def blow_up(
         raise InputError("Chern data must have degree >= 1")
     if pullback.source is not y or pullback.target is not z:
         raise InputError("pullback must map the ambient onto the center")
-    if not pullback.is_surjective():
-        raise InputError("pullback is not surjective; no valid Chern lift exists")
+    try:
+        section = section_of(pullback)
+    except InputError:
+        raise InputError("pullback is not surjective; no valid Chern lift exists") from None
     if pushforward.source is not z or pushforward.target is not y:
         raise InputError("pushforward endpoints wrong")
     if pushforward.shift != c:
@@ -96,7 +102,6 @@ def blow_up(
         )
     # the reduction built from the pushforward must agree with the one
     # obtained by lifting and multiplying with the constant term
-    section = section_of(pullback)
     for gz in range(z.total_dim):
         u = z.basis_element(gz)
         via_push = pushforward.apply(u)
@@ -144,9 +149,15 @@ def _block_ring(z, chern, name, *, y=None, pullback=None, to_y=None):
 
     The last term of t^n * u, which reaches exponent 0, is ``to_y(u)`` in
     ``y`` for a blow-up and lands in block 0 for a bundle.  A class of
-    ``y`` multiplies the blocks through ``pullback``.  Returns the algebra,
-    the class t, the block of each index, the embedding of ``y`` (None for
-    a bundle) and the embeddings of ``z`` by block."""
+    ``y`` multiplies the blocks through ``pullback``.
+
+    The product table holds only the pairs whose product can be nonzero:
+    the products of ``y`` read off its rows, a class of ``y`` times a block
+    only when its pullback is nonzero, and block pairs up to the top
+    degree.  Reducing u * t^m is linear in u, so each (m, basis class of
+    z) is reduced once and kept.  Returns the algebra, the class t, the
+    block of each index, the embedding of ``y`` (None for a bundle) and the
+    embeddings of ``z`` by block."""
     n = len(chern)
     tags = range(0 if y is None else 1, n)
     top = z.top_degree + n - 1 if y is None else y.top_degree
@@ -163,6 +174,7 @@ def _block_ring(z, chern, name, *, y=None, pullback=None, to_y=None):
             ]
         )
     index = {block: g for g, block in enumerate(blocks)}
+    deg = [i for i, d in enumerate(dims) for _ in range(d)]
 
     def place(out: dict, tag, coeffs):
         """Add the coefficients of a class of block ``tag`` to ``out``."""
@@ -174,38 +186,61 @@ def _block_ring(z, chern, name, *, y=None, pullback=None, to_y=None):
             out[h] = out.get(h, ZERO) + q
         return out
 
-    def reduce(m: int, u: Element) -> dict:
-        """u * t^m, u a class of z, in result indices."""
-        out: dict = {}
-        stack = [(m, u)]
-        while stack:
-            m, u = stack.pop()
-            if u.is_zero():
-                continue
+    powers: dict = {}
+
+    def power(m: int, g: int) -> dict:
+        """t^m times the basis class g of z, in result indices."""
+        out = powers.get((m, g))
+        if out is None:
+            out = {}
             if m < n:
-                place(out, m, u.coeffs)
-                continue
-            for i, ci in enumerate(chern, start=1):
-                if i == m and to_y is not None:
-                    place(out, "Y", to_y(u).coeffs)
-                else:
-                    stack.append((m - i, z.multiply(u, ci)))
+                place(out, m, {g: ONE})
+            else:
+                u = z.basis_element(g)
+                for i, ci in enumerate(chern, start=1):
+                    if i == m and to_y is not None:
+                        place(out, "Y", to_y(u).coeffs)
+                        continue
+                    for h, q in z.multiply(u, ci).coeffs.items():
+                        for k, v in power(m - i, h).items():
+                            out[k] = out.get(k, ZERO) + q * v
+            out = powers[(m, g)] = {k: v for k, v in out.items() if v}
         return out
 
-    def lift(block):
-        """A block as (exponent of t, class of z)."""
-        tag, g = block
-        if tag == "Y":
-            return 0, pullback.apply_basis(g)
-        return tag, z.basis_element(g)
+    def reduce(m: int, coeffs: dict) -> dict:
+        """u * t^m, u the class of z with these coefficients."""
+        out: dict = {}
+        for g, q in coeffs.items():
+            for k, v in power(m, g).items():
+                out[k] = out.get(k, ZERO) + q * v
+        return {k: v for k, v in out.items() if v}
 
-    def products(a, b):
-        if blocks[a][0] == blocks[b][0] == "Y":
-            return place({}, "Y", y.product_basis(blocks[a][1], blocks[b][1]))
-        (j, u), (k, w) = lift(blocks[a]), lift(blocks[b])
-        return reduce(j + k, z.multiply(u, w))
-
-    algebra = algebra_from_products(dims, labels, products)
+    # the nonzero products by (a, b), a <= b; cells are the block classes
+    # but a bundle's unit, whose products are implicit
+    table = {}
+    cells = [(b, k, g) for b, (k, g) in enumerate(blocks) if k != "Y" and b]
+    if y is not None:
+        for ga, row in enumerate(y.structure.rows[1:], start=1):
+            a = index[("Y", ga)]
+            for gb, prod in row.items():
+                if gb >= ga:
+                    table[a, index[("Y", gb)]] = {index[("Y", h)]: q for h, q in prod.items()}
+            lifted = pullback.apply_basis(ga)
+            if lifted.coeffs:
+                for b, k, gw in cells:
+                    if deg[a] + deg[b] > top:
+                        break
+                    prod = z.multiply(lifted, z.basis_element(gw))
+                    table[min(a, b), max(a, b)] = reduce(k, prod.coeffs)
+    for i, (a, j, gu) in enumerate(cells):
+        for b, k, gw in cells[i:]:
+            if deg[a] + deg[b] > top:
+                break
+            prod = z.product_basis(gu, gw)
+            if prod:
+                table[a, b] = reduce(j + k, prod)
+    # rows in ascending (a, b) order, so each row dict keeps its key order
+    algebra = GradedAlgebra.on(Structure.from_products(dims, sorted(table.items())), labels)
 
     def embed(source, tag, shift):
         return GradedMap.from_images(

@@ -9,7 +9,9 @@ from the configuration combinatorics.  An inclusion's maps and Chern data
 depend only on the shapes of the two burrow algebras and on where the
 blocks go, so a build computes them once per such edge shape and every
 edge of that shape shares them (``BurrowEdge.rebased``); burrow algebras
-of one shape likewise share one ``Structure``.
+of one shape likewise share one ``Structure``.  A power algebra's structure
+is built from its nonzero products only, enumerated from the exponent
+vectors.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from wonder.algebra import (
     Element,
     GradedAlgebra,
     GradedMap,
+    Structure,
     adjoint_pushforward,
     algebra_from_products,
     socle_check,
@@ -44,15 +47,14 @@ MARKERS = ("0", "1", "inf")
 # -- truncated power algebras (products of projective lines / planes) ---------
 
 
-def _on_structure(structures, shape, dims, labels, products) -> GradedAlgebra:
+def _on_structure(structures, shape, labels, build) -> GradedAlgebra:
     """The algebra with these labels on the structure of its shape: taken
     from ``structures`` (shape -> structure) when it holds the shape, else
-    built from ``products`` and kept there."""
-    if shape in structures:
-        return GradedAlgebra.on(structures[shape], labels)
-    alg = algebra_from_products(dims, labels, products)
-    structures[shape] = alg.structure
-    return alg
+    made by ``build()`` and kept there."""
+    structure = structures.get(shape)
+    if structure is None:
+        structure = structures[shape] = build()
+    return GradedAlgebra.on(structure, labels)
 
 
 class _PowerAlg:
@@ -78,14 +80,20 @@ class _PowerAlg:
             dims[sum(e)] += 1
             labels[sum(e)].append(self._label(e))
 
-        def products(gi, gj):
-            s = tuple(x + y for x, y in zip(exps[gi], exps[gj]))
-            if any(x > r for x in s):
-                return {}
-            return {self.index[s]: ONE}
+        def products():
+            # the partners f of e with e + f <= r in every coordinate are
+            # the only ones with a nonzero product; each pair once, a <= b
+            index = self.index
+            for a, e in enumerate(exps[1:], start=1):
+                room = itertools.product(*(range(r - x + 1) for x in e))
+                for b in sorted(g for g in map(index.__getitem__, room) if g >= a):
+                    yield (a, b), {index[tuple(x + y for x, y in zip(e, exps[b]))]: ONE}
 
         self.alg = _on_structure(
-            {} if structures is None else structures, self.shape, dims, labels, products
+            {} if structures is None else structures,
+            self.shape,
+            labels,
+            lambda: Structure.from_products(dims, products()),
         )
 
     def _label(self, e):
@@ -182,7 +190,10 @@ class _CurveAlg:
             return {self.index[key]: coeff}
 
         self.alg = _on_structure(
-            {} if structures is None else structures, self.shape, dims, labels, products
+            {} if structures is None else structures,
+            self.shape,
+            labels,
+            lambda: algebra_from_products(dims, labels, products).structure,
         )
 
     def _label(self, b):

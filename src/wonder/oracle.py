@@ -65,13 +65,18 @@ def _labelled(entries, width: int, what: str) -> list:
     return entries
 
 
-def _decode_map(payload_entries, source, target):
-    """[target_label, source_label, coeff] triples into a degree-0 map."""
+def _decode_map(payload_entries, source, target, where: str):
+    """[target_label, source_label, coeff] triples into a degree-0 map; a
+    (target, source) pair may appear once."""
     images = [target.zero() for _ in range(source.total_dim)]
     coeffs: dict[int, dict] = {}
     for tgt_label, src_label, q in _labelled(payload_entries, 3, "pullback"):
-        g = source.global_index(src_label)
-        coeffs.setdefault(g, {})[tgt_label] = parse_rat(q)
+        vec = coeffs.setdefault(source.global_index(src_label), {})
+        if tgt_label in vec:
+            raise InputError(
+                f"{where} field 'pullback' repeats the pair ({tgt_label!r}, {src_label!r})"
+            )
+        vec[tgt_label] = parse_rat(q)
     for g, vec in coeffs.items():
         images[g] = target.from_labels(vec)
     return GradedMap.from_images(source, target, 0, images)
@@ -79,11 +84,16 @@ def _decode_map(payload_entries, source, target):
 
 def _chern(step: dict, alg: GradedAlgebra, where: str) -> list:
     """The Chern classes of a step, each a list of [label, coeff] pairs
-    over the basis of ``alg``."""
-    return [
-        alg.from_labels({lbl: parse_rat(q) for lbl, q in _labelled(vec, 2, "chern")})
-        for vec in _field(step, "chern", list, where)
-    ]
+    over the basis of ``alg`` that names a label once."""
+    classes = []
+    for i, vec in enumerate(_field(step, "chern", list, where), start=1):
+        coeffs = {}
+        for lbl, q in _labelled(vec, 2, "chern"):
+            if lbl in coeffs:
+                raise InputError(f"{where} field 'chern' repeats basis label {lbl!r} in c{i}")
+            coeffs[lbl] = parse_rat(q)
+        classes.append(alg.from_labels(coeffs))
+    return classes
 
 
 def run_oracle(payload: dict) -> OracleRun:
@@ -112,7 +122,7 @@ def run_oracle(payload: dict) -> OracleRun:
         else:
             center_payload = _field(step, "center", dict, where)
             center, center_socle = ring_from_payload({**center_payload, "kind": "ring"})
-            pull = _decode_map(_field(step, "pullback", list, where), current, center)
+            pull = _decode_map(_field(step, "pullback", list, where), current, center, where)
             if step.get("pushforward", "adjoint") != "adjoint":
                 raise InputError("explicit pushforward payloads are not supported")
             sp_small = socle_check(center, center_socle).pairing

@@ -6,10 +6,12 @@ are checked to agree, reference versions of the structure
 constant table (keyed by index pairs) and of the associativity check
 (triple by triple) that ``algebra`` replaced by its row tables, the
 greedy generator choice (one rank per candidate) that one elimination per
-degree replaced, and the dense Bareiss echelon, solve, kernel, adjoint
+degree replaced, the dense Bareiss echelon, solve, kernel, adjoint
 pushforward and section that the sparse elimination of ``exact_linalg``
-replaced.  Import them as ``from builders import ...``; pytest puts this
-directory on the import path."""
+replaced, and the power-algebra, blow-up/bundle and tensor constructors
+that called a product on every basis pair up to the top degree before
+they enumerated the pairs that can be nonzero.  Import them as ``from
+builders import ...``; pytest puts this directory on the import path."""
 
 import copy
 import random
@@ -21,9 +23,11 @@ from wonder.algebra import (
     GradedAlgebra,
     GradedMap,
     adjoint_pushforward,
+    algebra_from_products,
     socle_check,
     tensor_algebra,
 )
+from wonder.blowup import block_label
 from wonder.diagram import (
     NESTED_OR_DISJOINT,
     BuildingElement,
@@ -33,7 +37,7 @@ from wonder.diagram import (
     ChernPolynomial,
 )
 from wonder.errors import InputError
-from wonder.exact_linalg import ONE, rat, sparse_rank
+from wonder.exact_linalg import ONE, ZERO, rat, sparse_rank
 from wonder.models import (
     _PowerAlg,
     synthetic_broken,
@@ -537,3 +541,110 @@ def section_of_reference(pullback: GradedMap) -> GradedMap:
             raise InputError(f"map is not surjective at degree {k}; no section")
         images.append(big.from_vector(k, sol))
     return GradedMap.from_images(small, big, 0, images)
+
+
+# -- all-pairs constructors ------------------------------------------------------
+
+
+def typed_rows(alg: GradedAlgebra) -> list:
+    """``Structure.rows`` of ``alg`` with each scalar next to its type, so
+    that two equal results hold the same values as the same scalar types."""
+    return [
+        {b: {h: (type(q), q) for h, q in prod.items()} for b, prod in row.items()}
+        for row in alg.structure.rows
+    ]
+
+
+def power_algebra_reference(tokens, r) -> GradedAlgebra:
+    """``_PowerAlg(tokens, r).alg`` from a product on every basis pair up
+    to the top degree."""
+    power = _PowerAlg(tokens, r)
+    exps, index = power.exps, power.index
+
+    def products(gi, gj):
+        s = tuple(x + y for x, y in zip(exps[gi], exps[gj]))
+        if any(x > r for x in s):
+            return {}
+        return {index[s]: ONE}
+
+    return algebra_from_products(power.alg.dims, power.alg.labels, products)
+
+
+def tensor_algebra_reference(a: GradedAlgebra, b: GradedAlgebra) -> GradedAlgebra:
+    """The algebra of ``tensor_algebra(a, b)`` from a product on every
+    basis pair up to the top degree."""
+    alg, pair_index = tensor_algebra(a, b)
+    rev = {gg: pair for pair, gg in pair_index.items()}
+
+    def products(gi, gj):
+        ga1, gb1 = rev[gi]
+        ga2, gb2 = rev[gj]
+        out = {}
+        for gka, qa in a.product_basis(ga1, ga2).items():
+            for gkb, qb in b.product_basis(gb1, gb2).items():
+                out[pair_index[(gka, gkb)]] = qa * qb
+        return out
+
+    return algebra_from_products(alg.dims, alg.labels, products)
+
+
+def block_ring_reference(z, chern, name, *, y=None, pullback=None, to_y=None) -> GradedAlgebra:
+    """The algebra of ``blowup._block_ring`` on the same arguments, from a
+    product on every basis pair up to the top degree, each power of t
+    reduced on the whole class it multiplies."""
+    n = len(chern)
+    tags = range(0 if y is None else 1, n)
+    top = z.top_degree + n - 1 if y is None else y.top_degree
+    blocks, dims, labels = [], [], []
+    for i in range(top + 1):
+        row = [("Y", g) for g in (() if y is None else y.global_indices(i))]
+        row += [(k, g) for k in tags for g in z.global_indices(i - k)]
+        blocks += row
+        dims.append(len(row))
+        labels.append(
+            [
+                y.label_of(g) if k == "Y" else block_label(name, z.label_of(g), k)
+                for k, g in row
+            ]
+        )
+    index = {block: g for g, block in enumerate(blocks)}
+
+    def place(out: dict, tag, coeffs):
+        for g, q in coeffs.items():
+            h = index.get((tag, g))
+            if h is None:
+                what = "reduction" if y is not None else "bundle reduction"
+                raise InputError(f"{what} left an out-of-range block")
+            out[h] = out.get(h, ZERO) + q
+        return out
+
+    def reduce(m: int, u: Element) -> dict:
+        out: dict = {}
+        stack = [(m, u)]
+        while stack:
+            m, u = stack.pop()
+            if u.is_zero():
+                continue
+            if m < n:
+                place(out, m, u.coeffs)
+                continue
+            for i, ci in enumerate(chern, start=1):
+                if i == m and to_y is not None:
+                    place(out, "Y", to_y(u).coeffs)
+                else:
+                    stack.append((m - i, z.multiply(u, ci)))
+        return out
+
+    def lift(block):
+        tag, g = block
+        if tag == "Y":
+            return 0, pullback.apply_basis(g)
+        return tag, z.basis_element(g)
+
+    def products(a, b):
+        if blocks[a][0] == blocks[b][0] == "Y":
+            return place({}, "Y", y.product_basis(blocks[a][1], blocks[b][1]))
+        (j, u), (k, w) = lift(blocks[a]), lift(blocks[b])
+        return reduce(j + k, z.multiply(u, w))
+
+    return algebra_from_products(dims, labels, products)

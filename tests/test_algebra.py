@@ -28,6 +28,8 @@ from builders import (
     pair_table_product,
     random_gorenstein,
     section_of_reference,
+    tensor_algebra_reference,
+    typed_rows,
 )
 
 F = Fraction
@@ -171,6 +173,19 @@ def test_tensor_algebra_dims_and_products():
     assert alg.multiply(hx, hy) == alg.basis_element(pair[(1, 1)])
     assert alg.multiply(hx, hx).is_zero()
     assert alg.check_associativity() == []
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_tensor_algebra_matches_the_all_pairs_reference(seed):
+    """The tensor table built from the stored rows of both factors equals
+    the product on every basis pair: same rows, same scalars."""
+    a = random_gorenstein(seed)
+    b = models._CurveAlg(["1", "2"], 2).alg if seed % 2 else _PowerAlg(["t", "u"], 2).alg
+    for x, y in ((a, b), (b, a)):
+        got = tensor_algebra(x, y)[0]
+        want = tensor_algebra_reference(x, y)
+        assert got.labels == want.labels
+        assert typed_rows(got) == typed_rows(want)
 
 
 def test_graded_map_ring_hom_and_kernel():

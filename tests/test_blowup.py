@@ -1,5 +1,6 @@
 import pytest
 
+from wonder import blowup
 from wonder.algebra import GradedAlgebra, GradedMap, socle_check
 from wonder.blowup import (
     block_label,
@@ -9,9 +10,17 @@ from wonder.blowup import (
     check_bundle_propagation,
 )
 from wonder.errors import InputError
+from wonder.fixtures import fm_p1_3_oracle, keel_3_oracle
 from wonder.models import _PowerAlg
+from wonder.oracle import run_oracle
 
-from builders import point_blowup_p2_diagram, random_blowup_input, random_bundle_input
+from builders import (
+    block_ring_reference,
+    point_blowup_p2_diagram,
+    random_blowup_input,
+    random_bundle_input,
+    typed_rows,
+)
 
 
 def plane_inputs():
@@ -177,3 +186,56 @@ def test_block_pattern_on_plane():
     # ambient block pairs only with itself; the exceptional block pairs with
     # itself through the reduction
     assert sp.gram(1) == [{0: 1}, {1: -1}]
+
+
+def _checked_block_rings(monkeypatch) -> list:
+    """Make every ``_block_ring`` call also build the all-pairs reference
+    on the same arguments and assert the same rows and scalars; returns
+    the list of the algebras checked."""
+    real, seen = blowup._block_ring, []
+
+    def checked(*args, **kwargs):
+        out = real(*args, **kwargs)
+        want = block_ring_reference(*args, **kwargs)
+        assert out[0].labels == want.labels
+        assert typed_rows(out[0]) == typed_rows(want)
+        seen.append(out[0])
+        return out
+
+    monkeypatch.setattr(blowup, "_block_ring", checked)
+    return seen
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_block_rings_match_the_all_pairs_reference(monkeypatch, seed):
+    """The blow-up and bundle tables, built from the pairs that can be
+    nonzero with each power of t reduced once per center class, equal the
+    product on every basis pair."""
+    seen = _checked_block_rings(monkeypatch)
+    inp = random_blowup_input(seed)
+    blow_up(inp["y"], inp["z"], inp["pullback"], inp["pushforward"], inp["chern"])
+    inp = random_bundle_input(seed)
+    bundle_result(inp["z"], inp["chern"])
+    assert len(seen) == 2
+
+
+@pytest.mark.parametrize("fixture", [fm_p1_3_oracle, keel_3_oracle])
+def test_oracle_block_rings_match_the_all_pairs_reference(monkeypatch, fixture):
+    """Every blow-up step of two oracle fixtures, where the ambient grows
+    step by step, against the all-pairs reference."""
+    seen = _checked_block_rings(monkeypatch)
+    payload = fixture()
+    run_oracle(payload)
+    assert len(seen) == len(payload["steps"])
+
+
+def test_pullback_not_surjective_in_one_degree():
+    """A pullback that hits degree 0 but misses the degree-1 class of the
+    center is refused before any ring is built."""
+    _, y, _, _ = plane_inputs()
+    line = _PowerAlg(["d"], 1).alg
+    images = [line.unit()] + [line.zero()] * (y.total_dim - 1)
+    pull = GradedMap.from_images(y, line, 0, images)
+    push = GradedMap.from_images(line, y, 1, [y.basis_element(1), y.basis_element(2)])
+    with pytest.raises(InputError, match="pullback is not surjective; no valid Chern lift exists"):
+        blow_up(y, line, pull, push, [y.basis_element(1)])

@@ -136,9 +136,20 @@ def _bundle_rank_disagrees(fx):
     fx["steps"].append({"op": "projective_bundle", "name": "xi", "rank": 3, "chern": [[], []]})
 
 
+def _repeated_chern_label(fx):
+    # the repeat has the same value, so keeping either one would run
+    fx["steps"][0]["chern"][1].append(["h1*h2", "1"])
+
+
+def _repeated_pullback_pair(fx):
+    fx["steps"][0]["pullback"].append(["1", "1", "1"])
+
+
 @pytest.mark.parametrize(
     "mutate,field",
     [
+        (_repeated_chern_label, "oracle step 0 field 'chern' repeats basis label 'h1*h2' in c2"),
+        (_repeated_pullback_pair, "oracle step 0 field 'pullback' repeats the pair ('1', '1')"),
         (_no_center, "'center'"),
         (_step_is_int, "oracle step 0"),
         (_short_pullback_entry, "pullback"),

@@ -9,13 +9,20 @@ from wonder import models
 from wonder.errors import InputError
 from wonder.models import (
     _CurveAlg,
+    _PowerAlg,
     fm_power,
     keel_model,
     synthetic_broken,
     synthetic_gorenstein,
 )
 
-from builders import corrupt_burrow, point_blowup_p2_diagram, random_blowup_input
+from builders import (
+    corrupt_burrow,
+    point_blowup_p2_diagram,
+    power_algebra_reference,
+    random_blowup_input,
+    typed_rows,
+)
 
 F = Fraction
 
@@ -319,3 +326,15 @@ def test_random_blowup_inputs_validate_as_diagrams():
     )
     report = diagram.validate()
     assert report.ok, report.summary()
+
+
+@pytest.mark.parametrize("tokens", range(1, 5))
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_power_algebra_matches_the_all_pairs_reference(r, tokens):
+    """The products enumerated from the exponent vectors are the nonzero
+    ones of the product on every basis pair: same rows, same scalars."""
+    names = [str(i) for i in range(tokens)]
+    got = _PowerAlg(names, r).alg
+    want = power_algebra_reference(names, r)
+    assert got.labels == want.labels
+    assert typed_rows(got) == typed_rows(want)
