@@ -344,6 +344,8 @@ class GradedAlgebra:
         return self._rows[gi].get(gj, _NO_PRODUCT)
 
     def multiply(self, x: Element, y: Element) -> Element:
+        if x.alg is not self or y.alg is not self:
+            raise InputError("element not in this algebra")
         return Element(self, _product(self, x.coeffs, y.coeffs))
 
     def generators(self) -> tuple[int, ...]:
@@ -578,26 +580,12 @@ class GradedMap:
             out.append(tdim == 0 or sparse_rank(self.rows(k)) == tdim)
         return out
 
-    def is_surjective(self) -> bool:
-        ok = all(self.surjective_degrees())
-        # degrees of the target not hit by any source degree must be empty
-        hit = {k + self.shift for k in range(self.source.top_degree + 1)}
-        for tk in range(self.target.top_degree + 1):
-            if tk not in hit and self.target.dim(tk) > 0:
-                return False
-        return ok
-
-    def is_injective(self) -> bool:
-        for k in range(self.source.top_degree + 1):
-            if self.source.dim(k) == 0:
-                continue
-            if sparse_rank(self.rows(k)) < self.source.dim(k):
-                return False
-        return True
-
     def kernel_elements(self, k: int) -> list[Element]:
         """Exact basis of the degree-k kernel, as ``sparse_kernel`` gives it."""
-        return _kernel(self.source, k, self.rows(k))
+        src = self.source
+        lo = src.offset(k) if src.dim(k) else 0
+        basis = sparse_kernel(self.rows(k), src.dim(k))
+        return [Element(src, {lo + i: q for i, q in v.items()}) for v in basis]
 
     def is_ring_hom(self) -> bool:
         """True for a degree-0 map f with f(1) = 1 and f(a*b) = f(a)*f(b)
@@ -760,22 +748,6 @@ def pd_verdict(sp: SoclePairing) -> PdVerdict:
         discrepancies.append(alg.dim(k) - r)
     is_pd = all(l == 0 and r == 0 for l, r in kernels)
     return PdVerdict(is_pd, tuple(kernels), tuple(discrepancies))
-
-
-def _kernel(alg: GradedAlgebra, k: int, rows) -> list[Element]:
-    """The ``sparse_kernel`` basis of sparse rows over degree k of ``alg``,
-    as Elements."""
-    lo = alg.offset(k) if alg.dim(k) else 0
-    basis = sparse_kernel(rows, alg.dim(k))
-    return [Element(alg, {lo + i: q for i, q in v.items()}) for v in basis]
-
-
-def socle_kernel_elements(sp: SoclePairing, k: int) -> list[Element]:
-    """Exact basis of the degree-k elements pairing to zero with everything
-    in complementary degree."""
-    if k < 0 or k > sp.degree:
-        raise InputError(f"degree {k} out of range 0..{sp.degree}")
-    return _kernel(sp.algebra, k, sp.gram(sp.degree - k))
 
 
 def adjoint_pushforward(

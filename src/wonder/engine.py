@@ -18,17 +18,17 @@ with no entry and no per-pair work. Within the other pairs, a sub-block of
 burrow degrees (ka, kb) whose pattern the plans alone show to vanish on
 ambient degree ka + kb (memoised per pattern and degree) is skipped the same
 way. Any other basis product is one ambient product of two cached lifts
-followed by memo lookups. Once the table is filled, a pair with no entry is
-zero. The rewrite cap (``max_rewrites``) counts the rewrite steps one
-normal-form call actually performs, that is its memo misses."""
+followed by memo lookups. The fill is the only writer of products: it hands
+its table to the ring's ``GradedAlgebra`` (``as_algebra``), and every
+product is read there, a pair with no row being zero. The rewrite cap
+(``max_rewrites``) counts the rewrite steps one normal-form call actually
+performs, that is its memo misses."""
 
 from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import compress
-from operator import itemgetter
 from types import MappingProxyType
 
 from wonder.algebra import (
@@ -37,6 +37,7 @@ from wonder.algebra import (
     GradedMap,
     SoclePairing,
     Structure,
+    _product,
     section_of,
     socle_check,
 )
@@ -108,8 +109,6 @@ class WonderRing:
         self._memo: dict[tuple, dict] = {}
         # (exponent pattern, ambient degree) -> ``_vanishes_in``
         self._zero_in: dict[tuple, bool] = {}
-        self._cache: dict[tuple, Mapping] = {}
-        self._complete = False
         self._algebra: GradedAlgebra | None = None
         self._pairing: SoclePairing | None = None
         self._duality = None  # the duality reports' record of the pairing
@@ -397,21 +396,6 @@ class WonderRing:
                     coeffs[k] = coeffs.get(k, ZERO) + pq * c
         return self._normalize(pattern, coeffs, trace, memo) or _EMPTY
 
-    def basis_product(self, i: int, j: int) -> Mapping[int, Fraction]:
-        """Coordinates of the product of two basis vectors; nonzero
-        coefficients only. Zero products are one shared read-only mapping;
-        once ``build_all_products`` has run, a pair it stored nothing for is
-        zero."""
-        a, b = (i, j) if i <= j else (j, i)
-        cached = self._cache.get((a, b))
-        if cached is None:
-            if self._complete or self.degree_of(a) + self.degree_of(b) > self.diagram.socle_degree:
-                return _EMPTY
-            pattern = _merged(self.summand_of(a), self.summand_of(b))
-            zero = self._vanishes(pattern)
-            cached = self._cache[(a, b)] = _EMPTY if zero else self._product(a, b, pattern)
-        return cached
-
     def product_trace(self, i: int, j: int):
         """Recompute one basis product with a rewrite trace. It uses a fresh
         memo, so the trace lists every rewrite the product needs."""
@@ -424,13 +408,7 @@ class WonderRing:
     def multiply(self, x: Element, y: Element) -> Element:
         if x.alg is not self or y.alg is not self:
             raise InputError("elements belong to a different ring")
-        out: dict[int, Fraction] = {}
-        for i, qi in x.coeffs.items():
-            for j, qj in y.coeffs.items():
-                q = qi * qj
-                for k, c in self.basis_product(i, j).items():
-                    out[k] = out.get(k, ZERO) + q * c
-        return Element(self, out)
+        return Element(self, _product(self.as_algebra(), x.coeffs, y.coeffs))
 
     # -- element constructors ------------------------------------------------------
 
@@ -439,9 +417,6 @@ class WonderRing:
 
     def one(self) -> Element:
         return self.from_ambient(self._amb.unit())
-
-    def basis_vector(self, i: int) -> Element:
-        return Element(self, {i: ONE})
 
     def from_ambient(self, elem: Element) -> Element:
         if elem.alg is not self._amb:
@@ -503,8 +478,11 @@ class WonderRing:
         pair multiply to an ambient class of degree ka + kb, and a sub-block
         where ``_vanishes_in`` clears the pattern in that degree is zero and
         gets no entries either.  Each remaining pair goes through
-        ``_product``, and the table stores its row, empty or not.  Once the
-        fill is complete, a pair with no entry is zero (``basis_product``).
+        ``_product``, and the table stores its row, empty or not; the unit
+        pairs (basis index 0) are implicit in the structure, and the fill
+        neither computes nor stores them.  The fill ends by building the
+        ring's algebra on its table (``as_algebra``), the only place that
+        products are read.
 
         With a checked symmetry group (``BurrowDiagram.symmetry``), one pair
         per orbit goes through ``_product`` and the rest of its orbit is
@@ -512,10 +490,6 @@ class WonderRing:
         the basis permutations of ``_basis_permutations``.  The group also
         permutes the blocks, so only the first block of each orbit is
         visited: the others are zero, or filled by the relabelling.
-
-        The fill writes a fresh table.  A row that ``basis_product`` stored
-        earlier is reused in place of ``_product`` (it is the same normal
-        form), but its orbit is relabelled all the same.
 
         Proof.  Write R for the ring, generated by the ambient algebra A(Y)
         and the classes E_x subject to the relations the rewriting uses:
@@ -554,15 +528,17 @@ class WonderRing:
         (s N, s mu, s g): the induced permutation.  Hence s carries the
         product of basis vectors i and j, whose coordinates table[(i, j)]
         holds, to the product of s i and s j.
-        Absent means zero.  A pair i <= j up to the socle lies in a block
-        g B, for B the first block of its orbit and g in the group.  If B is
-        zero, so is g B.  Otherwise g^-1 (i, j) lies in B, in a skipped
-        sub-block (a zero product, carried to zero by g) or in a pair the
-        fill stored, whose orbit the relabelling stored with it.
-        The tests compare the tables of the three fills (by orbits, pair by
-        pair, and with no symmetry), compute every skipped pair, and check
-        the lemma on the engine's normal forms."""
-        if self._complete:
+        Absent means zero: a pair 0 < i <= j up to the socle with no row in
+        the structure is zero.  It lies in a block g B, for B the first
+        block of its orbit and g in the group.  If B is zero, so is g B.
+        Otherwise g^-1 (i, j) lies in B, in a skipped sub-block (a zero
+        product, carried to zero by g) or in a pair the fill stored, whose
+        orbit the relabelling stored with it.
+        The tests compare the tables of the fills by orbits and with no
+        symmetry, and the products of both against each pair computed on
+        its own; they compute every skipped pair, and check the lemma on
+        the engine's normal forms."""
+        if self._algebra is not None:
             return
         perms = self._basis_permutations()
         d = self.diagram.socle_degree
@@ -576,7 +552,7 @@ class WonderRing:
             else:
                 run.append((k, [i]))
         moves = [[self.basis[p[run[0][1][0]]][1] for run in runs] for p in perms]
-        old, table = self._cache, {}
+        table: dict = {}
         # blocks of visited orbits that the loop has not reached yet; the
         # group keeps shifts, so it reaches and drops each of them
         later: set = set()
@@ -607,14 +583,13 @@ class WonderRing:
                             continue
                         same = sa == sb and ka == kb
                         for pos, i in enumerate(run_a):
+                            if not i:
+                                continue  # the unit pairs
                             for j in run_b[pos:] if same else run_b:
                                 key = (i, j) if i <= j else (j, i)
                                 if key in table:
                                     continue
-                                row = old.get(key)
-                                if row is None:
-                                    row = self._product(*key, pattern)
-                                table[key] = row
+                                row = table[key] = self._product(*key, pattern)
                                 stack = [(key, row)]
                                 while stack:
                                     (a, b), row = stack.pop()
@@ -625,19 +600,16 @@ class WonderRing:
                                             moved = {p[k]: c for k, c in row.items()} or _EMPTY
                                             table[image] = moved
                                             stack.append((image, moved))
-        self._cache = table
-        self._complete = True
+        labels = [[] for _ in self.dims]
+        for deg, _, _, _, lbl in self.basis:
+            labels[deg].append(lbl)
+        self._algebra = GradedAlgebra.on(Structure.from_products(self.dims, table.items()), labels)
 
     def as_algebra(self) -> GradedAlgebra:
+        """The ring as a ``GradedAlgebra`` on the product table; runs the
+        fill if it has not run."""
         if self._algebra is None:
             self.build_all_products()
-            labels = [[] for _ in range(len(self.dims))]
-            for deg, _, _, _, lbl in self.basis:
-                labels[deg].append(lbl)
-            # only the stored rows, pairs absent from the table being zero;
-            # the unit products (i = 0) are implicit, and left out by their i
-            products = compress(self._cache.items(), map(itemgetter(0), self._cache))
-            self._algebra = GradedAlgebra.on(Structure.from_products(self.dims, products), labels)
         return self._algebra
 
     def pairing(self) -> SoclePairing:

@@ -125,7 +125,7 @@ class _PowerAlg:
         """Ring map sending the generator of token position p to that of
         position image[p] of ``other`` (or to zero on None); exponents
         aggregate per target position."""
-        images = []
+        columns = []
         for e in self.exps:
             tgt = [0] * len(other.tokens)
             dead = False
@@ -136,11 +136,9 @@ class _PowerAlg:
                     dead = True
                     break
                 tgt[image[p]] += k
-            if dead or any(v > other.r for v in tgt):
-                images.append(other.alg.zero())
-                continue
-            images.append(other.alg.basis_element(other.index[tuple(tgt)]))
-        return GradedMap.from_images(self.alg, other.alg, 0, images)
+            dead = dead or any(v > other.r for v in tgt)
+            columns.append({} if dead else {other.index[tuple(tgt)]: ONE})
+        return GradedMap(self.alg, other.alg, 0, columns)
 
 
 # -- curve-power algebras ------------------------------------------------------

@@ -242,7 +242,7 @@ def compare_with_oracle(
             raise InputError(
                 f"correspondence does not cover the basis: missing {missing[:4]}"
             )
-        alg = run.algebra
+        alg, ring_alg = run.algebra, ring.as_algebra()
         rnd = random.Random(seed)
         n = len(ring.basis)
         pairs = [(i, j) for i in range(n) for j in range(i, n)]
@@ -250,7 +250,7 @@ def compare_with_oracle(
         for i, j in pairs[:samples]:
             checked += 1
             lhs = alg.multiply(images[i], images[j])
-            prod = ring.basis_product(i, j)
+            prod = ring_alg.product_basis(i, j)
             rhs = alg.zero()
             for k, q in prod.items():
                 rhs = rhs + images[k].scale(q)

@@ -10,18 +10,23 @@ degree replaced, the dense Bareiss echelon, solve, kernel, adjoint
 pushforward and section that the sparse elimination of ``exact_linalg``
 replaced, and the power-algebra, blow-up/bundle and tensor constructors
 that called a product on every basis pair up to the top degree before
-they enumerated the pairs that can be nonzero.  Import them as ``from
-builders import ...``; pytest puts this directory on the import path."""
+they enumerated the pairs that can be nonzero, the product table a
+ring's fill hands to its structure, and a ring's products computed pair
+by pair.  Import them as ``from builders import ...``; pytest puts this
+directory on the import path."""
 
 import copy
 import random
 from fractions import Fraction
 from math import lcm
 
+import pytest
+
 from wonder.algebra import (
     Element,
     GradedAlgebra,
     GradedMap,
+    Structure,
     adjoint_pushforward,
     algebra_from_products,
     socle_check,
@@ -36,6 +41,7 @@ from wonder.diagram import (
     BurrowNode,
     ChernPolynomial,
 )
+from wonder.engine import _EMPTY, WonderRing, _merged
 from wonder.errors import InputError
 from wonder.exact_linalg import ONE, ZERO, rat, sparse_rank
 from wonder.models import (
@@ -509,9 +515,12 @@ def _dense_gram(sp, k: int) -> list:
 
 def adjoint_pushforward_reference(pullback: GradedMap, sp_small, sp_big) -> GradedMap:
     """``adjoint_pushforward`` class by class: each right-hand side from
-    products of Elements, one dense solve each."""
+    products of Elements, one dense solve each.  The pairings may sit on
+    other algebras of the maps' structures (the models share one per
+    shape), so the classes are paired in the pairing's own algebra."""
     big, small = pullback.source, pullback.target
     c = sp_big.degree - sp_small.degree
+    paired = sp_small.algebra
     images = []
     for g in range(small.total_dim):
         tk = small.degree_of(g) + c
@@ -519,8 +528,11 @@ def adjoint_pushforward_reference(pullback: GradedMap, sp_small, sp_big) -> Grad
             images.append(big.zero())
             continue
         comp = sp_big.degree - tk
-        z = small.basis_element(g)
-        rhs = [sp_small.pair(z, pullback.apply_basis(gy)) for gy in big.global_indices(comp)]
+        z = paired.basis_element(g)
+        rhs = [
+            sp_small.pair(z, pullback.apply_basis(gy).rebased(paired))
+            for gy in big.global_indices(comp)
+        ]
         sol = solve_rows_reference(_dense_gram(sp_big, comp), rhs, big.dim(tk))
         if sol is None:
             raise InputError("pairing is not perfect; adjoint pushforward undefined")
@@ -648,3 +660,41 @@ def block_ring_reference(z, chern, name, *, y=None, pullback=None, to_y=None) ->
         return reduce(j + k, z.multiply(u, w))
 
     return algebra_from_products(dims, labels, products)
+
+
+# -- product table of a ring ------------------------------------------------------
+
+
+def filled_table(ring: WonderRing) -> dict:
+    """Run the product fill of an unfilled ring and return the table it
+    hands to ``Structure.from_products``: (i, j) -> row for each pair it
+    stored, empty rows included.  The fill must build one structure."""
+    tables = []
+    from_products = Structure.from_products.__func__
+
+    def capture(cls, dims, products):
+        table = dict(products)
+        tables.append(table)
+        return from_products(cls, dims, table.items())
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Structure, "from_products", classmethod(capture))
+        ring.build_all_products()
+    (table,) = tables
+    return table
+
+
+def products_pair_by_pair(ring: WonderRing, pairs) -> dict:
+    """The product of each basis pair (i, j) with i <= j, computed on its
+    own in the given order: zero (``_EMPTY``) above the socle or when the
+    merged pattern vanishes, else ``_product``.  No fill, no orbits and no
+    skipped sub-blocks."""
+    d = ring.diagram.socle_degree
+    out = {}
+    for i, j in pairs:
+        if ring.degree_of(i) + ring.degree_of(j) > d:
+            out[i, j] = _EMPTY
+            continue
+        pattern = _merged(ring.summand_of(i), ring.summand_of(j))
+        out[i, j] = _EMPTY if ring._vanishes(pattern) else ring._product(i, j, pattern)
+    return out

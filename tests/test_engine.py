@@ -5,12 +5,15 @@ from fractions import Fraction
 import pytest
 
 from wonder import io
+from wonder.algebra import _NO_PRODUCT, Element
 from wonder.diagram import BurrowDiagram, BurrowNode
 from wonder.engine import _EMPTY, WonderRing, build_ring, presentation_report
 from wonder.errors import ComputationError, InputError
 from wonder.models import _PowerAlg, fm_power, keel_model
 from wonder.oracle import compare_with_oracle
 from wonder.fixtures import fm_p1_3_oracle, keel_2_oracle, keel_3_oracle
+
+from builders import filled_table, products_pair_by_pair
 
 F = Fraction
 
@@ -51,7 +54,7 @@ def test_empty_building_set_ring():
 def test_unit_multiplication(fm3_ring):
     one = fm3_ring.one()
     for i in range(len(fm3_ring.basis)):
-        x = fm3_ring.basis_vector(i)
+        x = Element(fm3_ring, {i: 1})
         assert one * x == x
 
 
@@ -145,12 +148,13 @@ def test_product_trace_agrees_with_memo(fm3_ring, keel2_ring):
     # product_trace runs on a private memo; the shared one must agree, and
     # the trace must not shrink once the shared memo holds the product
     for ring in (fm3_ring, keel2_ring):
+        alg = ring.as_algebra()
         n = len(ring.basis)
         steps = 0
         for i in range(n):
             for j in range(i, n):
                 coords, trace = ring.product_trace(i, j)
-                assert coords == dict(ring.basis_product(i, j)), (i, j)
+                assert coords == dict(alg.product_basis(i, j)), (i, j)
                 assert ring.product_trace(i, j)[1] == trace, (i, j)
                 steps += len(trace)
         assert steps > 0
@@ -160,10 +164,11 @@ def test_basis_products_hold_no_zero_coefficients(fm3_ring, keel3_ring, fm5_ring
     # on fm-p1 n=5, 105 products have coefficients that cancel to zero during
     # the reduction; they must be dropped, not stored
     for ring in (fm3_ring, keel3_ring, fm5_ring):
+        alg = ring.as_algebra()
         n = len(ring.basis)
         for i in range(n):
             for j in range(i, n):
-                assert all(ring.basis_product(i, j).values()), (i, j)
+                assert all(alg.product_basis(i, j).values()), (i, j)
 
 
 @pytest.mark.parametrize(
@@ -172,40 +177,41 @@ def test_basis_products_hold_no_zero_coefficients(fm3_ring, keel3_ring, fm5_ring
     ids=["fm-p2-3", "keel-3", "fm-p1-5"],
 )
 def test_product_table_does_not_depend_on_route_or_order(model, strip_symmetry):
-    """Every basis product, zeros included, reads the same after the fill by
-    orbits, the fill pair by pair, and the fill with the symmetry removed;
-    each zero reads as the one shared empty mapping.  fm-p1 n=5 has
+    """Every basis product, zeros and unit products included, reads the same
+    in the algebra of the fill by orbits, in that of the fill with the
+    symmetry removed, and computed pair by pair, last pair first; each
+    zero reads as the algebra's one shared empty mapping.  fm-p1 n=5 has
     products whose coefficients cancel to zero."""
     diagram = model()
-    orbits = WonderRing(diagram)
-    orbits.build_all_products()
-    direct = WonderRing(strip_symmetry(diagram))
-    direct.build_all_products()
-    pairs = WonderRing(diagram)
-    n = len(pairs.basis)
-    for i in reversed(range(n)):
-        for j in reversed(range(i, n)):
-            pairs.basis_product(j, i)
+    orbits = WonderRing(diagram).as_algebra()
+    direct = WonderRing(strip_symmetry(diagram)).as_algebra()
+    ring = WonderRing(diagram)
+    n = len(ring.basis)
+    pairs = products_pair_by_pair(
+        ring, [(i, j) for i in reversed(range(n)) for j in reversed(range(i, n))]
+    )
     zeros = 0
     for i in range(n):
         for j in range(n):
-            row = pairs.basis_product(i, j)
-            assert orbits.basis_product(i, j) == row == direct.basis_product(i, j), (i, j)
+            row = pairs[min(i, j), max(i, j)]
+            assert orbits.product_basis(i, j) == row == direct.product_basis(i, j), (i, j)
             if not row:
                 zeros += 1
-                assert orbits.basis_product(i, j) is row is direct.basis_product(i, j) is _EMPTY
+                assert row is _EMPTY
+                assert orbits.product_basis(i, j) is direct.product_basis(i, j) is _NO_PRODUCT
     assert zeros
 
 
 def test_fmp2_4_min3_builds_one_plan_per_pattern(monkeypatch, strip_symmetry):
-    """The 2,578 normal forms of the fm-p2 n=4 (min size 3) product table
+    """The 2,568 normal forms of the fm-p2 n=4 (min size 3) product table
     share 117 exponent patterns.  The fill builds 129 plans, each once:
     those patterns' and the ones only the vanishing test of the skipped
     sub-blocks reads; the blocks whose support is not a nest need none.
     That is the direct fill, with no declared symmetry; the fill by orbits
     of the declared S_4 needs only some of those normal forms, again with
-    one plan per pattern.  Both tables hold 6,007 of the 17,170 pairs up to
-    the socle: none in a zero block or a skipped sub-block."""
+    one plan per pattern.  Both tables hold 5,767 of the 16,930 pairs
+    0 < i <= j up to the socle: none in a zero block or a skipped
+    sub-block, and no unit pair."""
     calls = []
     make_plan = WonderRing._make_plan
 
@@ -216,16 +222,16 @@ def test_fmp2_4_min3_builds_one_plan_per_pattern(monkeypatch, strip_symmetry):
     monkeypatch.setattr(WonderRing, "_make_plan", counted)
     diagram = fm_power("p2", 4, min_size=3)
     ring = WonderRing(strip_symmetry(diagram))
-    ring.build_all_products()
-    assert len(ring._memo) == 2578
+    table = filled_table(ring)
+    assert len(ring._memo) == 2568
     assert len({pattern for pattern, _ in ring._memo}) == 117
     assert len(set(calls)) == len(calls) == 129
     calls.clear()
     orbits = WonderRing(diagram)
-    orbits.build_all_products()
+    orbit_table = filled_table(orbits)
     assert set(orbits._memo) < set(ring._memo)
     assert len(set(calls)) == len(calls) <= 129
-    assert len(orbits._cache) == len(ring._cache) == 6007
+    assert len(orbit_table) == len(table) == 5767
 
 
 @pytest.mark.parametrize(
@@ -240,20 +246,20 @@ def test_orbit_fill_equals_direct_fill(model, strip_symmetry):
     diagram = model()
     assert diagram.symmetry().generators and not diagram.symmetry().problems
     orbits = WonderRing(diagram)
-    orbits.build_all_products()
+    orbit_table = filled_table(orbits)
     direct = WonderRing(strip_symmetry(diagram))
-    direct.build_all_products()
-    assert orbits._cache == direct._cache
-    empty = {key for key, row in direct._cache.items() if row is _EMPTY}
-    assert empty == {key for key, row in orbits._cache.items() if row is _EMPTY}
+    table = filled_table(direct)
+    assert orbit_table == table
+    empty = {key for key, row in table.items() if row is _EMPTY}
+    assert empty == {key for key, row in orbit_table.items() if row is _EMPTY}
     assert len(orbits._memo) < len(direct._memo)
     perms = orbits._basis_permutations()
     assert len(perms) == len(diagram.symmetry_generators)
     for p in perms:
         assert sorted(p) == list(range(len(direct.basis)))
-        for (i, j), row in direct._cache.items():
+        for (i, j), row in table.items():
             a, b = sorted((p[i], p[j]))
-            assert direct._cache[a, b] == {p[k]: c for k, c in row.items()}
+            assert table[a, b] == {p[k]: c for k, c in row.items()}
 
 
 @pytest.mark.parametrize(
@@ -387,6 +393,8 @@ def test_ring_and_ambient_elements_do_not_mix(fm3_ring):
         lambda: one + unit,
         lambda: unit - one,
         lambda: fm3_ring.multiply(one, unit),
+        lambda: fm3_ring.as_algebra().multiply(one, one),
+        lambda: fm3_ring.diagram.ambient.algebra.multiply(unit, one),
     ]
     for mix in mixes:
         with pytest.raises(InputError) as err:
@@ -413,24 +421,13 @@ def test_nest_with_empty_intersection_is_input_error():
         ring.monomial({"D1@0": 1, "D1@1": 1})
 
 
-def test_products_read_before_the_fill_leave_the_ring_unchanged(keel3_diagram):
-    """A pair read before ``build_all_products`` still has its orbit
-    relabelled by the fill: reading any one nonzero product of keel --n 3
-    first, or running ``presentation_report`` on fm-p2 n=4 (min size 3)
-    first, leaves the ring text unchanged."""
+def test_presentation_before_the_fill_leaves_the_ring_unchanged():
+    """Running ``presentation_report`` on an unfilled fm-p2 n=4 (min size 3)
+    ring, whose monomials and relations are reduced before any product is
+    read, leaves the ring text unchanged."""
 
     def text(ring):
         return io.dump_ring(ring.as_algebra(), ring.diagram.socle_degree)
-
-    full = build_ring(keel3_diagram, validate=False)
-    want = text(full)
-    n = len(full.basis)
-    pairs = [(i, j) for i in range(1, n) for j in range(i, n) if full.basis_product(i, j)]
-    assert len(pairs) == 56
-    for i, j in pairs:
-        ring = WonderRing(keel3_diagram)
-        ring.basis_product(i, j)
-        assert text(ring) == want, (i, j)
 
     diagram = fm_power("p2", 4, min_size=3)
     want = text(build_ring(diagram, validate=False))
