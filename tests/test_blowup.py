@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import pytest
 
 from wonder import blowup
@@ -239,3 +241,44 @@ def test_pullback_not_surjective_in_one_degree():
     push = GradedMap.from_images(line, y, 1, [y.basis_element(1), y.basis_element(2)])
     with pytest.raises(InputError, match="pullback is not surjective; no valid Chern lift exists"):
         blow_up(y, line, pull, push, [y.basis_element(1)])
+
+
+def _perturbed_plane_blowup(monkeypatch, change):
+    """Blow the plane up at its point with ``change`` applied to the
+    product table ``_block_ring`` hands to ``Structure.from_products``.
+    The result's basis is 1 | h0, E | h0^2 (indices 0 | 1, 2 | 3), with
+    the nonzero products h0 * h0 = h0^2 and E * E = -h0^2."""
+    real = blowup.Structure.from_products
+
+    def perturbed(dims, products):
+        table = dict(products)
+        assert table == {(1, 1): {3: 1}, (2, 2): {3: -1}}
+        change(table)
+        return real(dims, sorted(table.items()))
+
+    monkeypatch.setattr(blowup, "Structure", SimpleNamespace(from_products=perturbed))
+    _, y, z, edge = plane_inputs()
+    return blow_up(y, z, edge.pullback, edge.pushforward, list(edge.chern.coeffs))
+
+
+def test_perturbed_exceptional_power_fails_the_monic_relation(monkeypatch):
+    """E * E = -2 h0^2 breaks E^2 = -h0^2, the relation of a point of the
+    plane; no other check reads that product."""
+
+    def change(table):
+        table[2, 2] = {3: -2}
+
+    with pytest.raises(InputError, match="monic relation fails"):
+        _perturbed_plane_blowup(monkeypatch, change)
+
+
+def test_perturbed_ambient_times_exceptional_is_rejected(monkeypatch):
+    """h0 * E = h0^2 breaks h0 * E = 0: h0 restricts to zero on the point.
+    The relation E^2 = c_1 E - c_2 has c_1 = 0, so it does not read that
+    product."""
+
+    def change(table):
+        table[1, 2] = {3: 1}
+
+    with pytest.raises(InputError, match="exceptional class"):
+        _perturbed_plane_blowup(monkeypatch, change)

@@ -4,7 +4,8 @@ Each ring digest is the sha256 of ``io.dump_ring`` of the built ring, the
 text ``wonder build`` writes. A change to the engine, the nest decomposition
 or the ring writer that alters any structure constant, basis label or
 ordering changes the digest. Each report digest pins the stdout and the exit
-code of one CLI command on one model. The synthetic digests pin the
+code of one CLI command on one model, `wonder oracle` and `wonder compare`
+on the oracle fixtures included. The synthetic digests pin the
 algebras ``synthetic_gorenstein`` and ``synthetic_broken`` build, and the
 oracle digests the rings that ``run_oracle``, ``blow_up`` and
 ``bundle_result`` build. The
@@ -348,6 +349,33 @@ def test_report_digest(model_files, capsys, model, command):
     out = capsys.readouterr().out
     digest = hashlib.sha256(f"{code}\n{out}".encode("utf-8")).hexdigest()
     assert digest == GOLDEN_REPORTS[(model, command)]
+
+
+# sha256 of "<exit code>\n<stdout>" of `wonder oracle` on the oracle fixture
+# `wonder model <family>-oracle` writes for a report model, and of `wonder
+# compare` of that fixture with the model's diagram.
+GOLDEN_ORACLE_REPORTS = {
+    ("fm-p1-3", "oracle"): "8ce23d35d708c943da0a830636a30b0d99667deb57b1fce337ce16b3ddc281ed",
+    ("keel-2", "oracle"): "39f0362249bfba76c34e8d5bd271ac63d725495e6db052781f761413a8111423",
+    ("keel-3", "oracle"): "c2aa596d3d8e52f7f3fa860fa7334556a8df726b6522e6569cdf5d079fee127d",
+    ("keel-3", "compare"): "85a7179b2d31ab9e32f37e6820f8c81691a3b51ed52a894353fcbe1bc81f17bc",
+}
+
+
+@pytest.mark.parametrize("command,model", sorted((c, m) for m, c in GOLDEN_ORACLE_REPORTS))
+def test_oracle_report_digest(model_files, capsys, model, command):
+    diagram, _ = model_files(model)
+    family, *rest = REPORT_MODELS[model]
+    fixture = diagram.with_name("fx.json")
+    assert main(["model", f"{family}-oracle", *rest, "--out", str(fixture)]) == 0
+    capsys.readouterr()
+    if command == "oracle":
+        code = main(["oracle", str(fixture)])
+    else:
+        code = main(["compare", "--diagram", str(diagram), "--oracle", str(fixture)])
+    out = capsys.readouterr().out
+    digest = hashlib.sha256(f"{code}\n{out}".encode("utf-8")).hexdigest()
+    assert digest == GOLDEN_ORACLE_REPORTS[(model, command)]
 
 
 def test_blocks_violation_message(model_files, capsys):
