@@ -42,11 +42,12 @@ _KINDS = {dict: "an object", list: "a list", str: "a string", int: "an integer"}
 
 def _field(obj: dict, key: str, kind: type, where: str, default=None):
     """``obj[key]`` (``default`` when absent and given), which must be a
-    ``kind``; anything else raises InputError naming the field."""
+    ``kind``, a bool not an int; anything else raises InputError naming the
+    field."""
     if key not in obj and default is None:
         raise InputError(f"{where} lacks field {key!r}")
     value = obj.get(key, default)
-    if not isinstance(value, kind):
+    if type(value) is not kind:
         raise InputError(f"{where} field {key!r} is not {_KINDS[kind]}: {value!r}")
     return value
 

@@ -145,6 +145,15 @@ def _repeated_pullback_pair(fx):
     fx["steps"][0]["pullback"].append(["1", "1", "1"])
 
 
+def _bundle_rank_is_true(fx):
+    # JSON true is not the integer 1, although one Chern class agrees with it
+    fx["steps"].append({"op": "projective_bundle", "name": "xi", "rank": True, "chern": [[]]})
+
+
+def _power_is_true(fx):
+    fx["correspondence"][0]["power"] = True
+
+
 @pytest.mark.parametrize(
     "mutate,field",
     [
@@ -156,6 +165,8 @@ def _repeated_pullback_pair(fx):
         (_base_is_int, "'base'"),
         (_steps_is_object, "'steps'"),
         (_bundle_rank_disagrees, "'rank'"),
+        (_bundle_rank_is_true, "field 'rank' is not an integer: True"),
+        (_power_is_true, "correspondence entry 0 field 'power' is not an integer: True"),
     ],
 )
 def test_oracle_rejects_malformed_fixture(tmp_path, capsys, mutate, field):
@@ -168,7 +179,10 @@ def test_oracle_rejects_malformed_fixture(tmp_path, capsys, mutate, field):
     payload = json.loads(fx.read_text())
     mutate(payload)
     fx.write_text(json.dumps(payload))
-    for argv in (["oracle", str(fx)], ["compare", "--diagram", str(d), "--oracle", str(fx)]):
+    commands = [["compare", "--diagram", str(d), "--oracle", str(fx)]]
+    if "correspondence" not in field:  # which `wonder oracle` does not read
+        commands.insert(0, ["oracle", str(fx)])
+    for argv in commands:
         code, out, err = run(capsys, *argv)
         assert code == 1, (argv[0], out)
         assert field in err and "Traceback" not in err, (argv[0], err)
