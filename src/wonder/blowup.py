@@ -8,9 +8,12 @@ One builder makes both rings on the additive decomposition
 and reduces the powers of t over the center by one monic relation.  A
 blow-up along a center of codimension c has t = E, n = c, k >= 1 and the
 relation of Keel's formula, whose last term goes into the ambient part
-through the pushforward; both defining relations of its quotient
-presentation are verified to hold in the output.  A projective bundle of
-rank r has t = xi, n = r, k >= 0 and no ambient part.
+through the pushforward.  Both defining relations of its quotient
+presentation are verified on the output: the monic relation, and the
+annihilation of the restriction kernel by E through E * a = i_1(a|_Z) on
+each ambient basis class a, which implies it with no kernel basis; the
+only elimination of the pullback is ``section_of``'s.  A projective
+bundle of rank r has t = xi, n = r, k >= 0 and no ambient part.
 
 The builder hands ``Structure.from_products`` only the pairs whose product
 can be nonzero, and reduces each power of t times a center basis class
@@ -27,6 +30,8 @@ from wonder.algebra import (
     GradedMap,
     PdVerdict,
     Structure,
+    _image,
+    _product,
     pd_verdict,
     section_of,
     socle_check,
@@ -94,23 +99,21 @@ def blow_up(
         raise InputError("pushforward shift must equal the codimension")
     _check_chern(chern, y, "Chern coefficient")
 
-    fc = pushforward.apply(z.unit())
-    if chern[-1] != fc:
+    pushed, top = pushforward.columns, chern[-1].coeffs
+    if top != pushed[0]:
         raise InputError(
             "constant Chern term differs from the pushforward of the unit: "
-            f"{chern[-1]!r} vs {fc!r}"
+            f"{chern[-1]!r} vs {y.element(pushed[0])!r}"
         )
     # the reduction built from the pushforward must agree with the one
     # obtained by lifting and multiplying with the constant term
-    for gz in range(z.total_dim):
-        u = z.basis_element(gz)
-        via_push = pushforward.apply(u)
-        via_lift = y.multiply(section.apply(u), chern[-1])
-        if via_push != via_lift:
+    for gz, lift in enumerate(section.columns):
+        via_lift = _product(y, lift, top)
+        if pushed[gz] != via_lift:
             raise InputError(
                 "inconsistent center data: pushforward and lifted "
                 f"reduction disagree on {z.label_of(gz)!r} "
-                f"({via_push!r} vs {via_lift!r})"
+                f"({y.element(pushed[gz])!r} vs {y.element(via_lift)!r})"
             )
 
     if c == 1:
@@ -133,10 +136,10 @@ def blow_up(
         name,
         y=y,
         pullback=pullback,
-        to_y=lambda u: pushforward.apply(u).scale(signs[-1]),
+        to_y=[{h: signs[-1] * v for h, v in col.items()} for col in pushed],
     )
     result = BlowupResult(algebra, e_class, c, blocks, y_embed, z_embeds, name)
-    _verify_blowup_relations(result, y, z, pullback, chern)
+    _verify_blowup_relations(result, y, pullback, chern)
     return result
 
 
@@ -147,9 +150,10 @@ def _block_ring(z, chern, name, *, y=None, pullback=None, to_y=None):
 
         t^n = chern[0] t^(n-1) + ... + chern[n-1],   chern[i] classes of z.
 
-    The last term of t^n * u, which reaches exponent 0, is ``to_y(u)`` in
-    ``y`` for a blow-up and lands in block 0 for a bundle.  A class of
-    ``y`` multiplies the blocks through ``pullback``.
+    The last term of t^n * u, which reaches exponent 0, is ``to_y[g]`` in
+    ``y`` for a blow-up and u = g a basis class of ``z``, and lands in
+    block 0 for a bundle.  A class of ``y`` multiplies the blocks through
+    ``pullback``.
 
     The product table holds only the pairs whose product can be nonzero:
     the products of ``y`` read off its rows, a class of ``y`` times a block
@@ -196,12 +200,11 @@ def _block_ring(z, chern, name, *, y=None, pullback=None, to_y=None):
             if m < n:
                 place(out, m, {g: ONE})
             else:
-                u = z.basis_element(g)
                 for i, ci in enumerate(chern, start=1):
                     if i == m and to_y is not None:
-                        place(out, "Y", to_y(u).coeffs)
+                        place(out, "Y", to_y[g])
                         continue
-                    for h, q in z.multiply(u, ci).coeffs.items():
+                    for h, q in _product(z, {g: ONE}, ci.coeffs).items():
                         for k, v in power(m - i, h).items():
                             out[k] = out.get(k, ZERO) + q * v
             out = powers[(m, g)] = {k: v for k, v in out.items() if v}
@@ -225,13 +228,12 @@ def _block_ring(z, chern, name, *, y=None, pullback=None, to_y=None):
             for gb, prod in row.items():
                 if gb >= ga:
                     table[a, index[("Y", gb)]] = {index[("Y", h)]: q for h, q in prod.items()}
-            lifted = pullback.apply_basis(ga)
-            if lifted.coeffs:
+            lifted = pullback.columns[ga]
+            if lifted:
                 for b, k, gw in cells:
                     if deg[a] + deg[b] > top:
                         break
-                    prod = z.multiply(lifted, z.basis_element(gw))
-                    table[min(a, b), max(a, b)] = reduce(k, prod.coeffs)
+                    table[min(a, b), max(a, b)] = reduce(k, _product(z, lifted, {gw: ONE}))
     for i, (a, j, gu) in enumerate(cells):
         for b, k, gw in cells[i:]:
             if deg[a] + deg[b] > top:
@@ -243,44 +245,42 @@ def _block_ring(z, chern, name, *, y=None, pullback=None, to_y=None):
     algebra = GradedAlgebra.on(Structure.from_products(dims, sorted(table.items())), labels)
 
     def embed(source, tag, shift):
-        return GradedMap.from_images(
-            source,
-            algebra,
-            shift,
-            [
-                algebra.basis_element(index[(tag, g)]) if (tag, g) in index else algebra.zero()
-                for g in range(source.total_dim)
-            ],
-        )
+        cols = [{index[tag, g]: ONE} if (tag, g) in index else {} for g in range(source.total_dim)]
+        return GradedMap(source, algebra, shift, cols)
 
     y_embed = None if y is None else embed(y, "Y", 0)
     z_embeds = {k: embed(z, k, k) for k in tags}
     return algebra, algebra.basis_element(index[(1, 0)]), tuple(blocks), y_embed, z_embeds
 
 
-def _verify_blowup_relations(result, y, z, pullback, chern):
-    """Assert the monic relation in -E and the annihilation of the
-    restriction kernel by E; failure signals inconsistent input data."""
-    alg = result.algebra
-    c = result.codim
-    neg_e = -result.e_class
-    acc = alg.unit()
-    powers = [acc]
+def _verify_blowup_relations(result, y, pullback, chern):
+    """Assert the monic relation in -E and, for every basis class a of
+    ``y``, E * a = i_1(a|_Z), where i_1 places a center class in the block
+    of E^1 (zero above the top degree); failure signals inconsistent input
+    data.
+
+    The second identity implies that E annihilates the restriction kernel
+    with no kernel basis, so with no elimination: both sides are linear in
+    a, so k|_Z = 0 gives E * k = i_1(k|_Z) = 0.  It is at least as strict
+    as checking E * k = 0 on a kernel basis."""
+    alg, c, e = result.algebra, result.codim, result.e_class.coeffs
+    powers = [{0: ONE}]  # the powers of -E
     for _ in range(c):
-        acc = alg.multiply(acc, neg_e)
-        powers.append(acc)
-    rel = powers[c]
+        powers.append(_product(alg, powers[-1], {g: -q for g, q in e.items()}))
+    rel, y_cols = dict(powers[c]), result.y_embed.columns
     for i, ci in enumerate(chern, start=1):
-        rel = rel + alg.multiply(result.y_embed.apply(ci), powers[c - i])
-    if not rel.is_zero():
-        raise InputError(f"monic relation fails in the blow-up ring: {rel!r}")
-    for k in range(y.top_degree + 1):
-        for ker in pullback.kernel_elements(k):
-            prod = alg.multiply(result.y_embed.apply(ker), result.e_class)
-            if not prod.is_zero():
-                raise InputError(
-                    f"kernel class {ker!r} does not annihilate the exceptional class"
-                )
+        for h, q in _product(alg, _image(y_cols, ci.coeffs), powers[c - i]).items():
+            rel[h] = rel.get(h, ZERO) + q
+    if any(rel.values()):
+        raise InputError(f"monic relation fails in the blow-up ring: {alg.element(rel)!r}")
+    for ga, col in enumerate(y_cols):
+        times_e = _product(alg, col, e)
+        restricted = _image(result.z_embeds[1].columns, pullback.columns[ga])
+        if times_e != restricted:
+            raise InputError(
+                f"ambient class {y.label_of(ga)!r} times the exceptional class is "
+                f"{alg.element(times_e)!r}, not its restriction {alg.element(restricted)!r}"
+            )
 
 
 @dataclass

@@ -67,20 +67,18 @@ def _labelled(entries, width: int, what: str) -> list:
 
 
 def _decode_map(payload_entries, source, target, where: str):
-    """[target_label, source_label, coeff] triples into a degree-0 map; a
-    (target, source) pair may appear once."""
-    images = [target.zero() for _ in range(source.total_dim)]
-    coeffs: dict[int, dict] = {}
+    """[target_label, source_label, coeff] triples into the columns of a
+    degree-0 map; a (target, source) pair may appear once."""
+    columns: list[dict] = [{} for _ in range(source.total_dim)]
     for tgt_label, src_label, q in _labelled(payload_entries, 3, "pullback"):
-        vec = coeffs.setdefault(source.global_index(src_label), {})
-        if tgt_label in vec:
+        column = columns[source.global_index(src_label)]
+        h = target.global_index(tgt_label)
+        if h in column:
             raise InputError(
                 f"{where} field 'pullback' repeats the pair ({tgt_label!r}, {src_label!r})"
             )
-        vec[tgt_label] = parse_rat(q)
-    for g, vec in coeffs.items():
-        images[g] = target.from_labels(vec)
-    return GradedMap.from_images(source, target, 0, images)
+        column[h] = parse_rat(q)
+    return GradedMap(source, target, 0, columns)
 
 
 def _chern(step: dict, alg: GradedAlgebra, where: str) -> list:
@@ -90,10 +88,11 @@ def _chern(step: dict, alg: GradedAlgebra, where: str) -> list:
     for i, vec in enumerate(_field(step, "chern", list, where), start=1):
         coeffs = {}
         for lbl, q in _labelled(vec, 2, "chern"):
-            if lbl in coeffs:
+            g = alg.global_index(lbl)
+            if g in coeffs:
                 raise InputError(f"{where} field 'chern' repeats basis label {lbl!r} in c{i}")
-            coeffs[lbl] = parse_rat(q)
-        classes.append(alg.from_labels(coeffs))
+            coeffs[g] = parse_rat(q)
+        classes.append(alg.element(coeffs))
     return classes
 
 

@@ -27,6 +27,7 @@ from wonder.algebra import (
     GradedAlgebra,
     GradedMap,
     Structure,
+    _image,
     adjoint_pushforward,
     algebra_from_products,
     socle_check,
@@ -642,7 +643,7 @@ def block_ring_reference(z, chern, name, *, y=None, pullback=None, to_y=None) ->
                 continue
             for i, ci in enumerate(chern, start=1):
                 if i == m and to_y is not None:
-                    place(out, "Y", to_y(u).coeffs)
+                    place(out, "Y", _image(to_y, u.coeffs))
                 else:
                     stack.append((m - i, z.multiply(u, ci)))
         return out
