@@ -260,8 +260,9 @@ def test_scalar_kinds(built, name):
 
 
 # sha256 of "<exit code>\n<stdout>"; `pd` reads the ring `wonder build` writes,
-# the other commands read the diagram. `blocks` on fm-p2-4-min3 exits 3 on the
-# known block-structure defect (ROADMAP item 1); its stderr is pinned below.
+# the other commands read the diagram; a command may carry its options, as
+# "pd --json". `blocks` on fm-p2-4-min3 exits 3 on the known block-structure
+# defect (ROADMAP item 1); its stderr is pinned below.
 REPORT_MODELS = {
     "fm-p1-3": ["fm-p1", "--n", "3"],
     "fm-p1-4": ["fm-p1", "--n", "4"],
@@ -321,6 +322,12 @@ GOLDEN_REPORTS = {
     ("keel-4", "discrepancy"): "92be448f3d00b7d517010b50c4a92530e2824e743dc746859048c42451edbf20",
     ("keel-4", "blocks"): "d1416640a2a7cbfb9212e41e326acf15e211e4386b62e803b61b6fd965a36391",
     ("keel-4", "pd"): "d9812d415f76b508f2c3250caecccfecdacc01e1b8a851b7d101c8be367dbaad",
+    ("keel-3", "pd --json"): "1ff1b55f67db53af3c5987c172c055ee7fe66fb47a8e3d0d91dcc41c966fc7da",
+    ("keel-3", "discrepancy --json"): "28bc3fa270d44d167b721b0644457d370f12b6a524fb5dd77db65288b35decb2",
+    ("keel-3", "blocks --json"): "7d59216a27c9129f968752361ad3968c74c9c8127034060a387ba7185f7a5815",
+    ("fm-p2-4-min3", "pd --json"): "7c9ea5965b9bfaff1cd2b52d5dce5e1dea91c4c526e85f3cbc8b73631fd421db",
+    ("fm-p2-4-min3", "discrepancy --json"): "def508173fab58278fc2c3993a503ed0638c5cdccadbad2d16409a2396b4ebd4",
+    ("fm-p2-4-min3", "blocks --json"): "1121cfccd5913f0a63fec40a6ffd44ea64f9dc135c66634ba001d10bcf4302a2",
 }
 
 
@@ -345,7 +352,8 @@ def model_files(tmp_path_factory):
 def test_report_digest(model_files, capsys, model, command):
     diagram, ring = model_files(model)
     capsys.readouterr()
-    code = main([command, str(ring if command == "pd" else diagram)])
+    args = command.split()
+    code = main([*args, str(ring if args[0] == "pd" else diagram)])
     out = capsys.readouterr().out
     digest = hashlib.sha256(f"{code}\n{out}".encode("utf-8")).hexdigest()
     assert digest == GOLDEN_REPORTS[(model, command)]
