@@ -5,9 +5,9 @@ unit) and a sparse table of structure constants; everything above the top
 degree is zero.  Graded maps, socle pairings, Poincare-duality verdicts and
 kernel extraction live here as well.
 
-Structure constants, map entries and the scalars given to ``from_labels``,
-``from_vector`` and ``scale`` are stored as ``exact_linalg.rat`` gives them:
-an ``int`` when integral, otherwise a ``Fraction``, never a float.
+Structure constants, map entries and the scalars given to ``from_labels``
+and ``scale`` are stored as ``exact_linalg.rat`` gives them: an ``int`` when
+integral, otherwise a ``Fraction``, never a float.
 """
 
 from __future__ import annotations
@@ -34,9 +34,8 @@ _NO_PRODUCT: Mapping = MappingProxyType({})  # the product of a pair with none s
 
 
 class Element:
-    """Element of a GradedAlgebra or of an ``engine.WonderRing`` (any
-    algebra with ``degree_of``, ``label_of`` and ``multiply``), stored as a
-    sparse coefficient vector over the global basis.  Treated as immutable."""
+    """Element of a GradedAlgebra, stored as a sparse coefficient vector
+    over the global basis.  Treated as immutable."""
 
     __slots__ = ("alg", "coeffs")
 
@@ -331,10 +330,6 @@ class GradedAlgebra:
         return Element(
             self, {self.global_index(l): rat(q) for l, q in data.items()}
         )
-
-    def from_vector(self, k: int, vec) -> Element:
-        lo = self._offsets[k]
-        return Element(self, {lo + i: rat(q) for i, q in enumerate(vec) if q})
 
     # -- multiplication ----------------------------------------------------
 

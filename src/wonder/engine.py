@@ -37,7 +37,6 @@ from wonder.algebra import (
     GradedMap,
     SoclePairing,
     Structure,
-    _product,
     section_of,
     socle_check,
 )
@@ -64,12 +63,14 @@ def _merged(sa: Summand, sb: Summand) -> tuple:
 
 class WonderRing:
     """Graded ring of the compactification, built on the additive basis.
-    Its elements are ``algebra.Element`` instances whose algebra is the
-    ring."""
+    Its classes are ``algebra.Element`` instances of ``as_algebra()``."""
 
     def __init__(self, diagram: BurrowDiagram, *, max_rewrites: int | None = None):
+        cap = DEFAULT_MAX_REWRITES if max_rewrites is None else max_rewrites
+        if type(cap) is not int or cap < 0:
+            raise InputError(f"rewrite cap {cap!r} is not a nonnegative integer")
         self.diagram = diagram
-        self.max_rewrites = DEFAULT_MAX_REWRITES if max_rewrites is None else max_rewrites
+        self.max_rewrites = cap
         self.summands, self.poincare = li_decomposition(diagram)
         d = diagram.socle_degree
         amb = diagram.ambient.algebra
@@ -93,7 +94,6 @@ class WonderRing:
         entries.sort(key=lambda t: (t[0], t[1], t[2]))
         self.basis = entries
         self.index = {e[3]: i for i, e in enumerate(entries)}
-        self.labels_flat = [e[4] for e in entries]
         self.dims = [0] * (d + 1)
         for e in entries:
             self.dims[e[0]] += 1
@@ -125,12 +125,6 @@ class WonderRing:
         return "*".join(parts) if parts else "1"
 
     # -- bookkeeping -------------------------------------------------------
-
-    def degree_of(self, i: int) -> int:
-        return self.basis[i][0]
-
-    def label_of(self, i: int) -> str:
-        return self.labels_flat[i]
 
     def summand_of(self, i: int) -> Summand:
         return self.summands[self.basis[i][1]]
@@ -400,42 +394,38 @@ class WonderRing:
         """Recompute one basis product with a rewrite trace. It uses a fresh
         memo, so the trace lists every rewrite the product needs."""
         trace: list = []
-        if self.degree_of(i) + self.degree_of(j) > self.diagram.socle_degree:
+        if self.basis[i][0] + self.basis[j][0] > self.diagram.socle_degree:
             return {}, trace
         pattern = _merged(self.summand_of(i), self.summand_of(j))
         return self._product(i, j, pattern, trace, {}), trace
 
-    def multiply(self, x: Element, y: Element) -> Element:
-        if x.alg is not self or y.alg is not self:
-            raise InputError("elements belong to a different ring")
-        return Element(self, _product(self.as_algebra(), x.coeffs, y.coeffs))
-
     # -- element constructors ------------------------------------------------------
 
-    def zero(self) -> Element:
-        return Element(self, {})
-
-    def one(self) -> Element:
-        return self.from_ambient(self._amb.unit())
-
     def from_ambient(self, elem: Element) -> Element:
+        """The ambient class as a ring class of ``as_algebra()``; runs the
+        fill if it has not run."""
         if elem.alg is not self._amb:
             raise InputError("not an ambient class")
         coords = {}
         for g, q in elem.coeffs.items():
             coords[self.index[(tuple(), tuple(), g)]] = q
-        return Element(self, coords)
+        return Element(self.as_algebra(), coords)
 
     def monomial(self, exps: dict, coeff: Element | None = None) -> Element:
-        """Normal form of coeff * prod E_x^k for an arbitrary exponent map."""
+        """Normal form of coeff * prod E_x^k for an arbitrary exponent map,
+        as a ring class of ``as_algebra()``; runs the fill if it has not
+        run."""
         coeff = coeff if coeff is not None else self._amb.unit()
         exps = {x: int(k) for x, k in exps.items() if k}
         for x in exps:
             if x not in self.diagram.elements:
                 raise InputError(f"unknown element id {x!r}")
-        return Element(self, self._normalize(tuple(sorted(exps.items())), coeff.coeffs))
+        pattern = tuple(sorted(exps.items()))
+        return Element(self.as_algebra(), self._normalize(pattern, coeff.coeffs))
 
     def exceptional_class(self, x: str) -> Element:
+        """E_x as a ring class of ``as_algebra()``; runs the fill if it has
+        not run."""
         return self.monomial({x: 1})
 
     # -- export -----------------------------------------------------------------------
@@ -692,6 +682,7 @@ def presentation_report(ring: WonderRing) -> PresentationReport:
     reduce to exactly zero."""
     dia = ring.diagram
     amb = dia.ambient.algebra
+    alg = ring.as_algebra()
     ids = sorted(dia.elements)
     e_class = {x: ring.exceptional_class(x) for x in ids}
 
@@ -724,10 +715,10 @@ def presentation_report(ring: WonderRing) -> PresentationReport:
         bx = dia.singles[x]
         chern = dia.edges[(bx, dia.ambient_id)].chern
         p = chern.deg
-        t_elem = ring.zero()
+        t_elem = alg.zero()
         for s in dia.elements_below(x):
             t_elem = t_elem - e_class[s]
-        power = ring.one()
+        power = alg.unit()
         powers = [power]
         for _ in range(p):
             power = power * t_elem

@@ -218,6 +218,8 @@ def compare_with_oracle(
     """Dimension vectors must agree degree by degree; when the fixture
     declares a basis correspondence, it must carry sampled basis products to
     products."""
+    if type(samples) is not int or samples < 0:
+        raise InputError(f"sample count {samples!r} is not a nonnegative integer")
     run = run_oracle(payload)
     ring_dims = list(ring.dims)
     oracle_dims = run.dims
@@ -235,14 +237,12 @@ def compare_with_oracle(
     entries = payload.get("correspondence")
     if dims_ok and entries:
         images = _correspondence_images(ring, run, entries)
+        alg, ring_alg = run.algebra, ring.as_algebra()
         if len(images) != len(ring.basis):
-            missing = [
-                ring.labels_flat[i] for i in range(len(ring.basis)) if i not in images
-            ]
+            missing = [ring_alg.label_of(i) for i in range(len(ring.basis)) if i not in images]
             raise InputError(
                 f"correspondence does not cover the basis: missing {missing[:4]}"
             )
-        alg, ring_alg = run.algebra, ring.as_algebra()
         rnd = random.Random(seed)
         n = len(ring.basis)
         pairs = [(i, j) for i in range(n) for j in range(i, n)]
@@ -257,7 +257,7 @@ def compare_with_oracle(
             if lhs != rhs:
                 products_ok = False
                 first = (
-                    f"product {ring.labels_flat[i]} * {ring.labels_flat[j]} "
+                    f"product {ring_alg.label_of(i)} * {ring_alg.label_of(j)} "
                     f"maps to {lhs!r}, ring gives {rhs!r}"
                 )
                 break

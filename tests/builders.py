@@ -537,7 +537,7 @@ def adjoint_pushforward_reference(pullback: GradedMap, sp_small, sp_big) -> Grad
         sol = solve_rows_reference(_dense_gram(sp_big, comp), rhs, big.dim(tk))
         if sol is None:
             raise InputError("pairing is not perfect; adjoint pushforward undefined")
-        images.append(big.from_vector(tk, sol))
+        images.append(big.element({big.offset(tk) + i: q for i, q in enumerate(sol)}))
     return GradedMap.from_images(small, big, c, images)
 
 
@@ -552,7 +552,7 @@ def section_of_reference(pullback: GradedMap) -> GradedMap:
         sol = solve_rows_reference(dense, rhs, big.dim(k))
         if sol is None:
             raise InputError(f"map is not surjective at degree {k}; no section")
-        images.append(big.from_vector(k, sol))
+        images.append(big.element({big.offset(k) + i: q for i, q in enumerate(sol)}))
     return GradedMap.from_images(small, big, 0, images)
 
 
@@ -693,7 +693,7 @@ def products_pair_by_pair(ring: WonderRing, pairs) -> dict:
     d = ring.diagram.socle_degree
     out = {}
     for i, j in pairs:
-        if ring.degree_of(i) + ring.degree_of(j) > d:
+        if ring.basis[i][0] + ring.basis[j][0] > d:
             out[i, j] = _EMPTY
             continue
         pattern = _merged(ring.summand_of(i), ring.summand_of(j))

@@ -97,6 +97,14 @@ def test_rewrite_cap_exit_code(tmp_path, capsys):
     assert "rewrite cap" in err
 
 
+def test_negative_rewrite_cap_is_an_input_error(tmp_path, capsys):
+    d = tmp_path / "d.json"
+    main(["model", "keel", "--n", "3", "--out", str(d)])
+    code, out, err = run(capsys, "build", str(d), "--max-rewrites", "-1")
+    assert (code, out) == (1, "")
+    assert err == "error: rewrite cap -1 is not a nonnegative integer\n"
+
+
 def test_oracle_and_compare(tmp_path, capsys):
     d = tmp_path / "d.json"
     fx = tmp_path / "fx.json"
@@ -110,6 +118,18 @@ def test_oracle_and_compare(tmp_path, capsys):
     code, out, _ = run(capsys, "compare", "--diagram", str(d), "--oracle", str(fx))
     assert code == 0
     assert "result: pass" in out
+
+
+def test_compare_rejects_a_negative_sample_count(tmp_path, capsys):
+    d = tmp_path / "d.json"
+    fx = tmp_path / "fx.json"
+    main(["model", "keel", "--n", "2", "--out", str(d)])
+    main(["model", "keel-oracle", "--n", "2", "--out", str(fx)])
+    code, out, err = run(
+        capsys, "compare", "--diagram", str(d), "--oracle", str(fx), "--samples", "-1"
+    )
+    assert (code, out) == (1, "")
+    assert err == "error: sample count -1 is not a nonnegative integer\n"
 
 
 def _no_center(fx):

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from wonder import io
-from wonder.algebra import _NO_PRODUCT, Element
+from wonder.algebra import _NO_PRODUCT
 from wonder.diagram import BurrowDiagram, BurrowNode
 from wonder.engine import _EMPTY, WonderRing, build_ring, presentation_report
 from wonder.errors import ComputationError, InputError
@@ -52,10 +52,33 @@ def test_empty_building_set_ring():
 
 
 def test_unit_multiplication(fm3_ring):
-    one = fm3_ring.one()
+    alg = fm3_ring.as_algebra()
+    one = alg.unit()
+    assert fm3_ring.from_ambient(fm3_ring.diagram.ambient.algebra.unit()) == one
     for i in range(len(fm3_ring.basis)):
-        x = Element(fm3_ring, {i: 1})
+        x = alg.basis_element(i)
         assert one * x == x
+
+
+def test_ring_classes_live_on_the_ring_algebra(fm3_diagram):
+    """``monomial`` on an unfilled ring runs the fill, and every ring class
+    is an element of ``as_algebra()``."""
+    ring = WonderRing(fm3_diagram)
+    assert ring._algebra is None
+    e = ring.monomial({"D123": 2})
+    assert ring._algebra is not None
+    alg = ring.as_algebra()
+    assert e.alg is alg
+    assert ring.exceptional_class("D12").alg is alg
+    assert ring.from_ambient(fm3_diagram.ambient.algebra.unit()).alg is alg
+    assert e == ring.exceptional_class("D123") * ring.exceptional_class("D123")
+
+
+@pytest.mark.parametrize("cap", [-1, 1.5, True, "3"])
+def test_rewrite_cap_must_be_a_nonnegative_integer(fm3_diagram, cap):
+    with pytest.raises(InputError, match="rewrite cap") as err:
+        WonderRing(fm3_diagram, max_rewrites=cap)
+    assert err.value.exit_code == 1
 
 
 def test_non_nest_product_vanishes(fm3_ring):
@@ -85,7 +108,7 @@ def test_deep_exceptional_square(fm3_ring):
     # center
     e = fm3_ring.exceptional_class("D123")
     square = e * e
-    coords = {fm3_ring.labels_flat[i]: q for i, q in square.coeffs.items()}
+    coords = {square.alg.label_of(i): q for i, q in square.coeffs.items()}
     assert coords == {
         "h123*E[D123]": F(4),
         "h1*h2": F(-1),
@@ -335,7 +358,7 @@ def test_pair_diagonal_is_sum_of_exceptionals_above_it(fm3_ring, curve3_ring, ke
         dia = ring.diagram
         for i, j in itertools.combinations("123", 2):
             diagonal = ring.from_ambient(dia.fundamental_class(dia.singles[f"D{i}{j}"]))
-            total = ring.zero()
+            total = ring.as_algebra().zero()
             for x, e in sorted(dia.elements.items()):
                 if {i, j} <= e.index_set:
                     total = total + ring.exceptional_class(x)
@@ -386,14 +409,13 @@ def test_unknown_element_rejected(fm3_ring):
 
 def test_ring_and_ambient_elements_do_not_mix(fm3_ring):
     unit = fm3_ring.diagram.ambient.algebra.unit()
-    one = fm3_ring.one()
+    one = fm3_ring.as_algebra().unit()
     mixes = [
         lambda: one * unit,
         lambda: unit * one,
         lambda: one + unit,
         lambda: unit - one,
-        lambda: fm3_ring.multiply(one, unit),
-        lambda: fm3_ring.as_algebra().multiply(one, one),
+        lambda: fm3_ring.as_algebra().multiply(one, unit),
         lambda: fm3_ring.diagram.ambient.algebra.multiply(unit, one),
     ]
     for mix in mixes:
@@ -423,8 +445,8 @@ def test_nest_with_empty_intersection_is_input_error():
 
 def test_presentation_before_the_fill_leaves_the_ring_unchanged():
     """Running ``presentation_report`` on an unfilled fm-p2 n=4 (min size 3)
-    ring, whose monomials and relations are reduced before any product is
-    read, leaves the ring text unchanged."""
+    ring, whose first ring class runs the fill and shares the ring's memo
+    with the reductions that follow, leaves the ring text unchanged."""
 
     def text(ring):
         return io.dump_ring(ring.as_algebra(), ring.diagram.socle_degree)
