@@ -100,15 +100,6 @@ class Element:
     def __hash__(self):
         return hash((id(self.alg), tuple(sorted(self.coeffs.items()))))
 
-    def rebased(self, alg: "GradedAlgebra") -> "Element":
-        """This element in another algebra on the same structure; the two
-        share the coefficient dict, which was checked once."""
-        if alg.structure is not self.alg.structure:
-            raise InputError("an element moves only between algebras on one structure")
-        out = Element.__new__(Element)
-        out.alg, out.coeffs = alg, self.coeffs
-        return out
-
     def _same(self, other: "Element"):
         if other.alg is not self.alg:
             raise InputError("elements belong to different algebras")
@@ -534,7 +525,8 @@ class GradedMap:
 
     def rebased(self, source: GradedAlgebra, target: GradedAlgebra) -> "GradedMap":
         """This map between two other algebras on the structures of its
-        own; the two share the columns, which were checked once."""
+        own; the two share the columns, which were checked once
+        (``BurrowDiagram.pullback`` views a shared datum so)."""
         if source.structure is not self.source.structure or (
             target.structure is not self.target.structure
         ):
@@ -630,10 +622,13 @@ def projection_formula_holds(pullback: GradedMap, pushforward: GradedMap) -> boo
     a*a' = 0 both sides vanish, and otherwise push(pull(a*a') * b)
     = push(pull(a) * (pull(a') * b)) = a * push(pull(a') * b)
     = a * a' * push(b).  So it holds every monomial in the generators, and
-    these span the source.
+    these span the source.  The two maps need only pair up to structure:
+    the check reads indices, never labels.
     """
     big, small = pullback.source, pullback.target
-    if pushforward.source is not small or pushforward.target is not big:
+    if pushforward.source.structure is not small.structure or (
+        pushforward.target.structure is not big.structure
+    ):
         raise InputError("pushforward does not pair with the pullback")
     pushed = pushforward.columns
     for ga in big.generators():
@@ -811,7 +806,6 @@ def tensor_algebra(a: GradedAlgebra, b: GradedAlgebra):
     labels = [[] for _ in range(top + 1)]
     pair_index = {}
     g = 0
-    by_degree = [[] for _ in range(top + 1)]
     for k in range(top + 1):
         for ka in range(min(k, a.top_degree) + 1):
             kb = k - ka
@@ -821,7 +815,6 @@ def tensor_algebra(a: GradedAlgebra, b: GradedAlgebra):
                 for gb in b.global_indices(kb):
                     pair_index[(ga, gb)] = g
                     labels[k].append(combine(a.label_of(ga), b.label_of(gb)))
-                    by_degree[k].append((ga, gb))
                     dims[k] += 1
                     g += 1
 

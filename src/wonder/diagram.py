@@ -17,16 +17,21 @@ A diagram may declare generators of a permutation group acting on it
 automorphism of everything the ring and the laws read, and the engine then
 computes one product per orbit of basis pairs.
 
-Burrows of one shape share one ``Structure`` and edges of one shape share
-their map columns and Chern coefficient dicts (``BurrowEdge.rebased``), so
+Burrows of one shape share one ``Structure``, and ``edges[(small, big)]``
+is the edge's datum (``BurrowEdge``: pullback, pushforward and Chern
+polynomial), one object shared by every edge of its shape.  The
+constructor checks that each datum lies on the structures of its edge's
+burrow algebras; the datum may live on other algebras of those
+structures, so every read that combines it with a burrow's own algebra,
+or with another datum, goes through map columns and coefficient dicts.
 ``validate`` decides each law of one burrow or edge once per distinct
-datum (``edge_datum``), exactly: equal data give equal verdicts.  The
-symmetry check likewise compares each distinct (datum, image datum, basis
-permutations) once.  With a checked group, ``validate`` tries the
-containment laws and the functoriality of the pullbacks only on the pairs
-and chains that start at one burrow per orbit, which is exact (see its
-docstring), and its report makes the per-edge rows only when they are
-read.
+structure or datum (``edge_data``), exactly: equal data give equal
+verdicts.  The symmetry check likewise compares each distinct (datum,
+image datum, basis permutations) once.  With a checked group,
+``validate`` tries the containment laws and the functoriality of the
+pullbacks only on the pairs and chains that start at one burrow per
+orbit, which is exact (see its docstring), and its report makes the
+per-edge rows only when they are read.
 """
 
 from __future__ import annotations
@@ -37,6 +42,8 @@ from wonder.algebra import (
     Element,
     GradedAlgebra,
     GradedMap,
+    Structure,
+    _image,
     projection_formula_holds,
     socle_check,
 )
@@ -79,55 +86,32 @@ class ChernPolynomial:
         """c_i for 1 <= i <= deg."""
         return self.coeffs[i - 1]
 
-    def rebased(self, alg: GradedAlgebra) -> "ChernPolynomial":
-        """The same coefficients in another algebra on the same structure."""
-        return ChernPolynomial(self.deg, tuple(c.rebased(alg) for c in self.coeffs))
 
-
-@dataclass
+@dataclass(eq=False)
 class BurrowEdge:
-    small: str
-    big: str
+    """The datum of one inclusion shape, stored by ``BurrowDiagram`` as
+    ``edges[(small, big)]`` and shared by every edge of its shape, so
+    compared by identity.  Its maps and Chern classes lie on algebras of
+    the structures of the edge's two burrows, which need not be the
+    burrows' own algebras."""
+
     pullback: GradedMap  # big -> small, shift 0
     pushforward: GradedMap  # small -> big, shift = codim difference
     chern: ChernPolynomial
 
-    def rebased(
-        self, small: str, big: str, small_alg: GradedAlgebra, big_alg: GradedAlgebra
-    ) -> "BurrowEdge":
-        """The same data on another pair of burrows whose algebras are on
-        the structures of this edge's: the maps share their columns and
-        the Chern coefficients their dicts, so nothing is copied or
-        checked again."""
-        return BurrowEdge(
-            small,
-            big,
-            self.pullback.rebased(big_alg, small_alg),
-            self.pushforward.rebased(small_alg, big_alg),
-            self.chern.rebased(big_alg),
-        )
 
-
-def edge_datum(edge: BurrowEdge, small: GradedAlgebra, big: GradedAlgebra):
-    """What the laws of one edge read, by identity: the structures of its
-    burrow algebras, the shifts and the columns of both maps and the Chern
-    coefficient dicts.  Edges made by ``BurrowEdge.rebased``
-    from one edge share all of these, so one verdict serves them all.
-    None when the maps or the coefficients are not on the edge's own
-    algebras."""
-    pull, push = edge.pullback, edge.pushforward
-    if not (
-        pull.source is big and pull.target is small and push.source is small and push.target is big
-    ):
-        return None
-    datum = [
-        big.structure, small.structure, pull.shift, push.shift, id(pull.columns), id(push.columns)
-    ]
-    for c in edge.chern.coeffs:
-        if c.alg is not big:
-            return None
-        datum.append(id(c.coeffs))
-    return tuple(datum)
+def _misfit(datum: BurrowEdge, small: Structure, big: Structure) -> str:
+    """The part of an edge datum that does not lie on the structures of the
+    edge's small and big burrow algebras, or ''."""
+    pull, push = datum.pullback, datum.pushforward
+    if pull.source.structure is not big or pull.target.structure is not small:
+        return "pullback is"
+    if push.source.structure is not small or push.target.structure is not big:
+        return "pushforward is"
+    for c in datum.chern.coeffs:
+        if c.alg.structure is not big:
+            return "Chern classes are"
+    return ""
 
 
 NESTED_OR_DISJOINT = "nested-or-disjoint"
@@ -232,7 +216,7 @@ class BurrowDiagram:
         socle_degree: int,
         elements: list[BuildingElement],
         burrows: list[BurrowNode],
-        edges: list[BurrowEdge],
+        edges,  # (small id, big id, BurrowEdge) triples
         singles: dict[str, str],
         nests,  # NESTED_OR_DISJOINT or an explicit collection of id-sets
         relations: list[tuple[str, str, Element]] = (),
@@ -252,14 +236,21 @@ class BurrowDiagram:
         self.edges = {}
         # _below[a]: the burrows with an edge into a
         self._below = {b: set() for b in self.burrows}
-        for e in edges:
-            key = (e.small, e.big)
+        for small, big, datum in edges:
+            key = (small, big)
             if key in self.edges:
                 raise InputError(f"duplicate edge {key}")
-            if e.small not in self.burrows or e.big not in self.burrows:
-                raise InputError(f"edge {e.small}<{e.big} names an unknown burrow")
-            self.edges[key] = e
-            self._below[e.big].add(e.small)
+            if small not in self.burrows or big not in self.burrows:
+                raise InputError(f"edge {small}<{big} names an unknown burrow")
+            misfit = _misfit(
+                datum, self.burrows[small].algebra.structure, self.burrows[big].algebra.structure
+            )
+            if misfit:
+                raise InputError(
+                    f"edge {small}<{big}: its {misfit} not on the structures of its burrow algebras"
+                )
+            self.edges[key] = datum
+            self._below[big].add(small)
         # _lower[a]: a and the burrows below it as a bitmask over _order,
         # which lists larger lower sets first, so that on transitive edges
         # the lowest bit of a nonempty intersection of lower sets is a
@@ -472,13 +463,15 @@ class BurrowDiagram:
     # -- maps --------------------------------------------------------------------
 
     def pullback(self, big: str, small: str) -> GradedMap:
-        """Restriction map between comparable burrows (big contains small)."""
+        """Restriction map between comparable burrows (big contains small),
+        on their own algebras: a view of the shared datum's columns."""
         if big == small:
             return GradedMap.identity(self.burrows[big].algebra)
         try:
-            return self.edges[(small, big)].pullback
+            datum = self.edges[(small, big)]
         except KeyError:
             raise InputError(f"no edge for burrow pair {small!r} inside {big!r}")
+        return datum.pullback.rebased(self.burrows[big].algebra, self.burrows[small].algebra)
 
     @property
     def ambient(self) -> BurrowNode:
@@ -486,23 +479,20 @@ class BurrowDiagram:
 
     def fundamental_class(self, burrow_id: str) -> Element:
         """Class of a burrow in the ambient algebra."""
+        amb = self.ambient.algebra
         if burrow_id == self.ambient_id:
-            return self.ambient.algebra.unit()
-        return self.edges[(burrow_id, self.ambient_id)].chern.coefficient(
-            self.burrows[burrow_id].codim
-        )
+            return amb.unit()
+        chern = self.edges[(burrow_id, self.ambient_id)].chern
+        return amb.element(chern.coefficient(self.burrows[burrow_id].codim).coeffs)
 
     def edge_data(self) -> dict:
-        """Each edge's ``edge_datum`` as an integer, equal for equal data,
-        or None; computed once."""
+        """Each edge's datum as an integer, numbered by the identity of the
+        datum object in order of first use; computed once."""
         if self._data is None:
-            interned, burrows = {}, self.burrows
-            self._data = {}
-            for (small, big), e in self.edges.items():
-                datum = edge_datum(e, burrows[small].algebra, burrows[big].algebra)
-                self._data[small, big] = (
-                    None if datum is None else interned.setdefault(datum, len(interned))
-                )
+            number = {}
+            self._data = {
+                pair: number.setdefault(datum, len(number)) for pair, datum in self.edges.items()
+            }
         return self._data
 
     # -- symmetry ------------------------------------------------------------------
@@ -602,9 +592,8 @@ class BurrowDiagram:
 
         def lower_chern(datum, edge):
             if datum not in restricted:
-                restricted[datum] = [
-                    edge.pullback.apply(c).coeffs for c in edge.chern.coeffs[:-1]
-                ]
+                columns = edge.pullback.columns
+                restricted[datum] = [_image(columns, c.coeffs) for c in edge.chern.coeffs[:-1]]
             return restricted[datum]
 
         def failure(edge, image, datum, image_datum, small, big) -> str:
@@ -623,18 +612,16 @@ class BurrowDiagram:
 
         # one pass in edge order keeps the first edge of each distinct
         # (datum, image datum, permutation ids), whose verdict holds for all
-        # its edges, and stops at the first edge with no datum or no image
-        # edge; the keys are then decided in the order of their first edges,
-        # all before that stop, so the first failure in edge order is named
+        # its edges, and stops at the first edge with no image edge; the keys
+        # are then decided in the order of their first edges, all before
+        # that stop, so the first failure in edge order is named
         data, image_of = self.edge_data(), {b: bu(b) for b in self.burrows}
         first, stop = {}, ""
         for pair, datum in data.items():  # in edge order
             small, big = pair
-            image_datum = data.get((image_of[small], image_of[big]), -1)  # -1: no image edge
-            if datum is None or image_datum == -1:
-                stop = f"edge {small}<{big} has " + (
-                    "the wrong endpoints" if datum is None else "no image edge"
-                )
+            image_datum = data.get((image_of[small], image_of[big]))
+            if image_datum is None:
+                stop = f"edge {small}<{big} has no image edge"
                 break
             key = (datum, image_datum, ids[small], ids[big])
             if key not in first:
@@ -766,12 +753,7 @@ class BurrowDiagram:
         groups = {
             (datum, codim[small] - codim[big]): (small, big) for (small, big), datum in data.items()
         }
-        rows_of = {
-            (datum, c): _edge_rows(self.edges[key], self.burrows[key[0]].algebra, c)
-            if datum is not None
-            else (("edge-shape", False, "maps or Chern classes not on its burrow algebras"),)
-            for (datum, c), key in groups.items()
-        }
+        rows_of = {(datum, c): _edge_rows(self.edges[key], c) for (datum, c), key in groups.items()}
 
         def edge_rows():
             for small, big in sorted(self.edges):
@@ -904,8 +886,7 @@ class BurrowDiagram:
         associativity and ring-hom checks pass, so they agree everywhere
         when they agree on the unit and the generators.  The verdict of a
         chain reads the structure of the big algebra and the columns of the
-        three maps, so it is decided once per distinct combination of them.
-        Edges failing edge-shape are left out, as direct maps and as links.
+        three maps, so it is decided once per distinct triple of data.
         With ``firsts``, only the chains whose small burrow is in it are
         tried (see ``validate``)."""
         data = self.edge_data()
@@ -915,20 +896,17 @@ class BurrowDiagram:
             if firsts is None or small in firsts:
                 above.setdefault(small, set()).add(big)
         chains = {}
-        for (small, big), edge in self.edges.items():
-            if data[small, big] is None or (firsts is not None and small not in firsts):
+        for (small, big), datum in data.items():
+            if firsts is not None and small not in firsts:
                 continue
-            direct = edge.pullback
+            direct = self.edges[small, big].pullback
             for mid in sorted(self._below[big] & above[small], key=order.__getitem__):
-                if data[small, mid] is None or data[mid, big] is None:
-                    continue
-                link, upper = self.edges[small, mid].pullback, self.edges[mid, big].pullback
-                key = (
-                    direct.source.structure, id(direct.columns), id(link.columns), id(upper.columns)
-                )
+                key = (datum, data[small, mid], data[mid, big])
                 if key not in chains:
+                    link = self.edges[small, mid].pullback.columns
+                    upper = self.edges[mid, big].pullback.columns
                     chains[key] = all(
-                        direct.apply_basis(g) == link.apply(upper.apply_basis(g))
+                        direct.columns[g] == _image(link, upper[g])
                         for g in (0, *direct.source.generators())
                     )
                 if not chains[key]:
@@ -942,7 +920,7 @@ def _first_failure(scan, firsts) -> str:
     return "" if firsts is not None and not scan(firsts) else scan()
 
 
-def _edge_rows(edge: BurrowEdge, small: GradedAlgebra, c: int) -> tuple:
+def _edge_rows(edge: BurrowEdge, c: int) -> tuple:
     """The (check, ok, detail) rows of the laws that read one edge's data
     alone, for an edge with this edge's datum and codim difference c: the
     pullback is surjective in every degree and a ring map; the pushforward
@@ -962,7 +940,7 @@ def _edge_rows(edge: BurrowEdge, small: GradedAlgebra, c: int) -> tuple:
                 else f"coefficient {i} is not homogeneous"
             )
             break
-    fundamental = chern.coefficient(chern.deg) == push.apply(small.unit())
+    fundamental = chern.coefficient(chern.deg).coeffs == push.columns[0]  # the image of 1
     rows = [
         (
             "pullback-surjective",

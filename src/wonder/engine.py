@@ -37,6 +37,7 @@ from wonder.algebra import (
     GradedMap,
     SoclePairing,
     Structure,
+    _image,
     section_of,
     socle_check,
 )
@@ -165,10 +166,10 @@ class WonderRing:
         if p <= 0:
             return 0, ()
         chern = dia.edges[(dia.singles[x], w)].chern
-        lift = self.section(w)
-        c_amb = [lift.apply(chern.coefficient(i)) for i in range(1, p + 1)]
+        # the datum may live on another algebra of w's structure: lift its dicts
+        lift, amb = self.section(w).columns, self._amb
+        c_amb = [amb.element(_image(lift, chern.coefficient(i).coeffs)) for i in range(1, p + 1)]
         below = dia.elements_below(x)
-        amb = self._amb
         # expand sum_j c_j * (-(sum of E_S))^(p-j); monomial keys are sorted
         # exponent patterns over elements below x
         pows = [{(): ONE}]
@@ -695,13 +696,12 @@ def presentation_report(ring: WonderRing) -> PresentationReport:
             fam_nonnest.check(f"E[{s}]*E[{t}]", e_class[s] * e_class[t])
 
     fam_kernel = RelationFamily("restriction kernels")
-    # elements whose restriction maps share columns share the kernel, as in
-    # the chain verdicts of ``BurrowDiagram.validate``
-    kernels = {}  # id of the map columns -> (degree, kernel class in the ring)
+    # elements whose edges to the ambient share a datum share the kernel
+    kernels = {}  # edge datum (None on the ambient) -> (degree, kernel class in the ring)
     for x in ids:
-        pull = dia.pullback(dia.ambient_id, dia.singles[x])
-        key = id(pull.columns)
+        key = dia.edges.get((dia.singles[x], dia.ambient_id))
         if key not in kernels:
+            pull = dia.pullback(dia.ambient_id, dia.singles[x])
             kernels[key] = [
                 (k, ring.from_ambient(ker))
                 for k in range(amb.top_degree + 1)
@@ -725,7 +725,8 @@ def presentation_report(ring: WonderRing) -> PresentationReport:
             powers.append(power)
         val = powers[p]
         for i in range(1, p + 1):
-            val = val + ring.from_ambient(chern.coefficient(i)) * powers[p - i]
+            c_i = amb.element(chern.coefficient(i).coeffs)  # on the ambient's own algebra
+            val = val + ring.from_ambient(c_i) * powers[p - i]
         fam_monic.check(f"P[{x}](-sum E) over the ambient", val)
 
     families = [fam_nonnest, fam_kernel, fam_monic]

@@ -36,9 +36,12 @@ Three kinds of files share one dialect, distinguished by a ``kind`` field:
 
 Rational entries are written as ``"p/q"`` strings (``"p"`` when integral).
 Dumps are canonical: each table lists each distinct entry once, in order of
-first use, and load -> dump -> load is the identity.  The loader builds one
-``Structure`` per ``structures`` entry and checks each ``maps`` entry once
-per pair of structures that reads it; every burrow and edge shares them.
+first use, and load -> dump -> load is the identity.  The dump writes one
+``maps`` entry per edge datum of the diagram (``BurrowDiagram.edges``),
+equal data from different objects meeting in one entry.  The loader builds
+one ``Structure`` per ``structures`` entry and one edge datum per ``maps``
+entry and pair of structures that reads it, checked once; every burrow
+and edge shares them.
 """
 
 from __future__ import annotations
@@ -263,20 +266,16 @@ def diagram_payload(diagram: BurrowDiagram) -> dict:
             }
         )
     maps, map_index, map_of = [], {}, {}
-    data = diagram.edge_data()
     edges = []
-    for (small, big), e in sorted(diagram.edges.items()):
-        # an edge whose maps are not on its own algebras has no shared
-        # datum and keeps an entry of its own
-        shared = (small, big) if data[small, big] is None else data[small, big]
-        if shared not in map_of:
-            datum = {
-                "pullback": _map_payload(e.pullback),
-                "pushforward": _map_payload(e.pushforward),
-                "chern": [_class_payload(c) for c in e.chern.coeffs],
+    for (small, big), datum in sorted(diagram.edges.items()):
+        if datum not in map_of:
+            entry = {
+                "pullback": _map_payload(datum.pullback),
+                "pushforward": _map_payload(datum.pushforward),
+                "chern": [_class_payload(c) for c in datum.chern.coeffs],
             }
-            map_of[shared] = _interned(maps, map_index, datum)
-        edges.append([small, big, map_of[shared]])
+            map_of[datum] = _interned(maps, map_index, entry)
+        edges.append([small, big, map_of[datum]])
     if diagram.nest_rule == NESTED_OR_DISJOINT:
         nests = NESTED_OR_DISJOINT
     else:
@@ -369,12 +368,13 @@ def _class_from(alg: GradedAlgebra, payload, where: str) -> Element:
     return Element(alg, coeffs)
 
 
-def _edge_from(entry, nodes, maps, made) -> BurrowEdge:
-    """One edge of a diagram file, ``[small, big, maps index]``.  Its datum
-    is read and checked once per (``maps`` entry, structures of the two
-    burrows, codim difference), the shift of the pushforward; every other
-    edge with the same key shares it.  Each malformed part names the first
-    edge that reads it."""
+def _edge_from(entry, nodes, maps, made) -> tuple:
+    """One edge of a diagram file, ``[small, big, maps index]``, as the
+    triple ``BurrowDiagram`` takes.  Its datum is read and checked once per
+    (``maps`` entry, structures of the two burrows, codim difference), the
+    shift of the pushforward; every other edge with the same key is given
+    the same object.  Each malformed part names the first edge that reads
+    it."""
     if not (isinstance(entry, list) and len(entry) == 3):
         raise InputError(f"edge {entry!r} is not [small, big, maps]")
     small, big, ref = entry
@@ -393,8 +393,8 @@ def _edge_from(entry, nodes, maps, made) -> BurrowEdge:
         if not isinstance(datum["chern"], list):
             raise InputError(f"{where} chern is not a list of classes")
         chern = tuple(_class_from(nb.algebra, c, f"{where} chern") for c in datum["chern"])
-        made[key] = BurrowEdge(small, big, pull, push, ChernPolynomial(len(chern), chern))
-    return made[key].rebased(small, big, ns.algebra, nb.algebra)
+        made[key] = BurrowEdge(pull, push, ChernPolynomial(len(chern), chern))
+    return small, big, made[key]
 
 
 def diagram_from_payload(payload: dict) -> BurrowDiagram:

@@ -7,11 +7,11 @@ frozen blocks, closed under joins with one building element at a time;
 algebras, restriction maps, adjoint pushforwards and Chern data all derive
 from the configuration combinatorics.  An inclusion's maps and Chern data
 depend only on the shapes of the two burrow algebras and on where the
-blocks go, so a build computes them once per such edge shape and every
-edge of that shape shares them (``BurrowEdge.rebased``); burrow algebras
-of one shape likewise share one ``Structure``.  A power algebra's structure
-is built from its nonzero products only, enumerated from the exponent
-vectors.
+blocks go, so a build computes them once per such edge shape, as one
+``BurrowEdge`` datum, and hands that one object to the diagram for every
+edge of the shape; burrow algebras of one shape likewise share one
+``Structure``.  A power algebra's structure is built from its nonzero
+products only, enumerated from the exponent vectors.
 """
 
 from __future__ import annotations
@@ -479,12 +479,12 @@ class _ProductModel:
         # the other's; an inclusion's maps and Chern data depend only on the
         # two algebra shapes and the two token-position images, so they are
         # computed once per such edge shape, for this build only, and every
-        # edge of that shape shares them
+        # edge of that shape is given the one datum
         holders = [  # per element, the positions in ids of the burrows inside it
             {p for p, bid in enumerate(ids) if mask[bid] >> k & 1} for k in range(len(loci))
         ]
         everyone = set(range(len(ids)))
-        edge_data = {}
+        data = {}
         edges = []
         for b, big in enumerate(ids):
             inside = everyone.intersection(
@@ -497,9 +497,9 @@ class _ProductModel:
                 image = tuple(ls.slot[i] for i in lb.leads)
                 section = tuple(lb.slot[i] for i in ls.leads)
                 key = (wb.shape, ws.shape, image, section)
-                if key not in edge_data:
-                    edge_data[key] = self._edge(small, big, wb, ws, image, section, pairings)
-                edges.append(edge_data[key].rebased(small, big, ws.alg, wb.alg))
+                if key not in data:
+                    data[key] = self._edge(wb, ws, image, section, pairings)
+                edges.append((small, big, data[key]))
         relations = self._relations(wraps[cid[discrete]], elements)
         return BurrowDiagram(
             socle_degree=self.fiber_dim * n,
@@ -559,9 +559,9 @@ class _ProductModel:
             gens.append(Permutation(elements, burrows, bases))
         return gens
 
-    def _edge(self, small, big, wb, ws, image, section, pairings) -> BurrowEdge:
-        """The inclusion of burrow small in burrow big: pullback,
-        pushforward and Chern data."""
+    def _edge(self, wb, ws, image, section, pairings) -> BurrowEdge:
+        """The datum of an inclusion of the small burrow ws in the big
+        burrow wb: pullback, pushforward and Chern data."""
         pull = wb.map_to(ws, image)
         push = adjoint_pushforward(pull, pairings[ws.shape], pairings[wb.shape])
         c = push.shift
@@ -577,7 +577,7 @@ class _ProductModel:
         lift = ws.map_to(wb, section)
         coeffs = [lift.apply(total.homogeneous_part(i)) for i in range(1, c)]
         coeffs.append(push.apply(ws.alg.unit()))
-        return BurrowEdge(small, big, pull, push, ChernPolynomial(c, tuple(coeffs)))
+        return BurrowEdge(pull, push, ChernPolynomial(c, tuple(coeffs)))
 
     def _relations(self, ambient_wrap, elements):
         """Generators of the ideal that each exceptional class annihilates,

@@ -143,7 +143,7 @@ class CompareReport:
     dims_ok: bool
     ring_dims: list
     oracle_dims: list
-    products_checked: int
+    products_checked: int | None  # None: no correspondence, or the dims differ
     products_ok: bool
     first_mismatch: str = ""
 
@@ -156,10 +156,11 @@ class CompareReport:
             f"ring dims:   {' '.join(str(x) for x in self.ring_dims)}",
             f"oracle dims: {' '.join(str(x) for x in self.oracle_dims)}",
         ]
-        if self.products_checked:
+        if self.products_checked is not None:
+            verdict = "agree" if self.products_ok else "DISAGREE"
             lines.append(
                 f"{self.products_checked} sampled products "
-                f"{'agree' if self.products_ok else 'DISAGREE'}"
+                f"{verdict if self.products_checked else 'checked'}"
             )
         if self.first_mismatch:
             lines.append(f"first mismatch: {self.first_mismatch}")
@@ -232,10 +233,11 @@ def compare_with_oracle(
                 break
         else:
             first = "dimension vectors have different lengths"
-    checked = 0
+    checked = None
     products_ok = True
     entries = payload.get("correspondence")
     if dims_ok and entries:
+        checked = 0
         images = _correspondence_images(ring, run, entries)
         alg, ring_alg = run.algebra, ring.as_algebra()
         if len(images) != len(ring.basis):

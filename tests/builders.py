@@ -72,12 +72,12 @@ def single_center_diagram(
         BurrowNode("Y", frozenset(), 0, y),
         BurrowNode(zb, frozenset((element_id,)), codim, z),
     ]
-    edge = BurrowEdge(zb, "Y", pullback, pushforward, ChernPolynomial(codim, tuple(chern)))
+    datum = BurrowEdge(pullback, pushforward, ChernPolynomial(codim, tuple(chern)))
     return BurrowDiagram(
         socle_degree=socle_degree,
         elements=[element],
         burrows=burrows,
-        edges=[edge],
+        edges=[(zb, "Y", datum)],
         singles={element_id: zb},
         nests=[[element_id]],
     )
@@ -153,7 +153,7 @@ def corrupt_burrow(
         coeffs = tuple(
             _remap_element(c, new_algs[big], remaps[big]) for c in e.chern.coeffs
         )
-        edges.append(BurrowEdge(small, big, pull, push, ChernPolynomial(e.chern.deg, coeffs)))
+        edges.append((small, big, BurrowEdge(pull, push, ChernPolynomial(e.chern.deg, coeffs))))
     amb = diagram.ambient_id
     relations = [
         (x, name, _remap_element(cls, new_algs[amb], remaps[amb]))
@@ -531,7 +531,7 @@ def adjoint_pushforward_reference(pullback: GradedMap, sp_small, sp_big) -> Grad
         comp = sp_big.degree - tk
         z = paired.basis_element(g)
         rhs = [
-            sp_small.pair(z, pullback.apply_basis(gy).rebased(paired))
+            sp_small.pair(z, paired.element(pullback.columns[gy]))
             for gy in big.global_indices(comp)
         ]
         sol = solve_rows_reference(_dense_gram(sp_big, comp), rhs, big.dim(tk))

@@ -120,6 +120,21 @@ def test_oracle_and_compare(tmp_path, capsys):
     assert "result: pass" in out
 
 
+def test_compare_with_no_samples_says_no_product_was_checked(tmp_path, capsys):
+    """With --samples 0 on the keel --n 3 diagram and fixture, which declares
+    a correspondence, the dims agree and the report says that no product
+    was checked, so it does not read like a dims-only comparison."""
+    d = tmp_path / "d.json"
+    fx = tmp_path / "fx.json"
+    main(["model", "keel", "--n", "3", "--out", str(d)])
+    main(["model", "keel-oracle", "--n", "3", "--out", str(fx)])
+    code, out, _ = run(
+        capsys, "compare", "--diagram", str(d), "--oracle", str(fx), "--samples", "0"
+    )
+    assert code == 0
+    assert out.splitlines()[2:] == ["0 sampled products checked", "result: pass"]
+
+
 def test_compare_rejects_a_negative_sample_count(tmp_path, capsys):
     d = tmp_path / "d.json"
     fx = tmp_path / "fx.json"

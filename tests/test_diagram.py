@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction as F
 
@@ -34,13 +35,13 @@ def test_plane_point_fixture_validates():
 
 
 def _rebuilt(diagram, edge=None, symmetry=(), drop=(), reverse=False):
-    """The diagram with edge in place of the one on its burrow pair (or
-    added), without the edges on the burrow pairs in drop, with the given
-    declared symmetry, and with its edges listed in reverse order if
-    asked."""
+    """The diagram with edge, a (small, big, datum) triple, in place of the
+    edge on its burrow pair (or added), without the edges on the burrow
+    pairs in drop, with the given declared symmetry, and with its edges
+    listed in reverse order if asked."""
     by_pair = {key: e for key, e in diagram.edges.items() if key not in drop}
     if edge is not None:
-        by_pair[edge.small, edge.big] = edge
+        by_pair[edge[:2]] = edge[2]
     nests = diagram.nest_rule
     if diagram.explicit_nests is not None:
         nests = [sorted(s) for s in diagram.explicit_nests]
@@ -48,7 +49,7 @@ def _rebuilt(diagram, edge=None, symmetry=(), drop=(), reverse=False):
         socle_degree=diagram.socle_degree,
         elements=list(diagram.elements.values()),
         burrows=list(diagram.burrows.values()),
-        edges=list(by_pair.values())[:: -1 if reverse else 1],
+        edges=[(*key, e) for key, e in by_pair.items()][:: -1 if reverse else 1],
         singles=dict(diagram.singles),
         nests=nests,
         relations=diagram.relations,
@@ -76,7 +77,7 @@ def test_zeroed_pullback_reported():
     diagram = point_blowup_p2_diagram()
     edge = diagram.edges[("BP", "Y")]
     zeroed = GradedMap(edge.pullback.source, edge.pullback.target, 0, [{}] * 3)
-    bad = _rebuilt(diagram, BurrowEdge("BP", "Y", zeroed, edge.pushforward, edge.chern))
+    bad = _rebuilt(diagram, ("BP", "Y", BurrowEdge(zeroed, edge.pushforward, edge.chern)))
     report = checked_report(bad)
     assert not report.ok
     assert any(
@@ -92,7 +93,7 @@ def test_zeroed_fundamental_class_reported():
     z = edge.pullback.target
     zero_push = GradedMap.from_images(z, y, 2, [y.zero()] * z.total_dim)
     chern = ChernPolynomial(2, (edge.chern.coefficient(1), y.zero()))
-    bad = _rebuilt(diagram, BurrowEdge("BP", "Y", edge.pullback, zero_push, chern))
+    bad = _rebuilt(diagram, ("BP", "Y", BurrowEdge(edge.pullback, zero_push, chern)))
     report = checked_report(bad)
     assert not report.ok
     assert any("[Z] = 0" in e.detail for e in report.problems())
@@ -110,7 +111,7 @@ def test_perturbed_pullback_breaks_ring_hom(request, model, small, big, k):
     edge = diagram.edges[(small, big)]
     pull = _perturbed(edge.pullback, k)
     assert all(pull.surjective_degrees())
-    bad = _rebuilt(diagram, BurrowEdge(small, big, pull, edge.pushforward, edge.chern))
+    bad = _rebuilt(diagram, (small, big, BurrowEdge(pull, edge.pushforward, edge.chern)))
     assert _fails(bad, "pullback-ring-hom", f"{small}<{big}")
     assert not _fails(bad, "pullback-surjective", f"{small}<{big}")
 
@@ -122,7 +123,7 @@ def test_perturbed_pushforward_breaks_projection_formula(request, model, small, 
     diagram = request.getfixturevalue(model)
     edge = diagram.edges[(small, big)]
     push = _perturbed(edge.pushforward, 0)
-    bad = _rebuilt(diagram, BurrowEdge(small, big, edge.pullback, push, edge.chern))
+    bad = _rebuilt(diagram, (small, big, BurrowEdge(edge.pullback, push, edge.chern)))
     assert _fails(bad, "projection-formula", f"{small}<{big}")
 
 
@@ -139,7 +140,7 @@ def test_perturbed_chain_link_breaks_functoriality(request, model, small, big, k
     )
     edge = diagram.edges[(small, big)]
     pull = _perturbed(edge.pullback, k)
-    bad = _rebuilt(diagram, BurrowEdge(small, big, pull, edge.pushforward, edge.chern))
+    bad = _rebuilt(diagram, (small, big, BurrowEdge(pull, edge.pushforward, edge.chern)))
     assert _fails(bad, "pullback-functorial", "chains")
 
 
@@ -154,7 +155,7 @@ def test_false_symmetry_fails_and_falls_back(fm3_diagram):
     pull = _perturbed(edge.pullback, 1)
     bad = _rebuilt(
         fm3_diagram,
-        BurrowEdge(small, big, pull, edge.pushforward, edge.chern),
+        (small, big, BurrowEdge(pull, edge.pushforward, edge.chern)),
         fm3_diagram.symmetry_generators,
     )
     report = checked_report(bad)
@@ -254,7 +255,7 @@ def _with_chern(diagram, key, i, shift):
     chern = ChernPolynomial(edge.chern.deg, tuple(coeffs))
     return _rebuilt(
         diagram,
-        BurrowEdge(*key, edge.pullback, edge.pushforward, chern),
+        (*key, BurrowEdge(edge.pullback, edge.pushforward, chern)),
         diagram.symmetry_generators,
     )
 
@@ -316,7 +317,7 @@ def test_two_maximal_common_lower_burrows_fail_table_consistency(keel2_diagram):
     diag, point = d.burrows["12"].algebra, d.burrows["1@0|2@1"].algebra
     pull = GradedMap(diag, point, 0, like.pullback.columns)
     push = GradedMap(point, diag, like.pushforward.shift, like.pushforward.columns)
-    bad = _rebuilt(d, BurrowEdge("1@0|2@1", "12", pull, push, like.chern))
+    bad = _rebuilt(d, ("1@0|2@1", "12", BurrowEdge(pull, push, like.chern)))
     [problem] = checked_report(bad).problems()
     assert (problem.check, problem.subject) == ("table-consistency", "elements")
     assert problem.detail == (
@@ -376,7 +377,7 @@ def test_two_maximal_lower_burrows_off_the_representatives_fail(keel2_diagram, s
         d,
         "1@1|2@inf",
         "12",
-        lambda s, b: like.rebased(s, b, d.burrows[s].algebra, d.burrows[b].algebra),
+        lambda s, b: (s, b, like),
     )
     assert len(bad.edges) == len(d.edges) + 6
     assert [e.check for e in checked_report(bad).problems()] == ["table-consistency"]
@@ -399,7 +400,7 @@ def test_meets_failing_on_no_pair_of_representatives_fail(fm4_diagram, strip_sym
         small, big = d.burrows[s].algebra, d.burrows[b].algebra
         pull = GradedMap(big, small, 0, [{0: 1}] + [{}] * (big.total_dim - 1))
         push = GradedMap(small, big, 1, [{}] * small.total_dim)
-        return BurrowEdge(s, b, pull, push, ChernPolynomial(1, (big.zero(),)))
+        return s, b, BurrowEdge(pull, push, ChernPolynomial(1, (big.zero(),)))
 
     bad = _with_orbit_edges(d, "13|24", "12|3|4", added)
     for i, a in enumerate(reps):
@@ -457,8 +458,8 @@ def test_chain_broken_off_the_representatives_fails_functoriality(fm4_diagram, s
 
     def scaled(s, b):
         e = d.edges[s, b]
-        return BurrowEdge(
-            s, b, _graded_scaling(e.pullback, 1), _graded_scaling(e.pushforward, -1), e.chern
+        return s, b, BurrowEdge(
+            _graded_scaling(e.pullback, 1), _graded_scaling(e.pushforward, -1), e.chern
         )
 
     scaled_orbit = _with_orbit_edges(d, "134|2", "13|2|4", scaled)
@@ -483,12 +484,14 @@ def test_loop_edges_turn_off_the_representative_pairs(strip_symmetry):
     pairs = [("c1", "v1"), ("d1", "c1"), ("d1", "v1"), ("d1", "d1")]
     pairs += [("c2", "v2"), ("a2", "c2"), ("a2", "v2"), ("a2", "a2")]
     edges = [
-        BurrowEdge(
+        (
             s,
             b,
-            GradedMap(pt, pt, 0, [{0: 1}]),
-            GradedMap(pt, pt, codim[s] - codim[b], [{}]),
-            ChernPolynomial(1, (pt.zero(),)),
+            BurrowEdge(
+                GradedMap(pt, pt, 0, [{0: 1}]),
+                GradedMap(pt, pt, codim[s] - codim[b], [{}]),
+                ChernPolynomial(1, (pt.zero(),)),
+            ),
         )
         for s, b in pairs
     ]
@@ -551,7 +554,7 @@ def test_non_associative_chains_are_tried_in_full(strip_symmetry):
         if k == 2 and big == "Y":
             columns = [columns[p.index(g)] for g in range(len(columns))]
         pull, push = GradedMap(b, s, 0, columns), GradedMap(s, b, c, [{}] * s.total_dim)
-        return BurrowEdge(small, big, pull, push, ChernPolynomial(c, (b.zero(),) * c))
+        return small, big, BurrowEdge(pull, push, ChernPolynomial(c, (b.zero(),) * c))
 
     edges = [
         edge(f"{small}{k}", big if big == "Y" else f"{big}{k}", columns, k)
@@ -587,20 +590,45 @@ def test_non_associative_chains_are_tried_in_full(strip_symmetry):
     )
 
 
-def test_wrong_endpoint_edge_is_left_out_of_functoriality(keel2_diagram):
-    """An edge whose maps live on another (equal) point algebra fails its
-    edge-shape row; the functoriality check leaves it out, as a direct map
-    and as a link, instead of applying its maps to the wrong algebra, so
-    validate returns its report."""
+def _copied(alg):
+    """An algebra equal to alg on a structure object of its own."""
+    return GradedAlgebra.from_payload(alg.to_payload())
+
+
+@pytest.mark.parametrize("part", ["pullback", "pushforward", "Chern classes"])
+def test_datum_off_the_structures_of_its_edge_is_an_input_error(keel2_diagram, part):
+    """The datum of 12@0 < 12 with its pullback, its pushforward or its
+    Chern class moved to an equal algebra on another structure object: the
+    constructor raises InputError naming the edge and the part."""
     d = keel2_diagram
     like = d.edges[("12@0", "12")]
-    diag, other = d.burrows["12"].algebra, d.burrows["1@0|2@1"].algebra
-    pull = GradedMap(diag, other, 0, like.pullback.columns)
-    push = GradedMap(other, diag, like.pushforward.shift, like.pushforward.columns)
-    bad = _rebuilt(d, BurrowEdge("12@0", "12", pull, push, like.chern))
-    report = checked_report(bad)
-    assert [(e.check, e.subject) for e in report.problems()] == [("edge-shape", "12@0<12")]
-    assert any(e.check == "pullback-functorial" for e in report.entries)
+    pull, push, chern = like.pullback, like.pushforward, like.chern
+    point, line = _copied(pull.target), _copied(pull.source)
+    if part == "pullback":
+        pull = GradedMap(pull.source, point, 0, pull.columns)
+    elif part == "pushforward":
+        push = GradedMap(point, push.target, push.shift, push.columns)
+    else:
+        chern = ChernPolynomial(1, (line.element(chern.coefficient(1).coeffs),))
+    with pytest.raises(InputError, match=f"^edge 12@0<12: its {part} (is|are) not on the struct"):
+        _rebuilt(d, ("12@0", "12", BurrowEdge(pull, push, chern)))
+
+
+def test_pushforward_on_another_algebra_of_its_structure_validates(keel2_diagram):
+    """The datum of 12@0 < 12 with its pushforward starting at the algebra of
+    the point 1@0|2@1, which has the same structure: labels never enter the
+    laws or the maps table, so the diagram is accepted, validates with the
+    rows of the original, and dumps to the original's text (both without
+    the declared symmetry)."""
+    d = keel2_diagram
+    assert d.burrows["1@0|2@1"].algebra.structure is d.burrows["12@0"].algebra.structure
+    edge = d.edges[("12@0", "12")]
+    push = edge.pushforward.rebased(d.burrows["1@0|2@1"].algebra, d.burrows["12"].algebra)
+    bad = _rebuilt(d, ("12@0", "12", BurrowEdge(edge.pullback, push, edge.chern)))
+    same = _rebuilt(d)
+    assert checked_report(bad).ok
+    assert checked_report(bad).summary() == checked_report(same).summary()
+    assert io.dump_diagram(bad) == io.dump_diagram(same)
 
 
 def test_short_chern_polynomial_skips_class_nonzero(keel2_diagram):
@@ -610,7 +638,7 @@ def test_short_chern_polynomial_skips_class_nonzero(keel2_diagram):
     d = keel2_diagram
     edge = d.edges[("1@0|2@1", "1|2")]
     short = ChernPolynomial(1, edge.chern.coeffs[:1])
-    bad = _rebuilt(d, BurrowEdge(edge.small, edge.big, edge.pullback, edge.pushforward, short))
+    bad = _rebuilt(d, ("1@0|2@1", "1|2", BurrowEdge(edge.pullback, edge.pushforward, short)))
     report = checked_report(bad)
     assert ("chern-degree", "1@0|2@1<1|2") in {(e.check, e.subject) for e in report.problems()}
     assert not any(e.check == "class-nonzero" and e.subject == "1@0|2@1" for e in report.entries)
@@ -705,7 +733,7 @@ def test_nest_rule_needs_index_sets():
         socle_degree=diagram.socle_degree,
         elements=[BuildingElement("P", 2)],
         burrows=list(diagram.burrows.values()),
-        edges=list(diagram.edges.values()),
+        edges=[(*key, e) for key, e in diagram.edges.items()],
         singles=dict(diagram.singles),
         nests=NESTED_OR_DISJOINT,
     )
@@ -791,7 +819,7 @@ def _mutated(diagram, rnd):
     columns[g][h] = columns[g].get(h, 0) + rnd.choice([-1, 1, 2])
     moved = GradedMap(m.source, m.target, m.shift, columns)
     maps = {"pullback": edge.pullback, "pushforward": edge.pushforward, which: moved}
-    return _rebuilt(diagram, BurrowEdge(small, big, **maps, chern=edge.chern))
+    return _rebuilt(diagram, (small, big, BurrowEdge(**maps, chern=edge.chern)))
 
 
 MUTATED_MODELS = {
@@ -926,26 +954,13 @@ def test_socle_degree_is_checked_per_codim_on_a_shared_structure():
     assert socle == [("12@0", "expected socle degree 1 outside stored range; socle dimension 0 at degree 1")]
 
 
-def test_pushforward_on_another_algebra_of_its_structure_fails_edge_shape(keel2_diagram):
-    """An edge whose pushforward starts at another point algebra, one of the
-    same structure, shares its columns with the correct edges but not its
-    algebras: it fails its edge-shape row, is left out of the laws, and
-    validate returns its report instead of reusing their verdicts."""
-    d = keel2_diagram
-    edge = d.edges[("12@0", "12")]
-    push = edge.pushforward.rebased(d.burrows["1@0|2@1"].algebra, d.burrows["12"].algebra)
-    bad = _rebuilt(d, BurrowEdge("12@0", "12", edge.pullback, push, edge.chern))
-    problems = checked_report(bad).problems()
-    assert [(e.check, e.subject) for e in problems] == [("edge-shape", "12@0<12")]
-
-
 def test_edges_off_their_own_algebras_are_dumped_with_their_own_maps(keel2_diagram):
-    """Two edges whose pushforwards start at other point algebras, with
-    different columns, have no shared datum; each is written with its own
+    """Two edges given data of their own, whose pushforwards start at other
+    point algebras with different columns: each datum is written as its own
     maps entry, so loading the dump gives back both sets of columns."""
     d = keel2_diagram
     pushes = {}
-    for small, other, k in (("12@0", "1@0|2@1", 1), ("12@1", "1@0|2@inf", 2)):
+    for small, other, k in (("12@0", "1@0|2@1", 2), ("12@1", "1@0|2@inf", 3)):
         push = d.edges[(small, "12")].pushforward
         pushes[small, "12"] = GradedMap(
             d.burrows[other].algebra,
@@ -958,14 +973,17 @@ def test_edges_off_their_own_algebras_are_dumped_with_their_own_maps(keel2_diagr
         elements=list(d.elements.values()),
         burrows=list(d.burrows.values()),
         edges=[
-            BurrowEdge(*key, e.pullback, pushes[key], e.chern) if key in pushes else e
+            (*key, BurrowEdge(e.pullback, pushes[key], e.chern) if key in pushes else e)
             for key, e in d.edges.items()
         ],
         singles=dict(d.singles),
         nests=d.nest_rule,
         relations=d.relations,
     )
-    assert all(bad.edge_data()[key] is None for key in pushes)
-    loaded = io.load_diagram(io.dump_diagram(bad))
+    data = bad.edge_data()
+    assert len({data[key] for key in pushes} | {data["12@inf", "12"]}) == 3
+    text = io.dump_diagram(bad)
+    assert len(json.loads(text)["maps"]) == len(io.diagram_payload(d)["maps"]) + 2
+    loaded = io.load_diagram(text)
     for key, push in pushes.items():
         assert loaded.edges[key].pushforward.columns == push.columns

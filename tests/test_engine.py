@@ -432,7 +432,7 @@ def test_nest_with_empty_intersection_is_input_error():
         socle_degree=base.socle_degree,
         elements=list(base.elements.values()),
         burrows=list(base.burrows.values()),
-        edges=list(base.edges.values()),
+        edges=[(*key, e) for key, e in base.edges.items()],
         singles=dict(base.singles),
         nests=[["D1@0"], ["D1@1"], ["D1@inf"], ["D1@0", "D1@1"]],
     )

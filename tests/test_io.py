@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from wonder import io
 from wonder.errors import InputError
 from wonder.fixtures import keel_2_oracle, oracle_fixture
-from wonder.models import fm_power, synthetic_gorenstein
+from wonder.models import fm_power, keel_model, synthetic_gorenstein
 
 
 def test_diagram_round_trip(fm3_diagram):
@@ -45,6 +45,19 @@ def test_dump_writes_equal_data_once(keel2_diagram):
     payload["maps"].append(payload["maps"][edge[2]])
     edge[2] = len(payload["maps"]) - 1
     assert io.dump_diagram(io.diagram_from_payload(payload)) == text
+
+
+@pytest.mark.parametrize("n,edges,data", [(3, 379, 19), (4, 3816, 70)])
+def test_edges_of_one_shape_are_one_datum_object(n, edges, data):
+    """keel --n 3 and 4 hold one datum object per edge shape, built by the
+    model and again by the loader, and the diagram stores that object for
+    every edge of its shape: no edge has an object of its own."""
+    model = keel_model(n)
+    loaded = io.load_diagram(io.dump_diagram(model))
+    for diagram in (model, loaded):
+        assert len(diagram.edges) == edges
+        assert len({id(datum) for datum in diagram.edges.values()}) == data
+        assert len(set(diagram.edge_data().values())) == data
 
 
 def test_ring_round_trip():

@@ -86,7 +86,7 @@ def explicit_with_empty_nest():
         socle_degree=base.socle_degree,
         elements=list(base.elements.values()),
         burrows=list(base.burrows.values()),
-        edges=list(base.edges.values()),
+        edges=[(*key, e) for key, e in base.edges.items()],
         singles=dict(base.singles),
         nests=[["D1@0"], ["D1@1"], ["D1@inf"], ["D1@0", "D1@1"]],
     )
