@@ -224,13 +224,21 @@ class Structure:
             raise InputError(f"degrees {dims!r} is not a list of integers")
         if not isinstance(mult, list):
             raise InputError(f"mult {mult!r} is not a list of structure constants")
-        entries = []
-        for entry in mult:
-            if not (isinstance(entry, list) and len(entry) == 4):
-                raise InputError(f"malformed structure constant {entry!r}")
-            a, b, k, q = entry
-            entries.append((a, b, k, parse_rat(q, "structure constant")))
-        return cls(dims, entries)
+        values: dict = {}  # each distinct value string, parsed once
+
+        def entries():
+            for entry in mult:
+                if not (isinstance(entry, list) and len(entry) == 4):
+                    raise InputError(f"malformed structure constant {entry!r}")
+                a, b, k, q = entry
+                v = values.get(q) if type(q) is str else None
+                if v is None:
+                    v = parse_rat(q, "structure constant")
+                    if type(q) is str:
+                        values[q] = v
+                yield a, b, k, v
+
+        return cls(dims, entries())
 
 
 class GradedAlgebra:

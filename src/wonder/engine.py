@@ -18,9 +18,13 @@ with no entry and no per-pair work. Within the other pairs, a sub-block of
 burrow degrees (ka, kb) whose pattern the plans alone show to vanish on
 ambient degree ka + kb (memoised per pattern and degree) is skipped the same
 way. Any other basis product is one ambient product of two cached lifts
-followed by memo lookups. The fill is the only writer of products: it hands
-its table to the ring's ``GradedAlgebra`` (``as_algebra``), and every
-product is read there, a pair with no row being zero. The rewrite cap
+followed by memo lookups. Under a declared symmetry group the fill visits
+one block per block orbit, reached from the blocks whose first summand is
+the least of its orbit, and relabels each computed product along its orbit;
+its table holds the nonzero products only. The fill is the only writer of
+products: it hands its table to the ring's ``GradedAlgebra``
+(``as_algebra``), and every product is read there, a pair with no row being
+zero. The rewrite cap
 (``max_rewrites``) counts the rewrite steps one normal-form call actually
 performs, that is its memo misses."""
 
@@ -469,9 +473,9 @@ class WonderRing:
         pair multiply to an ambient class of degree ka + kb, and a sub-block
         where ``_vanishes_in`` clears the pattern in that degree is zero and
         gets no entries either.  Each remaining pair goes through
-        ``_product``, and the table stores its row, empty or not; the unit
-        pairs (basis index 0) are implicit in the structure, and the fill
-        neither computes nor stores them.  The fill ends by building the
+        ``_product``, and the table stores its row when it is not zero; the
+        unit pairs (basis index 0) are implicit in the structure, and the
+        fill neither computes nor stores them.  The fill ends by building the
         ring's algebra on its table (``as_algebra``), the only place that
         products are read.
 
@@ -479,8 +483,21 @@ class WonderRing:
         per orbit goes through ``_product`` and the rest of its orbit is
         filled by relabelling: table[(s i, s j)] = s(table[(i, j)]) under
         the basis permutations of ``_basis_permutations``.  The group also
-        permutes the blocks, so only the first block of each orbit is
-        visited: the others are zero, or filled by the relabelling.
+        permutes the summands (``moves``) and so the blocks, and only the
+        least block (sa, sb), sa <= sb, of each block orbit is visited.  Its
+        sa is the least summand of its summand orbit: were s sa smaller, the
+        block s (sa, sb) would be.  So the loop runs over the blocks (r, b),
+        r <= b, with r such a least summand, in ascending order, and the
+        first block it meets of an orbit is the least one.  A block whose
+        nest test fails is left at once, with no walk: s keeps the nest
+        relation, so every block of its orbit fails the test too.  For any
+        other block the loop walks its orbit once, in a set dropped after
+        it, and marks the blocks (r, b) of the orbit, which the loop skips
+        when it reaches them: at most one mark per least summand and
+        summand.  The pairs whose product is known, computed or relabelled,
+        are marked in a set local to the block orbit.  With no group every
+        summand is the least of its orbit and every orbit one block, so
+        each block (r, b), r <= b, is visited once.
 
         Proof.  Write R for the ring, generated by the ambient algebra A(Y)
         and the classes E_x subject to the relations the rewriting uses:
@@ -518,17 +535,24 @@ class WonderRing:
         to s g on s Z_N, so by the lemma that is the basis vector of
         (s N, s mu, s g): the induced permutation.  Hence s carries the
         product of basis vectors i and j, whose coordinates table[(i, j)]
-        holds, to the product of s i and s j.
+        holds, to the product of s i and s j; a zero product to zero.
         Absent means zero: a pair 0 < i <= j up to the socle with no row in
-        the structure is zero.  It lies in a block g B, for B the first
-        block of its orbit and g in the group.  If B is zero, so is g B.
-        Otherwise g^-1 (i, j) lies in B, in a skipped sub-block (a zero
-        product, carried to zero by g) or in a pair the fill stored, whose
-        orbit the relabelling stored with it.
+        the structure is zero.  It lies in a block g B, for B the least
+        block of its orbit and g in the group, and B is visited.  If B
+        fails its nest test, B and g B are zero.  Otherwise g^-1 (i, j) lies
+        in B, in a skipped sub-block (a zero product, carried to zero by g)
+        or in a pair that the fill computed or reached by relabelling, so
+        that the orbit of the pair was settled, each nonzero product stored
+        and each zero one left out.  One visit per block orbit: the visited
+        block is the least of its orbit, and the marks of its walk skip
+        every other block (r, b) of the orbit.  One computation per pair
+        orbit: a pair is computed only when unmarked, and the walk from it
+        marks its whole orbit, which lies in the same block orbit.
         The tests compare the tables of the fills by orbits and with no
         symmetry, and the products of both against each pair computed on
-        its own; they compute every skipped pair, and check the lemma on
-        the engine's normal forms."""
+        its own; they compute every skipped pair, pin the number of pairs
+        each fill computes, and check the lemma on the engine's normal
+        forms."""
         if self._algebra is not None:
             return
         perms = self._basis_permutations()
@@ -543,29 +567,41 @@ class WonderRing:
             else:
                 run.append((k, [i]))
         moves = [[self.basis[p[run[0][1][0]]][1] for run in runs] for p in perms]
+        # the least summand of each summand orbit
+        least = list(range(len(runs)))
+        for s in range(len(runs)):
+            if least[s] == s:
+                stack = [s]
+                while stack:
+                    x = stack.pop()
+                    for q in moves:
+                        if least[q[x]] != s:
+                            least[q[x]] = s
+                            stack.append(q[x])
         table: dict = {}
-        # blocks of visited orbits that the loop has not reached yet; the
-        # group keeps shifts, so it reaches and drops each of them
-        later: set = set()
-        for sa in range(len(runs)):
+        # blocks (r, b) of the walked orbits, r the least of its summand orbit
+        marked: set = set()
+        for sa in [s for s, r in enumerate(least) if r == s]:
             for sb in range(sa, len(runs)):
                 shift = shifts[sa] + shifts[sb]
-                if shift > d:
+                if shift > d or (sa, sb) in marked:
                     continue
-                if (sa, sb) in later:
-                    later.remove((sa, sb))
+                pattern = _merged(self.summands[sa], self.summands[sb])
+                if self._vanishes(pattern):
                     continue
-                stack = [(sa, sb)]
+                orbit, stack = {(sa, sb)}, [(sa, sb)]
                 while stack:
                     x, y = stack.pop()
                     for q in moves:
                         image = (q[x], q[y]) if q[x] <= q[y] else (q[y], q[x])
-                        if image != (sa, sb) and image not in later:
-                            later.add(image)
+                        if image not in orbit:
+                            orbit.add(image)
                             stack.append(image)
-                pattern = _merged(self.summands[sa], self.summands[sb])
-                if self._vanishes(pattern):
-                    continue
+                            if least[image[0]] == image[0]:
+                                marked.add(image)
+                del orbit
+                # pairs of the block orbit whose product is known
+                done: set = set()
                 for ka, run_a in runs[sa]:
                     for kb, run_b in runs[sb]:
                         if shift + ka + kb > d:
@@ -578,19 +614,20 @@ class WonderRing:
                                 continue  # the unit pairs
                             for j in run_b[pos:] if same else run_b:
                                 key = (i, j) if i <= j else (j, i)
-                                if key in table:
+                                if key in done:
                                     continue
-                                row = table[key] = self._product(*key, pattern)
-                                stack = [(key, row)]
+                                done.add(key)
+                                stack = [(key, self._product(*key, pattern))]
                                 while stack:
                                     (a, b), row = stack.pop()
+                                    if row:
+                                        table[a, b] = row
                                     for p in perms:
                                         x, y = p[a], p[b]
                                         image = (x, y) if x <= y else (y, x)
-                                        if image not in table:
-                                            moved = {p[k]: c for k, c in row.items()} or _EMPTY
-                                            table[image] = moved
-                                            stack.append((image, moved))
+                                        if image not in done:
+                                            done.add(image)
+                                            stack.append((image, {p[k]: c for k, c in row.items()}))
         labels = [[] for _ in self.dims]
         for deg, _, _, _, lbl in self.basis:
             labels[deg].append(lbl)

@@ -32,7 +32,8 @@ def rat(q) -> int | Fraction:
     """The exact scalar q as an ``int`` when it is integral, else a Fraction."""
     if type(q) is int:
         return q
-    q = Fraction(q)
+    if type(q) is not Fraction:
+        q = Fraction(q)
     return q.numerator if q.denominator == 1 else q
 
 

@@ -215,7 +215,26 @@ def ring_from_payload(payload: dict):
 
 
 def dump_ring(alg: GradedAlgebra, socle_degree: int) -> str:
-    return _dump_json(ring_payload(alg, socle_degree))
+    """``json.dumps(ring_payload(alg, socle_degree), sort_keys=True,
+    indent=1)`` and a newline, with the ``mult`` section written straight
+    from the structure's rows: one group per structure constant, in the
+    order of ``Structure.to_payload`` (``str(q)`` is ``format_rat(q)``)."""
+    out = ['{\n "basis_labels": ']
+    _write(out, [list(ls) for ls in alg.labels], "\n ")
+    out.append(',\n "degrees": ')
+    _write(out, list(alg.dims), "\n ")
+    out.append(',\n "kind": "ring",\n "mult": ')
+    rows, groups = alg.structure.rows, []
+    for a in range(1, alg.total_dim):
+        row = rows[a]
+        for b in sorted(row):
+            if b >= a:
+                head, prod = f"[\n   {a},\n   {b},\n   ", row[b]
+                for k in sorted(prod) if len(prod) > 1 else prod:
+                    groups.append(f'{head}{k},\n   "{prod[k]}"\n  ]')
+    out.append("[\n  " + ",\n  ".join(groups) + "\n ]" if groups else "[]")
+    out.append(',\n "socle_degree": ' + _LINES.encode(socle_degree) + "\n}\n")
+    return "".join(out)
 
 
 def load_ring(text: str):

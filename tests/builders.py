@@ -669,7 +669,8 @@ def block_ring_reference(z, chern, name, *, y=None, pullback=None, to_y=None) ->
 def filled_table(ring: WonderRing) -> dict:
     """Run the product fill of an unfilled ring and return the table it
     hands to ``Structure.from_products``: (i, j) -> row for each pair it
-    stored, empty rows included.  The fill must build one structure."""
+    stored, which is each pair 0 < i <= j whose product it found nonzero.
+    The fill must build one structure."""
     tables = []
     from_products = Structure.from_products.__func__
 

@@ -232,9 +232,10 @@ def test_fmp2_4_min3_builds_one_plan_per_pattern(monkeypatch, strip_symmetry):
     sub-blocks reads; the blocks whose support is not a nest need none.
     That is the direct fill, with no declared symmetry; the fill by orbits
     of the declared S_4 needs only some of those normal forms, again with
-    one plan per pattern.  Both tables hold 5,767 of the 16,930 pairs
+    one plan per pattern.  Both fills settle 5,767 of the 16,930 pairs
     0 < i <= j up to the socle: none in a zero block or a skipped
-    sub-block, and no unit pair."""
+    sub-block, and no unit pair.  Both tables hold the 3,317 of them whose
+    product is not zero, and only those."""
     calls = []
     make_plan = WonderRing._make_plan
 
@@ -254,7 +255,7 @@ def test_fmp2_4_min3_builds_one_plan_per_pattern(monkeypatch, strip_symmetry):
     orbit_table = filled_table(orbits)
     assert set(orbits._memo) < set(ring._memo)
     assert len(set(calls)) == len(calls) <= 129
-    assert len(orbit_table) == len(table) == 5767
+    assert len(orbit_table) == len(table) == 3317
 
 
 @pytest.mark.parametrize(
@@ -273,8 +274,6 @@ def test_orbit_fill_equals_direct_fill(model, strip_symmetry):
     direct = WonderRing(strip_symmetry(diagram))
     table = filled_table(direct)
     assert orbit_table == table
-    empty = {key for key, row in table.items() if row is _EMPTY}
-    assert empty == {key for key, row in orbit_table.items() if row is _EMPTY}
     assert len(orbits._memo) < len(direct._memo)
     perms = orbits._basis_permutations()
     assert len(perms) == len(diagram.symmetry_generators)
@@ -283,6 +282,34 @@ def test_orbit_fill_equals_direct_fill(model, strip_symmetry):
         for (i, j), row in table.items():
             a, b = sorted((p[i], p[j]))
             assert table[a, b] == {p[k]: c for k, c in row.items()}
+
+
+@pytest.mark.parametrize(
+    "model, orbit_calls, direct_calls",
+    [
+        (lambda: fm_power("p2", 4, min_size=3), 832, 5767),
+        (lambda: keel_model(3), 15, 83),
+        (lambda: keel_model(4), 94, 1387),
+    ],
+    ids=["fm-p2-4-min3", "keel-3", "keel-4"],
+)
+def test_fill_computes_each_pair_once(monkeypatch, strip_symmetry, model, orbit_calls, direct_calls):
+    """The number of basis products the fill computes: one per pair orbit
+    of its non-skipped sub-blocks with the declared group, one per such pair
+    with no symmetry, and never the same pair twice."""
+    calls = []
+    product = WonderRing._product
+
+    def counted(self, a, b, *args, **kwargs):
+        calls.append((a, b))
+        return product(self, a, b, *args, **kwargs)
+
+    monkeypatch.setattr(WonderRing, "_product", counted)
+    diagram = model()
+    for dia, want in ((diagram, orbit_calls), (strip_symmetry(diagram), direct_calls)):
+        calls.clear()
+        WonderRing(dia).build_all_products()
+        assert len(calls) == len(set(calls)) == want
 
 
 @pytest.mark.parametrize(

@@ -10,8 +10,9 @@ algebras ``synthetic_gorenstein`` and ``synthetic_broken`` build, and the
 oracle digests the rings that ``run_oracle``, ``blow_up`` and
 ``bundle_result`` build. The
 round-trip test loads each model's diagram text and dumps it again, and the
-writer test compares the file writer with ``json.dumps`` on every diagram
-and ring payload of these models. The skipped-product test computes, on
+writer test compares ``io.dump_diagram`` and ``io.dump_ring`` with
+``json.dumps`` of their payloads on these models and a synthetic algebra.
+``LARGE_RINGS`` pins the ring text of models that only CI builds. The skipped-product test computes, on
 each model, every product the fill skips as zero and finds it zero. The
 read-path test checks each model's validation report against its rows and
 pins their number. The scalar-kind tests walk the same models: every
@@ -89,6 +90,12 @@ GOLDEN = {
     ),
 }
 
+# sha256 of ``io.dump_ring`` of models too large for the tests: CI checks
+# each against the ring text ``wonder build`` writes in a fresh interpreter.
+LARGE_RINGS = {
+    "keel-5": "d70b8c996121a48c852f51c15487710250841bc522bae2ed2a2a7d25962490e0",
+}
+
 
 @pytest.fixture(scope="module")
 def built():
@@ -147,17 +154,34 @@ def test_diagram_text_digest(built, name):
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == GOLDEN_DIAGRAMS[name]
 
 
+def _json_text(payload) -> str:
+    return json.dumps(payload, sort_keys=True, indent=1) + "\n"
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN_DIAGRAMS))
 def test_writer_matches_json_dumps(built, name):
-    """The file writer gives the text of ``json.dumps(sort_keys=True,
-    indent=1)`` on each model's diagram payload and, where the model has a
-    ring digest, on its ring payload."""
-    diagram = built(name)[0] if name in GOLDEN else EXTRA_DIAGRAMS[name]()
-    payloads = [io.diagram_payload(diagram)]
+    """``io.dump_diagram`` and ``io.dump_ring`` give the text of
+    ``json.dumps(sort_keys=True, indent=1)`` on each model's diagram and
+    ring payloads; keel-1's ring has an empty ``mult`` section."""
     if name in GOLDEN:
-        payloads.append(io.ring_payload(built(name)[1].as_algebra(), diagram.socle_degree))
-    for payload in payloads:
-        assert io._dump_json(payload) == json.dumps(payload, sort_keys=True, indent=1) + "\n"
+        diagram, ring = built(name)
+    else:
+        diagram = EXTRA_DIAGRAMS[name]()
+        ring = build_ring(diagram, validate=False)
+    assert io.dump_diagram(diagram) == _json_text(io.diagram_payload(diagram))
+    alg, d = ring.as_algebra(), diagram.socle_degree
+    assert io.dump_ring(alg, d) == _json_text(io.ring_payload(alg, d))
+    assert (name == "keel-1") == (not io.ring_payload(alg, d)["mult"])
+
+
+def test_ring_writer_matches_json_dumps_on_fractions():
+    """``io.dump_ring`` on a synthetic Gorenstein algebra, whose structure
+    constants are mostly non-integral, some of them negative."""
+    alg = synthetic_gorenstein((1, 5, 15, 15, 5, 1), 0)
+    values = list(_structure_constants(alg))
+    assert sum(type(q) is Fraction for q in values) > 1000
+    assert any(q < 0 and type(q) is Fraction for q in values)
+    assert io.dump_ring(alg, 5) == _json_text(io.ring_payload(alg, 5))
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
@@ -193,10 +217,12 @@ def test_skipped_products_are_zero(built, name):
     has no table entry: a pair in a block whose merged pattern is not a
     nest, or in a sub-block whose two burrow degrees sum to an ambient
     degree where ``_vanishes_in`` clears the block's pattern.  ``_product``
-    computes each pair of the latter kind, on a copy of the memo."""
+    computes each pair of the latter kind, on a copy of the memo.  No row
+    the fill stores is empty."""
     diagram, _ = built(name)
     ring = WonderRing(diagram)
     table = filled_table(ring)
+    assert all(table.values())
     d = diagram.socle_degree
     memo = dict(ring._memo)
     n = len(ring.basis)
