@@ -86,12 +86,13 @@ def make_parser() -> _Parser:
             "keel-oracle",
         ],
     )
-    p.add_argument("--n", type=int, default=2, help="number of coordinates")
-    p.add_argument("--min-size", type=int, default=2, help="smallest diagonal size")
-    p.add_argument("--genus", type=int, default=2, help="genus for the curve fiber, at least 2")
-    p.add_argument("--dims", default=None, help="synth: dimension vector, e.g. 1,2,1")
-    p.add_argument("--break", dest="break_at", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    # no defaults here: a flag the model does not read is refused (_MODEL_FLAGS)
+    p.add_argument("--n", type=int, help="number of coordinates (default 2)")
+    p.add_argument("--min-size", type=int, help="fm-*: smallest diagonal size (default 2)")
+    p.add_argument("--genus", type=int, help="fm-curve: genus, at least 2 (default 2)")
+    p.add_argument("--dims", help="synth: dimension vector, e.g. 1,2,1")
+    p.add_argument("--break", dest="break_at", type=int, help="synth: degree of the broken pairing")
+    p.add_argument("--seed", type=int, help="synth: random seed (default 0)")
     p.add_argument("--out", default="-")
 
     p = sub.add_parser("build", help="construct the ring of a diagram")
@@ -133,8 +134,24 @@ def _cmd_validate(args) -> int:
     return 0 if report.ok else 1
 
 
+# the flags each model reads, besides --out
+_MODEL_FLAGS = {
+    **dict.fromkeys(["fm-p1", "fm-p2"], "--n --min-size"),
+    "fm-curve": "--n --min-size --genus",
+    **dict.fromkeys(["keel", "fm-p1-oracle", "keel-oracle"], "--n"),
+    "synth": "--dims --break --seed",
+}
+
+
 def _cmd_model(args) -> int:
     name = args.name
+    given = {"--n": args.n, "--min-size": args.min_size, "--genus": args.genus, "--dims": args.dims}
+    given.update({"--break": args.break_at, "--seed": args.seed})
+    reads = _MODEL_FLAGS[name].split()
+    unread = [flag for flag, v in given.items() if v is not None and flag not in reads]
+    if unread:
+        raise InputError(f"model {name} does not read {', '.join(unread)}")
+    n = 2 if args.n is None else args.n
     if name == "synth":
         if not args.dims:
             raise WonderError("synth needs --dims")
@@ -143,22 +160,21 @@ def _cmd_model(args) -> int:
         except ValueError:
             raise InputError(f"--dims is not a comma-separated list of integers: {args.dims!r}")
         if args.break_at is not None:
-            alg = models.synthetic_broken(dims, args.break_at, args.seed)
+            alg = models.synthetic_broken(dims, args.break_at, args.seed or 0)
         else:
-            alg = models.synthetic_gorenstein(dims, args.seed)
+            alg = models.synthetic_gorenstein(dims, args.seed or 0)
         _write(args.out, io.dump_ring(alg, alg.top_degree))
         return 0
     if name.endswith("-oracle"):
-        payload = fixtures.oracle_fixture(name[: -len("-oracle")], args.n)
+        payload = fixtures.oracle_fixture(name[: -len("-oracle")], n)
         _write(args.out, io.dump_oracle(payload))
         return 0
     if name == "keel":
-        diagram = models.keel_model(args.n)
+        diagram = models.keel_model(n)
     else:
         fiber = name.split("-", 1)[1]
-        diagram = models.fm_power(
-            fiber, args.n, min_size=args.min_size, genus=args.genus
-        )
+        options = {"min_size": args.min_size, "genus": args.genus}
+        diagram = models.fm_power(fiber, n, **{k: v for k, v in options.items() if v is not None})
     _write(args.out, io.dump_diagram(diagram))
     return 0
 

@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import json
 from itertools import chain
+from json.encoder import encode_basestring_ascii as _quote
 
 from wonder.algebra import Element, GradedAlgebra, GradedMap, Structure
 from wonder.diagram import (
@@ -73,7 +74,8 @@ def _dump_json(payload: dict) -> str:
     """``json.dumps(payload, sort_keys=True, indent=1)`` and a newline,
     without the pure-Python encoder that ``indent`` selects: a list of
     scalars, or of nonempty lists of scalars, is one ``_LINES`` call
-    indented by replacing its newlines."""
+    indented by replacing its newlines, and a ``_Text`` is written as it
+    is."""
     out = []
     _write(out, payload, "\n")
     return "".join(out) + "\n"
@@ -83,7 +85,7 @@ def _write(out: list, value, nl: str):
     """Append the text of ``value``; ``nl`` starts its line."""
     inner, cell = nl + " ", nl + "  "
     if not value or not isinstance(value, (dict, list, tuple)):
-        out.append(_LINES.encode(value))
+        out.append(value if type(value) is _Text else _LINES.encode(value))
     elif isinstance(value, dict):
         for i, (k, v) in enumerate(sorted(value.items())):
             key = _LINES.encode(k if isinstance(k, str) else json.dumps(k))
@@ -105,6 +107,18 @@ def _write(out: list, value, nl: str):
             out.append(("," if i else "[") + inner)
             _write(out, v, inner)
         out.append(nl + "]")
+
+
+class _Text(str):
+    """Text that ``_write`` appends as it is: a section written directly."""
+
+
+def _seq(items, nl: str, brackets: str = "[]") -> str:
+    """The text of a list (or, with ``brackets`` "{}", an object) of the
+    nonempty item texts ``items``; ``nl`` starts its line."""
+    inner = nl + " "
+    text = ("," + inner).join(items)
+    return brackets[0] + inner + text + nl + brackets[1] if text else brackets
 
 
 def _load_json(text: str) -> dict:
@@ -259,31 +273,17 @@ def _class_payload(elem: Element) -> list:
     return [[g, format_rat(q)] for g, q in sorted(elem.coeffs.items())]
 
 
-def diagram_payload(diagram: BurrowDiagram) -> dict:
-    elements = []
-    for e in sorted(diagram.elements.values(), key=lambda e: e.id):
-        entry = {"id": e.id, "codim": e.codim}
-        if e.index_set is not None:
-            entry["index_set"] = sorted(e.index_set)
-        elements.append(entry)
+def _tables(diagram: BurrowDiagram):
+    """The payload but its elements, burrows, relations and symmetry, and
+    the index in ``structures`` of each burrow algebra's structure."""
     # each distinct entry once, in order of first use; objects shared in
     # memory are written once, and equal ones from different objects meet
     # in the table
     structures, structure_index, structure_of = [], {}, {}
-    burrows = []
-    for b in sorted(diagram.burrows.values(), key=lambda b: b.id):
+    for _, b in sorted(diagram.burrows.items()):
         s = b.algebra.structure
         if s not in structure_of:
             structure_of[s] = _interned(structures, structure_index, s.to_payload())
-        burrows.append(
-            {
-                "id": b.id,
-                "codim": b.codim,
-                "defining_set": sorted(b.defining_set),
-                "basis_labels": [list(ls) for ls in b.algebra.labels],
-                "structure": structure_of[s],
-            }
-        )
     maps, map_index, map_of = [], {}, {}
     edges = []
     for (small, big), datum in sorted(diagram.edges.items()):
@@ -302,14 +302,34 @@ def diagram_payload(diagram: BurrowDiagram) -> dict:
     payload = {
         "kind": "diagram",
         "socle_degree": diagram.socle_degree,
-        "elements": elements,
         "structures": structures,
-        "burrows": burrows,
         "maps": maps,
         "edges": edges,
         "intersections": {"singles": dict(sorted(diagram.singles.items()))},
         "nests": nests,
     }
+    return payload, structure_of
+
+
+def diagram_payload(diagram: BurrowDiagram) -> dict:
+    payload, structure_of = _tables(diagram)
+    elements = []
+    for e in sorted(diagram.elements.values(), key=lambda e: e.id):
+        entry = {"id": e.id, "codim": e.codim}
+        if e.index_set is not None:
+            entry["index_set"] = sorted(e.index_set)
+        elements.append(entry)
+    payload["elements"] = elements
+    payload["burrows"] = [
+        {
+            "id": b.id,
+            "codim": b.codim,
+            "defining_set": sorted(b.defining_set),
+            "basis_labels": [list(ls) for ls in b.algebra.labels],
+            "structure": structure_of[b.algebra.structure],
+        }
+        for b in sorted(diagram.burrows.values(), key=lambda b: b.id)
+    ]
     if diagram.relations:
         payload["relations"] = [
             [x, name, _element_payload(cls)] for x, name, cls in diagram.relations
@@ -497,8 +517,57 @@ def diagram_from_payload(payload: dict) -> BurrowDiagram:
         raise InputError(f"diagram file missing field {e}") from None
 
 
+def _object(values: dict, nl: str) -> str:
+    """The text of an object of strings, keys sorted."""
+    return _seq((f"{_quote(k)}: {_quote(v)}" for k, v in sorted(values.items())), nl, "{}")
+
+
 def dump_diagram(diagram: BurrowDiagram) -> str:
-    return _dump_json(diagram_payload(diagram))
+    """``json.dumps(diagram_payload(diagram), sort_keys=True, indent=1)``
+    and a newline, with the elements, burrows, relations and symmetry
+    sections written straight from the diagram, fields in key order (ids,
+    labels and names are strings, codims and indices ints)."""
+    payload, structure_of = _tables(diagram)
+    nl1, nl2, nl3, nl4 = ("\n" + " " * depth for depth in range(1, 5))  # a line start per depth
+
+    def section(records, brackets="{}"):  # records given as their field texts
+        return _Text(_seq((_seq(r, nl2, brackets) for r in records), nl1))
+
+    rows = []
+    for x, e in sorted(diagram.elements.items()):
+        rows.append([f'"codim": {e.codim}', f'"id": {_quote(x)}'])
+        if e.index_set is not None:
+            rows[-1].append('"index_set": ' + _seq(map(_quote, sorted(e.index_set)), nl3))
+    payload["elements"] = section(rows)
+    rows = []
+    for x, b in sorted(diagram.burrows.items()):
+        labels = (_seq(map(_quote, ls), nl4) for ls in b.algebra.labels)
+        rows.append(
+            [
+                '"basis_labels": ' + _seq(labels, nl3),
+                f'"codim": {b.codim}',
+                '"defining_set": ' + _seq(map(_quote, sorted(b.defining_set)), nl3),
+                f'"id": {_quote(x)}',
+                f'"structure": {structure_of[b.algebra.structure]}',
+            ]
+        )
+    payload["burrows"] = section(rows)
+    if diagram.relations:
+        term = '[\n     {},\n     "{}"\n    ]'.format  # a [label, value] pair, str(q) == format_rat(q)
+        rows = []
+        for x, name, cls in diagram.relations:
+            pairs = (term(_quote(cls.alg.label_of(g)), q) for g, q in sorted(cls.coeffs.items()))
+            rows.append([_quote(x), _quote(name), _seq(pairs, nl3)])
+        payload["relations"] = section(rows, "[]")
+    if diagram.symmetry_generators:
+        rows = []
+        for gen in diagram.symmetry_generators:
+            bases = sorted(gen.bases.items())
+            bases = _seq((f"{_quote(b)}: " + _seq(map(str, p), nl4) for b, p in bases), nl3, "{}")
+            burrows, elements = _object(gen.burrows, nl3), _object(gen.elements, nl3)
+            rows.append([f'"bases": {bases}', f'"burrows": {burrows}', f'"elements": {elements}'])
+        payload["symmetry"] = section(rows)
+    return _dump_json(payload)
 
 
 def load_diagram(text: str) -> BurrowDiagram:

@@ -2,10 +2,10 @@
 the three-point variant on products of lines) and synthetic algebra
 generators for property testing.
 
-Burrow configurations are partitions of the coordinate set with optionally
-frozen blocks, closed under joins with one building element at a time;
-algebras, restriction maps, adjoint pushforwards and Chern data all derive
-from the configuration combinatorics.  An inclusion's maps and Chern data
+Burrow configurations, enumerated directly, are the set partitions of the
+coordinates with some blocks frozen at distinct markers; algebras,
+restriction maps, adjoint pushforwards and Chern data all derive from the
+configuration combinatorics.  An inclusion's maps and Chern data
 depend only on the shapes of the two burrow algebras and on where the
 blocks go, so a build computes them once per such edge shape, as one
 ``BurrowEdge`` datum, and hands that one object to the diagram for every
@@ -17,6 +17,7 @@ products only, enumerated from the exponent vectors.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 
 from wonder.algebra import (
@@ -76,9 +77,10 @@ class _PowerAlg:
         top = r * len(self.tokens)
         dims = [0] * (top + 1)
         labels = [[] for _ in range(top + 1)]
+        names = [f"h{t}" for t in self.tokens]
         for e in exps:
             dims[sum(e)] += 1
-            labels[sum(e)].append(self._label(e))
+            labels[sum(e)].append(_monomial(names, e))
 
         def products():
             # the partners f of e with e + f <= r in every coordinate are
@@ -95,15 +97,6 @@ class _PowerAlg:
             labels,
             lambda: Structure.from_products(dims, products()),
         )
-
-    def _label(self, e):
-        parts = []
-        for tok, k in zip(self.tokens, e):
-            if k == 1:
-                parts.append(f"h{tok}")
-            elif k > 1:
-                parts.append(f"h{tok}^{k}")
-        return "*".join(parts) if parts else "1"
 
     def gen(self, token) -> Element:
         e = tuple(1 if t == token else 0 for t in self.tokens)
@@ -291,70 +284,69 @@ def _matchings(items):
     if not items:
         yield tuple()
         return
-    first, rest_all = items[0], items[1:]
-    for sub in _matchings(rest_all):
-        yield tuple(sub)
-    for j, other in enumerate(rest_all):
-        rest = rest_all[:j] + rest_all[j + 1 :]
-        for sub in _matchings(rest):
-            yield ((first, other),) + tuple(sub)
+    first, rest = items[0], items[1:]
+    yield from _matchings(rest)
+    for j, other in enumerate(rest):
+        for sub in _matchings(rest[:j] + rest[j + 1 :]):
+            yield ((first, other), *sub)
 
 
 # -- configurations -----------------------------------------------------------
 
 
-def _cfg_discrete(n):
-    return frozenset((frozenset((i,)), None) for i in range(1, n + 1))
+def _partitions(items):
+    """The set partitions of ``items``, each block a tuple in the order of
+    ``items``."""
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for part in _partitions(rest):
+        yield [(first,), *part]
+        for i, blk in enumerate(part):
+            yield [*part[:i], (first, *blk), *part[i + 1 :]]
 
 
-def _cfg_with(cfg, idxs, mk):
-    """Join of a configuration with the building element that merges
-    ``idxs`` and, unless ``mk`` is None, freezes them at marker ``mk``: the
-    blocks meeting ``idxs`` merge with it, None when the merged block would
-    carry two markers; otherwise the other block frozen at its marker, if
-    any, merges too.  ``cfg`` itself when the join leaves it as it is: all
-    of ``idxs`` lie in one block, and that block carries ``mk`` or ``mk``
-    is None (no two blocks of a configuration carry one marker)."""
-    for blk, m in cfg:
-        if idxs[0] in blk:
-            if (mk is None or m == mk) and blk.issuperset(idxs):
-                return cfg
-            break
-    merged, rest = set(idxs), []
-    for blk, m in cfg:
-        if blk.isdisjoint(idxs):
-            rest.append((blk, m))
-            continue
-        merged |= blk
-        if m is not None:
-            if mk is not None and m != mk:
-                return None
-            mk = m
-    if mk is not None:
-        for blk, m in rest:
-            if m == mk:
-                merged |= blk
-                rest.remove((blk, m))
-                break
-    rest.append((frozenset(merged), mk))
-    return frozenset(rest)
+def _strata(n, markers, diag_min):
+    """The building elements as (idxs, marker or None), diagonals first,
+    and every configuration with its defining set: the positions in that
+    list of the elements whose indices lie in one of its blocks, with that
+    block's marker if the element has one.  A configuration is a set
+    partition of 1..n with some blocks frozen at distinct markers, each
+    unfrozen block a singleton or of at least ``diag_min`` indices: Keel's
+    strata of M0,n+3-bar with the three markers, Fulton and MacPherson's
+    of X[n] without."""
+    coords = range(1, n + 1)
+    subsets = [idxs for size in coords for idxs in itertools.combinations(coords, size)]
+    loci = [(idxs, None) for idxs in subsets if len(idxs) >= diag_min]
+    loci += [(idxs, mk) for idxs in subsets for mk in markers]
+    where = {locus: k for k, locus in enumerate(loci)}
+    defining = {}
+    for blocks in _partitions(tuple(coords)):
+        for marks in itertools.product((None, *markers), repeat=len(blocks)):
+            frozen = [mk for mk in marks if mk is not None]
+            if len(set(frozen)) < len(frozen) or any(
+                mk is None and 1 < len(blk) < diag_min for blk, mk in zip(blocks, marks)
+            ):
+                continue
+            defining[frozenset((frozenset(blk), mk) for blk, mk in zip(blocks, marks))] = [
+                where[idxs, m]
+                for blk, mk in zip(blocks, marks)
+                for size in range(1, len(blk) + 1)
+                for idxs in itertools.combinations(blk, size)
+                for m in ((None,) if mk is None else (None, mk))
+                if (idxs, m) in where
+            ]
+    return loci, defining
 
 
 def _cfg_id(cfg):
-    parts = []
-    for blk, mk in cfg:
-        s = "".join(str(i) for i in sorted(blk))
-        if mk is not None:
-            s += f"@{mk}"
-        parts.append(s)
+    parts = ["".join(map(str, sorted(blk))) + ("" if mk is None else f"@{mk}") for blk, mk in cfg]
     return "|".join(sorted(parts, key=lambda p: p.split("@")[0]))
 
 
 def _cfg_codim(cfg, fiber_dim):
-    out = 0
-    for blk, mk in cfg:
-        out += (len(blk) - 1) + (1 if mk is not None else 0)
-    return out * fiber_dim
+    return fiber_dim * sum(len(blk) - 1 + (mk is not None) for blk, mk in cfg)
 
 
 class _Layout:
@@ -409,49 +401,21 @@ class _ProductModel:
 
     def build(self) -> BurrowDiagram:
         n = self.n
-        coords = range(1, n + 1)
-        discrete = _cfg_discrete(n)
-        # diagonals, then the loci freezing an index set at a marked point
-        loci = [
-            (idxs, None)
-            for size in range(self.diag_min, n + 1)
-            for idxs in itertools.combinations(coords, size)
-        ] + [
-            (idxs, mk)
-            for size in range(1, n + 1)
-            for idxs in itertools.combinations(coords, size)
-            for mk in self.markers
-        ]
+        loci, defining = _strata(n, self.markers, self.diag_min)
         elements = []
         elem_cfg = {}
         for idxs, mk in loci:
-            cfg = _cfg_with(discrete, idxs, mk)
-            eid = "D" + "".join(str(i) for i in idxs)
-            index_set = frozenset(str(i) for i in idxs)
-            if mk is not None:
-                eid += f"@{mk}"
-                index_set |= {f"@{mk}"}
-            elements.append(BuildingElement(eid, _cfg_codim(cfg, self.fiber_dim), index_set))
+            # the discrete configuration with idxs merged and frozen at mk
+            rest = [(frozenset((i,)), None) for i in range(1, n + 1) if i not in idxs]
+            cfg = frozenset([(frozenset(idxs), mk), *rest])
+            index_set = [*map(str, idxs)] + ([] if mk is None else [f"@{mk}"])
+            eid = "D" + "".join(index_set)
+            codim = _cfg_codim(cfg, self.fiber_dim)
+            elements.append(BuildingElement(eid, codim, frozenset(index_set)))
             elem_cfg[eid] = cfg
 
-        # close the configurations under joins with the elements, joining
-        # each configuration once with each element; the elements whose join
-        # leaves it as it is form its defining set, kept as a bitmask over
-        # the element list
-        defining = dict.fromkeys([discrete, *elem_cfg.values()], 0)
-        cfgs = list(defining)
-        for a in cfgs:  # the list grows while it is walked
-            for k, (idxs, mk) in enumerate(loci):
-                j = _cfg_with(a, idxs, mk)
-                if j is a:
-                    defining[a] |= 1 << k
-                elif j is not None and j not in defining:
-                    defining[j] = 0
-                    cfgs.append(j)
-
-        cid = {c: _cfg_id(c) for c in cfgs}
+        cid = {c: _cfg_id(c) for c in defining}
         by_id = {bid: c for c, bid in cid.items()}
-        mask = {cid[c]: m for c, m in defining.items()}
         layouts = {bid: _Layout(cfg) for bid, cfg in by_id.items()}
         # burrow algebras of one shape share one structure, so one socle
         # check and one pairing serve them all
@@ -465,11 +429,12 @@ class _ProductModel:
                     raise InputError(f"burrow {bid} failed its socle check")
 
         ids = sorted(by_id)
+        eids = list(elem_cfg)
         singles = {x: cid[cfg] for x, cfg in elem_cfg.items()}
         burrows = [
             BurrowNode(
                 bid,
-                frozenset(x for k, x in enumerate(elem_cfg) if mask[bid] >> k & 1),
+                frozenset(eids[k] for k in defining[by_id[bid]]),
                 _cfg_codim(by_id[bid], self.fiber_dim),
                 wraps[bid].alg,
             )
@@ -480,16 +445,15 @@ class _ProductModel:
         # two algebra shapes and the two token-position images, so they are
         # computed once per such edge shape, for this build only, and every
         # edge of that shape is given the one datum
-        holders = [  # per element, the positions in ids of the burrows inside it
-            {p for p, bid in enumerate(ids) if mask[bid] >> k & 1} for k in range(len(loci))
-        ]
+        holders = [set() for _ in loci]  # per element, the positions in ids of the burrows inside it
+        for p, bid in enumerate(ids):
+            for k in defining[by_id[bid]]:
+                holders[k].add(p)
         everyone = set(range(len(ids)))
         data = {}
         edges = []
         for b, big in enumerate(ids):
-            inside = everyone.intersection(
-                *(holders[k] for k in range(len(loci)) if mask[big] >> k & 1)
-            )
+            inside = everyone.intersection(*(holders[k] for k in defining[by_id[big]]))
             for small in [ids[p] for p in sorted(inside) if p != b]:
                 lb, ls, wb, ws = layouts[big], layouts[small], wraps[big], wraps[small]
                 # each unfrozen big block goes to the small block holding it,
@@ -500,7 +464,7 @@ class _ProductModel:
                 if key not in data:
                     data[key] = self._edge(wb, ws, image, section, pairings)
                 edges.append((small, big, data[key]))
-        relations = self._relations(wraps[cid[discrete]], elements)
+        relations = self._relations(wraps["|".join(map(str, range(1, n + 1)))], elements)
         return BurrowDiagram(
             socle_degree=self.fiber_dim * n,
             elements=elements,
@@ -528,31 +492,21 @@ class _ProductModel:
         if len(m) >= 3:
             moves.append(({}, {mk: m[(i + 1) % len(m)] for i, mk in enumerate(m)}))
         element_of = {cfg: eid for eid, cfg in elem_cfg.items()}
+        blocks = {blk for cfg in cid for blk, _ in cfg}
+        token = {blk: "".join(map(str, sorted(blk))) for blk in blocks}
         gens = []
         for coord, marker in moves:
-            image = {
-                cfg: frozenset(
-                    (frozenset(coord.get(i, i) for i in blk), marker.get(mk, mk))
-                    for blk, mk in cfg
-                )
-                for cfg in cid
-            }
-            elements = {eid: element_of[image[cfg]] for eid, cfg in elem_cfg.items()}
-            elements = {x: y for x, y in elements.items() if x != y}
+            moved = {blk: frozenset(coord.get(i, i) for i in blk) for blk in blocks}
+            image = {cfg: frozenset((moved[b], marker.get(mk, mk)) for b, mk in cfg) for cfg in cid}
+            elements = {x: y for x, cfg in elem_cfg.items() if (y := element_of[image[cfg]]) != x}
             burrows, bases = {}, {}
             for cfg, bid in cid.items():
                 target = cid[image[cfg]]
                 if target != bid:
                     burrows[bid] = target
-                token_map = {
-                    "".join(map(str, sorted(blk))): "".join(
-                        map(str, sorted(coord.get(i, i) for i in blk))
-                    )
-                    for blk, mk in cfg
-                    if mk is None
-                }
                 # the same tokens come in the same order, so each index stays
-                if any(tok != new for tok, new in token_map.items()):
+                if any(moved[blk] != blk for blk, mk in cfg if mk is None):
+                    token_map = {token[blk]: token[moved[blk]] for blk, mk in cfg if mk is None}
                     perm = wraps[bid].relabel(wraps[target], token_map)
                     if perm != sorted(perm):
                         bases[bid] = perm
@@ -658,17 +612,14 @@ def trivial_extension(alg: GradedAlgebra, degree: int, label: str = "dead"):
     labels = [list(ls) for ls in alg.labels]
     dims[degree] += 1
     labels[degree].append(label)
-    remap = {}
-    shift_from = alg.offset(degree) + alg.dim(degree)
-    for g in range(alg.total_dim):
-        remap[g] = g if g < shift_from else g + 1
-    dead = shift_from
-    entries = []
-    for gi in range(1, alg.total_dim):
-        for gj in range(gi, alg.total_dim):
-            for gk, q in alg.product_basis(gi, gj).items():
-                if gi != 0 and gj != 0:
-                    entries.append((remap[gi], remap[gj], remap[gk], q))
+    dead = alg.offset(degree) + alg.dim(degree)
+    remap = {g: g if g < dead else g + 1 for g in range(alg.total_dim)}
+    entries = [
+        (remap[gi], remap[gj], remap[gk], q)
+        for gi in range(1, alg.total_dim)
+        for gj in range(gi, alg.total_dim)
+        for gk, q in alg.product_basis(gi, gj).items()
+    ]
     return GradedAlgebra(dims, labels, entries), remap, dead
 
 
@@ -676,27 +627,11 @@ def trivial_extension(alg: GradedAlgebra, degree: int, label: str = "dead"):
 
 
 def _monomials(r, d):
-    """Exponent tuples of total degree d in r variables, lexicographic."""
+    """Exponent tuples of total degree d in r variables, lexicographic
+    from the largest."""
     if r == 0:
         return [()] if d == 0 else []
-    out = []
-
-    def rec(prefix, rem, slots):
-        if slots == 1:
-            out.append(prefix + (rem,))
-            return
-        for k in range(rem, -1, -1):
-            rec(prefix + (k,), rem - k, slots - 1)
-
-    rec(tuple(), d, r)
-    return out
-
-
-def _falling(n, k):
-    out = 1
-    for i in range(k):
-        out *= n - i
-    return out
+    return [(k, *rest) for k in range(d, -1, -1) for rest in _monomials(r - 1, d - k)]
 
 
 def _apolar_image(f_coeffs, r, d, alpha):
@@ -708,21 +643,14 @@ def _apolar_image(f_coeffs, r, d, alpha):
     for beta, coeff in f_coeffs.items():
         if all(b >= x for b, x in zip(beta, alpha)):
             gamma = tuple(b - x for b, x in zip(beta, alpha))
-            scale = 1
-            for b, x in zip(beta, alpha):
-                scale *= _falling(b, x)
-            vec[gamma_index[gamma]] += coeff * scale
+            vec[gamma_index[gamma]] += coeff * math.prod(map(math.perm, beta, alpha))
     return vec
 
 
-def _monomial_label(alpha):
-    parts = []
-    for i, e in enumerate(alpha, start=1):
-        if e == 1:
-            parts.append(f"x{i}")
-        elif e > 1:
-            parts.append(f"x{i}^{e}")
-    return "*".join(parts) if parts else "1"
+def _monomial(names, exps) -> str:
+    """The label of a monomial: its factors, name or name^exponent, joined
+    by "*", or "1"."""
+    return "*".join(n if k == 1 else f"{n}^{k}" for n, k in zip(names, exps) if k) or "1"
 
 
 def synthetic_gorenstein(dim_vector, seed: int, *, retries: int = 40) -> GradedAlgebra:
@@ -779,29 +707,16 @@ def _apolar_algebra(f_coeffs, r, d) -> GradedAlgebra | None:
         return None
 
     dims = [len(sel) for sel in chosen]
-    labels = [[_monomial_label(a) for a in sel] for sel in chosen]
+    names = [f"x{i}" for i in range(1, r + 1)]
+    labels = [[_monomial(names, a) for a in sel] for sel in chosen]
+    flat = [(k, a) for k, sel in enumerate(chosen) for a in sel]  # (degree, exponents) by global index
 
     def products(gi, gj):
-        ka = _deg_of(gi)
-        kb = _deg_of(gj)
+        (ka, a), (kb, b) = flat[gi], flat[gj]
         if ka + kb > d:
             return {}
-        alpha = tuple(
-            x + y for x, y in zip(_alpha_of(gi), _alpha_of(gj))
-        )
         off = sum(dims[: ka + kb])
-        return {off + i: q for i, q in coords[alpha].items()}
-
-    flat = []
-    for k, sel in enumerate(chosen):
-        for a in sel:
-            flat.append((k, a))
-
-    def _deg_of(g2):
-        return flat[g2][0]
-
-    def _alpha_of(g2):
-        return flat[g2][1]
+        return {off + i: q for i, q in coords[tuple(x + y for x, y in zip(a, b))].items()}
 
     return algebra_from_products(dims, labels, products)
 

@@ -89,6 +89,51 @@ def test_curve_model_below_genus_two_exits_1(capsys):
     assert "the curve model needs genus >= 2, not 1" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["keel", "--n", "3", "--min-size", "3"], "--min-size"),
+        (["keel", "--n", "3", "--genus", "2"], "--genus"),
+        (["fm-p1", "--n", "3", "--genus", "3"], "--genus"),
+        (["fm-p2", "--n", "3", "--min-size", "3", "--genus", "2"], "--genus"),
+        (["synth", "--dims", "1,2,1", "--n", "3"], "--n"),
+        (["keel-oracle", "--n", "3", "--seed", "1"], "--seed"),
+        (["fm-curve", "--n", "3", "--dims", "1,2,1"], "--dims"),
+    ],
+)
+def test_model_refuses_a_flag_it_does_not_read(capsys, argv, flag):
+    """A flag the chosen model does not read exits 1 naming the flag,
+    instead of writing the model without it; a default given explicitly
+    counts as given."""
+    code, out, err = run(capsys, "model", *argv)
+    assert code == 1 and out == ""
+    assert f"error: model {argv[0]} does not read {flag}" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "explicit, implicit",
+    [
+        (["fm-curve", "--n", "3", "--min-size", "2", "--genus", "2"], ["fm-curve", "--n", "3"]),
+        (["fm-p1", "--n", "2", "--min-size", "2"], ["fm-p1"]),
+        (["synth", "--dims", "1,2,1", "--seed", "0"], ["synth", "--dims", "1,2,1"]),
+    ],
+)
+def test_model_flags_left_out_take_their_defaults(capsys, explicit, implicit):
+    code, out, _ = run(capsys, "model", *explicit)
+    assert code == 0 and out
+    assert run(capsys, "model", *implicit) == (0, out, "")
+
+
+def test_model_with_no_diagonal_writes_the_one_burrow(capsys):
+    """fm-p1 --n 3 --min-size 9 has no building element: one burrow, no
+    edge, and it validates."""
+    code, out, _ = run(capsys, "model", "fm-p1", "--n", "3", "--min-size", "9")
+    assert code == 0
+    diagram = io.load_diagram(out)
+    assert (len(diagram.elements), len(diagram.burrows), len(diagram.edges)) == (0, 1, 0)
+    assert diagram.validate().ok
+
+
 def test_rewrite_cap_exit_code(tmp_path, capsys):
     d = tmp_path / "d.json"
     main(["model", "fm-p1", "--n", "3", "--out", str(d)])

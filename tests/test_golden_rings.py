@@ -12,7 +12,8 @@ oracle digests the rings that ``run_oracle``, ``blow_up`` and
 round-trip test loads each model's diagram text and dumps it again, and the
 writer test compares ``io.dump_diagram`` and ``io.dump_ring`` with
 ``json.dumps`` of their payloads on these models and a synthetic algebra.
-``LARGE_RINGS`` pins the ring text of models that only CI builds. The skipped-product test computes, on
+``LARGE_RINGS`` and ``LARGE_DIAGRAMS`` pin the ring and diagram text of
+models that only CI builds. The skipped-product test computes, on
 each model, every product the fill skips as zero and finds it zero. The
 read-path test checks each model's validation report against its rows and
 pins their number. The scalar-kind tests walk the same models: every
@@ -94,6 +95,12 @@ GOLDEN = {
 # each against the ring text ``wonder build`` writes in a fresh interpreter.
 LARGE_RINGS = {
     "keel-5": "d70b8c996121a48c852f51c15487710250841bc522bae2ed2a2a7d25962490e0",
+}
+
+# sha256 of ``io.dump_diagram`` of models too large for the tests: CI checks
+# each against the diagram text ``wonder model`` writes in a fresh interpreter.
+LARGE_DIAGRAMS = {
+    "keel-5": "64142857e44d3a6c32221cdc1a0f2d0f1eaa27cb7e33aab40c4a0d0cf3199d3a",
 }
 
 

@@ -9,6 +9,8 @@ from wonder.errors import InputError
 from wonder.fixtures import keel_2_oracle, oracle_fixture
 from wonder.models import fm_power, keel_model, synthetic_gorenstein
 
+from builders import point_blowup_p2_diagram
+
 
 def test_diagram_round_trip(fm3_diagram):
     text = io.dump_diagram(fm3_diagram)
@@ -138,3 +140,31 @@ def test_writer_matches_json_dumps_on_rows(rows):
 def test_writer_matches_json_dumps_on_oracle_fixtures(name, n):
     payload = oracle_fixture(name, n)
     assert io.dump_oracle(payload) == _json_text(payload)
+
+
+def _renamed(value, new):
+    """The payload with every string that ``new`` holds replaced by its image."""
+    if isinstance(value, str):
+        return new.get(value, value)
+    if isinstance(value, list):
+        return [_renamed(v, new) for v in value]
+    if isinstance(value, dict):
+        return {_renamed(k, new): _renamed(v, new) for k, v in value.items()}
+    return value
+
+
+def test_diagram_writer_matches_json_dumps_on_odd_diagrams():
+    """``io.dump_diagram`` writes elements, burrows, singles, relations and
+    symmetry directly; it gives the text of ``json.dumps`` of the payload
+    on element and burrow ids with quotes, backslashes, a newline and
+    non-ASCII characters (which also reorder the sections), on a zero
+    relation class, and on a diagram with explicit nests, an element
+    without an index set and neither relations nor symmetry."""
+    payload = io.diagram_payload(keel_model(2))
+    ids = [e["id"] for e in payload["elements"]] + [b["id"] for b in payload["burrows"]]
+    odd = {x: f'{x[::-1]}"\\\né€\U0001f600' for x in ids}
+    payload = _renamed(payload, odd)
+    payload["relations"].append([odd["D12"], "zero", []])
+    for diagram in (io.load_diagram(json.dumps(payload)), point_blowup_p2_diagram()):
+        assert io.dump_diagram(diagram) == _json_text(io.diagram_payload(diagram))
+    assert "symmetry" in payload and "explicit" in io.diagram_payload(point_blowup_p2_diagram())["nests"]

@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -62,24 +63,6 @@ def test_fm_burrow_count_is_bell(n):
     assert len(diagram.burrows) == bell(n)
 
 
-def test_keel3_joins_each_configuration_with_each_element_once(monkeypatch):
-    """The model joins each of the 25 building-set members onto the discrete
-    configuration, then each of its 77 configurations with each member once:
-    the closure, the defining sets and so the edges all come from those
-    joins, and no pair of configurations is joined."""
-    calls = []
-    join = models._cfg_with
-
-    def counted(*args):
-        calls.append(args)
-        return join(*args)
-
-    monkeypatch.setattr(models, "_cfg_with", counted)
-    diagram = keel_model(3)
-    assert (len(diagram.elements), len(diagram.burrows)) == (25, 77)
-    assert len(calls) <= 25 + 77 * 25
-
-
 def _cfg_join(n, a, b):
     """Reference join of two configurations of 1..n by union-find: merge
     the blocks of both; None when a merged block carries two markers; then
@@ -123,59 +106,87 @@ def _cfg_join(n, a, b):
     )
 
 
+def _element_id(idxs, mk):
+    return "D" + "".join(map(str, idxs)) + ("" if mk is None else f"@{mk}")
+
+
 @pytest.mark.parametrize(
-    "n, build, conflicts",
+    "n, markers, min_size, build",
     [
-        (3, lambda: keel_model(3), True),
-        (4, lambda: fm_power("p1", 4), False),
-        (4, lambda: fm_power("p2", 4, min_size=3), False),
+        (1, models.MARKERS, 2, lambda: keel_model(1)),
+        (2, models.MARKERS, 2, lambda: keel_model(2)),
+        (3, models.MARKERS, 2, lambda: keel_model(3)),
+        (4, models.MARKERS, 2, lambda: keel_model(4)),
+        (4, (), 2, lambda: fm_power("p1", 4)),
+        (4, (), 3, lambda: fm_power("p2", 4, min_size=3)),
+        (3, (), 9, lambda: fm_power("p1", 3, min_size=9)),
     ],
+    ids=["keel-1", "keel-2", "keel-3", "keel-4", "fm-p1-4", "fm-p2-4-min3", "fm-p1-3-min9"],
 )
-def test_single_element_join_matches_union_find(monkeypatch, n, build, conflicts):
-    """Every join the closure makes, of a configuration with one building
-    element, equals the union-find join with that element's configuration,
-    the None of two markers on one block included."""
-    calls = []
-    join = models._cfg_with
-
-    def recorded(cfg, idxs, mk):
-        out = join(cfg, idxs, mk)
-        calls.append((cfg, idxs, mk, out))
-        return out
-
-    monkeypatch.setattr(models, "_cfg_with", recorded)
+def test_enumerated_strata_are_the_union_find_closure(n, markers, min_size, build):
+    """The configurations the model enumerates as marked set partitions
+    are the closure of the discrete one under union-find joins with the
+    building elements, and each one's defining set holds exactly the
+    elements whose join leaves it as it is; the built diagram has one
+    burrow per configuration with that defining set.  fm-p1-3-min9 has no
+    diagonal and one configuration."""
+    loci, defining = models._strata(n, markers, min_size)
+    discrete = frozenset((frozenset((i,)), None) for i in range(1, n + 1))
+    joins = [_cfg_join(n, discrete, frozenset(((frozenset(idxs), mk),))) for idxs, mk in loci]
+    closure, todo = {discrete}, [discrete]
+    while todo:
+        cfg = todo.pop()
+        for j in (_cfg_join(n, cfg, e) for e in joins):
+            if j is not None and j not in closure:
+                closure.add(j)
+                todo.append(j)
+    assert set(defining) == closure
     diagram = build()
-    discrete = models._cfg_discrete(n)
-    elements = {(idxs, mk) for cfg, idxs, mk, _ in calls}
-    configs = {cfg for cfg, _, _, _ in calls}
-    assert len(calls) == len(elements) * (len(configs) + 1)
-    assert len(elements) == len(diagram.elements)
-    assert len(configs) == len(diagram.burrows)
-    for cfg, idxs, mk, out in calls:
-        element = _cfg_join(n, discrete, frozenset(((frozenset(idxs), mk),)))
-        assert out == _cfg_join(n, cfg, element), (cfg, idxs, mk)
-    assert any(out is None for *_, out in calls) == conflicts
+    assert sorted(diagram.elements) == sorted(_element_id(*locus) for locus in loci)
+    assert len(diagram.burrows) == len(closure)
+    for cfg in closure:
+        kept = [k for k, e in enumerate(joins) if _cfg_join(n, cfg, e) == cfg]
+        assert sorted(defining[cfg]) == kept
+        burrow = diagram.burrows[models._cfg_id(cfg)]
+        assert burrow.defining_set == {_element_id(*loci[k]) for k in kept}
+    assert (len(closure) == 1) == (not loci)
 
 
-def test_unchanged_join_returns_the_configuration_itself(monkeypatch):
-    """A join that leaves the configuration as it is (the element's indices
-    in one block, carrying the element's marker or none) returns the
-    configuration itself, so the closure builds no frozenset for it; every
-    other join returns a different configuration."""
-    calls = []
-    join = models._cfg_with
+def _stirling2(n, k):
+    if n == k:
+        return 1
+    if k == 0 or k > n:
+        return 0
+    return k * _stirling2(n - 1, k) + _stirling2(n - 1, k - 1)
 
-    def recorded(cfg, idxs, mk):
-        out = join(cfg, idxs, mk)
-        calls.append((cfg, out))
-        return out
 
-    monkeypatch.setattr(models, "_cfg_with", recorded)
-    diagram = keel_model(3)
-    assert all((out == cfg) == (out is cfg) for cfg, out in calls)
-    # the unchanged joins are the defining sets, element by element
-    kept = sum(out is cfg for cfg, out in calls)
-    assert kept == sum(len(b.defining_set) for b in diagram.burrows.values()) > 0
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_keel_burrow_count_is_the_closed_form(n):
+    """M0,n+3-bar has one stratum per set partition of the n coordinates
+    with j of its k blocks frozen at distinct ones of the three markers."""
+    count = sum(
+        _stirling2(n, k) * sum(math.comb(k, j) * math.perm(3, j) for j in range(min(k, 3) + 1))
+        for k in range(1, n + 1)
+    )
+    assert count == [4, 17, 77, 372][n - 1]
+    assert len(keel_model(n).burrows) == count
+
+
+def _partitions_with_min_block(n, m):
+    # partitions of n points whose non-singleton blocks have at least m
+    # points, by the size s of the block holding the first point
+    if n == 0:
+        return 1
+    return _partitions_with_min_block(n - 1, m) + sum(
+        math.comb(n - 1, s - 1) * _partitions_with_min_block(n - s, m) for s in range(m, n + 1)
+    )
+
+
+@pytest.mark.parametrize(
+    "fiber, n, m", [("p1", 4, 3), ("p2", 4, 3), ("p1", 5, 3), ("p1", 5, 4), ("p1", 5, 5), ("p1", 3, 9)]
+)
+def test_fm_burrow_count_with_min_size_is_the_closed_form(fiber, n, m):
+    assert len(fm_power(fiber, n, min_size=m).burrows) == _partitions_with_min_block(n, m)
 
 
 def test_keel1_all_divisors():
