@@ -152,6 +152,85 @@ def test_enumerated_strata_are_the_union_find_closure(n, markers, min_size, buil
     assert (len(closure) == 1) == (not loci)
 
 
+def _configurations(n, diagram):
+    """The built diagram read back as configurations: each building element
+    as the discrete configuration with its indices merged (and frozen at its
+    marker), each burrow by its id."""
+    discrete = frozenset((frozenset((i,)), None) for i in range(1, n + 1))
+    elements = {}
+    for eid, e in diagram.elements.items():
+        idxs = frozenset(int(t) for t in e.index_set if not t.startswith("@"))
+        mk = next((t[1:] for t in e.index_set if t.startswith("@")), None)
+        elements[eid] = _cfg_join(n, discrete, frozenset(((idxs, mk),)))
+    burrows = {}
+    for bid in diagram.burrows:
+        burrows[bid] = frozenset(
+            (frozenset(int(c) for c in blk), mk or None)
+            for blk, _, mk in (part.partition("@") for part in bid.split("|"))
+        )
+        assert models._cfg_id(burrows[bid]) == bid
+    return discrete, elements, {cfg: bid for bid, cfg in burrows.items()}
+
+
+@pytest.mark.parametrize(
+    "n, build, conflicts",
+    [
+        (3, lambda: keel_model(3), True),
+        (4, lambda: fm_power("p1", 4), False),
+        (4, lambda: fm_power("p2", 4, min_size=3), False),
+    ],
+)
+def test_single_element_join_matches_union_find(n, build, conflicts):
+    """The union-find join of a burrow's configuration with one building
+    element is the largest burrow inside it whose defining set holds that
+    element, as the diagram's defining sets and edges give it; it is None
+    (two markers on one block) exactly when no burrow holds both, which
+    happens only with markers."""
+    diagram = build()
+    _, elements, bid_of = _configurations(n, diagram)
+    defining = {bid: b.defining_set for bid, b in diagram.burrows.items()}
+    nones = 0
+    for cfg, bid in bid_of.items():
+        for eid, element in elements.items():
+            joined = _cfg_join(n, cfg, element)
+            below = [b for b, d in defining.items() if d >= defining[bid] | {eid}]
+            if joined is None:
+                nones += 1
+                assert below == [], (bid, eid)
+                continue
+            top = bid_of[joined]
+            assert top in below, (bid, eid)
+            assert all(b == top or (b, top) in diagram.edges for b in below), (bid, eid)
+            assert (top == bid) == (eid in defining[bid])
+            assert top == bid or (top, bid) in diagram.edges
+    assert (nones > 0) == conflicts
+
+
+def test_keel3_joins_each_configuration_with_each_element_once():
+    """Joining each of the 77 configurations of M0,6-bar once with each of
+    its 25 building elements by union-find stays among the 77 (or meets two
+    markers on one block), reaches every configuration but the discrete one,
+    and returns a configuration unchanged once per member of its defining
+    set: the enumeration is the join closure without joining any pair of
+    configurations."""
+    diagram = keel_model(3)
+    assert (len(diagram.elements), len(diagram.burrows)) == (25, 77)
+    discrete, elements, bid_of = _configurations(3, diagram)
+    reached, kept = set(), 0
+    for cfg in bid_of:
+        for element in elements.values():
+            joined = _cfg_join(3, cfg, element)
+            if joined is None:
+                continue
+            assert joined in bid_of
+            if joined == cfg:
+                kept += 1
+            else:
+                reached.add(joined)
+    assert reached == set(bid_of) - {discrete}
+    assert kept == sum(len(b.defining_set) for b in diagram.burrows.values()) > 0
+
+
 def _stirling2(n, k):
     if n == k:
         return 1
